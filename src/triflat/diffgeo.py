@@ -14,7 +14,7 @@ from .elimination import clear_denominators, nullspace, solve_square
 from .errors import EliminationError, FrameMismatch
 from .expr import Expr, ONE, ZERO, add, derivative, mul, neg, sub
 from .fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
-from .sampling import MatrixSampler, Sampler, numeric_rank
+from .sampling import MatrixSampler, Sampler, ranks
 from .simplify import simplify
 
 _BRACKET_MEMO: dict = {}
@@ -78,12 +78,22 @@ def differential(f: Expr, frame) -> OneForm:
 
 
 def _generic_samples(rows, frame, sp: Sampler):
-    """[(point, matrix)] restricted to points attaining the modal rank."""
-    ms = MatrixSampler(rows, frame, sp)
-    samples = ms.samples()
-    ranks = [numeric_rank(m, sp.tol) for _p, m in samples]
-    top = max(ranks) if ranks else 0
-    return [(p, m) for (p, m), r in zip(samples, ranks) if r == top], top
+    """Stack of the sampled matrices attaining the modal rank, and that rank."""
+    _points, stack = MatrixSampler(rows, frame, sp).stack()
+    r = ranks(stack, sp.tol)
+    top = int(r.max())
+    return stack[r == top], top
+
+
+def _in_span(rows, extra, frame, sp: Sampler) -> bool:
+    """Whether the extra rows lie in the row span at the generic points.
+
+    Points where the base rows drop below their modal rank are skipped.
+    """
+    stack, _top = _generic_samples(rows + extra, frame, sp)
+    base = ranks(stack[:, : len(rows), :], sp.tol)
+    modal = base.max()
+    return bool((ranks(stack[base == modal], sp.tol) == modal).all())
 
 
 def generic_rank(D: Distribution, sp: Sampler) -> int:
@@ -94,7 +104,7 @@ def generic_rank(D: Distribution, sp: Sampler) -> int:
     if D._rank is None:
         D._rank = {}
     if key not in D._rank:
-        _pts, top = _generic_samples(D.matrix_rows(), D.frame, sp)
+        _stack, top = _generic_samples(D.matrix_rows(), D.frame, sp)
         D._rank[key] = top
     return D._rank[key]
 
@@ -112,23 +122,17 @@ def basis(D: Distribution, sp: Sampler):
         D._basis = {}
     if key in D._basis:
         return D._basis[key]
-    samples, top = _generic_samples(D.matrix_rows(), D.frame, sp)
-    kept = []
+    stack, top = _generic_samples(D.matrix_rows(), D.frame, sp)
     kept_idx = []
-    for i, f in enumerate(D.fields):
+    for i in range(len(D.fields)):
         if len(kept_idx) == top:
             break
         idx = kept_idx + [i]
-        ok = True
-        for _p, m in samples:
-            if numeric_rank(m[idx, :], sp.tol) != len(idx):
-                ok = False
-                break
-        if ok:
+        if (ranks(stack[:, idx, :], sp.tol) == len(idx)).all():
             kept_idx.append(i)
-            kept.append(f)
     if len(kept_idx) != top:
         raise EliminationError("could not extract a generic basis")
+    kept = [D.fields[i] for i in kept_idx]
     D._basis[key] = kept
     return kept
 
@@ -139,21 +143,7 @@ def contains_generic(D: Distribution, v: VectorField, sp: Sampler) -> bool:
         return True
     if not D.fields:
         return False
-    rows = D.matrix_rows()
-    aug = rows + [list(v.components)]
-    samples, _top = _generic_samples(aug, D.frame, sp)
-    base_ranks = [numeric_rank(m[: len(rows), :], sp.tol) for _p, m in samples]
-    modal = max(base_ranks)
-    verdict = True
-    seen = 0
-    for (_p, m), rb in zip(samples, base_ranks):
-        if rb != modal:
-            continue
-        seen += 1
-        if numeric_rank(m, sp.tol) != rb:
-            verdict = False
-            break
-    return verdict and seen > 0
+    return _in_span(D.matrix_rows(), [list(v.components)], D.frame, sp)
 
 
 def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler) -> bool:
@@ -161,17 +151,7 @@ def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler)
         return True
     if not outer.fields:
         return False
-    rows_o = outer.matrix_rows()
-    aug = rows_o + inner.matrix_rows()
-    samples, _ = _generic_samples(aug, outer.frame, sp)
-    base = [numeric_rank(m[: len(rows_o), :], sp.tol) for _p, m in samples]
-    modal = max(base)
-    for (_p, m), rb in zip(samples, base):
-        if rb != modal:
-            continue
-        if numeric_rank(m, sp.tol) != rb:
-            return False
-    return True
+    return _in_span(outer.matrix_rows(), inner.matrix_rows(), outer.frame, sp)
 
 
 def span_equal(D1: Distribution, D2: Distribution, sp: Sampler) -> bool:
@@ -275,22 +255,12 @@ def annihilated_distribution(W: Codistribution, sp: Sampler) -> Distribution:
 def codistribution_rank(W: Codistribution, sp: Sampler) -> int:
     if not W.forms:
         return 0
-    _pts, top = _generic_samples(W.matrix_rows(), W.frame, sp)
+    _stack, top = _generic_samples(W.matrix_rows(), W.frame, sp)
     return top
 
 
 def form_in_span(w: OneForm, W: Codistribution, sp: Sampler) -> bool:
-    rows = W.matrix_rows()
-    aug = rows + [list(w.coefficients)]
-    samples, _ = _generic_samples(aug, W.frame, sp)
-    base = [numeric_rank(m[: len(rows), :], sp.tol) for _p, m in samples]
-    modal = max(base) if base else 0
-    for (_p, m), rb in zip(samples, base):
-        if rb != modal:
-            continue
-        if numeric_rank(m, sp.tol) != rb:
-            return False
-    return True
+    return _in_span(W.matrix_rows(), [list(w.coefficients)], W.frame, sp)
 
 
 def cauchy_characteristics(D: Distribution, sp: Sampler) -> Distribution:
@@ -353,7 +323,7 @@ def mod_reduce(v: VectorField, D: Distribution, sp: Sampler) -> VectorField:
 def _independent_coordinate_rows(fields, sp: Sampler):
     """d coordinate indices on which the field matrix is generically invertible."""
     rows = [list(f.components) for f in fields]
-    samples, top = _generic_samples(rows, fields[0].frame, sp)
+    stack, top = _generic_samples(rows, fields[0].frame, sp)
     if top != len(fields):
         raise EliminationError("spanning fields are generically dependent")
     n = len(fields[0].frame)
@@ -363,54 +333,11 @@ def _independent_coordinate_rows(fields, sp: Sampler):
         for i in range(n):
             if i in chosen:
                 continue
-            idx = chosen + [i]
-            score = min(
-                _smallest_singular(m[:, idx]) for _p, m in samples
-            )
+            sv = np.linalg.svd(stack[:, :, chosen + [i]], compute_uv=False)
+            score = float(sv[:, -1].min())
             if score > sp.tol and (best is None or score > best[0]):
                 best = (score, i)
         if best is None:
             raise EliminationError("no invertible coordinate block found")
-        chosen.append(best[1])
-    return sorted(chosen)
-
-
-def _smallest_singular(m):
-    sv = np.linalg.svd(m, compute_uv=False)
-    return float(sv[-1]) if sv.size else 0.0
-
-
-def complement_coordinates(D: Distribution, sp: Sampler):
-    """Coordinate indices completing D to the full space, by numeric pivots."""
-    frame = D.frame
-    n = len(frame)
-    b = basis(D, sp)
-    rows = [list(f.components) for f in b] if b else []
-    if rows:
-        samples, top = _generic_samples(rows, frame, sp)
-    else:
-        samples, top = [({}, np.zeros((0, n)))], 0
-    chosen = []
-    for _ in range(n - top):
-        best = None
-        for i in range(n):
-            if i in chosen:
-                continue
-            score = None
-            ok = True
-            for _p, m in samples:
-                unit_rows = np.zeros((len(chosen) + 1, n))
-                for r, c in enumerate(chosen + [i]):
-                    unit_rows[r, c] = 1.0
-                full = np.vstack([m, unit_rows])
-                s = _smallest_singular(full)
-                if numeric_rank(full, sp.tol) != top + len(chosen) + 1:
-                    ok = False
-                    break
-                score = s if score is None else min(score, s)
-            if ok and score is not None and (best is None or score > best[0]):
-                best = (score, i)
-        if best is None:
-            raise EliminationError("no coordinate complement found")
         chosen.append(best[1])
     return sorted(chosen)

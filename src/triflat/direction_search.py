@@ -10,6 +10,8 @@ decision procedure.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -29,9 +31,9 @@ from .diffgeo import (
 )
 from .elimination import clear_denominators
 from .errors import NotApplicable, TriflatError
-from .expr import Expr, ONE, Rat, ZERO, add, div, mul, neg, pow_, sub
+from .expr import Expr, ONE, Rat, ZERO, add, div, free_symbols, mul, neg, pow_, sub
 from .fields import Distribution, VectorField
-from .sampling import Sampler, is_zero_generic
+from .sampling import Sampler, is_zero_generic, point_set
 from .simplify import as_fraction, simplify, sqrt_of_square
 from .systems import AffineSystem
 
@@ -275,24 +277,16 @@ def candidates_via_quadratic(
 
 def _best_triple(triples, sp: Sampler):
     """Pick the quadratic with the best-conditioned coefficients."""
-    import math
-
-    from .expr import evaluate, free_symbols
-    from .errors import EvalError
-
     best = None
     for t in triples:
-        syms = set()
-        for c in t:
-            syms |= free_symbols(c)
+        ps = point_set(sp, set().union(*(free_symbols(c) for c in t)))
         score = math.inf
         count = 0
-        for point in sp.point_stream(syms):
-            try:
-                vals = [abs(evaluate(c, point)) for c in t]
-            except EvalError:
+        for i in itertools.count():
+            vals = ps.values_at(t, i)
+            if vals is None:
                 continue
-            score = min(score, max(vals))
+            score = min(score, max(abs(v) for v in vals))
             count += 1
             if count >= sp.samples:
                 break

@@ -7,46 +7,36 @@ symbolic result is cross-checked numerically before it is returned.
 
 from __future__ import annotations
 
-import math
-
 from .errors import EliminationError, EvalError
-from .expr import ZERO, add, div, evaluate, free_symbols, mul, neg, sub
-from .sampling import Sampler, _HUGE
+from .expr import ZERO, add, div, mul, neg, sub
+from .sampling import MatrixSampler, Sampler, point_set
 from .simplify import is_zero_symbolic, simplify
 
 
 def _sample_points(rows, sp: Sampler, extra_syms=()):
-    syms = set(extra_syms)
-    for r in rows:
-        for e in r:
-            syms |= free_symbols(e)
-    if not syms:
-        return [dict()]
-
-    def probe(point):
-        for r in rows:
-            for e in r:
-                v = evaluate(e, point)
-                if not math.isfinite(v) or abs(v) > _HUGE:
-                    raise EvalError("domain", "near-singular entry")
-        return True
-
-    return sp.admissible_points(syms, probe)
+    """Point set and indices of the points where every entry is admissible."""
+    ms = MatrixSampler(rows, extra_syms, sp)
+    if not ms.syms:
+        return point_set(sp, ()), [0]
+    return ms.admissible()
 
 
-def _scores(rows, points):
-    """Minimum |value| across points for each entry; 0 for failures."""
+def _scores(rows, ps, idx):
+    """Minimum |value| across the points for each entry; 0 for failures."""
     out = {}
     for i, r in enumerate(rows):
         for j, e in enumerate(r):
-            if e == ZERO:
-                out[i, j] = 0.0
-                continue
-            try:
-                out[i, j] = min(abs(evaluate(e, p)) for p in points)
-            except EvalError:
-                out[i, j] = 0.0
+            out[i, j] = 0.0 if e == ZERO else _score(ps, e, idx)
     return out
+
+
+def _score(ps, e, idx):
+    vals = []
+    for v in ps.scan(e, idx):
+        if isinstance(v, EvalError):
+            return 0.0
+        vals.append(abs(v))
+    return min(vals)
 
 
 def _complexity(e):
@@ -95,12 +85,12 @@ def row_reduce(rows, sp: Sampler, extra_syms=()) -> RowReduction:
     if not rows:
         return RowReduction(rows, [], 0)
     ncols = len(rows[0])
-    points = _sample_points(rows, sp, extra_syms)
+    ps, idx = _sample_points(rows, sp, extra_syms)
     pivots = []
     used_rows = set()
     prev_pivot = None
     while True:
-        scores = _scores(rows, points)
+        scores = _scores(rows, ps, idx)
         pivot_cols = {c for _r, c in pivots}
         best = None
         for i in range(len(rows)):

@@ -229,25 +229,31 @@ def _exact_rational_root(value, q):
     """value**q as an exact Fraction, or None when it is irrational."""
     if value < 0:
         return None
-    num, den = value.numerator, value.denominator
     p, r = q.numerator, q.denominator
-
-    def iroot(n, r):
-        if n == 0:
-            return 0
-        k = round(n ** (1.0 / r))
-        for cand in (k - 1, k, k + 1):
-            if cand >= 0 and cand**r == n:
-                return cand
-        return None
-
-    rn, rd = iroot(num, r), iroot(den, r)
+    rn, rd = _exact_iroot(value.numerator, r), _exact_iroot(value.denominator, r)
     if rn is None or rd is None:
         return None
     base = Fraction(rn, rd)
     if p < 0 and base == 0:
         return None
     return base**p
+
+
+def _exact_iroot(n, r):
+    """The integer k >= 0 with k**r == n, or None; exact for any size of n."""
+    if r == 2:
+        k = math.isqrt(n)
+    elif n < 2:
+        k = n
+    else:
+        # integer Newton iteration from above: 2**ceil(bits/r) > n**(1/r)
+        k = 1 << -(-n.bit_length() // r)
+        while True:
+            nxt = ((r - 1) * k + n // k ** (r - 1)) // r
+            if nxt >= k:
+                break
+            k = nxt
+    return k if k**r == n else None
 
 
 def div(a, b):

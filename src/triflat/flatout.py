@@ -29,7 +29,7 @@ from .errors import IntegrationError, NotApplicable, TriflatError
 from .expr import Expr, ZERO, mul, sub
 from .fields import Codistribution, Distribution, VectorField
 from .integrate import integrate_codistribution
-from .sampling import MatrixSampler, Sampler, is_zero_generic, numeric_rank
+from .sampling import MatrixSampler, Sampler, is_zero_generic, ranks
 from .simplify import simplify
 from .triform import CASE_NO_X1, CASE_ONE_CHAIN, CASE_TWO_CHAINS, TriangularReport
 
@@ -51,8 +51,8 @@ class FlatOutput:
 def _independent(report, sp, *functions):
     frame = report.system.frame
     rows = [list(differential(f, frame).coefficients) for f in functions]
-    ms = MatrixSampler(rows, frame, sp)
-    return max(numeric_rank(m, sp.tol) for _p, m in ms.samples()) == len(rows)
+    _points, stack = MatrixSampler(rows, frame, sp).stack()
+    return bool(ranks(stack, sp.tol).max() == len(rows))
 
 
 def _last_flag(report):

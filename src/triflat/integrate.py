@@ -45,7 +45,7 @@ from .expr import (
     sub,
 )
 from .fields import Codistribution, OneForm
-from .sampling import MatrixSampler, Sampler, numeric_rank
+from .sampling import MatrixSampler, Sampler, point_set, ranks
 from .simplify import differentiate, simplify
 
 
@@ -196,12 +196,11 @@ def integrate_codistribution(
 
     def independent(candidate_form):
         rows = [list(f.coefficients) for f in diffs] + [list(candidate_form.coefficients)]
-        ms = MatrixSampler(rows, frame, sp)
         try:
-            samples = ms.samples()
+            _points, stack = MatrixSampler(rows, frame, sp).stack()
         except Exception:
             return False
-        return max(numeric_rank(m, sp.tol) for _p, m in samples) == len(rows)
+        return bool(ranks(stack, sp.tol).max() == len(rows))
 
     def consider(phi, source):
         if len(found) == rank:
@@ -259,11 +258,10 @@ def integrate_codistribution(
     if len(found) < rank:
         ratio_pool = _coefficient_ratios(echelon)
         full_pool = pool + ratio_pool + [simplify(c) for c in extra_candidates]
-        seen = set()
-        for g in full_pool:
-            if g in seen:
-                continue
-            seen.add(g)
+        # first occurrences in pool order: the fitted pass below keeps only a
+        # prefix, so the order must not follow string hashes
+        candidates = list(dict.fromkeys(full_pool))
+        for g in candidates:
             for xi in frame:
                 for xj in frame:
                     if xi == xj:
@@ -277,7 +275,7 @@ def integrate_codistribution(
                 break
         if len(found) < rank:
             _fitted_combinations(
-                W, sp, frame, list(seen), consider, lambda: len(found) == rank
+                W, sp, frame, candidates, consider, lambda: len(found) == rank
             )
 
     if len(found) < rank:
@@ -322,11 +320,6 @@ def _coefficient_ratios(forms) -> List[Expr]:
 def _fitted_combinations(W, sp, frame, pool, consider, done):
     """Candidates xi + c * xj * g with the rational constant c fitted
     numerically against the span and then verified symbolically."""
-    from fractions import Fraction
-
-    from .expr import Rat, evaluate
-    from .errors import EvalError
-
     rows = W.matrix_rows()
     syms = set(frame)
     for r in rows:
@@ -334,18 +327,8 @@ def _fitted_combinations(W, sp, frame, pool, consider, done):
             syms |= free_symbols(e)
     pool = [add(1)] + pool[:12]
 
-    def sample_points(extra):
-        pts = []
-        budget = sp.max_resamples + 8
-        for pt in sp.point_stream(syms | extra):
-            if budget <= 0 or len(pts) == 8:
-                break
-            budget -= 1
-            pts.append(pt)
-        return pts
-
     for g in pool:
-        g_syms = free_symbols(g)
+        ps = point_set(sp, syms | free_symbols(g))
         for xi in frame:
             for xj in frame:
                 if xi == xj:
@@ -357,25 +340,25 @@ def _fitted_combinations(W, sp, frame, pool, consider, done):
                 w1 = differential(part, frame)
                 if all(c == ZERO for c in w1.coefficients):
                     continue
-                pts = sample_points(g_syms)
-                c = _fit_constant(rows, w0, w1, pts, sp.tol)
+                c = _fit_constant(rows, w0, w1, ps, sp.tol)
                 if c is None or c == 0:
                     continue
                 consider(add(Sym(xi), mul(Rat(c), part)), "combination")
 
 
-def _fit_constant(rows, w0, w1, points, tol):
-    from .errors import EvalError
-    from .expr import evaluate
-
+def _fit_constant(rows, w0, w1, ps, tol):
+    """The constant fitted at the first 8 points of the stream (skipping
+    those where an entry fails), or None."""
+    entries = [e for r in rows for e in r]
+    n = len(w0.coefficients)
     vals = []
-    for pt in points:
-        try:
-            A = np.array([[evaluate(e, pt) for e in r] for r in rows], dtype=float)
-            b0 = np.array([evaluate(e, pt) for e in w0.coefficients], dtype=float)
-            b1 = np.array([evaluate(e, pt) for e in w1.coefficients], dtype=float)
-        except EvalError:
+    for i in range(8):
+        got = ps.values_at(entries + list(w0.coefficients) + list(w1.coefficients), i)
+        if got is None:
             continue
+        A = np.array(got[: len(entries)], dtype=float).reshape(len(rows), n)
+        b0 = np.array(got[len(entries) : len(entries) + n], dtype=float)
+        b1 = np.array(got[len(entries) + n :], dtype=float)
         x0, *_ = np.linalg.lstsq(A.T, b0, rcond=None)
         x1, *_ = np.linalg.lstsq(A.T, b1, rcond=None)
         r0 = b0 - A.T @ x0
@@ -386,8 +369,6 @@ def _fit_constant(rows, w0, w1, points, tol):
         vals.append(-float(r0 @ r1) / n1)
     if len(vals) < 3:
         return None
-    from fractions import Fraction
-
     snap = Fraction(vals[0]).limit_denominator(12)
     if all(abs(v - snap) <= 1e-6 * (1 + abs(v)) for v in vals):
         return snap

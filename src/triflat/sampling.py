@@ -5,10 +5,18 @@ randomly sampled points, with deterministic seeding.  Points at which an
 expression fails to evaluate (division by zero, domain error) or produces
 near-singular magnitudes are discarded and resampled, up to a bounded
 budget; this operationalizes working at generic points only.
+
+The stream of a sampler is fixed by its seed, the symbol names and their
+domains, so the same expressions meet the same points again and again.  A
+:class:`PointSet` per stream keeps the points drawn and every value
+computed at them; zero tests, :class:`MatrixSampler` and the numeric pivot
+scores of :mod:`triflat.elimination` read values through it, and the ranks
+of a stack of sampled matrices come from one batched SVD (:func:`ranks`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -112,6 +120,139 @@ def magnitude(e: Expr, point) -> float:
     raise TypeError(type(e))
 
 
+class PointSet:
+    """The points one sampler draws for one symbol set, and values at them.
+
+    Points come from the live ``Sampler.point_stream`` generator, drawn on
+    first use and kept, so point ``i`` is the ``i``-th point of the stream;
+    they are shared with every reader and must not be modified.
+    A column holds, per point index, the raw result of :func:`evaluate` (or
+    :func:`magnitude`) for one expression, or the ``EvalError`` it raised;
+    ``None`` marks an index not computed yet.  Admissibility (finite, not
+    near-singular) is judged by the consumer.
+    """
+
+    __slots__ = ("points", "values", "magnitudes", "_stream")
+
+    def __init__(self, stream):
+        self.points = []
+        self.values = {}  # expression -> column of evaluate results
+        self.magnitudes = {}  # expression -> column of magnitude results
+        self._stream = stream
+
+    def point(self, i) -> Point:
+        while len(self.points) <= i:
+            try:
+                self.points.append(next(self._stream))
+            except StopIteration:
+                raise SamplerExhausted("point stream ended unexpectedly") from None
+        return self.points[i]
+
+    def column(self, e: Expr, table=None) -> list:
+        table = self.values if table is None else table
+        col = table.get(e)
+        if col is None:
+            col = table[e] = []
+        return col
+
+    def fill(self, fn, e: Expr, col: list, i):
+        """col[i] = fn(e, point i), or the EvalError it raised."""
+        global _CACHED_VALUES
+        if i >= len(col):
+            col.extend([None] * (i + 1 - len(col)))
+        try:
+            v = fn(e, self.point(i))
+        except EvalError as err:
+            v = err.with_traceback(None)
+            v.__context__ = None
+        col[i] = v
+        _CACHED_VALUES += 1
+        return v
+
+    def values_at(self, exprs, i):
+        """The values of exprs at point i, or None at the first that fails."""
+        out = []
+        for e in exprs:
+            v = _at(self, evaluate, e, self.column(e), i)
+            if isinstance(v, EvalError):
+                return None
+            out.append(v)
+        return out
+
+    def scan(self, e: Expr, idx):
+        """The cached ``evaluate(e, point i)`` for i in idx, lazily."""
+        col = self.column(e)
+        for i in idx:
+            yield _at(self, evaluate, e, col, i)
+
+
+def _at(ps: PointSet, fn, e: Expr, col: list, i):
+    """The cached col[i], computed by fn(e, point i) when missing."""
+    v = col[i] if i < len(col) else None
+    return ps.fill(fn, e, col, i) if v is None else v
+
+
+# One point set per (seed, symbols, domains); values are a pure function of
+# (expression, point), so sharing them cannot change a verdict.  All point
+# sets are dropped together once this many values are cached.
+_POINT_SETS: dict = {}
+_VALUE_LIMIT = 500_000
+_CACHED_VALUES = 0
+
+
+def point_set(sp: Sampler, syms) -> PointSet:
+    """The shared point set of the sampler's stream for these symbols."""
+    if _CACHED_VALUES > _VALUE_LIMIT:
+        clear_caches()
+    names = tuple(sorted(set(syms)))
+    key = (sp.seed, names, tuple(sp.domain(n) for n in names))
+    ps = _POINT_SETS.get(key)
+    if ps is None:
+        ps = _POINT_SETS[key] = PointSet(sp.point_stream(names))
+    return ps
+
+
+def clear_caches():
+    """Drop every point set and the values cached with it."""
+    global _CACHED_VALUES
+    _POINT_SETS.clear()
+    _CACHED_VALUES = 0
+
+
+def _admissible(v) -> bool:
+    """A cached value usable at a generic point: evaluable, finite, not huge.
+
+    Values are floats or EvalErrors; the bounds also reject nan and inf.
+    """
+    return type(v) is float and -_HUGE <= v <= _HUGE
+
+
+def _vanish(exprs, sp: Sampler, syms, undefined: str) -> bool:
+    """Joint relative zero test at the first ``sp.samples`` points where
+    every expression is admissible (points are tried in stream order)."""
+    ps = point_set(sp, syms)
+    cols = [(e, ps.column(e), ps.column(e, ps.magnitudes)) for e in exprs]
+    budget = sp.max_resamples + sp.samples
+    count = 0
+    for i in itertools.count():
+        if budget <= 0:
+            raise SamplerExhausted(f"{undefined} on the sampling domain")
+        budget -= 1
+        for e, vals, mags in cols:
+            v = _at(ps, evaluate, e, vals, i)
+            if not _admissible(v):
+                break
+            m = _at(ps, magnitude, e, mags, i)
+            if isinstance(m, EvalError):
+                break
+            if abs(v) > sp.tol * (1.0 + m):
+                return False
+        else:
+            count += 1
+            if count == sp.samples:
+                return True
+
+
 def is_zero_generic(e: Expr, sp: Sampler, extra_syms=()) -> bool:
     """True iff the expression vanishes at all sampled admissible points.
 
@@ -124,25 +265,7 @@ def is_zero_generic(e: Expr, sp: Sampler, extra_syms=()) -> bool:
             return abs(evaluate(e, {})) <= sp.tol
         except EvalError:
             raise SamplerExhausted("constant expression undefined") from None
-    budget = sp.max_resamples + sp.samples
-    count = 0
-    for point in sp.point_stream(syms):
-        if budget <= 0:
-            raise SamplerExhausted("expression undefined on the sampling domain")
-        budget -= 1
-        try:
-            v = evaluate(e, point)
-            if not math.isfinite(v) or abs(v) > _HUGE:
-                raise EvalError("domain", "near-singular value")
-            scale = 1.0 + magnitude(e, point)
-        except EvalError:
-            continue
-        if abs(v) > sp.tol * scale:
-            return False
-        count += 1
-        if count == sp.samples:
-            return True
-    raise SamplerExhausted("point stream ended unexpectedly")
+    return _vanish([e], sp, syms, "expression undefined")
 
 
 def all_zero_generic(exprs, sp: Sampler, extra_syms=()) -> bool:
@@ -155,36 +278,27 @@ def all_zero_generic(exprs, sp: Sampler, extra_syms=()) -> bool:
         syms |= free_symbols(e)
     if not syms:
         return all(abs(evaluate(e, {})) <= sp.tol for e in exprs)
-    budget = sp.max_resamples + sp.samples
-    count = 0
-    for point in sp.point_stream(syms):
-        if budget <= 0:
-            raise SamplerExhausted("expressions undefined on the sampling domain")
-        budget -= 1
-        try:
-            for e in exprs:
-                v = evaluate(e, point)
-                if not math.isfinite(v) or abs(v) > _HUGE:
-                    raise EvalError("domain", "near-singular value")
-                if abs(v) > sp.tol * (1.0 + magnitude(e, point)):
-                    return False
-        except EvalError:
-            continue
-        count += 1
-        if count == sp.samples:
-            return True
-    raise SamplerExhausted("point stream ended unexpectedly")
+    return _vanish(exprs, sp, syms, "expressions undefined")
+
+
+def ranks(stack: np.ndarray, tol: float) -> np.ndarray:
+    """SVD rank of each matrix of a (K, r, c) stack, from one batched SVD.
+
+    The threshold is relative to each matrix's largest singular value.
+    """
+    k, r, c = stack.shape
+    if r == 0 or c == 0:
+        return np.zeros(k, dtype=int)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    cutoff = tol * np.fmax(1.0, sv[:, 0]) * max(r, c)
+    return np.sum(sv > cutoff[:, None], axis=1)
 
 
 def numeric_rank(matrix: np.ndarray, tol: float) -> int:
-    """SVD rank with threshold relative to the largest singular value."""
+    """SVD rank of one matrix (see :func:`ranks`)."""
     if matrix.size == 0:
         return 0
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    cutoff = tol * max(1.0, float(sv[0])) * max(matrix.shape)
-    return int(np.sum(sv > cutoff))
+    return int(ranks(matrix[np.newaxis], tol)[0])
 
 
 class MatrixSampler:
@@ -210,26 +324,44 @@ class MatrixSampler:
             vals.append(row)
         return np.array(vals, dtype=float)
 
-    def samples(self, count=None):
-        out = []
-
-        def probe(point):
-            out.append((point, self.at(point)))
-            return True
-
-        self.sp.admissible_points(self.syms, probe, count)
+    def admissible(self, count=None):
+        """The point set and the indices of its first ``count`` points (the
+        sampler's sample count by default) at which every entry is
+        admissible, within the resampling budget."""
         want = self.sp.samples if count is None else count
-        return out[-want:]
+        ps = point_set(self.sp, self.syms)
+        cols = [(e, ps.column(e)) for r in self.rows for e in r]
+        out = []
+        budget = self.sp.max_resamples + want
+        for i in itertools.count():
+            if budget <= 0:
+                raise SamplerExhausted(
+                    f"no {want} admissible points within {self.sp.max_resamples} resamples"
+                )
+            budget -= 1
+            for e, col in cols:  # _at and _admissible, inlined: the hot loop
+                v = col[i] if i < len(col) else None
+                if v is None:
+                    v = ps.fill(evaluate, e, col, i)
+                if not (type(v) is float and -_HUGE <= v <= _HUGE):
+                    break
+            else:
+                out.append(i)
+                if len(out) == want:
+                    return ps, out
 
+    def stack(self, count=None):
+        """(points, values): the admissible points and the (K, r, c) stack
+        of the matrix evaluated at them."""
+        ps, idx = self.admissible(count)
+        nrows = len(self.rows)
+        ncols = len(self.rows[0]) if self.rows else 0
+        cols = [ps.column(e) for r in self.rows for e in r]
+        by_entry = np.array([[col[i] for i in idx] for col in cols], dtype=float)
+        values = by_entry.T.reshape(len(idx), nrows, ncols)
+        return [ps.point(i) for i in idx], values
 
-def sampled_ranks(rows, syms, sp: Sampler):
-    """[(point, rank)] at the sampler's admissible points."""
-    ms = MatrixSampler(rows, syms, sp)
-    return [(p, numeric_rank(m, sp.tol)) for p, m in ms.samples()]
-
-
-def generic_rank_of_rows(rows, syms, sp: Sampler) -> int:
-    """Maximal numeric rank across sample points (the generic value)."""
-    if not rows:
-        return 0
-    return max(r for _p, r in sampled_ranks(rows, syms, sp))
+    def samples(self, count=None):
+        """[(point, matrix)] at the admissible points."""
+        points, values = self.stack(count)
+        return list(zip(points, values))

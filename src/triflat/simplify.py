@@ -441,15 +441,6 @@ def _coeffs_in(p, z):
     return {e: {m: c for m, c in bucket.items() if c} for e, bucket in out.items()}
 
 
-def _from_coeffs(coeffs, z):
-    out = {}
-    for e, poly in coeffs.items():
-        zmono = {_mono_sorted([(z, e)] if e else []): Fraction(1)}
-        part = _poly_mul(poly, zmono)
-        out = _poly_add(out, part)
-    return out
-
-
 _GCD_SIZE_LIMIT = 400
 _GCD_COEFF_BITS = 256
 

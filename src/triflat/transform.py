@@ -42,7 +42,7 @@ from .expr import (
 from .fields import VectorField
 from .flatout import FlatOutput
 from .integrate import integrate_codistribution
-from .sampling import MatrixSampler, Sampler, is_zero_generic, numeric_rank
+from .sampling import MatrixSampler, Sampler, is_zero_generic, numeric_rank, ranks
 from .simplify import differentiate, simplify
 from .systems import AffineSystem
 from .triform import TriangularReport
@@ -580,28 +580,25 @@ def _ladder_levels(report: TriangularReport):
 def _completion_coordinates(found_funcs, frame, sp, count):
     """Original coordinates completing the map, by maximal numeric pivots."""
     rows = [list(differential(f, frame).coefficients) for f in found_funcs]
-    ms = MatrixSampler(rows, frame, sp) if rows else None
-    samples = ms.samples() if rows else [({}, np.zeros((0, len(frame))))]
+    if rows:
+        _points, stack = MatrixSampler(rows, frame, sp).stack()
+    else:
+        stack = np.zeros((1, 0, len(frame)))
     chosen = []
     for _ in range(count):
         best = None
-        for i, x in enumerate(frame):
+        for x in frame:
             if x in chosen:
                 continue
-            score = None
-            ok = True
-            for _p, m in samples:
-                unit = np.zeros((len(chosen) + 1, len(frame)))
-                for r, name in enumerate(chosen + [x]):
-                    unit[r, frame.index(name)] = 1.0
-                full = np.vstack([m, unit])
-                if numeric_rank(full, sp.tol) != full.shape[0]:
-                    ok = False
-                    break
-                sv = np.linalg.svd(full, compute_uv=False)
-                s = float(sv[-1])
-                score = s if score is None else min(score, s)
-            if ok and score is not None and (best is None or score > best[0]):
+            unit = np.zeros((len(chosen) + 1, len(frame)))
+            for r, name in enumerate(chosen + [x]):
+                unit[r, frame.index(name)] = 1.0
+            units = np.broadcast_to(unit, (len(stack),) + unit.shape)
+            full = np.concatenate([stack, units], axis=1)
+            if not (ranks(full, sp.tol) == full.shape[1]).all():
+                continue
+            score = float(np.linalg.svd(full, compute_uv=False)[:, -1].min())
+            if best is None or score > best[0]:
                 best = (score, x)
         if best is None:
             raise PipelineError("no coordinate completion found")

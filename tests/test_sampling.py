@@ -1,0 +1,201 @@
+"""The cached point-set layer against the per-point reference paths."""
+
+import json
+import math
+import os
+
+import numpy as np
+import pytest
+
+from triflat import sampling
+from triflat.cli import main
+from triflat.errors import EvalError, SamplerExhausted
+from triflat.expr import evaluate, free_symbols
+from triflat.parser import parse_expr
+from triflat.sampling import (
+    MatrixSampler,
+    Sampler,
+    all_zero_generic,
+    is_zero_generic,
+    magnitude,
+    numeric_rank,
+    ranks,
+)
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
+
+# log(x - 1) fails on about half of the default domain (0.2, 1.8)
+PARTIAL = [["x", "log(x - 1)", "1"], ["y*z", "sqrt(y - 0.9)", "x + z"]]
+
+
+def matrix(rows):
+    return [[parse_expr(e) for e in r] for r in rows]
+
+
+def per_point_samples(ms, count=None):
+    """Reference: the stream walked point by point through ``at``."""
+    out = []
+
+    def probe(point):
+        out.append((point, ms.at(point)))
+        return True
+
+    ms.sp.admissible_points(ms.syms, probe, count)
+    return out
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except SamplerExhausted as e:
+        return "exhausted", str(e)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_samples_equal_per_point_path(seed):
+    sampling.clear_caches()
+    sp = Sampler(seed=seed)
+    ms = MatrixSampler(matrix(PARTIAL), ["w"], sp)
+    ref = per_point_samples(ms)
+    got = ms.samples()
+    assert len(got) == len(ref) == sp.samples
+    for (p, m), (rp, rm) in zip(got, ref):
+        assert p == rp
+        assert m.shape == rm.shape == (2, 3)
+        assert m.tobytes() == rm.tobytes()
+    points, stack = ms.stack()
+    assert stack.shape == (sp.samples, 2, 3)
+    assert points == [p for p, _m in ref]
+
+
+def test_budget_and_exhaustion_match_per_point_path():
+    # admissible on about 3% of the domain: the budget decides
+    rows = matrix([["x", "log(x - 1.75)"]])
+    verdicts = set()
+    for resamples in range(0, 300):
+        sampling.clear_caches()
+        sp = Sampler(seed=3, samples=8, max_resamples=resamples)
+        ms = MatrixSampler(rows, [], sp)
+        ref = outcome(lambda: [p for p, _m in per_point_samples(ms)])
+        got = outcome(lambda: ms.stack()[0])
+        assert got == ref
+        verdicts.add(got[0])
+    assert verdicts == {"ok", "exhausted"}
+
+
+def test_empty_and_constant_matrices():
+    sp = Sampler()
+    ms = MatrixSampler(matrix([["2", "3"]]), ["x"], sp)
+    _points, stack = ms.stack()
+    assert stack.shape == (sp.samples, 1, 2)
+    assert list(ranks(stack, sp.tol)) == [1] * sp.samples
+    _points, empty = MatrixSampler([], ["x"], sp).stack()
+    assert empty.shape == (sp.samples, 0, 0)
+    assert list(ranks(empty, sp.tol)) == [0] * sp.samples
+
+
+def reference_rank(m, tol):
+    if m.size == 0:
+        return 0
+    sv = np.linalg.svd(m, compute_uv=False)
+    cutoff = tol * max(1.0, float(sv[0])) * max(m.shape)
+    return int(np.sum(sv > cutoff))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4), (1, 6), (0, 4)])
+def test_stacked_ranks_equal_per_matrix_rank(shape):
+    rng = np.random.default_rng(7)
+    r, c = shape
+    mats = []
+    for k in range(12):
+        rank = k % (min(r, c) + 1)
+        m = rng.standard_normal((r, rank)) @ rng.standard_normal((rank, c))
+        if k % 3 == 0:
+            m = m * 1e6
+        if k % 4 == 1 and r:
+            m[0] += 1e-12  # below the cutoff
+        mats.append(m)
+    stack = np.array(mats).reshape(len(mats), r, c)
+    for tol in (1e-9, 1e-6):
+        got = ranks(stack, tol)
+        assert [int(v) for v in got] == [reference_rank(m, tol) for m in mats]
+        assert [int(v) for v in got] == [numeric_rank(m, tol) for m in mats]
+
+
+def reference_all_zero(exprs, sp):
+    """The per-point zero test, with no cache."""
+    syms = set()
+    for e in exprs:
+        syms |= free_symbols(e)
+    budget = sp.max_resamples + sp.samples
+    count = 0
+    for point in sp.point_stream(syms):
+        if budget <= 0:
+            raise SamplerExhausted("undefined")
+        budget -= 1
+        try:
+            for e in exprs:
+                v = evaluate(e, point)
+                if not math.isfinite(v) or abs(v) > sampling._HUGE:
+                    raise EvalError("domain", "near-singular value")
+                if abs(v) > sp.tol * (1.0 + magnitude(e, point)):
+                    return False
+        except EvalError:
+            continue
+        count += 1
+        if count == sp.samples:
+            return True
+
+
+ZERO_CASES = [
+    ["sin(t)^2 + cos(t)^2 - 1"],
+    ["log(x - 1) - log(x - 1)", "sqrt(y - 0.9)^2 - y + 0.9"],
+    ["log(x - 1)*0 + x - x", "x - 1.0000001"],
+    ["1/(x - 1) - 1/(x - 1)", "exp(x)*exp(-x) - 1"],
+    ["x*y - y*x", "log(x - 1.75)"],
+]
+
+
+@pytest.mark.parametrize("case", ZERO_CASES)
+def test_zero_tests_match_per_point_path(case):
+    exprs = [parse_expr(e) for e in case]
+    for seed in (0, 5):
+        sampling.clear_caches()
+        sp = Sampler(seed=seed, samples=8, max_resamples=60)
+        ref = outcome(lambda: reference_all_zero(exprs, sp))
+        got = outcome(lambda: all_zero_generic(exprs, sp))
+        assert got[0] == ref[0] and (got[0] != "ok" or got[1] == ref[1])
+        ref = outcome(lambda: reference_all_zero(exprs[:1], sp))
+        got = outcome(lambda: is_zero_generic(exprs[0], sp))
+        assert got[0] == ref[0] and (got[0] != "ok" or got[1] == ref[1])
+
+
+def check_report(*argv, capsys):
+    code = main(["check", *argv])
+    out = capsys.readouterr().out
+    return code, json.loads(out)
+
+
+def test_check_report_independent_of_cache_state(capsys, monkeypatch):
+    target = [os.path.join(CORPUS, "template.sys"), "--seed", "7", "--samples", "16"]
+    sampling.clear_caches()
+    cold = check_report(*target, capsys=capsys)
+    # warm the point sets with other systems, the same seed at another
+    # sample count, and other seeds
+    sampling.clear_caches()
+    for argv in (
+        [os.path.join(CORPUS, "vtol.sys"), "--seed", "7"],
+        [os.path.join(CORPUS, "template.sys"), "--seed", "7", "--samples", "8"],
+        [os.path.join(CORPUS, "template.sys"), "--seed", "3"],
+        [os.path.join(CORPUS, "product.sys")],
+    ):
+        check_report(*argv, capsys=capsys)
+    assert sampling._POINT_SETS
+    assert check_report(*target, capsys=capsys) == cold
+    # a bound small enough to clear the caches many times over
+    clears = []
+    clear = sampling.clear_caches
+    monkeypatch.setattr(sampling, "_VALUE_LIMIT", 50)
+    monkeypatch.setattr(sampling, "clear_caches", lambda: (clears.append(1), clear()))
+    assert check_report(*target, capsys=capsys) == cold
+    assert len(clears) > 1

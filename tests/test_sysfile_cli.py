@@ -2,13 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from triflat.cli import main
 from triflat.sysfile import SysFileError, load_sysfile, parse_sysfile
 
-CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+CORPUS = os.path.join(SRC, "triflat", "corpus")
 
 
 def corpus(name):
@@ -180,3 +183,20 @@ def test_cli_prolong_flag(capsys):
     assert code == 0
     assert out["linearizable"] is True
     assert out["prolonged"] == [{"input": "u2", "order": 2}]
+
+
+def test_cli_flat_output_independent_of_hash_seed():
+    # The integration heuristic fits constants only for a prefix of its
+    # candidate pool; under hash seed 216 a pool ordered by string hashes
+    # lost the second sqrt integral (exit 3).
+    outs = []
+    for hash_seed in ("216", "0"):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "triflat.cli", "flat-output", corpus("sqrt.sys")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout[-500:] + proc.stderr[-500:]
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
