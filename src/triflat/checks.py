@@ -11,9 +11,9 @@ from typing import Optional
 
 from .diffgeo import (
     basis,
-    cauchy_characteristics,
     contains_generic,
     derived_step,
+    drift_compatible,
     extend,
     generic_rank,
     is_involutive,
@@ -135,12 +135,9 @@ def check_extended_chained(sys: AffineSystem, sp: Sampler) -> CheckOutcome:
     flag = D
     for i in range(1, n - 2):
         flag = derived_step(flag, sp)
-        C = cauchy_characteristics(flag, sp)
-        for c in basis(C, sp):
-            br = lie_bracket(sys.drift, c)
-            if not contains_generic(flag, br, sp):
-                witness["failing_level"] = i
-                return CheckOutcome(
-                    False, f"drift incompatible at flag level {i}", witness, regular
-                )
+        if not drift_compatible(flag, sys.drift, sp):
+            witness["failing_level"] = i
+            return CheckOutcome(
+                False, f"drift incompatible at flag level {i}", witness, regular
+            )
     return CheckOutcome(True, None, witness, regular)

@@ -141,7 +141,7 @@ def _analyze(sysm, sp, phi1=None, hints=()):
     if chain.depth < 1:
         from .triform import TriangularReport
 
-        rep = TriangularReport(sysm, chain, None)
+        rep = TriangularReport(sysm, chain, None, sampler=sp)
         rep.failures.append("the input span itself is non-involutive")
         return chain, "inapplicable", [], [rep]
     candidates = []

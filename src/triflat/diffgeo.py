@@ -1,9 +1,14 @@
 """Lie brackets, flags, Cauchy characteristics, annihilators.
 
 Rank and membership questions are decided numerically at generic sample
-points; symbolic elimination only produces readable bases, and each symbolic
-result is re-checked numerically.  Sample points where a matrix drops below
-its modal rank are treated as non-generic and discarded.
+points, and so are the questions about Cauchy characteristics: whether they
+span a given distribution, and whether the drift keeps them inside theirs
+(:func:`characteristics_span`, :func:`drift_compatible`) come from sampled
+values of a basis and its brackets, with no symbolic elimination.  Symbolic
+elimination (:func:`annihilator`, :func:`cauchy_characteristics`) runs only
+where the symbolic forms and fields are an output, and each symbolic result
+is re-checked numerically.  Sample points where a matrix drops below its
+modal rank are treated as non-generic and discarded.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from .elimination import clear_denominators, nullspace, solve_square
 from .errors import EliminationError, FrameMismatch
 from .expr import Expr, ONE, ZERO, add, derivative, mul, neg, sub
 from .fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
-from .sampling import MatrixSampler, Sampler, ranks
+from .sampling import MatrixSampler, Sampler, nullspaces, ranks
 from .simplify import simplify
 
 _BRACKET_MEMO: dict = {}
@@ -295,6 +300,65 @@ def cauchy_characteristics(D: Distribution, sp: Sampler) -> Distribution:
             if not contains_generic(D, lie_bracket(c, v), sp):
                 raise EliminationError("characteristic condition fails numerically")
     return C
+
+
+def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=()):
+    """Cauchy characteristics of D at generic points, with no elimination.
+
+    Take a generic basis b_1..b_r of D and the annihilator W_p of
+    B_p = (b_j(p)).  The field c = sum_j lam_j b_j is characteristic exactly
+    when lam lies in the null space of M_p[(i, w), j] = w . [b_j, b_i](p):
+    the terms b_i(lam_j) b_j of [c, b_i] drop out because w(b_j) = 0.  One
+    stack of [basis; pairwise brackets; extra_rows] is sampled, and points
+    where B_p or M_p falls below its modal rank are dropped.
+
+    Returns (B, lam, X) at the kept points: the (K, r, n) basis values, the
+    (K, k, r) orthonormal rows spanning the null space of each M_p, and the
+    (K, m, n) values of extra_rows.
+    """
+    b = basis(D, sp)
+    r, n = len(b), len(D.frame)
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    rows = [f.components for f in b] + [lie_bracket(b[i], b[j]).components for i, j in pairs]
+    _points, stack = MatrixSampler(rows + list(extra_rows), D.frame, sp).stack()
+    rank_b, ann = nullspaces(stack[:, :r], sp.tol)
+    kept = np.flatnonzero(rank_b == r)
+    stack = stack[kept]
+    W = np.stack([ann[i] for i in kept])  # (K, n - r, n)
+    paired = W @ stack[:, r : r + len(pairs)].transpose(0, 2, 1)  # w . [b_i, b_j]
+    M = np.zeros((len(kept), r, n - r, r))
+    for q, (i, j) in enumerate(pairs):
+        M[:, i, :, j] = -paired[:, :, q]
+        M[:, j, :, i] = paired[:, :, q]
+    rank_m, lam = nullspaces(M.reshape(len(kept), r * (n - r), r), sp.tol)
+    kept = np.flatnonzero(rank_m == rank_m.max())
+    lam = np.stack([lam[i] for i in kept])
+    return stack[kept, :r], lam, stack[kept, r + len(pairs) :]
+
+
+def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
+    """Whether the Cauchy characteristics of D span the same as E, generically.
+
+    Points where E drops below its modal rank are skipped.
+    """
+    B, lam, X = _characteristics_at(D, sp, E.matrix_rows())
+    k = lam.shape[1]
+    rank_e = ranks(X, sp.tol)
+    generic = rank_e == rank_e.max()
+    both = ranks(np.concatenate([lam @ B, X], axis=1)[generic], sp.tol)
+    return bool(rank_e.max() == k and (both == k).all())
+
+
+def drift_compatible(D: Distribution, a: VectorField, sp: Sampler) -> bool:
+    """Whether [a, c] lies in D for every Cauchy characteristic c of D.
+
+    [a, sum_j lam_j b_j] = sum_j lam_j [a, b_j] modulo D, so the test is
+    pointwise too.
+    """
+    b = basis(D, sp)
+    B, lam, X = _characteristics_at(D, sp, [lie_bracket(a, f).components for f in b])
+    grown = np.concatenate([B, lam @ X], axis=1)
+    return bool((ranks(grown, sp.tol) == len(b)).all())
 
 
 def mod_reduce(v: VectorField, D: Distribution, sp: Sampler) -> VectorField:

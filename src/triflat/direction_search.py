@@ -14,20 +14,19 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .diffgeo import (
     ad_iter,
     annihilator,
     basis,
-    cauchy_characteristics,
+    characteristics_span,
     contains_generic,
     extend,
     generic_rank,
     is_involutive,
     lie_bracket,
     pruned,
-    span_equal,
 )
 from .elimination import clear_denominators
 from .errors import NotApplicable, TriflatError
@@ -48,7 +47,6 @@ class BracketChain:
     ranks: List[int]
     rank_ok: bool
     cauchy_ok: bool
-    cauchy_top: Optional[Distribution]
 
     def d(self, i: int) -> Distribution:
         """D_i with D_0 the zero distribution."""
@@ -85,12 +83,8 @@ def compute_bracket_chain(sys: AffineSystem, sp: Sampler) -> BracketChain:
     depth = len(steps) - 1
     ranks = [generic_rank(D, sp) for D in steps]
     rank_ok = ranks == [2 * (i + 1) for i in range(len(steps))] and depth >= 1
-    cauchy_ok = False
-    cauchy_top = None
-    if depth >= 1:
-        cauchy_top = cauchy_characteristics(steps[depth], sp)
-        cauchy_ok = not span_equal(cauchy_top, steps[depth - 1], sp)
-    return BracketChain(steps, depth, ranks, rank_ok, cauchy_ok, cauchy_top)
+    cauchy_ok = depth >= 1 and not characteristics_span(steps[depth], steps[depth - 1], sp)
+    return BracketChain(steps, depth, ranks, rank_ok, cauchy_ok)
 
 
 def h_distribution(chain: BracketChain, sp: Sampler) -> Distribution:

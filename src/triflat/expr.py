@@ -400,7 +400,10 @@ def evaluate(e, point):
     generic-point samplers treat as a resample request.
     """
     if isinstance(e, Rat):
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise EvalError("domain", "constant beyond float range") from None
     if isinstance(e, Sym):
         try:
             return float(point[e.name])

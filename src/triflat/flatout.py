@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 from .diffgeo import (
     annihilator,
     basis,
-    cauchy_characteristics,
     codistribution_rank,
     contains_distribution,
     contains_generic,
@@ -58,6 +57,11 @@ def _independent(report, sp, *functions):
 def _last_flag(report):
     """The last non-involutive derived-flag member (level n2 - 3)."""
     return report.delta1_flags[report.n2 - 3]
+
+
+def _last_characteristics(report) -> Distribution:
+    """Cauchy characteristics of the last flag member, solved once per report."""
+    return report.characteristics(report.n2 - 3)
 
 
 def flat_output_for_report(
@@ -162,7 +166,7 @@ def flat_output_no_chains(report, sp: Sampler, phi1, hints=()) -> FlatOutput:
     dphi1 = differential(phi1, report.system.frame)
     if all(c == ZERO for c in dphi1.coefficients):
         raise NotApplicable("the chosen first output has zero differential")
-    C = cauchy_characteristics(_last_flag(report), sp)
+    C = _last_characteristics(report)
     for f in basis(C, sp):
         if not is_zero_generic(simplify(dphi1.pair(f)), sp):
             raise NotApplicable(
@@ -206,7 +210,7 @@ def _rhs_pool(sysm):
 
 def admissible_phi1(report, sp) -> List[str]:
     """State coordinates annihilating the last flag member's characteristics."""
-    C = cauchy_characteristics(_last_flag(report), sp)
+    C = _last_characteristics(report)
     out = []
     for i, x in enumerate(report.system.frame):
         if all(
@@ -225,7 +229,7 @@ def l_distribution_from_phi1(report, phi1: Expr, sp: Sampler) -> Distribution:
     """
     frame = report.system.frame
     flag = _last_flag(report)
-    C = cauchy_characteristics(flag, sp)
+    C = _last_characteristics(report)
     dphi1 = differential(phi1, frame)
     if all(c == ZERO for c in dphi1.coefficients):
         raise NotApplicable("zero differential cannot determine the distribution")

@@ -96,10 +96,8 @@ class Sampler:
 
 def magnitude(e: Expr, point) -> float:
     """Evaluation with all cancellations disabled; scale reference for zero tests."""
-    if isinstance(e, Rat):
-        return abs(float(e.value))
-    if isinstance(e, Sym):
-        return abs(float(point[e.name]))
+    if isinstance(e, (Rat, Sym)):
+        return abs(evaluate(e, point))
     if isinstance(e, Add):
         return sum(magnitude(t, point) for t in e.terms)
     if isinstance(e, Mul):
@@ -213,10 +211,23 @@ def point_set(sp: Sampler, syms) -> PointSet:
 
 
 def clear_caches():
-    """Drop every point set and the values cached with it."""
+    """Drop every point set, the values cached with it and the symbol table."""
     global _CACHED_VALUES
     _POINT_SETS.clear()
+    _FREE_SYMBOLS.clear()
     _CACHED_VALUES = 0
+
+
+# expression -> frozenset of its symbol names, for the entries of sampled
+# matrices, which meet the sampler again and again
+_FREE_SYMBOLS: dict = {}
+
+
+def _free_symbols(e: Expr) -> frozenset:
+    syms = _FREE_SYMBOLS.get(e)
+    if syms is None:
+        syms = _FREE_SYMBOLS[e] = frozenset(free_symbols(e))
+    return syms
 
 
 def _admissible(v) -> bool:
@@ -259,7 +270,7 @@ def is_zero_generic(e: Expr, sp: Sampler, extra_syms=()) -> bool:
     The comparison is relative to the accumulated term magnitude, so exact
     cancellations are recognized even when individual terms are large.
     """
-    syms = free_symbols(e) | set(extra_syms)
+    syms = _free_symbols(e) | set(extra_syms)
     if not syms:
         try:
             return abs(evaluate(e, {})) <= sp.tol
@@ -275,23 +286,42 @@ def all_zero_generic(exprs, sp: Sampler, extra_syms=()) -> bool:
         return True
     syms = set(extra_syms)
     for e in exprs:
-        syms |= free_symbols(e)
+        syms |= _free_symbols(e)
     if not syms:
         return all(abs(evaluate(e, {})) <= sp.tol for e in exprs)
     return _vanish(exprs, sp, syms, "expressions undefined")
 
 
-def ranks(stack: np.ndarray, tol: float) -> np.ndarray:
-    """SVD rank of each matrix of a (K, r, c) stack, from one batched SVD.
+def _ranks_of(sv: np.ndarray, shape, tol: float) -> np.ndarray:
+    """Ranks from the (K, min(r, c)) singular values of a (K, r, c) stack.
 
     The threshold is relative to each matrix's largest singular value.
     """
+    cutoff = tol * np.fmax(1.0, sv[:, 0]) * max(shape[1:])
+    return np.sum(sv > cutoff[:, None], axis=1)
+
+
+def ranks(stack: np.ndarray, tol: float) -> np.ndarray:
+    """SVD rank of each matrix of a (K, r, c) stack, from one batched SVD."""
     k, r, c = stack.shape
     if r == 0 or c == 0:
         return np.zeros(k, dtype=int)
-    sv = np.linalg.svd(stack, compute_uv=False)
-    cutoff = tol * np.fmax(1.0, sv[:, 0]) * max(r, c)
-    return np.sum(sv > cutoff[:, None], axis=1)
+    return _ranks_of(np.linalg.svd(stack, compute_uv=False), stack.shape, tol)
+
+
+def nullspaces(stack: np.ndarray, tol: float):
+    """Ranks and right null spaces of each matrix of a (K, r, c) stack.
+
+    Returns (ranks, bases) from one batched SVD with the cutoff of
+    :func:`ranks`; bases[k] is a (c - ranks[k], c) array whose orthonormal
+    rows span the null space of matrix k.
+    """
+    k, r, c = stack.shape
+    if r == 0 or c == 0:
+        return np.zeros(k, dtype=int), [np.eye(c) for _ in range(k)]
+    _u, sv, vt = np.linalg.svd(stack, full_matrices=True)
+    rk = _ranks_of(sv, stack.shape, tol)
+    return rk, [vt[i, rk[i]:] for i in range(k)]
 
 
 def numeric_rank(matrix: np.ndarray, tol: float) -> int:
@@ -309,7 +339,7 @@ class MatrixSampler:
         self.syms = set(syms)
         for r in self.rows:
             for e in r:
-                self.syms |= free_symbols(e)
+                self.syms |= _free_symbols(e)
         self.sp = sp
 
     def at(self, point) -> np.ndarray:

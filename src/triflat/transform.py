@@ -569,8 +569,9 @@ def _ladder_levels(report: TriangularReport):
     drift-extension members; terminal-chain levels are covered by the drift
     derivatives of the flat output and are not integrated."""
     levels = [("closure", report.closure)]
-    for i in range(len(report.cauchy_flags) - 1, -1, -1):
-        levels.append((f"cauchy{i + 1}", report.cauchy_flags[i]))
+    cauchy_flags = report.cauchy_flags
+    for i in range(len(cauchy_flags) - 1, -1, -1):
+        levels.append((f"cauchy{i + 1}", cauchy_flags[i]))
     levels.append(("delta0", report.delta0))
     for k in range(report.chain.depth - 1, 0, -1):
         levels.append((f"d{k}", report.chain.d(k)))

@@ -15,14 +15,14 @@ from .diffgeo import (
     ad_iter,
     basis,
     cauchy_characteristics,
-    contains_generic,
+    characteristics_span,
     derived_step,
+    drift_compatible,
     extend,
     generic_rank,
     is_involutive,
     lie_bracket,
     pruned,
-    span_equal,
 )
 from .direction_search import BracketChain, DirectionCandidate, compute_bracket_chain
 from .errors import NotApplicable
@@ -40,10 +40,10 @@ class TriangularReport:
     system: AffineSystem
     chain: BracketChain
     candidate: Optional[DirectionCandidate]
+    sampler: Optional[Sampler] = None
     delta0: Optional[Distribution] = None
     delta1: Optional[Distribution] = None
     delta1_flags: List[Distribution] = field(default_factory=list)
-    cauchy_flags: List[Distribution] = field(default_factory=list)
     closure: Optional[Distribution] = None
     g_chain: List[Distribution] = field(default_factory=list)
     items: dict = field(default_factory=dict)  # 'a'..'e' -> bool | None (skipped)
@@ -54,6 +54,24 @@ class TriangularReport:
     chain_lengths: Optional[tuple] = None
     dims_consistent: bool = False
     verdict: bool = False
+    _characteristics: dict = field(default_factory=dict, repr=False)
+
+    def characteristics(self, level: int) -> Distribution:
+        """Cauchy characteristics of derived-flag member ``level`` (0 is
+        delta1) as symbolic fields, solved once per report with its sampler."""
+        C = self._characteristics.get(level)
+        if C is None:
+            C = cauchy_characteristics(self.delta1_flags[level], self.sampler)
+            self._characteristics[level] = C
+        return C
+
+    @property
+    def cauchy_flags(self) -> List[Distribution]:
+        """Characteristics of the flag levels 1 .. n2-3, the interior rungs
+        of the ladder; empty when (b) failed."""
+        if self.n2 is None:
+            return []
+        return [self.characteristics(i) for i in range(1, self.n2 - 2)]
 
     @property
     def depth(self):
@@ -91,7 +109,7 @@ def triangular_form_check(
 ) -> TriangularReport:
     """Evaluate the full set of structural conditions for one candidate."""
     chain = chain or compute_bracket_chain(sys, sp)
-    report = TriangularReport(sys, chain, candidate)
+    report = TriangularReport(sys, chain, candidate, sampler=sp)
     if not chain.rank_ok:
         return _fail(report, f"chain ranks {chain.ranks} differ from 2, 4, ...")
     if not chain.cauchy_ok:
@@ -118,8 +136,7 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
     n = sys.n
 
     # (a) characteristics of delta1 equal delta0
-    c1 = cauchy_characteristics(delta1, sp)
-    report.items["a"] = span_equal(c1, delta0, sp)
+    report.items["a"] = characteristics_span(delta1, delta0, sp)
     if not report.items["a"]:
         _fail(report, "(a) characteristic distribution differs from the lower rung")
 
@@ -149,18 +166,11 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
 
     # (c) drift compatibility along the characteristic ladder, plus coupling
     compat = True
-    cauchys = []
     for i in range(1, n2 - 2):  # flag levels 1 .. n2-3
-        Ci = cauchy_characteristics(flags[i], sp)
-        cauchys.append(Ci)
-        for c in basis(Ci, sp):
-            if not contains_generic(flags[i], lie_bracket(a, c), sp):
-                compat = False
-                _fail(report, f"(c) drift incompatible at flag level {i}")
-                break
-        if not compat:
+        if not drift_compatible(flags[i], a, sp):
+            compat = False
+            _fail(report, f"(c) drift incompatible at flag level {i}")
             break
-    report.cauchy_flags = cauchys
     closure_full = generic_rank(report.closure, sp) == n
     if closure_full:
         report.items["c"] = compat
@@ -248,7 +258,7 @@ def equal_length_variant_check(sys: AffineSystem, sp: Sampler) -> CheckOutcome:
         chain = compute_bracket_chain(sys, sp)
     except NotApplicable as e:
         return CheckOutcome(False, str(e), {})
-    report = TriangularReport(sys, chain, None)
+    report = TriangularReport(sys, chain, None, sampler=sp)
     if not chain.rank_ok:
         return CheckOutcome(False, "chain ranks differ from 2, 4, ...", {})
     n3 = chain.depth

@@ -1,0 +1,243 @@
+"""Cauchy characteristics decided pointwise against the symbolic solution.
+
+The decision procedure answers its characteristic questions (the chain's
+``cauchy_ok``, items (a) and (c), the extended-chained drift test) from
+sampled values alone; ``cauchy_characteristics`` solves the same system
+symbolically and serves as the reference here.
+"""
+
+import contextlib
+import io
+import itertools
+import os
+import random
+import sys
+
+import pytest
+
+import triflat.diffgeo as diffgeo
+from triflat.checks import check_extended_chained
+from triflat.cli import main
+from triflat.diffgeo import (
+    _characteristics_at,
+    basis,
+    cauchy_characteristics,
+    characteristics_span,
+    contains_generic,
+    derived_step,
+    drift_compatible,
+    generic_rank,
+    lie_bracket,
+    pruned,
+    span_equal,
+)
+from triflat.direction_search import (
+    _normalized_candidate,
+    candidate_via_h,
+    candidates_via_quadratic,
+    compute_bracket_chain,
+)
+from triflat.errors import NotApplicable
+from triflat.expr import ONE, ZERO, Sym, mul, neg
+from triflat.fields import Distribution, coordinate_field
+from triflat.flatout import flat_output_for_report
+from triflat.generator import equal_chain_template, triangular_template
+from triflat.library import extended_chained
+from triflat.sampling import Sampler
+from triflat.sysfile import load_sysfile
+from triflat.systems import vector_field
+from triflat.transform import transform_to_triangular
+from triflat.triform import CASE_NO_X1, triangular_form_check
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
+SYSTEMS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".sys"))
+SAMPLINGS = [(seed, k) for seed in (42, 0, 7) for k in (8, 16)]
+
+
+def _corpus(name):
+    definition = load_sysfile(os.path.join(CORPUS, name))
+    return definition.system(), definition
+
+
+def _criterion5_combos():
+    """The template dimensions of acceptance criterion 5, in its order."""
+    rng = random.Random(31)
+    combos = []
+    while len(combos) < 10:
+        combo = tuple(rng.choice(c) for c in ([0, 1, 2], [0, 1, 2], [3, 4, 5], [1, 2, 3]))
+        if not (combo[2] == 3 and combo[0] == 0 and combo[1] == 0):
+            combos.append(combo)
+    return combos
+
+
+def _instances(seed, samples):
+    """(system, sampler factory): the corpus and the generated instances."""
+    for name in SYSTEMS:
+        sysm, definition = _corpus(name)
+        yield pytest.param(sysm, definition.sampler, id=name)
+    for index, combo in enumerate(_criterion5_combos()):
+        # the symbolic reference takes seconds on (0, 0, 5, 1): default sampler only
+        if combo != (0, 0, 5, 1) or (seed, samples) == (42, 16):
+            inst = triangular_template(*combo, seed=index)
+            yield pytest.param(inst.system, Sampler, id=f"template{combo}-{index}")
+    inst = equal_chain_template(4, 2, seed=9)
+    yield pytest.param(inst.system, Sampler, id="equal(4,2)-9")
+
+
+def _dimension(D, sp):
+    return _characteristics_at(D, sp)[1].shape[1]
+
+
+def _agree(D, sp, a=None, rung=None):
+    """The pointwise answers about D equal those read off the symbolic fields."""
+    C = cauchy_characteristics(D, sp)
+    assert _dimension(D, sp) == generic_rank(C, sp)
+    if rung is not None:
+        assert characteristics_span(D, rung, sp) == span_equal(C, rung, sp)
+    if a is not None:
+        symbolic = all(contains_generic(D, lie_bracket(a, c), sp) for c in basis(C, sp))
+        assert drift_compatible(D, a, sp) == symbolic
+
+
+def _interior_flags(D, sp, n):
+    """Derived flag members above D and below its involutive closure."""
+    flags = [D]
+    while generic_rank(flags[-1], sp) < n:
+        nxt = derived_step(flags[-1], sp)
+        if generic_rank(nxt, sp) == generic_rank(flags[-1], sp):
+            break
+        flags.append(nxt)
+    return flags[1:-1]
+
+
+@pytest.mark.parametrize(
+    "sysm,sampler,seed,samples",
+    [pytest.param(*case.values, seed, samples, id=f"{case.id}-{seed}-{samples}")
+     for seed, samples in SAMPLINGS for case in _instances(seed, samples)],
+)
+def test_pointwise_characteristics_match_symbolic(sysm, sampler, seed, samples):
+    sp = sampler(seed=seed, samples=samples)
+    try:
+        chain = compute_bracket_chain(sysm, sp)
+    except NotApplicable:
+        return
+    if chain.depth < 1:
+        return
+    top, rung = chain.top, chain.d(chain.depth)
+    # cauchy_ok, and item (a) of the equal-length variant; the symbolic
+    # reference for the variant's upper flag levels takes minutes on
+    # academic10, so they are left out
+    _agree(top, sp, rung=rung)
+    assert chain.cauchy_ok == (not characteristics_span(top, rung, sp))
+    ladders = []
+    try:
+        candidates = [candidate_via_h(sysm, chain, sp)]
+    except NotApplicable:
+        try:
+            candidates = candidates_via_quadratic(sysm, chain, sp)
+        except NotApplicable:
+            candidates = []
+    for cand in candidates:
+        rep = triangular_form_check(sysm, cand, sp, chain)
+        if rep.delta1 is not None:
+            ladders.append((rep.delta1, rep.delta0))
+    for delta1, delta0 in ladders:
+        _agree(delta1, sp, rung=delta0)
+        for flag in _interior_flags(delta1, sp, sysm.n):
+            _agree(flag, sp, a=sysm.drift)
+
+
+FRAME = ("x1", "x2", "x3", "x4")
+X1 = Sym("x1")
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_characteristic_is_a_combination_of_basis_fields(order):
+    # [d1, b1] = d4 = -[d1, b2] with d4 outside D: neither b1 nor b2 is
+    # characteristic, but b1 + b2 = d2 + d3 is
+    fields = [
+        vector_field(FRAME, {"x2": ONE, "x4": X1}),
+        coordinate_field(FRAME, "x1"),
+        vector_field(FRAME, {"x3": ONE, "x4": neg(X1)}),
+    ]
+    D = Distribution(FRAME, [fields[i] for i in order])
+    sp = Sampler()
+    diagonal = Distribution(FRAME, [vector_field(FRAME, {"x2": ONE, "x3": ONE})])
+    assert characteristics_span(D, diagonal, sp)
+    assert not characteristics_span(D, Distribution(FRAME, [fields[0]]), sp)
+    # [x2 d1, d2 + d3] = -d1 lies in D; [x2 d4, d2 + d3] = -d4 does not
+    assert drift_compatible(D, vector_field(FRAME, {"x1": Sym("x2")}), sp)
+    assert not drift_compatible(D, vector_field(FRAME, {"x4": Sym("x2")}), sp)
+    _agree(D, sp, a=vector_field(FRAME, {"x1": Sym("x2")}), rung=diagonal)
+
+
+def test_incompatible_drift_still_fails_pointwise():
+    sp = Sampler()
+    for drift_terms, compatible in ((None, True), ({2: mul(Sym("x1"), Sym("x5"))}, False)):
+        sysm = extended_chained(5, drift_terms)
+        assert check_extended_chained(sysm, sp).verdict == compatible
+        flag = pruned(sysm.input_distribution(), sp)
+        levels = []
+        for _ in range(1, sysm.n - 2):
+            flag = derived_step(flag, sp)
+            _agree(flag, sp, a=sysm.drift)
+            levels.append(drift_compatible(flag, sysm.drift, sp))
+        assert all(levels) == compatible
+
+
+@contextlib.contextmanager
+def _counting_cauchy():
+    """Count cauchy_characteristics calls through every module binding."""
+    calls = []
+    original = diffgeo.cauchy_characteristics
+
+    def counted(D, sp):
+        calls.append(D)
+        return original(D, sp)
+
+    bound = [m for n, m in sys.modules.items()
+             if n.startswith("triflat") and getattr(m, "cauchy_characteristics", None) is original]
+    for module in bound:
+        module.cauchy_characteristics = counted
+    try:
+        yield calls
+    finally:
+        for module in bound:
+            module.cauchy_characteristics = original
+
+
+def test_check_solves_no_symbolic_cauchy_system():
+    with _counting_cauchy() as calls:
+        for name in SYSTEMS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["check", os.path.join(CORPUS, name), "--variant"])
+    assert calls == []
+
+
+def test_cauchy_flags_lazy_and_memoized(academic10_analysis):
+    rep, sp = academic10_analysis.report, academic10_analysis.sp
+    levels = range(1, rep.n2 - 2)
+    assert len(levels) >= 1
+    with _counting_cauchy() as calls:
+        flags = rep.cauchy_flags
+        again = rep.cauchy_flags
+    assert len(calls) <= len(levels)
+    assert all(f is g for f, g in zip(flags, again))
+    # the fields the eager loop used to store, level by level
+    eager = [cauchy_characteristics(rep.delta1_flags[i], sp) for i in levels]
+    assert len(flags) == len(eager)
+    assert all(span_equal(f, e, sp) for f, e in zip(flags, eager))
+
+
+def test_flat_output_and_transform_share_one_solve():
+    # no terminal chains and n2 = 4: both read the characteristics of flag level 1
+    sysm = triangular_template(0, 0, 4, 2, seed=7).system
+    sp = Sampler()
+    rep = triangular_form_check(
+        sysm, _normalized_candidate(sysm, ONE, ZERO, "h"), sp, compute_bracket_chain(sysm, sp)
+    )
+    assert rep.verdict and rep.case == CASE_NO_X1 and rep.n2 == 4
+    with _counting_cauchy() as calls:
+        flat = flat_output_for_report(rep, sp, phi1=Sym("y1"))
+        transform_to_triangular(sysm, rep, flat, sp)
+    assert calls == [rep.delta1_flags[1]]

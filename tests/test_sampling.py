@@ -10,7 +10,7 @@ import pytest
 from triflat import sampling
 from triflat.cli import main
 from triflat.errors import EvalError, SamplerExhausted
-from triflat.expr import evaluate, free_symbols
+from triflat.expr import Rat, Sym, add, evaluate, free_symbols, mul
 from triflat.parser import parse_expr
 from triflat.sampling import (
     MatrixSampler,
@@ -18,6 +18,7 @@ from triflat.sampling import (
     all_zero_generic,
     is_zero_generic,
     magnitude,
+    nullspaces,
     numeric_rank,
     ranks,
 )
@@ -120,6 +121,12 @@ def test_stacked_ranks_equal_per_matrix_rank(shape):
         got = ranks(stack, tol)
         assert [int(v) for v in got] == [reference_rank(m, tol) for m in mats]
         assert [int(v) for v in got] == [numeric_rank(m, tol) for m in mats]
+        null_ranks, null = nullspaces(stack, tol)
+        assert list(null_ranks) == list(got)
+        for m, rank, basis in zip(mats, null_ranks, null):
+            assert basis.shape == (c - rank, c)
+            assert np.allclose(basis @ basis.T, np.eye(c - rank))
+            assert np.allclose(m @ basis.T, 0.0, atol=1e-6 * max(1.0, np.abs(m).max(initial=0.0)))
 
 
 def reference_all_zero(exprs, sp):
@@ -199,3 +206,12 @@ def test_check_report_independent_of_cache_state(capsys, monkeypatch):
     monkeypatch.setattr(sampling, "clear_caches", lambda: (clears.append(1), clear()))
     assert check_report(*target, capsys=capsys) == cold
     assert len(clears) > 1
+
+
+def test_constant_beyond_float_range_is_a_domain_failure():
+    big = Rat(10**400)
+    for fn in (evaluate, magnitude):
+        with pytest.raises(EvalError):
+            fn(big, {})
+    with pytest.raises(SamplerExhausted):
+        is_zero_generic(add(mul(big, Sym("x")), Sym("y")), Sampler())
