@@ -16,13 +16,10 @@ from .diffgeo import (
     basis,
     codistribution_rank,
     contains_distribution,
-    contains_generic,
     differential,
-    form_in_span,
     generic_rank,
     lie_derivative,
     pruned,
-    span_equal,
 )
 from .errors import IntegrationError, NotApplicable, TriflatError
 from .expr import Expr, ZERO, mul, sub

@@ -8,6 +8,14 @@ sin^2 = 1 - cos^2, so Pythagorean combinations collapse.  Cancellation uses
 joint monomial content plus exact polynomial division, and the denominator
 is made monic under a fixed monomial order, which makes the map idempotent.
 
+A polynomial is a dict from monomials to coefficients.  A monomial is a
+tuple of (kernel, exponent) pairs in ascending kernel ``key()`` order, so a
+product merges two ordered tuples; a coefficient is an ``int`` when it is
+integral and a ``Fraction`` only when it is not.  The gcd may give up on
+large or deep inputs and return 1; each such bail-out is counted by reason
+(``simplify.gcd_bailout.<reason>``) when a :mod:`triflat.trace` collector
+is active.
+
 Cancellations such as x/x -> 1 and sqrt(x)^2 -> x are valid at generic
 points of the domain where the expression is defined, matching the standing
 generic-point semantics of the package.
@@ -19,6 +27,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
 
+from . import trace
 from .errors import TriflatError
 from .expr import (
     Add,
@@ -36,9 +45,10 @@ from .expr import (
     pow_,
 )
 
-# Poly: dict monomial -> Fraction; monomial: tuple of (kernel Expr, exponent>0)
+# Poly: dict monomial -> coefficient, an int when integral, else a Fraction.
+# Monomial: tuple of (kernel Expr, exponent > 0), kernels ascending by key().
 _EMPTY_MONO = ()
-_POLY_ONE = {_EMPTY_MONO: Fraction(1)}
+_POLY_ONE = {_EMPTY_MONO: 1}
 
 _ODD_FUNCTIONS = ("sin", "tan", "arcsin", "arctan")
 _SIGN_AWARE = ("sin", "cos", "tan", "arcsin", "arctan")
@@ -48,18 +58,64 @@ class ZeroDenominator(TriflatError):
     """The denominator normalizes to the zero polynomial."""
 
 
-def _mono_sorted(items):
-    return tuple(sorted(items, key=lambda kv: kv[0].key()))
+def _coeff(c):
+    """A coefficient in stored form: the int when c is integral."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _quotient(a, b):
+    """a / b for coefficients, exact."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _coeff(Fraction(a, b))
 
 
 def _is_root_kernel(k):
-    return isinstance(k, Pow) and k.exponent.denominator > 1
+    return type(k) is Pow and k.exponent.denominator > 1
+
+
+def _mono_merge(m1, m2):
+    """The product of two monomials as a key-ordered tuple, or None when a
+    root kernel reaches a power that folds into its base."""
+    if not m1:
+        out = m2
+    elif not m2:
+        out = m1
+    else:
+        out = []
+        i = j = 0
+        n1, n2 = len(m1), len(m2)
+        while i < n1 and j < n2:
+            t1, t2 = m1[i], m2[j]
+            k1, k2 = t1[0], t2[0]
+            if k1 is k2 or k1.key() == k2.key():
+                out.append((k1, t1[1] + t2[1]))
+                i += 1
+                j += 1
+            elif k1.key() < k2.key():
+                out.append(t1)
+                i += 1
+            else:
+                out.append(t2)
+                j += 1
+        out.extend(m1[i:])
+        out.extend(m2[j:])
+        out = tuple(out)
+    for k, e in out:
+        if type(k) is Pow:
+            q = k.exponent
+            if q.denominator > 1 and (q.numerator != 1 or e >= q.denominator):
+                return None
+    return out
 
 
 def _mono_mul(m1, m2):
     """Multiply two monomials; root kernels fold back into their bases.
 
     Returns a Poly since folding sqrt(B)^2 -> B can expand into a sum.
+    ``_poly_mul`` calls it only where ``_mono_merge`` finds a fold.
     """
     acc = {}
     for k, e in m1:
@@ -84,7 +140,7 @@ def _mono_mul(m1, m2):
                 items.append((Pow(k.base, Fraction(1, d)), rem))
         else:
             items.append((k, e))
-    mono_poly = {_mono_sorted(items): Fraction(1)}
+    mono_poly = {tuple(sorted(items, key=lambda kv: kv[0].key())): 1}
     if extra is None:
         return mono_poly
     return _poly_mul(extra, mono_poly)
@@ -93,9 +149,9 @@ def _mono_mul(m1, m2):
 def _poly_add(p1, p2):
     out = dict(p1)
     for m, c in p2.items():
-        nc = out.get(m, Fraction(0)) + c
+        nc = out.get(m, 0) + c
         if nc:
-            out[m] = nc
+            out[m] = nc if type(nc) is int else _coeff(nc)
         else:
             out.pop(m, None)
     return out
@@ -104,17 +160,22 @@ def _poly_add(p1, p2):
 def _poly_scale(p, c):
     if c == 0:
         return {}
-    return {m: v * c for m, v in p.items()}
+    return {m: _coeff(v * c) for m, v in p.items()}
 
 
 def _poly_mul(p1, p2):
     out = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
-            for m, c in _mono_mul(m1, m2).items():
-                nc = out.get(m, Fraction(0)) + c1 * c2 * c
+            m = _mono_merge(m1, m2)
+            if m is None:
+                terms = _mono_mul(m1, m2).items()
+            else:
+                terms = ((m, 1),)
+            for m, c in terms:
+                nc = out.get(m, 0) + c1 * c2 * c
                 if nc:
-                    out[m] = nc
+                    out[m] = nc if type(nc) is int else _coeff(nc)
                 else:
                     out.pop(m, None)
     return out
@@ -167,10 +228,14 @@ def _mono_divides(m1, m2):
 
 
 def _mono_div(m2, m1):
-    d2 = dict(m2)
-    for k, e in m1:
-        d2[k] -= e
-    return _mono_sorted((k, e) for k, e in d2.items() if e)
+    """m2 / m1 for a monomial m1 dividing m2; m2's kernel order is kept."""
+    d1 = dict(m1)
+    out = []
+    for k, e in m2:
+        e -= d1.get(k, 0)
+        if e:
+            out.append((k, e))
+    return tuple(out)
 
 
 def _poly_div_exact(a, b):
@@ -189,9 +254,9 @@ def _poly_div_exact(a, b):
         if not _mono_divides(lb, la):
             return None
         mq = _mono_div(la, lb)
-        cq = ca / cb
-        q[mq] = q.get(mq, Fraction(0)) + cq
-        rem = _poly_add(rem, _poly_scale(_poly_mul({mq: cq}, b), Fraction(-1)))
+        cq = _quotient(ca, cb)
+        q[mq] = _coeff(q.get(mq, 0) + cq)
+        rem = _poly_add(rem, _poly_scale(_poly_mul({mq: cq}, b), -1))
     return q
 
 
@@ -210,12 +275,9 @@ def _sin_reduce(p):
             return p
         m, k, e = target
         c = p.pop(m)
-        rest_items = [(kk, ee) for kk, ee in m if kk != k]
-        if e % 2:
-            rest_items.append((k, 1))
-        rest = _mono_sorted(rest_items)
-        cos2 = _mono_sorted([(Call("cos", k.arg), 2)])
-        one_minus_cos2 = {_EMPTY_MONO: Fraction(1), cos2: Fraction(-1)}
+        rest = tuple((kk, 1) if kk == k else (kk, ee) for kk, ee in m if kk != k or e % 2)
+        cos2 = ((Call("cos", k.arg), 2),)
+        one_minus_cos2 = {_EMPTY_MONO: 1, cos2: -1}
         repl = _poly_mul({rest: c}, _poly_pow(one_minus_cos2, e // 2))
         p = _poly_add(p, repl)
 
@@ -228,21 +290,21 @@ def _root_part(b, p, r):
     """
     k = pow_(b, Fraction(1, r))
     if isinstance(k, Rat):
-        poly = {_EMPTY_MONO: k.value ** abs(p)}
+        poly = {_EMPTY_MONO: _coeff(k.value ** abs(p))}
         return (poly, _POLY_ONE) if p > 0 else (_POLY_ONE, poly)
     if not isinstance(k, Pow):
         # pow_ collapsed the root, e.g. nested roots merging
         return _nf(pow_(k, Fraction(abs(p)))) if p > 0 else _nf(pow_(k, Fraction(-abs(p))))
-    mono = {_mono_sorted([(k, abs(p))]): Fraction(1)}
+    mono = {((k, abs(p)),): 1}
     return (mono, _POLY_ONE) if p > 0 else (_POLY_ONE, mono)
 
 
 def _nf(e):
     """(numerator Poly, denominator Poly) of an expression."""
     if isinstance(e, Rat):
-        return ({_EMPTY_MONO: e.value} if e.value else {}), _POLY_ONE
+        return ({_EMPTY_MONO: _coeff(e.value)} if e.value else {}), _POLY_ONE
     if isinstance(e, Sym):
-        return {_mono_sorted([(e, 1)]): Fraction(1)}, _POLY_ONE
+        return {((e, 1),): 1}, _POLY_ONE
     if isinstance(e, Add):
         num, den = {}, _POLY_ONE
         for t in e.terms:
@@ -296,16 +358,16 @@ def _nf(e):
         if comp is not None:
             num, den = _nf(comp)
             if sign == -1:
-                num = _poly_scale(num, Fraction(-1))
+                num = _poly_scale(num, -1)
             return num, den
         if e.fn == "tan":
-            s = {_mono_sorted([(Call("sin", arg), 1)]): Fraction(sign)}
-            c = {_mono_sorted([(Call("cos", arg), 1)]): Fraction(1)}
+            s = {((Call("sin", arg), 1),): sign}
+            c = {((Call("cos", arg), 1),): 1}
             return s, c
         folded = call(e.fn, arg)
         if isinstance(folded, Rat):
             return _nf(folded)
-        return {_mono_sorted([(folded, 1)]): Fraction(sign)}, _POLY_ONE
+        return {((folded, 1),): sign}, _POLY_ONE
     raise TypeError(type(e))
 
 
@@ -375,7 +437,7 @@ def _rationalize(num, den):
                 if len(residues) == 1:
                     r = residues.pop()
                     if r:
-                        mult = {_mono_sorted([(k, d - r)]): Fraction(1)}
+                        mult = {((k, d - r),): 1}
                         num = _poly_mul(num, mult)
                         den = _poly_mul(den, mult)
                         changed = True
@@ -385,13 +447,13 @@ def _rationalize(num, den):
                 a_part, b_part = {}, {}
                 for m, c in den.items():
                     if any(kk == k for kk, _e in m):
-                        a_part[_mono_div(m, _mono_sorted([(k, 1)]))] = c
+                        a_part[_mono_div(m, ((k, 1),))] = c
                     else:
                         b_part[m] = c
                 if a_part and b_part:
                     conj = _poly_add(
-                        _poly_mul(a_part, {_mono_sorted([(k, 1)]): Fraction(1)}),
-                        _poly_scale(b_part, Fraction(-1)),
+                        _poly_mul(a_part, {((k, 1),): 1}),
+                        _poly_scale(b_part, -1),
                     )
                     new_den = _poly_mul(den, conj)
                     if not _root_kernels_of(new_den).get(k):
@@ -436,8 +498,8 @@ def _coeffs_in(p, z):
             else:
                 rest.append((k, ex))
         bucket = out.setdefault(e, {})
-        mono = _mono_sorted(rest)
-        bucket[mono] = bucket.get(mono, Fraction(0)) + c
+        mono = tuple(rest)
+        bucket[mono] = _coeff(bucket.get(mono, 0) + c)
     return {e: {m: c for m, c in bucket.items() if c} for e, bucket in out.items()}
 
 
@@ -446,22 +508,30 @@ _GCD_COEFF_BITS = 256
 
 
 def _too_big(p):
+    """The bail-out reason a gcd operand triggers ("size" or "bits"), or None."""
     if len(p) > _GCD_SIZE_LIMIT:
-        return True
+        return "size"
     for c in p.values():
         if (
             c.numerator.bit_length() > _GCD_COEFF_BITS
             or c.denominator.bit_length() > _GCD_COEFF_BITS
         ):
-            return True
-    return False
+            return "bits"
+    return None
+
+
+def _bail_out(reason):
+    """Count a gcd that gives up (and so under-approximates) by its reason."""
+    trace.count("simplify.gcd_bailout." + reason)
 
 
 def _poly_gcd(a, b, depth=0):
     """gcd up to a rational factor; returns 1-poly when it bails out."""
     if not a or not b:
         return dict(_POLY_ONE)
-    if _too_big(a) or _too_big(b) or depth > 6:
+    reason = _too_big(a) or _too_big(b) or ("depth" if depth > 6 else None)
+    if reason:
+        _bail_out(reason)
         return dict(_POLY_ONE)
     common = _kernels_of_poly(a) & _kernels_of_poly(b)
     if not common:
@@ -489,10 +559,13 @@ def _poly_gcd(a, b, depth=0):
     guard = 0
     while B and _deg_in(B, z) > 0:
         guard += 1
-        if guard > 30 or _too_big(A) or _too_big(B):
+        reason = ("guard" if guard > 30 else None) or _too_big(A) or _too_big(B)
+        if reason:
+            _bail_out(reason)
             return _poly_gcd(cont_a, cont_b, depth + 1)
         R = _pseudo_rem(A, B, z)
         if R is None:
+            _bail_out("pseudo_rem")
             return _poly_gcd(cont_a, cont_b, depth + 1)
         _c, R = content_and_primitive(R) if R else (dict(_POLY_ONE), R)
         A, B = B, R
@@ -515,10 +588,10 @@ def _pseudo_rem(A, B, z):
             return None
         dr = _deg_in(R, z)
         lr = _coeffs_in(R, z).get(dr, {})
-        zshift = {_mono_sorted([(z, dr - db)] if dr > db else []): Fraction(1)}
+        zshift = {((z, dr - db),) if dr > db else _EMPTY_MONO: 1}
         R = _poly_add(
             _poly_mul(R, lb),
-            _poly_scale(_poly_mul(_poly_mul(B, lr), zshift), Fraction(-1)),
+            _poly_scale(_poly_mul(_poly_mul(B, lr), zshift), -1),
         )
     return R
 
@@ -538,7 +611,7 @@ def _cancel(num, den):
             else:
                 shared = {k: min(e, d.get(k, 0)) for k, e in shared.items() if d.get(k, 0) > 0}
     if shared:
-        content = _mono_sorted((k, e) for k, e in shared.items() if e > 0)
+        content = tuple((k, e) for k, e in shared.items() if e > 0)
         if content:
             num = {_mono_div(m, content): c for m, c in num.items()}
             den = {_mono_div(m, content): c for m, c in den.items()}
@@ -549,7 +622,9 @@ def _cancel(num, den):
         q = _poly_div_exact(den, num)
         if q is not None:
             num, den = dict(_POLY_ONE), q
-        elif len(num) <= _GCD_SIZE_LIMIT and len(den) <= _GCD_SIZE_LIMIT:
+        elif len(num) > _GCD_SIZE_LIMIT or len(den) > _GCD_SIZE_LIMIT:
+            _bail_out("size")
+        else:
             g = _poly_gcd(num, den)
             if g != _POLY_ONE and len(g) > 0 and g != {_EMPTY_MONO: g.get(_EMPTY_MONO)}:
                 qn = _poly_div_exact(num, g)
@@ -558,7 +633,7 @@ def _cancel(num, den):
                     num, den = qn, qd
     _m, lc = _leading(den)
     if lc != 1:
-        inv = Fraction(1) / lc
+        inv = _quotient(1, lc)
         num = _poly_scale(num, inv)
         den = _poly_scale(den, inv)
     return num, den
@@ -650,10 +725,10 @@ def _poly_sqrt(p):
     root_c = _exact_sqrt(lc)
     if root_c is None:
         return None
-    half = _mono_sorted((k, exp // 2) for k, exp in lm)
+    half = tuple((k, exp // 2) for k, exp in lm)
     r = {half: root_c}
     for _ in range(200):
-        diff = _poly_add(p, _poly_scale(_poly_mul(r, r), Fraction(-1)))
+        diff = _poly_add(p, _poly_scale(_poly_mul(r, r), -1))
         if not diff:
             return r
         dm, dc = _leading(diff)
@@ -661,7 +736,7 @@ def _poly_sqrt(p):
         if not _mono_divides(half, dm):
             return None
         tm = _mono_div(dm, half)
-        term = {tm: dc / (2 * root_c)}
+        term = {tm: _quotient(dc, 2 * root_c)}
         if _mono_cmp(tm, half) >= 0:
             return None
         r = _poly_add(r, term)
@@ -675,7 +750,7 @@ def _exact_sqrt(q):
     rd = isqrt(q.denominator)
     if rn * rn != q.numerator or rd * rd != q.denominator:
         return None
-    return Fraction(rn, rd)
+    return _quotient(rn, rd)
 
 
 def lcm_expr(a: Expr, b: Expr) -> Expr:

@@ -25,7 +25,6 @@ from .expr import (
     Mul,
     ONE,
     Pow,
-    Rat,
     Sym,
     ZERO,
     add,
@@ -549,7 +548,7 @@ def _depends_at(e: Expr, x: str, points, tol) -> bool:
 
 
 def _rank_at(rows, points, tol) -> int:
-    best = 0
+    found = []
     for pt in points:
         try:
             m = np.array(
@@ -557,8 +556,10 @@ def _rank_at(rows, points, tol) -> int:
             )
         except EvalError:
             continue
-        best = max(best, numeric_rank(m, tol))
-    return best
+        found.append(numeric_rank(m, tol))
+    if not found:
+        raise PipelineError("rows cannot be evaluated on the image points")
+    return max(found)
 
 
 # --- step 1-3: ladder coordinates ------------------------------------------------

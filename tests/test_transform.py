@@ -1,6 +1,9 @@
 """Constructive pipeline: staged transformations and numeric verification."""
 
+import pytest
+
 from triflat.direction_search import _normalized_candidate, compute_bracket_chain
+from triflat.errors import PipelineError
 from triflat.expr import ONE, Rat, Sym, ZERO, neg
 from triflat.flatout import flat_output_for_report
 from triflat.generator import triangular_template
@@ -11,6 +14,7 @@ from triflat.systems import make_affine, prolong
 from triflat.transform import (
     CoordinateChange,
     _isolate,
+    _rank_at,
     solve_map,
     transform_to_triangular,
     verify_transformation,
@@ -170,3 +174,13 @@ def test_stage_logs_recorded(vtol_analysis):
     res = vtol_analysis.transform
     final_stage = res.stages[-1][1]
     assert any("closing feedback" in line for line in final_stage.log)
+
+
+def test_rank_at_raises_when_no_point_evaluates():
+    points = [{"x": -1.0 - i, "y": 0.5} for i in range(4)]
+    good = [[parse_expr("x"), parse_expr("y")], [parse_expr("2*x"), parse_expr("2*y")]]
+    assert _rank_at(good, points, SP.tol) == 1
+    # log of a negative value fails at every point: no rank was measured
+    bad = good + [[parse_expr("log(x)"), ONE]]
+    with pytest.raises(PipelineError, match="cannot be evaluated"):
+        _rank_at(bad, points, SP.tol)
