@@ -8,13 +8,14 @@ sin^2 = 1 - cos^2, so Pythagorean combinations collapse.  Cancellation uses
 joint monomial content plus exact polynomial division, and the denominator
 is made monic under a fixed monomial order, which makes the map idempotent.
 
-A polynomial is a dict from monomials to coefficients.  A monomial is a
-tuple of (kernel, exponent) pairs in ascending kernel ``key()`` order, so a
-product merges two ordered tuples; a coefficient is an ``int`` when it is
-integral and a ``Fraction`` only when it is not.  The gcd may give up on
-large or deep inputs and return 1; each such bail-out is counted by reason
-(``simplify.gcd_bailout.<reason>``) when a :mod:`triflat.trace` collector
-is active.
+A polynomial is a dict from monomials to coefficients.  Each kernel is
+interned in a process-wide table as a small int id, and a monomial is a
+tuple of (id, exponent) pairs in ascending kernel ``key()`` order, so a
+product merges two ordered tuples and compares and hashes only ints; a
+coefficient is an ``int`` when it is integral and a ``Fraction`` only when
+it is not.  The gcd may give up on large or deep inputs and return 1; each
+such bail-out is counted by reason (``simplify.gcd_bailout.<reason>``) when
+a :mod:`triflat.trace` collector is active.
 
 Cancellations such as x/x -> 1 and sqrt(x)^2 -> x are valid at generic
 points of the domain where the expression is defined, matching the standing
@@ -23,8 +24,11 @@ generic-point semantics of the package.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left, insort
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import wraps
+from itertools import compress
 from math import isqrt
 
 from . import trace
@@ -46,7 +50,7 @@ from .expr import (
 )
 
 # Poly: dict monomial -> coefficient, an int when integral, else a Fraction.
-# Monomial: tuple of (kernel Expr, exponent > 0), kernels ascending by key().
+# Monomial: tuple of (kernel id, exponent > 0), kernels ascending by key().
 _EMPTY_MONO = ()
 _POLY_ONE = {_EMPTY_MONO: 1}
 
@@ -72,50 +76,118 @@ def _quotient(a, b):
     return _coeff(Fraction(a, b))
 
 
-def _is_root_kernel(k):
-    return type(k) is Pow and k.exponent.denominator > 1
+# --- kernel table ---------------------------------------------------------------
+#
+# Every kernel (symbol, function call, root power) gets a small int id when a
+# normalization first creates it.  Its rank is an int in the kernels' key()
+# order; ranks leave gaps, so interning a kernel keeps every other rank.  When
+# a gap runs out all ranks are renumbered and _VERSION moves on, so a caller
+# holding rank-derived sort keys knows to rebuild them.  Ids live until the
+# outermost normalization ends: the table is cleared only there (see
+# _normalization), once _CACHE has been cleared or the table has outgrown
+# the same bound.
+
+_KERNELS = []  # id -> kernel Expr
+_IDS = {}  # kernel Expr -> id
+_RANK = []  # id -> rank, ascending with key()
+_FOLD_AT = []  # id -> exponent at which a power of it folds into its base
+_BY_KEY = []  # (key(), id) of every kernel, ascending
+_BASE_NUM = {}  # root kernel id -> numerator Poly of its base
+_RANK_GAP = 1 << 32
+_NO_FOLD = 1 << 62  # the _FOLD_AT of a kernel that is not a root
+_VERSION = 0
+_DEPTH = 0
+_TABLE_STALE = False
 
 
-def _mono_merge(m1, m2):
-    """The product of two monomials as a key-ordered tuple, or None when a
-    root kernel reaches a power that folds into its base."""
-    if not m1:
-        out = m2
-    elif not m2:
-        out = m1
+def _kid(k):
+    """The id of kernel k, interning it on first sight."""
+    i = _IDS.get(k)
+    if i is None:
+        i = _intern(k)
+    return i
+
+
+def _intern(k):
+    global _VERSION
+    key = k.key()
+    pos = bisect_left(_BY_KEY, (key,))
+    lo = _RANK[_BY_KEY[pos - 1][1]] if pos else None
+    hi = _RANK[_BY_KEY[pos][1]] if pos < len(_BY_KEY) else None
+    if lo is None:
+        rank = 0 if hi is None else hi - _RANK_GAP
+    elif hi is None:
+        rank = lo + _RANK_GAP
     else:
-        out = []
-        i = j = 0
-        n1, n2 = len(m1), len(m2)
-        while i < n1 and j < n2:
-            t1, t2 = m1[i], m2[j]
-            k1, k2 = t1[0], t2[0]
-            if k1 is k2 or k1.key() == k2.key():
-                out.append((k1, t1[1] + t2[1]))
-                i += 1
-                j += 1
-            elif k1.key() < k2.key():
-                out.append(t1)
-                i += 1
-            else:
-                out.append(t2)
-                j += 1
-        out.extend(m1[i:])
-        out.extend(m2[j:])
-        out = tuple(out)
-    for k, e in out:
-        if type(k) is Pow:
-            q = k.exponent
-            if q.denominator > 1 and (q.numerator != 1 or e >= q.denominator):
-                return None
-    return out
+        rank = (lo + hi) // 2  # == lo when the gap has run out
+    i = len(_KERNELS)
+    _KERNELS.append(k)
+    _IDS[k] = i
+    _RANK.append(rank)
+    fold = _NO_FOLD
+    if type(k) is Pow and k.exponent.denominator > 1:
+        fold = k.exponent.denominator if k.exponent.numerator == 1 else 1
+    _FOLD_AT.append(fold)
+    _BY_KEY.insert(pos, (key, i))
+    if rank == lo:
+        for r, (_key, j) in enumerate(_BY_KEY):
+            _RANK[j] = r * _RANK_GAP
+        _VERSION += 1
+    return i
+
+
+def _clear_kernels():
+    global _TABLE_STALE, _VERSION
+    for table in (_KERNELS, _IDS, _RANK, _FOLD_AT, _BY_KEY, _BASE_NUM):
+        table.clear()
+    _TABLE_STALE = False
+    _VERSION += 1
+
+
+def _normalization(fn):
+    """Run fn as a normalization; kernel ids outlive it only when nested."""
+
+    @wraps(fn)
+    def run(*args):
+        global _DEPTH
+        _DEPTH += 1
+        try:
+            return fn(*args)
+        finally:
+            _DEPTH -= 1
+            if not _DEPTH and (_TABLE_STALE or len(_KERNELS) > _CACHE_LIMIT):
+                _clear_kernels()
+
+    return run
+
+
+def _is_root_kernel(k):
+    return _FOLD_AT[k] < _NO_FOLD
+
+
+def _mono_key(m):
+    """Sort key of a monomial: the larger monomial has the larger key."""
+    rank = _RANK
+    return tuple([(-rank[k], e) for k, e in m])
+
+
+def _base_num(k):
+    """The numerator Poly of root kernel k's base, memoized per kernel."""
+    num = _BASE_NUM.get(k)
+    if num is None:
+        num, den = _nf(_KERNELS[k].base)
+        if den != _POLY_ONE:
+            raise AssertionError("root kernel bases are polynomial by construction")
+        _BASE_NUM[k] = num
+    return num
 
 
 def _mono_mul(m1, m2):
     """Multiply two monomials; root kernels fold back into their bases.
 
     Returns a Poly since folding sqrt(B)^2 -> B can expand into a sum.
-    ``_poly_mul`` calls it only where ``_mono_merge`` finds a fold.
+    ``_poly_mul`` calls it only where a root kernel reaches a power that
+    folds into its base.
     """
     acc = {}
     for k, e in m1:
@@ -128,19 +200,19 @@ def _mono_mul(m1, m2):
         if e == 0:
             continue
         if _is_root_kernel(k):
-            d = k.exponent.denominator
-            whole, rem = divmod(e * k.exponent.numerator, d)
+            q = _KERNELS[k].exponent
+            whole, rem = divmod(e * q.numerator, q.denominator)
             if whole:
-                base_num, base_den = _nf(k.base)
-                if base_den != _POLY_ONE:
-                    raise AssertionError("root kernel bases are polynomial by construction")
-                part = _poly_pow(base_num, whole)
+                part = _poly_pow(_base_num(k), whole)
                 extra = part if extra is None else _poly_mul(extra, part)
             if rem:
-                items.append((Pow(k.base, Fraction(1, d)), rem))
+                if q.numerator != 1:
+                    k = _kid(Pow(_KERNELS[k].base, Fraction(1, q.denominator)))
+                items.append((k, rem))
         else:
             items.append((k, e))
-    mono_poly = {tuple(sorted(items, key=lambda kv: kv[0].key())): 1}
+    rank = _RANK
+    mono_poly = {tuple(sorted(items, key=lambda kv: rank[kv[0]])): 1}
     if extra is None:
         return mono_poly
     return _poly_mul(extra, mono_poly)
@@ -164,21 +236,101 @@ def _poly_scale(p, c):
 
 
 def _poly_mul(p1, p2):
+    if len(p1) > 1 and len(p2) > 1 and len(p1) * len(p2) >= _VECTOR_PRODUCT:
+        kernels = {k for p in (p1, p2) for m in p for k, _e in m}
+        if not any(_is_root_kernel(k) for k in kernels):
+            return _poly_mul_vectors(p1, p2, sorted(kernels, key=_RANK.__getitem__))
     out = {}
+    rank, fold_at = _RANK, _FOLD_AT
     for m1, c1 in p1.items():
+        n1 = len(m1)
         for m2, c2 in p2.items():
-            m = _mono_merge(m1, m2)
-            if m is None:
-                terms = _mono_mul(m1, m2).items()
+            # merge the two rank-ordered monomials
+            if not m1:
+                m = m2
+            elif not m2:
+                m = m1
             else:
-                terms = ((m, 1),)
-            for m, c in terms:
+                m = []
+                i = j = 0
+                n2 = len(m2)
+                while i < n1 and j < n2:
+                    t1, t2 = m1[i], m2[j]
+                    k1, k2 = t1[0], t2[0]
+                    if k1 == k2:
+                        m.append((k1, t1[1] + t2[1]))
+                        i += 1
+                        j += 1
+                    elif rank[k1] < rank[k2]:
+                        m.append(t1)
+                        i += 1
+                    else:
+                        m.append(t2)
+                        j += 1
+                m.extend(m1[i:])
+                m.extend(m2[j:])
+                m = tuple(m)
+            for k, e in m:
+                if e >= fold_at[k]:  # a root kernel folds into its base
+                    break
+            else:
+                nc = out.get(m, 0) + c1 * c2
+                if nc:
+                    out[m] = nc if type(nc) is int else _coeff(nc)
+                else:
+                    out.pop(m, None)
+                continue
+            for m, c in _mono_mul(m1, m2).items():
                 nc = out.get(m, 0) + c1 * c2 * c
                 if nc:
                     out[m] = nc if type(nc) is int else _coeff(nc)
                 else:
                     out.pop(m, None)
     return out
+
+
+# term pairs from which a root-free product of two sums uses exponent vectors;
+# with one single-term factor, converting costs more than merging
+_VECTOR_PRODUCT = 16
+
+
+def _poly_mul_vectors(p1, p2, order):
+    """``_poly_mul`` of root-free polys over exponent vectors in ``order``.
+
+    Multiplying two vectors is an elementwise sum done in C, where merging
+    two monomials is a Python loop; the products meet the same monomials in
+    the same order, so the result is the same dict.
+    """
+    pos = {k: i for i, k in enumerate(order)}
+    zero = [0] * len(order)
+
+    def vectors(p):
+        out = []
+        for m, c in p.items():
+            v = zero[:]
+            for k, e in m:
+                v[pos[k]] = e
+            out.append((tuple(v), c))
+        return out
+
+    plus = operator.add
+    out = {}
+    terms2 = vectors(p2)
+    for v1, c1 in vectors(p1):
+        for v2, c2 in terms2:
+            v = tuple(map(plus, v1, v2))
+            nc = out.get(v, 0) + c1 * c2
+            if nc:
+                out[v] = nc if type(nc) is int else _coeff(nc)
+            else:
+                out.pop(v, None)
+    return {tuple(compress(zip(order, v), v)): c for v, c in out.items()}
+
+
+def _has_root(p):
+    """Whether a monomial of p holds a root kernel."""
+    fold_at = _FOLD_AT
+    return any(fold_at[k] < _NO_FOLD for m in p for k, _e in m)
 
 
 def _poly_pow(p, n):
@@ -193,29 +345,12 @@ def _poly_pow(p, n):
     return out
 
 
-def _mono_cmp(m1, m2):
-    """Lex comparison; kernels ascending by key, missing exponents are 0."""
-    i = j = 0
-    while i < len(m1) or j < len(m2):
-        k1 = m1[i][0].key() if i < len(m1) else None
-        k2 = m2[j][0].key() if j < len(m2) else None
-        if k2 is None or (k1 is not None and k1 < k2):
-            return 1
-        if k1 is None or k2 < k1:
-            return -1
-        e1, e2 = m1[i][1], m2[j][1]
-        if e1 != e2:
-            return 1 if e1 > e2 else -1
-        i += 1
-        j += 1
-    return 0
-
-
 def _leading(p):
-    best = None
-    for m in p:
-        if best is None or _mono_cmp(m, best) > 0:
-            best = m
+    """The largest monomial of p and its coefficient.
+
+    Monomials compare lexicographically, kernels ascending by key and
+    missing exponents 0 (``_mono_key``)."""
+    best = max(p, key=_mono_key)
     return best, p[best]
 
 
@@ -238,35 +373,72 @@ def _mono_div(m2, m1):
     return tuple(out)
 
 
+def _sorted_terms(p):
+    """(sort key, monomial) pairs of p, ascending: the leading one is last."""
+    return sorted([(_mono_key(m), m) for m in p])
+
+
 def _poly_div_exact(a, b):
-    """a / b when the division is exact over the rationals, else None."""
+    """a / b when the division is exact over the rationals, else None.
+
+    The remainder's monomials are kept sorted, so each step takes the
+    leading one from the end; a fold in ``mq * b`` may add or cancel any
+    monomial, and each is inserted or removed where it sorts.
+    """
     if not b:
         return None
+    if len(b) == 1 and len(a) <= 20000 and not _has_root(a):
+        # each step removes exactly the leading term: no scan, no product
+        ((lb, cb),) = b.items()
+        q = {}
+        for la in sorted(a, key=_mono_key, reverse=True):
+            if not _mono_divides(lb, la):
+                return None
+            q[_mono_div(la, lb)] = _quotient(a[la], cb)
+        return q
     q = {}
     rem = dict(a)
+    order = _sorted_terms(rem)
+    version = _VERSION
     lb, cb = _leading(b)
     guard = 0
     while rem:
         guard += 1
         if guard > 20000:
             return None
-        la, ca = _leading(rem)
+        la = order[-1][1]
         if not _mono_divides(lb, la):
             return None
         mq = _mono_div(la, lb)
-        cq = _quotient(ca, cb)
+        cq = _quotient(rem[la], cb)
         q[mq] = _coeff(q.get(mq, 0) + cq)
-        rem = _poly_add(rem, _poly_scale(_poly_mul({mq: cq}, b), -1))
+        prod = _poly_mul({mq: cq}, b)
+        if version != _VERSION:  # a fold interned a kernel; ranks moved
+            version = _VERSION
+            order = _sorted_terms(rem)
+        for m, c in prod.items():
+            old = rem.get(m)
+            if old is None:
+                rem[m] = -c
+                insort(order, (_mono_key(m), m))
+                continue
+            nc = old - c
+            if nc:
+                rem[m] = nc if type(nc) is int else _coeff(nc)
+            else:
+                del rem[m]
+                del order[bisect_left(order, (_mono_key(m), m))]
     return q
 
 
 def _sin_reduce(p):
     """Eliminate even sin powers through sin^2 = 1 - cos^2."""
+    kernels = _KERNELS
     while True:
         target = None
         for m in p:
             for k, e in m:
-                if isinstance(k, Call) and k.fn == "sin" and e >= 2:
+                if e >= 2 and type(kernels[k]) is Call and kernels[k].fn == "sin":
                     target = (m, k, e)
                     break
             if target:
@@ -276,7 +448,7 @@ def _sin_reduce(p):
         m, k, e = target
         c = p.pop(m)
         rest = tuple((kk, 1) if kk == k else (kk, ee) for kk, ee in m if kk != k or e % 2)
-        cos2 = ((Call("cos", k.arg), 2),)
+        cos2 = ((_kid(Call("cos", kernels[k].arg)), 2),)
         one_minus_cos2 = {_EMPTY_MONO: 1, cos2: -1}
         repl = _poly_mul({rest: c}, _poly_pow(one_minus_cos2, e // 2))
         p = _poly_add(p, repl)
@@ -295,7 +467,7 @@ def _root_part(b, p, r):
     if not isinstance(k, Pow):
         # pow_ collapsed the root, e.g. nested roots merging
         return _nf(pow_(k, Fraction(abs(p)))) if p > 0 else _nf(pow_(k, Fraction(-abs(p))))
-    mono = {((k, abs(p)),): 1}
+    mono = {((_kid(k), abs(p)),): 1}
     return (mono, _POLY_ONE) if p > 0 else (_POLY_ONE, mono)
 
 
@@ -304,7 +476,7 @@ def _nf(e):
     if isinstance(e, Rat):
         return ({_EMPTY_MONO: _coeff(e.value)} if e.value else {}), _POLY_ONE
     if isinstance(e, Sym):
-        return {((e, 1),): 1}, _POLY_ONE
+        return {((_kid(e), 1),): 1}, _POLY_ONE
     if isinstance(e, Add):
         num, den = {}, _POLY_ONE
         for t in e.terms:
@@ -361,13 +533,13 @@ def _nf(e):
                 num = _poly_scale(num, -1)
             return num, den
         if e.fn == "tan":
-            s = {((Call("sin", arg), 1),): sign}
-            c = {((Call("cos", arg), 1),): 1}
+            s = {((_kid(Call("sin", arg)), 1),): sign}
+            c = {((_kid(Call("cos", arg)), 1),): 1}
             return s, c
         folded = call(e.fn, arg)
         if isinstance(folded, Rat):
             return _nf(folded)
-        return {((folded, 1),): sign}, _POLY_ONE
+        return {((_kid(folded), 1),): sign}, _POLY_ONE
     raise TypeError(type(e))
 
 
@@ -430,7 +602,7 @@ def _rationalize(num, den):
             return num, den
         changed = False
         for k, exps in roots.items():
-            d = k.exponent.denominator
+            d = _KERNELS[k].exponent.denominator
             in_all = all(any(kk == k for kk, _e in m) for m in den)
             if in_all:
                 residues = {e % d for e in exps}
@@ -490,17 +662,16 @@ def _coeffs_in(p, z):
     """{degree: coefficient poly with z removed}"""
     out = {}
     for m, c in p.items():
-        e = 0
-        rest = []
-        for k, ex in m:
+        for i, (k, e) in enumerate(m):
             if k == z:
-                e = ex
-            else:
-                rest.append((k, ex))
+                rest = m[:i] + m[i + 1:]
+                break
+        else:
+            e, rest = 0, m
         bucket = out.setdefault(e, {})
-        mono = tuple(rest)
-        bucket[mono] = _coeff(bucket.get(mono, 0) + c)
-    return {e: {m: c for m, c in bucket.items() if c} for e, bucket in out.items()}
+        if c:  # distinct monomials never meet in a bucket
+            bucket[rest] = c
+    return out
 
 
 _GCD_SIZE_LIMIT = 400
@@ -536,7 +707,7 @@ def _poly_gcd(a, b, depth=0):
     common = _kernels_of_poly(a) & _kernels_of_poly(b)
     if not common:
         return dict(_POLY_ONE)
-    z = sorted(common, key=lambda k: k.key())[0]
+    z = min(common, key=_RANK.__getitem__)
 
     def content_and_primitive(p):
         coeffs = _coeffs_in(p, z)
@@ -582,17 +753,18 @@ def _pseudo_rem(A, B, z):
     lb = _coeffs_in(B, z).get(db, {})
     R = dict(A)
     guard = 0
-    while R and _deg_in(R, z) >= db:
+    while R:
+        dr = _deg_in(R, z)
+        if dr < db:
+            break
         guard += 1
         if guard > 60 or _too_big(R):
             return None
-        dr = _deg_in(R, z)
         lr = _coeffs_in(R, z).get(dr, {})
-        zshift = {((z, dr - db),) if dr > db else _EMPTY_MONO: 1}
-        R = _poly_add(
-            _poly_mul(R, lb),
-            _poly_scale(_poly_mul(_poly_mul(B, lr), zshift), -1),
-        )
+        shifted = _poly_mul(B, lr)
+        if dr > db:  # a product never holds a monomial that still folds
+            shifted = _poly_mul(shifted, {((z, dr - db),): 1})
+        R = _poly_add(_poly_mul(R, lb), _poly_scale(shifted, -1))
     return R
 
 
@@ -644,14 +816,14 @@ def _mono_to_expr(mono, coeff):
     if coeff != 1 or not mono:
         factors.append(Rat(coeff))
     for k, e in mono:
-        factors.append(k if e == 1 else pow_(k, e))
+        factors.append(_KERNELS[k] if e == 1 else pow_(_KERNELS[k], e))
     return mul(*factors)
 
 
 def _poly_to_expr(p):
     if not p:
         return ZERO
-    terms = sorted(p.items(), key=cmp_to_key(lambda a, b: _mono_cmp(b[0], a[0])))
+    terms = sorted(p.items(), key=lambda t: _mono_key(t[0]), reverse=True)
     return add(*(_mono_to_expr(m, c) for m, c in terms))
 
 
@@ -678,26 +850,36 @@ def simplify(e: Expr) -> Expr:
     hit = _CACHE.get(e)
     if hit is not None:
         return hit
+    return _simplify_new(e)
+
+
+@_normalization
+def _simplify_new(e):
+    global _TABLE_STALE
     out = _pair_to_expr(*_normalize(e))
     if len(_CACHE) > _CACHE_LIMIT:
         _CACHE.clear()
+        _TABLE_STALE = True
     _CACHE[e] = out
     _CACHE[out] = out
     return out
 
 
+@_normalization
 def is_zero_symbolic(e: Expr) -> bool:
     """Structural zero test through the normal form (sound, not complete)."""
     num, _den = _nf(e)
     return not _sin_reduce(num)
 
 
+@_normalization
 def as_fraction(e: Expr):
     """Simplified (numerator, denominator) expression pair."""
     num, den = _normalize(e)
     return _poly_to_expr(num), _poly_to_expr(den)
 
 
+@_normalization
 def sqrt_of_square(e: Expr):
     """sqrt(e) when e is a perfect-square polynomial fraction, else None.
 
@@ -737,7 +919,7 @@ def _poly_sqrt(p):
             return None
         tm = _mono_div(dm, half)
         term = {tm: _quotient(dc, 2 * root_c)}
-        if _mono_cmp(tm, half) >= 0:
+        if _mono_key(tm) >= _mono_key(half):
             return None
         r = _poly_add(r, term)
     return None
@@ -753,6 +935,7 @@ def _exact_sqrt(q):
     return _quotient(rn, rd)
 
 
+@_normalization
 def lcm_expr(a: Expr, b: Expr) -> Expr:
     """Least common multiple of two polynomial expressions (up to scale)."""
     an, ad = _nf(a)

@@ -41,7 +41,14 @@ from .expr import (
 from .fields import VectorField
 from .flatout import FlatOutput
 from .integrate import integrate_codistribution
-from .sampling import MatrixSampler, Sampler, is_zero_generic, numeric_rank, ranks
+from .sampling import (
+    MatrixSampler,
+    Sampler,
+    is_zero_generic,
+    numeric_rank,
+    point_set,
+    ranks,
+)
 from .simplify import differentiate, simplify
 from .systems import AffineSystem
 from .triform import TriangularReport
@@ -448,35 +455,33 @@ def verify_transformation(
         for new, f in change.state_map.items()
     }
     syms = set(original.frame) | set(original.input_syms) | set(original.params)
+    # everything in the original frame is read from the shared point set;
+    # only the transformed dynamics are evaluated at the mapped points
+    fields = (original.drift, original.b1, original.b2)
+    exprs = [c for f in fields for c in f.components]
+    exprs += [jac[new][x] for new in new_frame for x in original.frame]
+    exprs += list(change.state_map.values())
+    exprs += [change.input_map[u] for u in result.input_syms]
+    n = len(original.frame)
+    at_map = 3 * n + len(new_frame) * n  # where the state map's values start
+    at_inputs = at_map + len(change.state_map)
+    ps = point_set(sp, syms)
     checked = 0
-    budget = sp.max_resamples + 20
-    for point in sp.point_stream(syms):
-        if budget <= 0:
-            raise PipelineError("verification could not sample admissible points")
-        budget -= 1
+    for k, vals in ps.rows(exprs, range(sp.max_resamples + 20)):
+        if vals is None:
+            continue
+        point = ps.point(k)
+        u1, u2 = (point[u] for u in original.input_syms)
+        xdot = [vals[j] + vals[n + j] * u1 + vals[2 * n + j] * u2 for j in range(n)]
+        lhs = {}
+        for r, new in enumerate(new_frame):
+            row = vals[3 * n + r * n:3 * n + (r + 1) * n]
+            lhs[new] = sum(v * xdot[j] for j, v in enumerate(row))
+        newpoint = dict(zip(change.state_map, vals[at_map:at_inputs]))
+        for p in original.params:
+            newpoint[p] = point[p]
+        uvals = vals[at_inputs:]
         try:
-            xdot = [
-                evaluate(c, point)
-                + evaluate(p, point) * point[original.input_syms[0]]
-                + evaluate(q, point) * point[original.input_syms[1]]
-                for c, p, q in zip(
-                    original.drift.components,
-                    original.b1.components,
-                    original.b2.components,
-                )
-            ]
-            lhs = {}
-            for new in new_frame:
-                lhs[new] = sum(
-                    evaluate(jac[new][x], point) * xdot[j]
-                    for j, x in enumerate(original.frame)
-                )
-            newpoint = {new: evaluate(f, point) for new, f in change.state_map.items()}
-            for p in original.params:
-                newpoint[p] = point[p]
-            uvals = [
-                evaluate(change.input_map[u], point) for u in result.input_syms
-            ]
             for i, new in enumerate(new_frame):
                 rhs = (
                     evaluate(result.drift.components[i], newpoint)
@@ -538,8 +543,10 @@ def _zero_at(e: Expr, points, tol) -> bool:
         if abs(v) > tol * scale:
             return False
         seen += 1
-    if seen == 0:
-        raise PipelineError("expression cannot be evaluated on the image points")
+    if seen < 2 or 2 * seen < len(points):
+        raise PipelineError(
+            f"expression evaluates at only {seen} of {len(points)} image points"
+        )
     return True
 
 

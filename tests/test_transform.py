@@ -2,7 +2,11 @@
 
 import pytest
 
-from triflat.direction_search import _normalized_candidate, compute_bracket_chain
+from triflat.direction_search import (
+    _normalized_candidate,
+    candidate_via_h,
+    compute_bracket_chain,
+)
 from triflat.errors import PipelineError
 from triflat.expr import ONE, Rat, Sym, ZERO, neg
 from triflat.flatout import flat_output_for_report
@@ -15,6 +19,7 @@ from triflat.transform import (
     CoordinateChange,
     _isolate,
     _rank_at,
+    _zero_at,
     solve_map,
     transform_to_triangular,
     verify_transformation,
@@ -153,6 +158,27 @@ def test_template_pipeline_is_renaming():
         assert isinstance(expr, Sym), f"{new} -> {expr} is not a renaming"
 
 
+
+def test_slow_template_transform_completes():
+    """template(1, 2, 5, 1, seed=11), whose transform was slow enough for the
+    benchmark to stop it, runs through and recovers the generating blocks."""
+    inst = triangular_template(1, 2, 5, 1, seed=11)
+    s = inst.system
+    l1, l2, n2, n3 = inst.dims
+    chain = compute_bracket_chain(s, SP)
+    rep = triangular_form_check(s, candidate_via_h(s, chain, SP), SP, chain)
+    assert rep.verdict and rep.case == inst.case
+    assert (rep.n2, rep.depth) == (n2, n3)
+    assert sorted(rep.chain_lengths) == sorted((l1, l2))
+    flat = flat_output_for_report(rep, SP)
+    res = transform_to_triangular(s, rep, flat, SP)
+    fin = res.final
+    assert res.verified and fin.structure_ok
+    assert sorted(len(c) for c in fin.chains) == sorted((l1, l2))
+    assert len(fin.core) == n2
+    assert (len(fin.rear_long), len(fin.rear_short)) == (n3, n3 - 1)
+    assert verify_transformation(s, res.change, fin.system, SP)
+
 def test_prolong_identity_and_names(sin_analysis):
     s = sin_analysis.system
     assert prolong(s, 0, 0) is s
@@ -184,3 +210,15 @@ def test_rank_at_raises_when_no_point_evaluates():
     bad = good + [[parse_expr("log(x)"), ONE]]
     with pytest.raises(PipelineError, match="cannot be evaluated"):
         _rank_at(bad, points, SP.tol)
+
+
+def test_zero_at_needs_half_the_image_points():
+    # log(x) - log(x) is zero wherever it evaluates, which is only at x > 0
+    e = parse_expr("log(x) - log(x)")
+    assert e != ZERO
+    points = [{"x": x} for x in (2.0, 3.0, -1.0, -2.0)]
+    assert _zero_at(e, points, SP.tol)
+    # one evaluable point, or fewer than half of them, gives no verdict
+    for pts in (points[1:], points + [{"x": -3.0}]):
+        with pytest.raises(PipelineError, match="evaluates at only"):
+            _zero_at(e, pts, SP.tol)
