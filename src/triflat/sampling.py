@@ -177,20 +177,6 @@ class PointSet:
             out.append(v)
         return out
 
-    def rows(self, exprs, idx):
-        """(i, ``values_at(exprs, i)``) for i in idx, lazily, with each
-        column looked up once."""
-        cols = [(e, self.column(e)) for e in exprs]
-        for i in idx:
-            out = []
-            for e, col in cols:
-                v = _at(self, evaluate, e, col, i)
-                if isinstance(v, EvalError):
-                    out = None
-                    break
-                out.append(v)
-            yield i, out
-
     def scan(self, e: Expr, idx):
         """The cached ``evaluate(e, point i)`` for i in idx, lazily."""
         col = self.column(e)

@@ -24,7 +24,6 @@ generic-point semantics of the package.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import wraps
@@ -237,9 +236,10 @@ def _poly_scale(p, c):
 
 def _poly_mul(p1, p2):
     if len(p1) > 1 and len(p2) > 1 and len(p1) * len(p2) >= _VECTOR_PRODUCT:
-        kernels = {k for p in (p1, p2) for m in p for k, _e in m}
-        if not any(_is_root_kernel(k) for k in kernels):
-            return _poly_mul_vectors(p1, p2, sorted(kernels, key=_RANK.__getitem__))
+        powers = {ke for p in (p1, p2) for m in p for ke in m}
+        if max(e for _k, e in powers) < 128 and not any(_is_root_kernel(k) for k, _e in powers):
+            order = sorted({k for k, _e in powers}, key=_RANK.__getitem__)
+            return _poly_mul_vectors(p1, p2, order)
     out = {}
     rank, fold_at = _RANK, _FOLD_AT
     for m1, c1 in p1.items():
@@ -297,40 +297,39 @@ _VECTOR_PRODUCT = 16
 def _poly_mul_vectors(p1, p2, order):
     """``_poly_mul`` of root-free polys over exponent vectors in ``order``.
 
-    Multiplying two vectors is an elementwise sum done in C, where merging
-    two monomials is a Python loop; the products meet the same monomials in
-    the same order, so the result is the same dict.
+    A vector is packed into an int, one byte per kernel, so multiplying two
+    monomials is one int addition done in C, where merging them is a Python
+    loop; the caller keeps every exponent below 128, so no byte carries
+    into the next.  The products meet the same monomials in the same order,
+    so the result is the same dict.
     """
     pos = {k: i for i, k in enumerate(order)}
-    zero = [0] * len(order)
+    n = len(order)
 
-    def vectors(p):
+    def packed(p):
         out = []
         for m, c in p.items():
-            v = zero[:]
+            v = bytearray(n)
             for k, e in m:
                 v[pos[k]] = e
-            out.append((tuple(v), c))
+            out.append((int.from_bytes(v, "little"), c))
         return out
 
-    plus = operator.add
     out = {}
-    terms2 = vectors(p2)
-    for v1, c1 in vectors(p1):
+    terms2 = packed(p2)
+    for v1, c1 in packed(p1):
         for v2, c2 in terms2:
-            v = tuple(map(plus, v1, v2))
+            v = v1 + v2
             nc = out.get(v, 0) + c1 * c2
             if nc:
                 out[v] = nc if type(nc) is int else _coeff(nc)
             else:
                 out.pop(v, None)
-    return {tuple(compress(zip(order, v), v)): c for v, c in out.items()}
-
-
-def _has_root(p):
-    """Whether a monomial of p holds a root kernel."""
-    fold_at = _FOLD_AT
-    return any(fold_at[k] < _NO_FOLD for m in p for k, _e in m)
+    result = {}
+    for v, c in out.items():
+        exps = v.to_bytes(n, "little")
+        result[tuple(compress(zip(order, exps), exps))] = c
+    return result
 
 
 def _poly_pow(p, n):
@@ -354,12 +353,22 @@ def _leading(p):
     return best, p[best]
 
 
-def _mono_divides(m1, m2):
-    d2 = dict(m2)
-    for k, e in m1:
-        if d2.get(k, 0) < e:
-            return False
-    return True
+def _mono_quotient(m, d):
+    """m / d, or None unless d divides m; d maps kernel -> exponent and
+    m's kernel order is kept."""
+    out = []
+    found = 0
+    for k, e in m:
+        f = d.get(k)
+        if f is not None:
+            if e < f:
+                return None
+            found += 1
+            e -= f
+            if not e:
+                continue
+        out.append((k, e))
+    return tuple(out) if found == len(d) else None
 
 
 def _mono_div(m2, m1):
@@ -382,37 +391,44 @@ def _poly_div_exact(a, b):
     """a / b when the division is exact over the rationals, else None.
 
     The remainder's monomials are kept sorted, so each step takes the
-    leading one from the end; a fold in ``mq * b`` may add or cancel any
-    monomial, and each is inserted or removed where it sorts.
+    leading one from the end.  Its quotient term times b's leading term is
+    that monomial itself, which is dropped outright; only the rest of b is
+    multiplied out.  Where the leading monomial holds a power that folds,
+    the whole of b is: a fold may add or cancel any monomial, and each is
+    inserted or removed where it sorts.
     """
     if not b:
         return None
-    if len(b) == 1 and len(a) <= 20000 and not _has_root(a):
-        # each step removes exactly the leading term: no scan, no product
-        ((lb, cb),) = b.items()
-        q = {}
-        for la in sorted(a, key=_mono_key, reverse=True):
-            if not _mono_divides(lb, la):
-                return None
-            q[_mono_div(la, lb)] = _quotient(a[la], cb)
-        return q
     q = {}
     rem = dict(a)
     order = _sorted_terms(rem)
     version = _VERSION
     lb, cb = _leading(b)
+    b_rest = dict(b)
+    del b_rest[lb]
+    lb = dict(lb)
+    fold_at = _FOLD_AT
     guard = 0
     while rem:
         guard += 1
         if guard > 20000:
             return None
         la = order[-1][1]
-        if not _mono_divides(lb, la):
+        mq = _mono_quotient(la, lb)
+        if mq is None:
             return None
-        mq = _mono_div(la, lb)
         cq = _quotient(rem[la], cb)
         q[mq] = _coeff(q.get(mq, 0) + cq)
-        prod = _poly_mul({mq: cq}, b)
+        for k, e in la:
+            if e >= fold_at[k]:
+                prod = _poly_mul({mq: cq}, b)
+                break
+        else:
+            del rem[la]
+            order.pop()
+            if not b_rest:
+                continue
+            prod = _poly_mul({mq: cq}, b_rest)
         if version != _VERSION:  # a fold interned a kernel; ranks moved
             version = _VERSION
             order = _sorted_terms(rem)
@@ -909,15 +925,16 @@ def _poly_sqrt(p):
         return None
     half = tuple((k, exp // 2) for k, exp in lm)
     r = {half: root_c}
+    half_d = dict(half)
     for _ in range(200):
         diff = _poly_add(p, _poly_scale(_poly_mul(r, r), -1))
         if not diff:
             return r
         dm, dc = _leading(diff)
         # next term: leading(diff) / (2 * leading(r))
-        if not _mono_divides(half, dm):
+        tm = _mono_quotient(dm, half_d)
+        if tm is None:
             return None
-        tm = _mono_div(dm, half)
         term = {tm: _quotient(dc, 2 * root_c)}
         if _mono_key(tm) >= _mono_key(half):
             return None

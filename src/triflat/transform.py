@@ -466,9 +466,10 @@ def verify_transformation(
     at_map = 3 * n + len(new_frame) * n  # where the state map's values start
     at_inputs = at_map + len(change.state_map)
     ps = point_set(sp, syms)
+    idx = range(sp.max_resamples + 20)
     checked = 0
-    for k, vals in ps.rows(exprs, range(sp.max_resamples + 20)):
-        if vals is None:
+    for k, vals in enumerate(zip(*[ps.scan(e, idx) for e in exprs])):
+        if any(isinstance(v, EvalError) for v in vals):
             continue
         point = ps.point(k)
         u1, u2 = (point[u] for u in original.input_syms)

@@ -63,27 +63,74 @@ def test_table_cleared_only_after_the_outermost_normalization(monkeypatch):
         assert S._KERNELS == [] and S._BASE_NUM == {}
 
 
-def test_fast_paths_give_the_general_loops_dicts(monkeypatch):
-    """The vector product and the single-term division return the same
-    dicts, in the same order, as the merging product and the division loop."""
+def test_vector_product_gives_the_merge_loops_dict(monkeypatch):
+    """Products over exponent vectors return the same dict, in the same
+    order, as merging monomials; exponents up to 127 fit a vector's bytes,
+    larger ones stay on the merge."""
     polys = [
         S._nf(parse_expr(s))[0]
-        for s in ("(x + 2*y - z)^3", "(x*y - 3*z + 1)^2*(y + 1)", "x^2*z - 4*y*z + 7", "5*x^3*y")
+        for s in (
+            "(x + 2*y - z)^3",
+            "(x*y - 3*z + 1)^2*(y + 1)",
+            "x^2*z - 4*y*z + 7",
+            "5*x^3*y",
+            "x^127 + y^3 - z + 1",
+            "x^100*y + 2*y - z^2 + 3",
+            "x^200 - y + z^7 + 2",
+        )
     ]
-    terms = [S._nf(parse_expr(s))[0] for s in ("3*x^2*y", "-2*z", "7", "x*y*z^2")]
 
     def run():
-        products = [list(S._poly_mul(a, b).items()) for a in polys for b in polys]
-        quotients = []
-        for a in polys:
-            for t in terms:
-                q = S._poly_div_exact(S._poly_mul(a, t), t)
-                quotients.append(q and list(q.items()))
-                quotients.append(S._poly_div_exact(a, t))  # None unless t | a
-        return products, quotients
+        return [list(S._poly_mul(a, b).items()) for a in polys for b in polys]
 
     fast = run()
     monkeypatch.setattr(S, "_VECTOR_PRODUCT", float("inf"))
-    monkeypatch.setattr(S, "_has_root", lambda p: True)  # the general loops
     assert run() == fast
-    assert [dict(q) for q in fast[1][0::2]] == [a for a in polys for _t in terms]
+
+
+def _textbook_division(a, b):
+    """Rescan the remainder for its leading term and subtract the whole
+    product with b at each step; None where that does not end, as the
+    division loop's step guard gives."""
+    q, rem = {}, dict(a)
+    lb, cb = S._leading(b)
+    for _ in range(200):
+        if not rem:
+            return q
+        la, ca = S._leading(rem)
+        mq = S._mono_quotient(la, dict(lb))
+        if mq is None:
+            return None
+        cq = S._quotient(ca, cb)
+        q[mq] = S._coeff(q.get(mq, 0) + cq)
+        rem = S._poly_add(rem, S._poly_scale(S._poly_mul({mq: cq}, b), -1))
+    return None
+
+
+def test_division_gives_the_textbook_quotient():
+    """Dropping the leading term outright and keeping the remainder sorted
+    give the same quotient dict, in the same order, for single-term and
+    longer divisors, with and without root kernels that fold."""
+    polys = [
+        S._nf(parse_expr(s))[0]
+        for s in (
+            "(x + 2*y - z)^3",
+            "(x*y - 3*z + 1)^2*(y + 1)",
+            "x^2*z - 4*y*z + 7",
+            "5*x^3*y",
+            "sqrt(x)*y + x - 2*sqrt(x + y)",
+        )
+    ]
+    divisors = polys[2:] + [
+        S._nf(parse_expr(s))[0] for s in ("3*x^2*y", "-2*z", "7", "x*y*z^2", "sqrt(x) + y")
+    ]
+    cases = [(S._poly_mul(a, t), t) for a in polys for t in divisors]
+    cases += [(a, t) for a in polys for t in divisors]  # mostly inexact
+    unfolded = S._nf(parse_expr("x^(3/2)"))[0]  # sqrt(x)^3, not yet folded
+    cases += [(unfolded, S._nf(parse_expr(s))[0]) for s in ("sqrt(x)", "x", "2")]
+    for a, b in cases:
+        want = _textbook_division(a, b)
+        got = S._poly_div_exact(a, b)
+        assert (got and list(got.items())) == (want and list(want.items()))
+    root_free = polys[:4]
+    assert all(S._poly_div_exact(S._poly_mul(a, t), t) == a for a in root_free for t in root_free)
