@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elimination import clear_denominators, nullspace, solve_square
+from .elimination import clear_denominators, nullspace
 from .errors import EliminationError, FrameMismatch
-from .expr import Expr, ONE, ZERO, add, derivative, mul, neg, sub
+from .expr import Expr, ONE, ZERO, add, derivative, mul, neg
 from .fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
 from .sampling import MatrixSampler, Sampler, nullspaces, ranks
 from .simplify import simplify
@@ -159,10 +159,6 @@ def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler)
     return _in_span(outer.matrix_rows(), inner.matrix_rows(), outer.frame, sp)
 
 
-def span_equal(D1: Distribution, D2: Distribution, sp: Sampler) -> bool:
-    return contains_distribution(D1, D2, sp) and contains_distribution(D2, D1, sp)
-
-
 def extend(D: Distribution, fields) -> Distribution:
     return Distribution(D.frame, list(D.fields) + list(fields))
 
@@ -171,7 +167,7 @@ def pruned(D: Distribution, sp: Sampler) -> Distribution:
     return Distribution(D.frame, basis(D, sp))
 
 
-# --- flags and closures -------------------------------------------------------
+# --- derived flag and involutivity --------------------------------------------
 
 
 def derived_step(D: Distribution, sp: Sampler) -> Distribution:
@@ -181,37 +177,6 @@ def derived_step(D: Distribution, sp: Sampler) -> Distribution:
         for j in range(i + 1, len(b)):
             new.append(lie_bracket(b[i], b[j]))
     return pruned(Distribution(D.frame, new), sp)
-
-
-def derived_flag(D: Distribution, i: int, sp: Sampler) -> Distribution:
-    out = pruned(D, sp)
-    for _ in range(i):
-        out = derived_step(out, sp)
-    return out
-
-
-def lie_flag(D: Distribution, i: int, sp: Sampler) -> Distribution:
-    base_fields = basis(D, sp)
-    out = pruned(D, sp)
-    for _ in range(i):
-        new = list(out.fields)
-        for v in base_fields:
-            for w in out.fields:
-                new.append(lie_bracket(v, w))
-        out = pruned(Distribution(D.frame, new), sp)
-    return out
-
-
-def involutive_closure(D: Distribution, sp: Sampler) -> Distribution:
-    out = pruned(D, sp)
-    r = generic_rank(out, sp)
-    for _ in range(len(D.frame) + 1):
-        nxt = derived_step(out, sp)
-        rn = generic_rank(nxt, sp)
-        if rn == r:
-            return out
-        out, r = nxt, rn
-    return out
 
 
 def is_involutive(D: Distribution, sp: Sampler) -> bool:
@@ -359,49 +324,3 @@ def drift_compatible(D: Distribution, a: VectorField, sp: Sampler) -> bool:
     B, lam, X = _characteristics_at(D, sp, [lie_bracket(a, f).components for f in b])
     grown = np.concatenate([B, lam @ X], axis=1)
     return bool((ranks(grown, sp.tol) == len(b)).all())
-
-
-def mod_reduce(v: VectorField, D: Distribution, sp: Sampler) -> VectorField:
-    """Representative of v modulo D supported on complement coordinates."""
-    b = basis(D, sp)
-    if not b:
-        return v.simplified()
-    d = len(b)
-    frame = v.frame
-    pivot_rows = _independent_coordinate_rows(b, sp)
-    assert len(pivot_rows) == d
-    rows = [[f.components[i] for f in b] for i in pivot_rows]
-    rhs = [v.components[i] for i in pivot_rows]
-    coeffs = solve_square(rows, rhs, sp)
-    comps = []
-    for k in range(len(frame)):
-        correction = add(*(mul(c, f.components[k]) for c, f in zip(coeffs, b)))
-        comps.append(simplify(sub(v.components[k], correction)))
-    rep = VectorField(frame, tuple(comps))
-    diff = VectorField(frame, tuple(simplify(sub(a, c)) for a, c in zip(v.components, rep.components)))
-    if not contains_generic(D, diff, sp):
-        raise EliminationError("mod-reduction residual escapes the distribution")
-    return rep
-
-
-def _independent_coordinate_rows(fields, sp: Sampler):
-    """d coordinate indices on which the field matrix is generically invertible."""
-    rows = [list(f.components) for f in fields]
-    stack, top = _generic_samples(rows, fields[0].frame, sp)
-    if top != len(fields):
-        raise EliminationError("spanning fields are generically dependent")
-    n = len(fields[0].frame)
-    chosen = []
-    for _ in range(len(fields)):
-        best = None
-        for i in range(n):
-            if i in chosen:
-                continue
-            sv = np.linalg.svd(stack[:, :, chosen + [i]], compute_uv=False)
-            score = float(sv[:, -1].min())
-            if score > sp.tol and (best is None or score > best[0]):
-                best = (score, i)
-        if best is None:
-            raise EliminationError("no invertible coordinate block found")
-        chosen.append(best[1])
-    return sorted(chosen)

@@ -165,20 +165,6 @@ def _verify_nullspace(rows, basis, sp, extra_syms=()):
         raise EliminationError("null space verification failed at sample points")
 
 
-def solve_square(rows, rhs, sp: Sampler) -> list:
-    """Solve A x = b for a generically invertible square symbolic system."""
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red = row_reduce(aug, sp)
-    pivots = [(r, c) for r, c in red.pivots if c < n]
-    if len(pivots) < n:
-        raise EliminationError("system is generically singular")
-    x = [ZERO] * n
-    for r, c in pivots:
-        x[c] = simplify(div(red.rows[r][n], red.rows[r][c]))
-    return x
-
-
 def clear_denominators(exprs):
     """Scale a coefficient vector to polynomial form (direction preserved)."""
     from .expr import Rat

@@ -294,10 +294,6 @@ def tan(e):
     return call("tan", e)
 
 
-def sqrt(e):
-    return pow_(e, HALF)
-
-
 def exp(e):
     return call("exp", e)
 

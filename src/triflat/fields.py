@@ -7,7 +7,6 @@ from typing import Sequence, Tuple
 
 from .errors import FrameMismatch
 from .expr import Expr, ZERO, add, mul
-from .simplify import simplify
 
 
 @dataclass(frozen=True)
@@ -28,21 +27,8 @@ class VectorField:
         frame = tuple(frame)
         return VectorField(frame, tuple(parts.get(x, ZERO) for x in frame))
 
-    def component(self, name) -> Expr:
-        return self.components[self.frame.index(name)]
-
-    def simplified(self) -> "VectorField":
-        return VectorField(self.frame, tuple(simplify(c) for c in self.components))
-
     def scale(self, factor) -> "VectorField":
         return VectorField(self.frame, tuple(mul(factor, c) for c in self.components))
-
-    def plus(self, other) -> "VectorField":
-        _same_frame(self, other)
-        return VectorField(
-            self.frame,
-            tuple(add(a, b) for a, b in zip(self.components, other.components)),
-        )
 
     def is_zero(self) -> bool:
         return all(c == ZERO for c in self.components)
@@ -65,14 +51,6 @@ class OneForm:
                 f"{len(self.coefficients)} coefficients on a frame of length {len(self.frame)}"
             )
 
-    @staticmethod
-    def from_components(frame, parts) -> "OneForm":
-        frame = tuple(frame)
-        return OneForm(frame, tuple(parts.get(x, ZERO) for x in frame))
-
-    def simplified(self) -> "OneForm":
-        return OneForm(self.frame, tuple(simplify(c) for c in self.coefficients))
-
     def pair(self, v: VectorField) -> Expr:
         """Natural pairing <omega, v>."""
         if self.frame != v.frame:
@@ -82,11 +60,6 @@ class OneForm:
     def __str__(self):
         parts = [f"{c}*d{x}" for x, c in zip(self.frame, self.coefficients) if c != ZERO]
         return " + ".join(parts) if parts else "0"
-
-
-def _same_frame(a, b):
-    if a.frame != b.frame:
-        raise FrameMismatch(f"frames differ: {a.frame} vs {b.frame}")
 
 
 class Distribution:

@@ -19,11 +19,10 @@ from .diffgeo import (
     differential,
     generic_rank,
     lie_derivative,
-    pruned,
 )
 from .errors import IntegrationError, NotApplicable, TriflatError
-from .expr import Expr, ZERO, mul, sub
-from .fields import Codistribution, Distribution, VectorField
+from .expr import Expr, ZERO
+from .fields import Codistribution, Distribution
 from .integrate import integrate_codistribution
 from .sampling import MatrixSampler, Sampler, is_zero_generic, ranks
 from .simplify import simplify
@@ -215,44 +214,6 @@ def admissible_phi1(report, sp) -> List[str]:
         ):
             out.append(x)
     return out
-
-
-def l_distribution_from_phi1(report, phi1: Expr, sp: Sampler) -> Distribution:
-    """The bracket-formula route to the core annihilated distribution.
-
-    L = C + span{(dphi1 | w2) w1 - (dphi1 | w1) w2} with w1, w2 any pair
-    completing the characteristics C to the last flag member; the span does
-    not depend on the chosen pair.
-    """
-    frame = report.system.frame
-    flag = _last_flag(report)
-    C = _last_characteristics(report)
-    dphi1 = differential(phi1, frame)
-    if all(c == ZERO for c in dphi1.coefficients):
-        raise NotApplicable("zero differential cannot determine the distribution")
-    complements = []
-    candidates = basis(flag, sp)
-    current = list(C.fields)
-    for f in candidates:
-        probe = Distribution(frame, current + [f])
-        if generic_rank(probe, sp) > generic_rank(Distribution(frame, current), sp):
-            complements.append(f)
-            current.append(f)
-        if len(complements) == 2:
-            break
-    if len(complements) != 2:
-        raise TriflatError("flag member does not split into characteristics plus two")
-    w1, w2 = complements
-    c1 = simplify(dphi1.pair(w2))
-    c2 = simplify(dphi1.pair(w1))
-    tilde = VectorField(
-        frame,
-        tuple(
-            simplify(sub(mul(c1, a), mul(c2, b)))
-            for a, b in zip(w1.components, w2.components)
-        ),
-    )
-    return pruned(Distribution(frame, list(C.fields) + [tilde]), sp)
 
 
 def _l_perp_from_feeds(report, feeds, sp) -> Codistribution:

@@ -120,36 +120,3 @@ def triangular_template(
         name=f"template(l1={l1},l2={l2},n2={n2},n3={n3},seed={seed})",
     )
     return TemplateInstance(system=system, dims=(l1, l2, n2, n3), long_input_index=0)
-
-
-def equal_chain_template(n2: int, n3: int, seed: int = 0) -> TemplateInstance:
-    """Variant with equally long input-side chains and no g-coupling.
-
-    This is the prior normal form the equal-length check recognizes; built
-    from the standard template by one extra integrator on the short chain
-    and g = 0, i.e. both terminal inputs sit at depth n3.
-    """
-    if n3 < 1 or n2 < 3:
-        raise ValueError("n3 >= 1 and n2 >= 3 required")
-    rng = random.Random(seed)
-    core = [f"y{i}" for i in range(1, n2 + 1)]
-    long3 = [f"z1_{j}" for j in range(1, n3 + 1)]
-    short3 = [f"z2_{j}" for j in range(1, n3 + 1)]
-    frame = tuple(core + long3 + short3)
-    drift_parts = {core[0]: Sym(short3[0])}
-    for i in range(2, n2):
-        a_i = _random_poly(rng, core[: i + 1]) if rng.random() < 0.8 else ZERO
-        drift_parts[core[i - 1]] = add(mul(Sym(core[i]), Sym(short3[0])), a_i)
-    drift_parts[core[-1]] = Sym(long3[0])
-    for chain in (long3, short3):
-        for j, s in enumerate(chain[:-1]):
-            drift_parts[s] = Sym(chain[j + 1])
-    system = AffineSystem(
-        frame=frame,
-        drift=vector_field(frame, drift_parts),
-        b1=vector_field(frame, {long3[-1]: add(1)}),
-        b2=vector_field(frame, {short3[-1]: add(1)}),
-        input_syms=("u1", "u2"),
-        name=f"equal-template(n2={n2},n3={n3},seed={seed})",
-    )
-    return TemplateInstance(system=system, dims=(0, 0, n2, n3), long_input_index=0)

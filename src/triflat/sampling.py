@@ -238,7 +238,7 @@ def _admissible(v) -> bool:
     return type(v) is float and -_HUGE <= v <= _HUGE
 
 
-def _vanish(exprs, sp: Sampler, syms, undefined: str) -> bool:
+def _vanish(exprs, sp: Sampler, syms) -> bool:
     """Joint relative zero test at the first ``sp.samples`` points where
     every expression is admissible (points are tried in stream order)."""
     ps = point_set(sp, syms)
@@ -247,7 +247,7 @@ def _vanish(exprs, sp: Sampler, syms, undefined: str) -> bool:
     count = 0
     for i in itertools.count():
         if budget <= 0:
-            raise SamplerExhausted(f"{undefined} on the sampling domain")
+            raise SamplerExhausted("expressions undefined on the sampling domain")
         budget -= 1
         for e, vals, mags in cols:
             v = _at(ps, evaluate, e, vals, i)
@@ -270,17 +270,15 @@ def is_zero_generic(e: Expr, sp: Sampler, extra_syms=()) -> bool:
     The comparison is relative to the accumulated term magnitude, so exact
     cancellations are recognized even when individual terms are large.
     """
-    syms = _free_symbols(e) | set(extra_syms)
-    if not syms:
-        try:
-            return abs(evaluate(e, {})) <= sp.tol
-        except EvalError:
-            raise SamplerExhausted("constant expression undefined") from None
-    return _vanish([e], sp, syms, "expression undefined")
+    return all_zero_generic([e], sp, extra_syms)
 
 
 def all_zero_generic(exprs, sp: Sampler, extra_syms=()) -> bool:
-    """Joint zero test sharing one point set across the expressions."""
+    """Joint zero test sharing one point set across the expressions.
+
+    Raises SamplerExhausted when the expressions cannot be evaluated: a
+    constant that is undefined, or too few admissible points.
+    """
     exprs = list(exprs)
     if not exprs:
         return True
@@ -288,8 +286,11 @@ def all_zero_generic(exprs, sp: Sampler, extra_syms=()) -> bool:
     for e in exprs:
         syms |= _free_symbols(e)
     if not syms:
-        return all(abs(evaluate(e, {})) <= sp.tol for e in exprs)
-    return _vanish(exprs, sp, syms, "expressions undefined")
+        try:
+            return all(abs(evaluate(e, {})) <= sp.tol for e in exprs)
+        except EvalError:
+            raise SamplerExhausted("constant expression undefined") from None
+    return _vanish(exprs, sp, syms)
 
 
 def _ranks_of(sv: np.ndarray, shape, tol: float) -> np.ndarray:
@@ -390,8 +391,3 @@ class MatrixSampler:
         by_entry = np.array([[col[i] for i in idx] for col in cols], dtype=float)
         values = by_entry.T.reshape(len(idx), nrows, ncols)
         return [ps.point(i) for i in idx], values
-
-    def samples(self, count=None):
-        """[(point, matrix)] at the admissible points."""
-        points, values = self.stack(count)
-        return list(zip(points, values))

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import FrameMismatch, TriflatError
-from .expr import ZERO, add, free_symbols, mul, sub
+from .expr import ZERO, add, free_symbols, mul
 from .fields import Distribution, VectorField, coordinate_field
-from .sampling import Sampler, is_zero_generic
 from .simplify import simplify
 
 
@@ -55,15 +54,6 @@ class AffineSystem:
             simplify(add(a, mul(p, u1_expr), mul(q, u2_expr)))
             for a, p, q in zip(self.drift.components, self.b1.components, self.b2.components)
         ]
-
-    def simplified(self) -> "AffineSystem":
-        return replace(
-            self,
-            drift=self.drift.simplified(),
-            b1=self.b1.simplified(),
-            b2=self.b2.simplified(),
-        )
-
 
 def vector_field(frame, mapping) -> VectorField:
     """Vector field from a {coordinate: Expr} mapping."""
@@ -138,43 +128,4 @@ def make_affine(frame, rhs_components, input_syms, params=(), name="system") -> 
         input_syms=new_inputs,
         params=tuple(params),
         name=name,
-    )
-
-
-def feedback_transform(sys: AffineSystem, beta, gamma, sp: Sampler = None) -> AffineSystem:
-    """Invertible static feedback given directly by the field recombination.
-
-    New input fields are beta[i][0]*b1 + beta[i][1]*b2 and the new drift is
-    a + gamma[0]*b1 + gamma[1]*b2; det(beta) must be generically nonzero.
-    """
-    det = simplify(sub(mul(beta[0][0], beta[1][1]), mul(beta[0][1], beta[1][0])))
-    if det == ZERO:
-        raise TriflatError("feedback matrix is singular")
-    if sp is not None and is_zero_generic(det, sp):
-        raise TriflatError("feedback matrix is generically singular")
-
-    def combo(c1, c2):
-        return VectorField(
-            sys.frame,
-            tuple(
-                simplify(add(mul(c1, a), mul(c2, b)))
-                for a, b in zip(sys.b1.components, sys.b2.components)
-            ),
-        )
-
-    drift = VectorField(
-        sys.frame,
-        tuple(
-            simplify(add(a, mul(gamma[0], p), mul(gamma[1], q)))
-            for a, p, q in zip(
-                sys.drift.components, sys.b1.components, sys.b2.components
-            )
-        ),
-    )
-    return replace(
-        sys,
-        drift=drift,
-        b1=combo(beta[0][0], beta[0][1]),
-        b2=combo(beta[1][0], beta[1][1]),
-        name=f"{sys.name}+feedback",
     )

@@ -86,15 +86,6 @@ class TriangularReport:
             "n3": self.depth,
         }
 
-    def summary(self):
-        flags = "".join(
-            k if v else k.upper() for k, v in sorted(self.items.items()) if v is not None
-        )
-        return (
-            f"verdict={self.verdict} case={self.case} depth={self.depth} "
-            f"n2={self.n2} chains={self.chain_lengths} items={flags or '-'}"
-        )
-
 
 def _fail(report, label):
     report.failures.append(label)
@@ -239,13 +230,6 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
             _fail(report, "block dimensions do not add up to the state count")
     report.verdict = bool(ok and report.dims_consistent and not report.failures)
     return report
-
-
-def detect_case(report: TriangularReport) -> str:
-    """Terminal-chain classification from the first extension step."""
-    if report.closure is None:
-        raise NotApplicable("report has no closure data")
-    return report.case
 
 
 def equal_length_variant_check(sys: AffineSystem, sp: Sampler) -> CheckOutcome:

@@ -1,5 +1,7 @@
 """Shared fixtures: corpus systems analyzed once per test session."""
 
+import os
+
 import pytest
 
 from triflat.direction_search import (
@@ -9,17 +11,10 @@ from triflat.direction_search import (
 )
 from triflat.errors import NotApplicable
 from triflat.flatout import flat_output_for_report
-from triflat.library import (
-    academic10,
-    product_drift_affine,
-    sampler_domains,
-    sin_drift_affine,
-    sqrt_drift_affine,
-    vtol,
-)
-from triflat.parser import parse_expr
-from triflat.sampling import Sampler
+from triflat.sysfile import load_sysfile
 from triflat.triform import triangular_form_check
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
 
 
 class Analysis:
@@ -51,32 +46,32 @@ class Analysis:
         return self._transform
 
 
-def _make(mk, phi1=None):
-    system = mk()
-    sp = Sampler(domains=sampler_domains(system))
-    return Analysis(system, sp, phi1=phi1)
+def _make(name):
+    """The bundled system at its default sampler, with its phi1 hint if any."""
+    definition = load_sysfile(os.path.join(CORPUS, name + ".sys"))
+    return Analysis(definition.system(), definition.sampler(), phi1=definition.phi1)
 
 
 @pytest.fixture(scope="session")
 def vtol_analysis():
-    return _make(vtol)
+    return _make("vtol")
 
 
 @pytest.fixture(scope="session")
 def sin_analysis():
-    return _make(sin_drift_affine)
+    return _make("sin")
 
 
 @pytest.fixture(scope="session")
 def academic10_analysis():
-    return _make(academic10)
+    return _make("academic10")
 
 
 @pytest.fixture(scope="session")
 def sqrt_analysis():
-    return _make(sqrt_drift_affine, phi1=parse_expr("x1 - x2*u1/u2"))
+    return _make("sqrt")
 
 
 @pytest.fixture(scope="session")
 def product_analysis():
-    return _make(product_drift_affine)
+    return _make("product")

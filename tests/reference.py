@@ -1,0 +1,161 @@
+"""Reference builders and span helpers that only the tests use.
+
+The parametric systems (chained forms at any size, the double integrator
+pair, the equal-chain template) and the feedback and span helpers serve as
+known inputs and oracles; the bundled systems themselves are loaded from
+``src/triflat/corpus/*.sys`` (see ``conftest.py``).
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+from triflat.diffgeo import contains_distribution, derived_step, generic_rank, pruned
+from triflat.errors import TriflatError
+from triflat.expr import ZERO, Sym, add, mul, sub
+from triflat.fields import Distribution, OneForm, VectorField
+from triflat.generator import TemplateInstance, _random_poly
+from triflat.parser import parse_expr as pe
+from triflat.sampling import Sampler, is_zero_generic
+from triflat.simplify import simplify
+from triflat.systems import AffineSystem, vector_field
+
+
+def chained_form(n: int) -> AffineSystem:
+    """Driftless chained form on n states."""
+    frame = tuple(f"x{i}" for i in range(1, n + 1))
+    b1 = vector_field(frame, {f"x{n}": pe("1")})
+    parts = {"x1": pe("1")}
+    for i in range(2, n):
+        parts[f"x{i}"] = Sym(f"x{i + 1}")
+    b2 = vector_field(frame, parts)
+    drift = vector_field(frame, {})
+    return AffineSystem(frame, drift, b1, b2, ("u1", "u2"), name=f"chained{n}")
+
+
+def extended_chained(n: int, drift_terms=None) -> AffineSystem:
+    """Drift-augmented chained form; drift_terms maps i -> Expr for dx_i.
+
+    The default drift a_i = x1 * x_{i+1} (i = 2..n-1) respects the required
+    triangular dependence.
+    """
+    sysd = chained_form(n)
+    frame = sysd.frame
+    if drift_terms is None:
+        drift_terms = {i: mul(Sym("x1"), Sym(f"x{i + 1}")) for i in range(2, n)}
+    drift = vector_field(frame, {f"x{i}": e for i, e in drift_terms.items()})
+    return AffineSystem(
+        frame, drift, sysd.b1, sysd.b2, ("u1", "u2"), name=f"extchained{n}"
+    )
+
+
+def double_integrator_pair() -> AffineSystem:
+    """Two decoupled double integrators; static feedback linearizable."""
+    frame = ("x1", "x2", "x3", "x4")
+    drift = vector_field(frame, {"x1": Sym("x2"), "x3": Sym("x4")})
+    b1 = vector_field(frame, {"x2": pe("1")})
+    b2 = vector_field(frame, {"x4": pe("1")})
+    return AffineSystem(frame, drift, b1, b2, ("u1", "u2"), name="double-integrators")
+
+
+def equal_chain_template(n2: int, n3: int, seed: int = 0) -> TemplateInstance:
+    """Variant with equally long input-side chains and no g-coupling.
+
+    This is the prior normal form the equal-length check recognizes; built
+    from the standard template by one extra integrator on the short chain
+    and g = 0, i.e. both terminal inputs sit at depth n3.
+    """
+    if n3 < 1 or n2 < 3:
+        raise ValueError("n3 >= 1 and n2 >= 3 required")
+    rng = random.Random(seed)
+    core = [f"y{i}" for i in range(1, n2 + 1)]
+    long3 = [f"z1_{j}" for j in range(1, n3 + 1)]
+    short3 = [f"z2_{j}" for j in range(1, n3 + 1)]
+    frame = tuple(core + long3 + short3)
+    drift_parts = {core[0]: Sym(short3[0])}
+    for i in range(2, n2):
+        a_i = _random_poly(rng, core[: i + 1]) if rng.random() < 0.8 else ZERO
+        drift_parts[core[i - 1]] = add(mul(Sym(core[i]), Sym(short3[0])), a_i)
+    drift_parts[core[-1]] = Sym(long3[0])
+    for chain in (long3, short3):
+        for j, s in enumerate(chain[:-1]):
+            drift_parts[s] = Sym(chain[j + 1])
+    system = AffineSystem(
+        frame=frame,
+        drift=vector_field(frame, drift_parts),
+        b1=vector_field(frame, {long3[-1]: add(1)}),
+        b2=vector_field(frame, {short3[-1]: add(1)}),
+        input_syms=("u1", "u2"),
+        name=f"equal-template(n2={n2},n3={n3},seed={seed})",
+    )
+    return TemplateInstance(system=system, dims=(0, 0, n2, n3), long_input_index=0)
+
+
+def feedback_transform(sys: AffineSystem, beta, gamma, sp: Sampler = None) -> AffineSystem:
+    """Invertible static feedback given directly by the field recombination.
+
+    New input fields are beta[i][0]*b1 + beta[i][1]*b2 and the new drift is
+    a + gamma[0]*b1 + gamma[1]*b2; det(beta) must be generically nonzero.
+    """
+    det = simplify(sub(mul(beta[0][0], beta[1][1]), mul(beta[0][1], beta[1][0])))
+    if det == ZERO:
+        raise TriflatError("feedback matrix is singular")
+    if sp is not None and is_zero_generic(det, sp):
+        raise TriflatError("feedback matrix is generically singular")
+
+    def combo(c1, c2):
+        return VectorField(
+            sys.frame,
+            tuple(
+                simplify(add(mul(c1, a), mul(c2, b)))
+                for a, b in zip(sys.b1.components, sys.b2.components)
+            ),
+        )
+
+    drift = VectorField(
+        sys.frame,
+        tuple(
+            simplify(add(a, mul(gamma[0], p), mul(gamma[1], q)))
+            for a, p, q in zip(
+                sys.drift.components, sys.b1.components, sys.b2.components
+            )
+        ),
+    )
+    return replace(
+        sys,
+        drift=drift,
+        b1=combo(beta[0][0], beta[0][1]),
+        b2=combo(beta[1][0], beta[1][1]),
+        name=f"{sys.name}+feedback",
+    )
+
+
+def involutive_closure(D: Distribution, sp: Sampler) -> Distribution:
+    """The derived flag of D followed until its rank stops growing."""
+    out = pruned(D, sp)
+    r = generic_rank(out, sp)
+    for _ in range(len(D.frame) + 1):
+        nxt = derived_step(out, sp)
+        rn = generic_rank(nxt, sp)
+        if rn == r:
+            return out
+        out, r = nxt, rn
+    return out
+
+
+def span_equal(D1: Distribution, D2: Distribution, sp: Sampler) -> bool:
+    return contains_distribution(D1, D2, sp) and contains_distribution(D2, D1, sp)
+
+
+def field_sum(*fields: VectorField) -> VectorField:
+    """Componentwise sum of fields on one frame (unsimplified)."""
+    frame = fields[0].frame
+    assert all(f.frame == frame for f in fields)
+    return VectorField(frame, tuple(add(*cs) for cs in zip(*(f.components for f in fields))))
+
+
+def one_form(frame, parts) -> OneForm:
+    """One-form from a {coordinate: Expr} mapping; absent coordinates are 0."""
+    frame = tuple(frame)
+    return OneForm(frame, tuple(parts.get(x, ZERO) for x in frame))

@@ -1,23 +1,12 @@
-"""Classical feedback-equivalence checks."""
+"""Static feedback linearizability."""
 
-import random
-
-from triflat.checks import (
-    check_chained,
-    check_extended_chained,
-    check_static_feedback_linearizable,
-)
+from triflat.checks import check_static_feedback_linearizable
 from triflat.expr import Rat, Sym, mul
-from triflat.library import (
-    chained_form,
-    double_integrator_pair,
-    extended_chained,
-    sampler_domains,
-    vtol,
-)
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler
-from triflat.systems import feedback_transform, prolong, vector_field, AffineSystem
+from triflat.systems import prolong, vector_field, AffineSystem
+
+from reference import chained_form, double_integrator_pair
 
 SP = Sampler()
 
@@ -26,9 +15,8 @@ def test_double_integrators_linearizable():
     assert check_static_feedback_linearizable(double_integrator_pair(), SP).verdict
 
 
-def test_vtol_not_linearizable():
-    s = vtol()
-    out = check_static_feedback_linearizable(s, Sampler(domains=sampler_domains(s)))
+def test_vtol_not_linearizable(vtol_analysis):
+    out = check_static_feedback_linearizable(vtol_analysis.system, vtol_analysis.sp)
     assert not out.verdict
 
 
@@ -45,73 +33,7 @@ def test_small_core_without_chains_is_linearizable():
     assert check_static_feedback_linearizable(s, SP).verdict
 
 
-def test_chained_form_passes():
-    out = check_chained(chained_form(4), SP)
-    assert out.verdict
-    assert out.regular
-
-
-def test_chained_form_after_random_feedback():
-    rng = random.Random(6)
-    s = chained_form(4)
-    for _ in range(3):
-        beta = [
-            [Rat(rng.randint(1, 3)), parse_expr(f"{rng.randint(0, 2)}*x1")],
-            [parse_expr(f"{rng.randint(0, 2)}*x2"), Rat(rng.randint(1, 3))],
-        ]
-        gamma = (parse_expr(f"{rng.randint(0, 2)}*x3"), Rat(rng.randint(0, 2)))
-        fb = feedback_transform(s, beta, gamma, SP)
-        assert check_chained(fb, SP).verdict
-
-
-def test_involutive_span_fails_chained():
-    frame = ("x1", "x2", "x3", "x4")
-    b1 = vector_field(frame, {"x1": Rat(1)})
-    b2 = vector_field(frame, {"x2": Rat(1)})
-    s = AffineSystem(frame, vector_field(frame, {}), b1, b2, ("u1", "u2"))
-    out = check_chained(s, SP)
-    assert not out.verdict
-
-
-def test_chained_rejects_real_drift():
-    frame = ("x1", "x2", "x3", "x4")
-    c = chained_form(4)
-    drift = vector_field(frame, {"x2": Sym("x4")})
-    s = AffineSystem(frame, drift, c.b1, c.b2, ("u1", "u2"))
-    assert not check_chained(s, SP).verdict
-
-
-def test_extended_chained_compatible_drift():
-    assert check_extended_chained(extended_chained(5), SP).verdict
-
-
-def test_extended_chained_incompatible_drift():
-    # a_2 depending on the deepest state violates the triangular dependence
-    bad = extended_chained(5, {2: mul(Sym("x1"), Sym("x5"))})
-    out = check_extended_chained(bad, SP)
-    assert not out.verdict
-    assert "incompatible" in out.failing
-
-
-def test_zero_drift_chained_is_extended_chained():
-    assert check_extended_chained(chained_form(5), SP).verdict
-
-
 def test_chained_implies_prolonged_linearizable():
     for n in (4, 5):
         pro = prolong(chained_form(n), 1, n - 2)
         assert check_static_feedback_linearizable(pro, SP).verdict
-
-
-def test_verdicts_invariant_under_feedback():
-    rng = random.Random(3)
-    s = extended_chained(4)
-    base = check_extended_chained(s, SP).verdict
-    for _ in range(3):
-        beta = [
-            [Rat(rng.randint(1, 2)), parse_expr(f"{rng.randint(0, 1)}*x2")],
-            [Rat(0), Rat(rng.randint(1, 3))],
-        ]
-        gamma = (parse_expr(f"{rng.randint(0, 2)}*x1"), Rat(0))
-        fb = feedback_transform(s, beta, gamma, SP)
-        assert check_extended_chained(fb, SP).verdict == base

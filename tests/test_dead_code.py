@@ -1,0 +1,101 @@
+"""Every function, method and class in ``src/triflat`` has a caller in ``src/``.
+
+Code that only tests reach does not belong in the package: it is deleted,
+or moved into ``tests/`` when a test uses it as a reference.  References are
+matched by name (a ``Name``, an attribute read or an imported name), so a
+method counts as used when any attribute of that name is read anywhere in
+``src/``; the guard catches the definitions whose name appears nowhere else.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "triflat"
+
+# Unreferenced in src/ on purpose, one reason each.
+ALLOWED = {
+    "generator.triangular_template": "builds the benchmark's generated instances",
+    "trace.span": "timing spans for pipeline stages, kept for the --trace report",
+    "sampling.MatrixSampler.at": "perfbench/tracer.py wraps it by name",
+    "sampling.Sampler.admissible_points": "perfbench/tracer.py wraps it by name",
+}
+
+
+def _definitions_and_references(src):
+    defs = []  # (qualified name, bare name, module, first line, last line)
+    refs = []  # (name, module, line)
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    qual = f"{prefix}.{child.name}"
+                    defs.append((qual, child.name, module, child.lineno, child.end_lineno))
+                    visit(child, qual)
+                else:
+                    visit(child, prefix)
+
+        visit(tree, module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, module, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                refs.extend((a.name, module, node.lineno) for a in node.names)
+    return defs, refs
+
+
+def _public_api(src):
+    tree = ast.parse((src / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("triflat/__init__.py defines no __all__")
+
+
+def _unreferenced(src=SRC):
+    defs, refs = _definitions_and_references(src)
+    public = _public_api(src)
+    by_name = {}
+    for name, module, line in refs:
+        by_name.setdefault(name, []).append((module, line))
+    out = []
+    for qual, name, module, first, last in defs:
+        if (name.startswith("__") and name.endswith("__")) or name in public:
+            continue
+        if not any(
+            not (m == module and first <= line <= last) for m, line in by_name.get(name, ())
+        ):
+            out.append(qual)
+    return out
+
+
+def test_scan_finds_a_definition_without_caller(tmp_path):
+    (tmp_path / "__init__.py").write_text('__all__ = ["exported"]\n')
+    (tmp_path / "a.py").write_text(
+        "def exported():\n    pass\n\n"
+        "def helper():\n    pass\n\n"
+        "def dead():\n    dead()\n    helper()\n\n"
+        "class Box:\n    def used(self):\n        pass\n\n"
+        "    def unused(self):\n        self.used()\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Box\n")
+    assert _unreferenced(tmp_path) == ["a.dead", "a.Box.unused"]
+
+
+def test_every_definition_has_a_caller_in_src():
+    dead = [q for q in _unreferenced() if q not in ALLOWED]
+    assert not dead, f"no reference in src/ (delete, or move into tests/): {dead}"
+
+
+def test_allowlist_is_not_stale():
+    defs, _refs = _definitions_and_references(SRC)
+    defined = {qual for qual, *_rest in defs}
+    assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+    unreferenced = set(_unreferenced())
+    assert set(ALLOWED) <= unreferenced, sorted(set(ALLOWED) - unreferenced)

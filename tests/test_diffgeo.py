@@ -6,31 +6,23 @@ import numpy as np
 from triflat.diffgeo import (
     ad_iter,
     annihilator,
-    basis,
     cauchy_characteristics,
-    contains_distribution,
     contains_generic,
-    derived_flag,
     derived_step,
-    differential,
-    extend,
     form_in_span,
     generic_rank,
-    involutive_closure,
     is_involutive,
     lie_bracket,
     lie_derivative,
-    lie_flag,
-    mod_reduce,
     pruned,
-    span_equal,
 )
 from triflat.expr import Rat, Sym, ZERO, evaluate, mul
-from triflat.fields import Distribution, OneForm, VectorField, coordinate_field
-from triflat.library import chained_form, vtol
+from triflat.fields import Distribution, VectorField, coordinate_field
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
 from triflat.simplify import simplify
+
+from reference import chained_form, field_sum, involutive_closure, one_form, span_equal
 
 SP = Sampler()
 
@@ -109,10 +101,10 @@ def test_jacobi_identity_random_fields():
         u = _random_poly_field(rng, frame)
         v = _random_poly_field(rng, frame)
         w = _random_poly_field(rng, frame)
-        total = (
-            lie_bracket(u, lie_bracket(v, w))
-            .plus(lie_bracket(v, lie_bracket(w, u)))
-            .plus(lie_bracket(w, lie_bracket(u, v)))
+        total = field_sum(
+            lie_bracket(u, lie_bracket(v, w)),
+            lie_bracket(v, lie_bracket(w, u)),
+            lie_bracket(w, lie_bracket(u, v)),
         )
         for c in total.components:
             assert is_zero_generic(simplify(c), SP)
@@ -140,8 +132,8 @@ def test_lie_derivative_vtol_output(vtol_analysis):
     assert is_zero_generic(out - parse_expr("-eps*omega*sin(theta)+vz"), vtol_analysis.sp)
 
 
-def test_lie_derivative_constant_and_iteration():
-    s = vtol()
+def test_lie_derivative_constant_and_iteration(vtol_analysis):
+    s = vtol_analysis.system
     assert lie_derivative(s.drift, Rat(7)) == ZERO
     phi = parse_expr("x*z")
     twice = lie_derivative(s.drift, phi, 2)
@@ -173,35 +165,15 @@ def test_contains_trivial():
 def test_derived_flag_involutive_fixed_point():
     frame = ("x", "y", "z")
     D = Distribution(frame, [coordinate_field(frame, "x"), coordinate_field(frame, "y")])
-    assert generic_rank(derived_flag(D, 1, SP), SP) == 2
+    assert generic_rank(derived_step(D, SP), SP) == 2
 
 
 def test_derived_flag_chained_ranks():
     c = chained_form(5)
-    D = c.input_distribution()
+    D = pruned(c.input_distribution(), SP)
     for i in range(4):
-        assert generic_rank(derived_flag(D, i, SP), SP) == 2 + i
-
-
-def test_lie_flag_chained_ranks_and_brute_force():
-    c = chained_form(5)
-    D = c.input_distribution()
-    for i in range(4):
-        assert generic_rank(lie_flag(D, i, SP), SP) == 2 + i
-    # brute force: enumerate all bracket words up to depth i
-    rng = random.Random(4)
-    frame = ("x", "y", "z", "w")
-    v1 = _random_poly_field(rng, frame)
-    v2 = _random_poly_field(rng, frame)
-    D = Distribution(frame, [v1, v2])
-    for depth in (1, 2):
-        words = [v1, v2]
-        layer = [v1, v2]
-        for _ in range(depth):
-            layer = [lie_bracket(g, w) for g in (v1, v2) for w in layer]
-            words.extend(layer)
-        brute = pruned(Distribution(frame, words), SP)
-        assert generic_rank(lie_flag(D, depth, SP), SP) == generic_rank(brute, SP)
+        assert generic_rank(D, SP) == 2 + i
+        D = derived_step(D, SP)
 
 
 def test_involutive_closure_vtol_display(vtol_analysis):
@@ -285,16 +257,16 @@ def test_annihilator_vtol_display(vtol_analysis):
     sp = vtol_analysis.sp
     ann = annihilator(vtol_analysis.report.closure, sp)
     classical = [
-        OneForm.from_components(s.frame, {"theta": parse_expr("eps*sin(theta)"), "z": parse_expr("-1")}),
-        OneForm.from_components(s.frame, {"theta": parse_expr("eps*cos(theta)"), "x": parse_expr("-1")}),
+        one_form(s.frame, {"theta": parse_expr("eps*sin(theta)"), "z": parse_expr("-1")}),
+        one_form(s.frame, {"theta": parse_expr("eps*cos(theta)"), "x": parse_expr("-1")}),
     ]
     for w in classical:
         assert form_in_span(w, ann, sp)
     rows = ann.matrix_rows() + [list(w.coefficients) for w in classical]
-    from triflat.sampling import MatrixSampler, numeric_rank
+    from triflat.sampling import MatrixSampler, ranks
 
-    ms = MatrixSampler(rows, s.frame, sp)
-    assert max(numeric_rank(m, sp.tol) for _p, m in ms.samples()) == 2
+    _points, stack = MatrixSampler(rows, s.frame, sp).stack()
+    assert ranks(stack, sp.tol).max() == 2
 
 
 def test_annihilator_sin_l_perp_membership(sin_analysis):
@@ -302,9 +274,9 @@ def test_annihilator_sin_l_perp_membership(sin_analysis):
     sp = sin_analysis.sp
     lperp = sin_analysis.flat.l_perp
     expected_forms = [
-        OneForm.from_components(s.frame, {"x1": Sym("u2"), "x2": -Sym("u1")}),
-        OneForm.from_components(s.frame, {"u1": Sym("u2"), "u2": -Sym("u1")}),
-        OneForm.from_components(s.frame, {"x3": Rat(1)}),
+        one_form(s.frame, {"x1": Sym("u2"), "x2": -Sym("u1")}),
+        one_form(s.frame, {"u1": Sym("u2"), "u2": -Sym("u1")}),
+        one_form(s.frame, {"x3": Rat(1)}),
     ]
     for w in expected_forms:
         assert form_in_span(w, lperp, sp)
@@ -317,35 +289,6 @@ def test_annihilator_orthogonal_to_distribution(vtol_analysis):
     for w in ann.forms:
         for f in D.fields:
             assert is_zero_generic(simplify(w.pair(f)), sp)
-
-
-def test_mod_reduce_member_is_zero(vtol_analysis):
-    sp = vtol_analysis.sp
-    s = vtol_analysis.system
-    D = pruned(s.input_distribution(), sp)
-    rep = mod_reduce(s.b1, D, sp)
-    assert all(is_zero_generic(simplify(c), sp) for c in rep.components)
-
-
-def test_mod_reduce_disjoint_unchanged():
-    frame = ("x", "y", "z")
-    D = Distribution(frame, [coordinate_field(frame, "x")])
-    v = coordinate_field(frame, "z")
-    rep = mod_reduce(v, D, SP)
-    assert rep.components == v.components
-
-
-def test_mod_reduce_vtol_bracket_not_in_h(vtol_analysis):
-    from triflat.direction_search import h_distribution
-
-    s = vtol_analysis.system
-    sp = vtol_analysis.sp
-    H = h_distribution(vtol_analysis.chain, sp)
-    w1 = ad_iter(s.drift, 2, s.b1)
-    assert not contains_generic(H, w1, sp)
-    rep = mod_reduce(w1, H, sp)
-    assert not rep.is_zero()
-    assert any(not is_zero_generic(simplify(c), sp) for c in rep.components)
 
 
 def test_derived_flag_monotone_stabilizes_at_closure(sin_analysis):
@@ -372,6 +315,6 @@ def test_leibniz_rule():
         w = _random_poly_field(rng, frame)
         f = simplify(parse_expr("x*y + 2*z"))
         left = lie_bracket(v, VectorField(frame, tuple(simplify(mul(f, c)) for c in w.components)))
-        right = w.scale(lie_derivative(v, f)).plus(lie_bracket(v, w).scale(f))
+        right = field_sum(w.scale(lie_derivative(v, f)), lie_bracket(v, w).scale(f))
         for a, b in zip(left.components, right.components):
             assert is_zero_generic(simplify(a - b), SP)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from triflat.errors import EvalError, ExprSyntaxError
-from triflat.expr import Pow, Rat, Sym, evaluate, free_symbols, pow_, sqrt, to_str
+from triflat.expr import Pow, Rat, Sym, evaluate, free_symbols, pow_, to_str
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
 from triflat.simplify import differentiate, simplify, sqrt_of_square
@@ -176,9 +176,9 @@ def test_sqrt_square_folds():
 def test_exact_roots_of_large_integers():
     # beyond float range and beyond float precision
     assert pow_(Rat(10**400), Fraction(1, 2)) == Rat(10**200)
-    assert sqrt(Rat((3**40 + 1) ** 2)) == Rat(3**40 + 1)
+    assert pow_(Rat((3**40 + 1) ** 2), Fraction(1, 2)) == Rat(3**40 + 1)
     assert pow_(Rat(Fraction(7**90, 2**300)), Fraction(2, 3)) == Rat(Fraction(7**60, 2**200))
-    assert isinstance(sqrt(Rat((3**40 + 1) ** 2 - 1)), Pow)
+    assert isinstance(pow_(Rat((3**40 + 1) ** 2 - 1), Fraction(1, 2)), Pow)
     assert isinstance(pow_(Rat(7**90 + 1), Fraction(1, 3)), Pow)
 
 

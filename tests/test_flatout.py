@@ -7,18 +7,13 @@ from triflat.diffgeo import (
     contains_distribution,
     differential,
     form_in_span,
-    span_equal,
 )
 from triflat.errors import NotApplicable
 from triflat.expr import Rat, Sym
 from triflat.fields import Codistribution
-from triflat.flatout import (
-    admissible_phi1,
-    flat_output_for_report,
-    l_distribution_from_phi1,
-)
+from triflat.flatout import admissible_phi1, flat_output_for_report
 from triflat.parser import parse_expr
-from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, numeric_rank
+from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, ranks
 from triflat.simplify import simplify
 
 SP = Sampler()
@@ -89,8 +84,8 @@ def test_case3_valid_choice(sqrt_analysis):
         list(differential(flat.phi1, s.frame).coefficients),
         list(differential(flat.phi2, s.frame).coefficients),
     ]
-    ms = MatrixSampler(rows, s.frame, sp)
-    assert max(numeric_rank(m, sp.tol) for _p, m in ms.samples()) == 2
+    _points, stack = MatrixSampler(rows, s.frame, sp).stack()
+    assert ranks(stack, sp.tol).max() == 2
 
 
 def test_l_distribution_contained_in_flag(sqrt_analysis, sin_analysis):
@@ -99,21 +94,6 @@ def test_l_distribution_contained_in_flag(sqrt_analysis, sin_analysis):
         flag = rep.delta1_flags[rep.n2 - 3]
         L = annihilated_distribution(a.flat.l_perp, a.sp)
         assert contains_distribution(L, flag, a.sp)
-
-
-def test_l_bracket_formula_agrees_with_annihilator_route(sin_analysis):
-    rep = sin_analysis.report
-    sp = sin_analysis.sp
-    phi1_top = parse_expr("sin(u1/u2)")  # drift derivative of the chain output
-    L1 = l_distribution_from_phi1(rep, phi1_top, sp)
-    lperp = sin_analysis.flat.l_perp
-    L2 = annihilated_distribution(lperp, sp)
-    assert span_equal(L1, L2, sp)
-
-
-def test_l_bracket_formula_rejects_constant(sin_analysis):
-    with pytest.raises(NotApplicable):
-        l_distribution_from_phi1(sin_analysis.report, Rat(1), sin_analysis.sp)
 
 
 def test_template_top_pair_via_case3():

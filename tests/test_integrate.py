@@ -5,11 +5,13 @@ import pytest
 from triflat.diffgeo import annihilator, differential, form_in_span
 from triflat.errors import IntegrationError
 from triflat.expr import Rat, Sym
-from triflat.fields import Codistribution, OneForm, coordinate_field
+from triflat.fields import Codistribution, coordinate_field
 from triflat.integrate import integrate_codistribution, integrate_sym, is_closed, potential
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
 from triflat.simplify import differentiate, simplify
+
+from reference import one_form
 
 SP = Sampler()
 
@@ -40,7 +42,7 @@ def test_integrate_sym_failure():
 
 def test_closed_form_potential():
     frame = ("theta", "z")
-    w = OneForm.from_components(
+    w = one_form(
         frame, {"theta": parse_expr("eps*sin(theta)"), "z": parse_expr("-1")}
     )
     assert is_closed(w, SP)
@@ -52,13 +54,13 @@ def test_closed_form_potential():
 
 def test_non_closed_detected():
     frame = ("x1", "x2", "u1", "u2")
-    w = OneForm.from_components(frame, {"x1": Sym("u2"), "x2": -Sym("u1")})
+    w = one_form(frame, {"x1": Sym("u2"), "x2": -Sym("u1")})
     assert not is_closed(w, SP)
 
 
 def test_coordinate_plane_integration():
     frame = ("x", "z")
-    W = Codistribution(frame, [OneForm.from_components(frame, {"z": Rat(1)})])
+    W = Codistribution(frame, [one_form(frame, {"z": Rat(1)})])
     out = integrate_codistribution(W, SP)
     assert len(out) == 1
     assert out[0].expr == Sym("z")
@@ -89,7 +91,7 @@ def test_not_integrable_rejected():
     # annihilator of a non-involutive distribution is not integrable
     frame = ("x", "y", "z")
     v = coordinate_field(frame, "x")
-    w = OneForm.from_components(frame, {"y": Rat(1), "z": -Sym("x")})
+    w = one_form(frame, {"y": Rat(1), "z": -Sym("x")})
     W = Codistribution(frame, [w])
     with pytest.raises(IntegrationError):
         integrate_codistribution(W, SP)
@@ -98,7 +100,7 @@ def test_not_integrable_rejected():
 def test_heuristic_exhaustion_reports_residual():
     # dz - y^2 sin(x y) dx style form: integrable but outside the pattern set
     frame = ("x", "y")
-    w = OneForm.from_components(
+    w = one_form(
         frame, {"x": parse_expr("exp(x)*sin(exp(x))*cos(x*y)"), "y": Rat(1)}
     )
     W = Codistribution(frame, [w])
@@ -115,8 +117,8 @@ def test_heuristic_exhaustion_reports_residual():
 def test_hints_accepted():
     frame = ("x1", "x2", "u1", "u2")
     forms = [
-        OneForm.from_components(frame, {"x1": Sym("u2"), "x2": -Sym("u1")}),
-        OneForm.from_components(frame, {"u1": Sym("u2"), "u2": -Sym("u1")}),
+        one_form(frame, {"x1": Sym("u2"), "x2": -Sym("u1")}),
+        one_form(frame, {"u1": Sym("u2"), "u2": -Sym("u1")}),
     ]
     W = Codistribution(frame, forms)
     hint = parse_expr("x1 - x2*u1/u2")

@@ -33,16 +33,37 @@ def matrix(rows):
     return [[parse_expr(e) for e in r] for r in rows]
 
 
+def entry_value(e, point):
+    """One matrix entry at one point, uncached; EvalError when not admissible."""
+    v = evaluate(e, point)
+    if not math.isfinite(v) or abs(v) > sampling._HUGE:
+        raise EvalError("domain", "near-singular value")
+    return v
+
+
 def per_point_samples(ms, count=None):
-    """Reference: the stream walked point by point through ``at``."""
+    """Reference: the sampler's stream walked point by point, with no cache.
+
+    A point is kept when every entry evaluates admissibly, within the budget
+    of ``max_resamples`` rejected points.
+    """
+    sp = ms.sp
+    want = sp.samples if count is None else count
     out = []
-
-    def probe(point):
-        out.append((point, ms.at(point)))
-        return True
-
-    ms.sp.admissible_points(ms.syms, probe, count)
-    return out
+    budget = sp.max_resamples + want
+    for point in sp.point_stream(ms.syms):
+        if budget <= 0:
+            raise SamplerExhausted(
+                f"no {want} admissible points within {sp.max_resamples} resamples"
+            )
+        budget -= 1
+        try:
+            m = np.array([[entry_value(e, point) for e in r] for r in ms.rows], dtype=float)
+        except EvalError:
+            continue
+        out.append((point, m))
+        if len(out) == want:
+            return out
 
 
 def outcome(fn):
@@ -58,7 +79,7 @@ def test_samples_equal_per_point_path(seed):
     sp = Sampler(seed=seed)
     ms = MatrixSampler(matrix(PARTIAL), ["w"], sp)
     ref = per_point_samples(ms)
-    got = ms.samples()
+    got = list(zip(*ms.stack()))
     assert len(got) == len(ref) == sp.samples
     for (p, m), (rp, rm) in zip(got, ref):
         assert p == rp
@@ -215,3 +236,16 @@ def test_constant_beyond_float_range_is_a_domain_failure():
             fn(big, {})
     with pytest.raises(SamplerExhausted):
         is_zero_generic(add(mul(big, Sym("x")), Sym("y")), Sampler())
+
+
+@pytest.mark.parametrize("text", ["log(0)", "sqrt(-1)", "arcsin(2)"])
+def test_undefined_constant_exhausts_both_zero_tests(text):
+    e = parse_expr(text)
+    assert not free_symbols(e)
+    for zero_test in (
+        lambda: is_zero_generic(e, Sampler()),
+        lambda: all_zero_generic([e], Sampler()),
+        lambda: all_zero_generic([Rat(0), e], Sampler()),
+    ):
+        with pytest.raises(SamplerExhausted, match="constant expression undefined"):
+            zero_test()

@@ -192,8 +192,8 @@ def test_make_affine_shape():
     s = make_affine(("x1",), [parse_expr("sin(u1)*u2")], ("u1", "u2"))
     assert s.frame == ("x1", "u1", "u2")
     assert s.input_syms == ("u1_1", "u2_1")
-    assert s.b1.component("u1") == Rat(1)
-    assert s.b2.component("u2") == Rat(1)
+    assert s.b1.components[s.frame.index("u1")] == Rat(1)
+    assert s.b2.components[s.frame.index("u2")] == Rat(1)
 
 
 def test_stage_logs_recorded(vtol_analysis):

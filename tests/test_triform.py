@@ -3,16 +3,17 @@
 from triflat.diffgeo import generic_rank
 from triflat.direction_search import _normalized_candidate, compute_bracket_chain
 from triflat.expr import ONE, ZERO
-from triflat.generator import equal_chain_template, triangular_template
+from triflat.generator import triangular_template
 from triflat.sampling import Sampler
 from triflat.triform import (
     CASE_NO_X1,
     CASE_ONE_CHAIN,
     CASE_TWO_CHAINS,
-    detect_case,
     equal_length_variant_check,
     triangular_form_check,
 )
+
+from reference import equal_chain_template
 
 SP = Sampler()
 
@@ -23,7 +24,7 @@ def test_vtol_report(vtol_analysis):
     assert rep.items == {"a": True, "b": True, "c": True, "d": True, "e": True}
     assert rep.n2 == 3 and rep.s == 1
     assert rep.chain_lengths == (1, 1)
-    assert detect_case(rep) == CASE_TWO_CHAINS
+    assert rep.case == CASE_TWO_CHAINS
 
 
 def test_sin_report(sin_analysis):
@@ -31,7 +32,7 @@ def test_sin_report(sin_analysis):
     assert rep.verdict
     assert rep.n2 == 3
     assert rep.chain_lengths == (1, 0)
-    assert detect_case(rep) == CASE_ONE_CHAIN
+    assert rep.case == CASE_ONE_CHAIN
     # the second projective root fails the procedure
     verdicts = [r.verdict for r in sin_analysis.reports]
     assert verdicts.count(True) == 1
@@ -45,7 +46,7 @@ def test_academic10_report(academic10_analysis):
     assert sorted(rep.chain_lengths) == [1, 2]
     assert generic_rank(rep.g_chain[1], academic10_analysis.sp) == 9
     assert generic_rank(rep.g_chain[2], academic10_analysis.sp) == 10
-    assert detect_case(rep) == CASE_TWO_CHAINS
+    assert rep.case == CASE_TWO_CHAINS
 
 
 def test_sqrt_report(sqrt_analysis):
@@ -53,7 +54,7 @@ def test_sqrt_report(sqrt_analysis):
     assert rep.verdict
     assert rep.n2 == 4 and rep.depth == 1
     assert rep.chain_lengths == (0, 0)
-    assert detect_case(rep) == CASE_NO_X1
+    assert rep.case == CASE_NO_X1
 
 
 def test_ladder_dimension_record(academic10_analysis):
