@@ -1,12 +1,19 @@
 """Static feedback linearizability."""
 
+import random
+
 from triflat.checks import check_static_feedback_linearizable
 from triflat.expr import Rat, Sym, mul
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler
 from triflat.systems import prolong, vector_field, AffineSystem
 
-from reference import chained_form, double_integrator_pair
+from reference import (
+    chained_form,
+    double_integrator_pair,
+    extended_chained,
+    feedback_transform,
+)
 
 SP = Sampler()
 
@@ -37,3 +44,21 @@ def test_chained_implies_prolonged_linearizable():
     for n in (4, 5):
         pro = prolong(chained_form(n), 1, n - 2)
         assert check_static_feedback_linearizable(pro, SP).verdict
+
+
+def test_verdicts_invariant_under_feedback():
+    # static feedback leaves linearizability alone, in either direction
+    rng = random.Random(3)
+    for s, expected in (
+        (double_integrator_pair(), True),
+        (extended_chained(4), False),
+    ):
+        assert check_static_feedback_linearizable(s, SP).verdict == expected
+        for _ in range(3):
+            beta = [
+                [Rat(rng.randint(1, 2)), parse_expr(f"{rng.randint(0, 1)}*x2")],
+                [Rat(0), Rat(rng.randint(1, 3))],
+            ]
+            gamma = (parse_expr(f"{rng.randint(0, 2)}*x1"), Rat(0))
+            fb = feedback_transform(s, beta, gamma, SP)
+            assert check_static_feedback_linearizable(fb, SP).verdict == expected

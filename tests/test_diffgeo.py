@@ -22,7 +22,14 @@ from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
 from triflat.simplify import simplify
 
-from reference import chained_form, field_sum, involutive_closure, one_form, span_equal
+from reference import (
+    chained_form,
+    feedback_transform,
+    field_sum,
+    involutive_closure,
+    one_form,
+    span_equal,
+)
 
 SP = Sampler()
 
@@ -174,6 +181,54 @@ def test_derived_flag_chained_ranks():
     for i in range(4):
         assert generic_rank(D, SP) == 2 + i
         D = derived_step(D, SP)
+
+
+def test_derived_step_matches_brute_force():
+    # each derived step equals the span of all pairwise brackets of the
+    # previous step's generators, enumerated without any pruning
+    # (seed 3 gives a flag that grows 2, 3, 4, so neither step is trivial)
+    rng = random.Random(3)
+    frame = ("x", "y", "z", "w")
+    v1 = _random_poly_field(rng, frame)
+    v2 = _random_poly_field(rng, frame)
+    D = Distribution(frame, [v1, v2])
+    words = [v1, v2]
+    for step in (1, 2):
+        words = words + [
+            lie_bracket(a, b) for i, a in enumerate(words) for b in words[i + 1 :]
+        ]
+        D = derived_step(D, SP)
+        brute = Distribution(frame, words)
+        assert generic_rank(D, SP) == generic_rank(brute, SP) == 2 + step
+        assert span_equal(D, brute, SP)
+
+
+def test_derived_flag_ranks_survive_feedback():
+    # the growth 2, 3, 4 of the chained form's derived flag is a feedback
+    # invariant: input recombination and drift changes leave it alone
+    rng = random.Random(6)
+    s = chained_form(4)
+    for _ in range(3):
+        beta = [
+            [Rat(rng.randint(1, 3)), parse_expr(f"{rng.randint(0, 2)}*x1")],
+            [parse_expr(f"{rng.randint(0, 2)}*x2"), Rat(rng.randint(1, 3))],
+        ]
+        gamma = (parse_expr(f"{rng.randint(0, 2)}*x3"), Rat(rng.randint(0, 2)))
+        D = pruned(feedback_transform(s, beta, gamma, SP).input_distribution(), SP)
+        for i in range(3):
+            assert generic_rank(D, SP) == 2 + i
+            D = derived_step(D, SP)
+
+
+def test_input_fields_lie_in_input_span(vtol_analysis):
+    sp = vtol_analysis.sp
+    s = vtol_analysis.system
+    D = pruned(s.input_distribution(), sp)
+    assert contains_generic(D, s.b1, sp)
+    assert contains_generic(D, s.b2, sp)
+    combo = field_sum(s.b1.scale(parse_expr("sin(theta)")), s.b2.scale(Sym("x")))
+    assert contains_generic(D, combo, sp)
+    assert not contains_generic(D, lie_bracket(s.drift, s.b1), sp)
 
 
 def test_involutive_closure_vtol_display(vtol_analysis):
