@@ -83,8 +83,9 @@ def _quotient(a, b):
 # a gap runs out all ranks are renumbered and _VERSION moves on, so a caller
 # holding rank-derived sort keys knows to rebuild them.  Ids live until the
 # outermost normalization ends: the table is cleared only there (see
-# _normalization), once _CACHE has been cleared or the table has outgrown
-# the same bound.
+# _normalization), once _CACHE has been cleared or the table and the atom
+# table, which shares printed factors among normal forms, have outgrown the
+# same bound.
 
 _KERNELS = []  # id -> kernel Expr
 _IDS = {}  # kernel Expr -> id
@@ -92,6 +93,7 @@ _RANK = []  # id -> rank, ascending with key()
 _FOLD_AT = []  # id -> exponent at which a power of it folds into its base
 _BY_KEY = []  # (key(), id) of every kernel, ascending
 _BASE_NUM = {}  # root kernel id -> numerator Poly of its base
+_ATOMS = {}  # (kernel id, exponent) or coefficient -> its printed factor
 _RANK_GAP = 1 << 32
 _NO_FOLD = 1 << 62  # the _FOLD_AT of a kernel that is not a root
 _VERSION = 0
@@ -137,7 +139,7 @@ def _intern(k):
 
 def _clear_kernels():
     global _TABLE_STALE, _VERSION
-    for table in (_KERNELS, _IDS, _RANK, _FOLD_AT, _BY_KEY, _BASE_NUM):
+    for table in (_KERNELS, _IDS, _RANK, _FOLD_AT, _BY_KEY, _BASE_NUM, _ATOMS):
         table.clear()
     _TABLE_STALE = False
     _VERSION += 1
@@ -154,7 +156,7 @@ def _normalization(fn):
             return fn(*args)
         finally:
             _DEPTH -= 1
-            if not _DEPTH and (_TABLE_STALE or len(_KERNELS) > _CACHE_LIMIT):
+            if not _DEPTH and (_TABLE_STALE or len(_KERNELS) + len(_ATOMS) > _CACHE_LIMIT):
                 _clear_kernels()
 
     return run
@@ -399,15 +401,20 @@ def _poly_div_exact(a, b):
     """
     if not b:
         return None
+    fold_at = _FOLD_AT
+    if b == _POLY_ONE and not any(e >= fold_at[k] for m in a for k, e in m):
+        # a / 1 as the loop gives it: a's terms, leading one first
+        return {m: a[m] for _k, m in reversed(_sorted_terms(a))}
+    lb, cb = _leading(b)
+    if a and _mono_quotient(_leading(a)[0], dict(lb)) is None:
+        return None  # the loop's first step, taken before a is copied and sorted
     q = {}
     rem = dict(a)
     order = _sorted_terms(rem)
     version = _VERSION
-    lb, cb = _leading(b)
     b_rest = dict(b)
     del b_rest[lb]
     lb = dict(lb)
-    fold_at = _FOLD_AT
     guard = 0
     while rem:
         guard += 1
@@ -810,6 +817,8 @@ def _cancel(num, den):
         q = _poly_div_exact(den, num)
         if q is not None:
             num, den = dict(_POLY_ONE), q
+        elif len(num) == 1 or len(den) == 1:
+            pass  # the content is out, so a single term is coprime to the other side
         elif len(num) > _GCD_SIZE_LIMIT or len(den) > _GCD_SIZE_LIMIT:
             _bail_out("size")
         else:
@@ -828,12 +837,26 @@ def _cancel(num, den):
 
 
 def _mono_to_expr(mono, coeff):
+    """The printed monomial, its factors shared through the atom table."""
+    atoms = _ATOMS
     factors = []
     if coeff != 1 or not mono:
-        factors.append(Rat(coeff))
-    for k, e in mono:
-        factors.append(_KERNELS[k] if e == 1 else pow_(_KERNELS[k], e))
-    return mul(*factors)
+        c = atoms.get(coeff)
+        if c is None:
+            c = atoms[coeff] = Rat(coeff)
+        factors.append(c)
+    plain = True
+    for ke in mono:
+        f = atoms.get(ke)
+        if f is None:
+            k, e = ke
+            f = atoms[ke] = _KERNELS[k] if e == 1 else pow_(_KERNELS[k], e)
+        if type(f) is Mul or type(f) is Rat:  # a root power folded into its base
+            plain = False
+        factors.append(f)
+    if not plain:
+        return mul(*factors)
+    return factors[0] if len(factors) == 1 else Mul(factors)
 
 
 def _poly_to_expr(p):
@@ -859,6 +882,7 @@ def _normalize(e):
 
 _CACHE: dict = {}
 _CACHE_LIMIT = 200_000
+_DERIVATIVES: dict = {}  # (expr, symbol name) -> differentiate's value
 
 
 def simplify(e: Expr) -> Expr:
@@ -875,6 +899,7 @@ def _simplify_new(e):
     out = _pair_to_expr(*_normalize(e))
     if len(_CACHE) > _CACHE_LIMIT:
         _CACHE.clear()
+        _DERIVATIVES.clear()
         _TABLE_STALE = True
     _CACHE[e] = out
     _CACHE[out] = out
@@ -977,4 +1002,11 @@ def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative, returned in normal form."""
     from .expr import derivative
 
-    return simplify(derivative(e, name))
+    key = (e, name)
+    hit = _DERIVATIVES.get(key)
+    if hit is None:
+        hit = simplify(derivative(e, name))
+        if len(_DERIVATIVES) > _CACHE_LIMIT:
+            _DERIVATIVES.clear()
+        _DERIVATIVES[key] = hit
+    return hit

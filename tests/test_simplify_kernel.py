@@ -122,15 +122,53 @@ def test_division_gives_the_textbook_quotient():
         )
     ]
     divisors = polys[2:] + [
-        S._nf(parse_expr(s))[0] for s in ("3*x^2*y", "-2*z", "7", "x*y*z^2", "sqrt(x) + y")
+        S._nf(parse_expr(s))[0] for s in ("3*x^2*y", "-2*z", "7", "1", "x*y*z^2", "sqrt(x) + y")
     ]
     cases = [(S._poly_mul(a, t), t) for a in polys for t in divisors]
     cases += [(a, t) for a in polys for t in divisors]  # mostly inexact
     unfolded = S._nf(parse_expr("x^(3/2)"))[0]  # sqrt(x)^3, not yet folded
-    cases += [(unfolded, S._nf(parse_expr(s))[0]) for s in ("sqrt(x)", "x", "2")]
+    cases += [(unfolded, S._nf(parse_expr(s))[0]) for s in ("sqrt(x)", "x", "2", "1")]
     for a, b in cases:
         want = _textbook_division(a, b)
         got = S._poly_div_exact(a, b)
         assert (got and list(got.items())) == (want and list(want.items()))
     root_free = polys[:4]
     assert all(S._poly_div_exact(S._poly_mul(a, t), t) == a for a in root_free for t in root_free)
+
+
+def _factors(e):
+    """Every node of the tree e."""
+    out, stack = [], [e]
+    while stack:
+        cur = stack.pop()
+        out.append(cur)
+        stack.extend(getattr(cur, "terms", ()) + getattr(cur, "factors", ()))
+    return out
+
+
+def test_normal_forms_share_their_printed_powers():
+    a = simplify(parse_expr("atom_p^2 + atom_q"))
+    b = simplify(parse_expr("atom_p^2*atom_r - 1"))
+    (pa,) = [f for f in _factors(a) if f == parse_expr("atom_p^2")]
+    (pb,) = [f for f in _factors(b) if f == parse_expr("atom_p^2")]
+    assert pa is pb
+
+
+def test_atoms_and_derivatives_cleared_with_the_tables(monkeypatch):
+    from triflat.simplify import differentiate
+
+    S._clear_kernels()
+    e = parse_expr("memo_a^2*memo_b^3 + sin(memo_b)/memo_a")
+    form, slope = simplify(e), differentiate(e, "memo_a")  # memo_a is id 0, memo_b id 1
+    assert differentiate(e, "memo_a") is slope  # memoized
+    assert S._ATOMS and S._DERIVATIVES
+    monkeypatch.setattr(S, "_CACHE_LIMIT", 0)  # the next new normal form overflows
+    simplify(parse_expr("memo_c + 1"))
+    assert S._KERNELS == [] and S._ATOMS == {} and S._DERIVATIVES == {}
+    assert not S._TABLE_STALE
+    monkeypatch.undo()
+    # ids 0 and 1 now name other kernels: stale atoms would print memo_a, memo_b
+    assert to_str(simplify(parse_expr("memo_z^2*memo_y^3 + memo_y"))) == (
+        "memo_y^3*memo_z^2 + memo_y")
+    S._CACHE.clear()
+    assert simplify(e) == form and differentiate(e, "memo_a") == slope
