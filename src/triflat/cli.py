@@ -113,14 +113,17 @@ def _report_dict(rep, sp):
 
 def _load(args):
     definition = load_sysfile(args.file)
-    sp = definition.sampler(seed=args.seed, samples=args.samples, tol=args.tol)
+    try:
+        sp = definition.sampler(seed=args.seed, samples=args.samples, tol=args.tol)
+    except ValueError as e:
+        raise SysFileError(f"bad sampler option: {e}") from None
     for entry in args.domain or ():
         try:
             name, rng = entry.split("=", 1)
             lo, hi = (float(p) for p in rng.split(":", 1))
+            sp = sp.with_domains({name.strip(): (lo, hi)})
         except ValueError:
             raise SysFileError(f"bad --domain entry {entry!r}") from None
-        sp = sp.with_domains({name.strip(): (lo, hi)})
     sysm = definition.system()
     prolongations = []
     for entry in args.prolong or ():
@@ -129,9 +132,11 @@ def _load(args):
             name = name.strip()
             if name not in sysm.input_syms:
                 raise SysFileError(f"unknown input {name!r} in --prolong")
-            which = sysm.input_syms.index(name)
-            sysm = prolong(sysm, which, int(count))
-            prolongations.append({"input": name, "order": int(count)})
+            if not count.strip().isdecimal():
+                raise SysFileError(f"bad --prolong order {count!r} for {name!r}")
+            order = int(count)
+            sysm = prolong(sysm, sysm.input_syms.index(name), order)
+            prolongations.append({"input": name, "order": order})
     return definition, sysm, sp, prolongations
 
 
@@ -320,6 +325,8 @@ def _system_from_dict(d):
 
 
 def cmd_verify(args):
+    if not args.vtol > 0:
+        raise SysFileError(f"--vtol must be positive, got {args.vtol}")
     definition, sysm, sp, prolonged = _load(args)
     out = {
         "command": "verify",
@@ -328,14 +335,19 @@ def cmd_verify(args):
         "prolonged": prolonged,
     }
     if args.transform:
-        with open(args.transform) as fh:
-            payload = json.load(fh)
-        result_sys = _system_from_dict(payload["result"])
-        change = CoordinateChange(
-            state_map={k: parse_expr(v) for k, v in payload["state_map"].items()},
-            input_map={k: parse_expr(v) for k, v in payload["input_map"].items()},
-            inverse_state_map=None,
-        )
+        try:
+            with open(args.transform) as fh:
+                payload = json.load(fh)
+            result_sys = _system_from_dict(payload["result"])
+            change = CoordinateChange(
+                state_map={k: parse_expr(v) for k, v in payload["state_map"].items()},
+                input_map={k: parse_expr(v) for k, v in payload["input_map"].items()},
+                inverse_state_map=None,
+            )
+        except (ValueError, KeyError, TypeError, AttributeError, TriflatError) as e:
+            raise SysFileError(
+                f"malformed transformation file {args.transform!r}: {e!r}"
+            ) from None
         ok = verify_transformation(sysm, change, result_sys, sp, tol=args.vtol)
         out["transform_file"] = args.transform
         out["verified"] = ok

@@ -1,13 +1,15 @@
 """Lie brackets, flags, Cauchy characteristics, annihilators.
 
 Rank and membership questions are decided numerically at generic sample
-points, and so are the questions about Cauchy characteristics: whether they
-span a given distribution, and whether the drift keeps them inside theirs
-(:func:`characteristics_span`, :func:`drift_compatible`) come from sampled
-values of a basis and its brackets, with no symbolic elimination.  Symbolic
-elimination (:func:`annihilator`, :func:`cauchy_characteristics`) runs only
-where the symbolic forms and fields are an output, and each symbolic result
-is re-checked numerically.  Sample points where a matrix drops below its
+points (:func:`kernel_within` among them), and so are the questions about
+Cauchy characteristics: whether they span a given distribution, whether the
+drift keeps them inside theirs, and which forms annihilate them
+(:func:`characteristics_span`, :func:`drift_compatible`,
+:func:`annihilates_characteristics`) come from sampled values of a basis and
+its brackets, with no symbolic elimination.  Symbolic elimination
+(:func:`annihilator`, :func:`cauchy_characteristics`) runs only where the
+symbolic forms and fields are an output, and each symbolic result is
+re-checked numerically.  Sample points where a matrix drops below its
 modal rank are treated as non-generic and discarded.
 """
 
@@ -149,14 +151,6 @@ def contains_generic(D: Distribution, v: VectorField, sp: Sampler) -> bool:
     if not D.fields:
         return False
     return _in_span(D.matrix_rows(), [list(v.components)], D.frame, sp)
-
-
-def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler) -> bool:
-    if not inner.fields:
-        return True
-    if not outer.fields:
-        return False
-    return _in_span(outer.matrix_rows(), inner.matrix_rows(), outer.frame, sp)
 
 
 def extend(D: Distribution, fields) -> Distribution:
@@ -312,6 +306,41 @@ def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
     generic = rank_e == rank_e.max()
     both = ranks(np.concatenate([lam @ B, X], axis=1)[generic], sp.tol)
     return bool(rank_e.max() == k and (both == k).all())
+
+
+def annihilates_characteristics(D: Distribution, rows, sp: Sampler):
+    """For each form (a row of coefficients), whether it annihilates the
+    Cauchy characteristics of D at every generic point.
+
+    The characteristic directions at a point are lam @ B; a form annihilates
+    them exactly when appending it to their annihilator leaves its rank
+    unchanged.  Points where the directions drop below their modal rank are
+    skipped.
+    """
+    B, lam, X = _characteristics_at(D, sp, rows)
+    rank_c, ann = nullspaces(lam @ B, sp.tol)
+    kept = np.flatnonzero(rank_c == rank_c.max())
+    W = np.stack([ann[i] for i in kept])
+    return [
+        bool((ranks(np.concatenate([W, X[kept, q : q + 1]], axis=1), sp.tol) == W.shape[1]).all())
+        for q in range(len(rows))
+    ]
+
+
+def kernel_within(W: Codistribution, D: Distribution, sp: Sampler) -> bool:
+    """Whether the fields annihilated by W lie in D, generically.
+
+    At each point rank [D(p); ker W(p)] must equal rank D(p); points where
+    D or W is below its modal rank are skipped.
+    """
+    rows = D.matrix_rows()
+    _points, stack = MatrixSampler(rows + W.matrix_rows(), D.frame, sp).stack()
+    F = stack[:, : len(rows)]
+    rank_d = ranks(F, sp.tol)
+    rank_w, kernels = nullspaces(stack[:, len(rows) :], sp.tol)
+    kept = np.flatnonzero((rank_d == rank_d.max()) & (rank_w == rank_w.max()))
+    grown = np.concatenate([F[kept], np.stack([kernels[i] for i in kept])], axis=1)
+    return bool((ranks(grown, sp.tol) == rank_d.max()).all())
 
 
 def drift_compatible(D: Distribution, a: VectorField, sp: Sampler) -> bool:

@@ -53,6 +53,8 @@ class Sampler:
     def __post_init__(self):
         if self.samples < 8:
             raise ValueError("at least 8 sample points are required")
+        if not self.tol > 0:
+            raise ValueError("the rank tolerance must be positive")
         for name, (lo, hi) in self.domains.items():
             if not hi > lo:
                 raise ValueError(f"domain for {name!r} must have positive length")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import FrameMismatch, TriflatError
-from .expr import ZERO, add, free_symbols, mul
+from .expr import Call, ZERO, add, free_symbols, mul
 from .fields import Distribution, VectorField, coordinate_field
 from .simplify import simplify
 
@@ -44,6 +44,14 @@ class AffineSystem:
     @property
     def inputs(self):
         return (self.b1, self.b2)
+
+    def call_arguments(self):
+        """Arguments of the elementary-function calls that are whole
+        components of the drift, b1 and b2, in component order."""
+        return [
+            c.arg for f in (self.drift, self.b1, self.b2) for c in f.components
+            if isinstance(c, Call)
+        ]
 
     def input_distribution(self) -> Distribution:
         return Distribution(self.frame, [self.b1, self.b2])

@@ -653,7 +653,7 @@ def build_ladder_change(
         try:
             integrals = integrate_codistribution(
                 ann, sp, hints=hints, knowns=knowns,
-                extra_candidates=_system_pool(sysm),
+                extra_candidates=sysm.call_arguments(),
                 preferred_coordinates=preferred,
             )
         except IntegrationError as err:
@@ -681,15 +681,6 @@ def build_ladder_change(
         knowns.append(Sym(x))
         next_r += 1
     return defs
-
-
-def _system_pool(sysm: AffineSystem):
-    pool = []
-    for f in (sysm.drift, sysm.b1, sysm.b2):
-        for c in f.components:
-            if isinstance(c, Call):
-                pool.append(c.arg)
-    return pool
 
 
 def _call_argument_coordinates(sysm: AffineSystem):

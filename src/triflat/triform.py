@@ -8,6 +8,7 @@ and records all witnesses in a report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 from .checks import CheckOutcome
@@ -54,24 +55,18 @@ class TriangularReport:
     chain_lengths: Optional[tuple] = None
     dims_consistent: bool = False
     verdict: bool = False
-    _characteristics: dict = field(default_factory=dict, repr=False)
 
-    def characteristics(self, level: int) -> Distribution:
-        """Cauchy characteristics of derived-flag member ``level`` (0 is
-        delta1) as symbolic fields, solved once per report with its sampler."""
-        C = self._characteristics.get(level)
-        if C is None:
-            C = cauchy_characteristics(self.delta1_flags[level], self.sampler)
-            self._characteristics[level] = C
-        return C
-
-    @property
+    @cached_property
     def cauchy_flags(self) -> List[Distribution]:
-        """Characteristics of the flag levels 1 .. n2-3, the interior rungs
-        of the ladder; empty when (b) failed."""
+        """Cauchy characteristics of the flag levels 1 .. n2-3, the interior
+        rungs of the ladder, as symbolic fields; solved on first use with the
+        report's sampler, once per report.  Empty when (b) failed."""
         if self.n2 is None:
             return []
-        return [self.characteristics(i) for i in range(1, self.n2 - 2)]
+        return [
+            cauchy_characteristics(self.delta1_flags[i], self.sampler)
+            for i in range(1, self.n2 - 2)
+        ]
 
     @property
     def depth(self):

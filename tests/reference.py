@@ -11,7 +11,15 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
-from triflat.diffgeo import contains_distribution, derived_step, generic_rank, pruned
+from triflat.diffgeo import (
+    _in_span,
+    basis,
+    cauchy_characteristics,
+    derived_step,
+    differential,
+    generic_rank,
+    pruned,
+)
 from triflat.errors import TriflatError
 from triflat.expr import ZERO, Sym, add, mul, sub
 from triflat.fields import Distribution, OneForm, VectorField
@@ -144,8 +152,30 @@ def involutive_closure(D: Distribution, sp: Sampler) -> Distribution:
     return out
 
 
+def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler) -> bool:
+    """Whether every field of inner lies in the span of outer, generically."""
+    if not inner.fields:
+        return True
+    if not outer.fields:
+        return False
+    return _in_span(outer.matrix_rows(), inner.matrix_rows(), outer.frame, sp)
+
+
 def span_equal(D1: Distribution, D2: Distribution, sp: Sampler) -> bool:
     return contains_distribution(D1, D2, sp) and contains_distribution(D2, D1, sp)
+
+
+def annihilates_characteristics_symbolic(report, sp: Sampler, functions):
+    """For each function, whether its differential pairs to zero with every
+    field of the symbolically solved Cauchy characteristics of the report's
+    last non-involutive flag member (the rule the flat output used before it
+    was decided pointwise)."""
+    C = cauchy_characteristics(report.delta1_flags[report.n2 - 3], sp)
+    frame = report.system.frame
+    return [
+        all(is_zero_generic(simplify(differential(f, frame).pair(c)), sp) for c in basis(C, sp))
+        for f in functions
+    ]
 
 
 def field_sum(*fields: VectorField) -> VectorField:

@@ -10,7 +10,6 @@ from triflat.checks import check_static_feedback_linearizable
 from triflat.diffgeo import (
     ad_iter,
     cauchy_characteristics,
-    contains_distribution,
     contains_generic,
     derived_step,
     differential,
@@ -43,6 +42,7 @@ from triflat.triform import equal_length_variant_check, triangular_form_check
 
 from reference import (
     chained_form,
+    contains_distribution,
     extended_chained,
     feedback_transform,
     field_sum,

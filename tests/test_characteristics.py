@@ -1,9 +1,10 @@
 """Cauchy characteristics decided pointwise against the symbolic solution.
 
 The decision procedure answers its characteristic questions (the chain's
-``cauchy_ok``, items (a) and (c), the extended-chained drift test) from
-sampled values alone; ``cauchy_characteristics`` solves the same system
-symbolically and serves as the reference here.
+``cauchy_ok``, items (a) and (c), the extended-chained drift test, the
+flat output's choice of phi1) from sampled values alone;
+``cauchy_characteristics`` solves the same system symbolically and serves
+as the reference here.
 """
 
 import contextlib
@@ -16,14 +17,16 @@ import sys
 import pytest
 
 import triflat.diffgeo as diffgeo
-from triflat.cli import main
+from triflat.cli import _analyze, main
 from triflat.diffgeo import (
     _characteristics_at,
+    annihilates_characteristics,
     basis,
     cauchy_characteristics,
     characteristics_span,
     contains_generic,
     derived_step,
+    differential,
     drift_compatible,
     generic_rank,
     lie_bracket,
@@ -38,7 +41,7 @@ from triflat.direction_search import (
 from triflat.errors import NotApplicable
 from triflat.expr import ONE, ZERO, Sym, mul, neg
 from triflat.fields import Distribution, coordinate_field
-from triflat.flatout import flat_output_for_report
+from triflat.flatout import admissible_phi1, flat_output_for_report
 from triflat.generator import triangular_template
 from triflat.sampling import Sampler
 from triflat.sysfile import load_sysfile
@@ -46,7 +49,12 @@ from triflat.systems import vector_field
 from triflat.transform import transform_to_triangular
 from triflat.triform import CASE_NO_X1, triangular_form_check
 
-from reference import equal_chain_template, extended_chained, span_equal
+from reference import (
+    annihilates_characteristics_symbolic,
+    equal_chain_template,
+    extended_chained,
+    span_equal,
+)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
 SYSTEMS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".sys"))
@@ -146,6 +154,36 @@ def test_pointwise_characteristics_match_symbolic(sysm, sampler, seed, samples):
             _agree(flag, sp, a=sysm.drift)
 
 
+def _no_x1_systems():
+    """(id, system, sampler factory, phi1) for systems with no terminal chain."""
+    sqrt = load_sysfile(os.path.join(CORPUS, "sqrt.sys"))
+    yield "sqrt", sqrt.system(), sqrt.sampler, sqrt.phi1
+    for combo, seed in (((0, 0, 4, 1), 21), ((0, 0, 4, 2), 7), ((0, 0, 5, 1), 3)):
+        sysm = triangular_template(*combo, seed=seed).system
+        yield f"template{combo}-{seed}", sysm, Sampler, Sym("y1")
+
+
+@pytest.mark.parametrize(
+    "sysm,sampler,phi1,seed,samples",
+    [pytest.param(*case[1:], seed, samples, id=f"{case[0]}-{seed}-{samples}")
+     for case in _no_x1_systems() for seed, samples in SAMPLINGS],
+)
+def test_phi1_choice_matches_symbolic(sysm, sampler, phi1, seed, samples):
+    sp = sampler(seed=seed, samples=samples)
+    rep = _analyze(sysm, sp)[3][0]
+    assert rep.verdict and rep.case == CASE_NO_X1
+    choices = [Sym(x) for x in sysm.frame] + [phi1, Sym("x3")]
+    symbolic = annihilates_characteristics_symbolic(rep, sp, choices)
+    rows = [differential(f, sysm.frame).coefficients for f in choices]
+    assert annihilates_characteristics(rep.delta1_flags[rep.n2 - 3], rows, sp) == symbolic
+    assert admissible_phi1(rep, sp) == [x for x, ok in zip(sysm.frame, symbolic) if ok]
+    assert symbolic[-2], "the system's own phi1 is admissible"
+    for f, ok in zip(choices, symbolic):
+        if not ok:
+            with pytest.raises(NotApplicable):
+                flat_output_for_report(rep, sp, phi1=f)
+
+
 FRAME = ("x1", "x2", "x3", "x4")
 X1 = Sym("x1")
 
@@ -207,8 +245,10 @@ def _counting_cauchy():
 def test_check_solves_no_symbolic_cauchy_system():
     with _counting_cauchy() as calls:
         for name in SYSTEMS:
-            with contextlib.redirect_stdout(io.StringIO()):
-                main(["check", os.path.join(CORPUS, name), "--variant"])
+            path = os.path.join(CORPUS, name)
+            for argv in (["check", path, "--variant"], ["flat-output", path]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    main(argv)
     assert calls == []
 
 
@@ -228,7 +268,8 @@ def test_cauchy_flags_lazy_and_memoized(academic10_analysis):
 
 
 def test_flat_output_and_transform_share_one_solve():
-    # no terminal chains and n2 = 4: both read the characteristics of flag level 1
+    # no terminal chains and n2 = 4: the flat output decides its phi1 check
+    # pointwise, and the transform solves flag level 1 (its one cauchy level)
     sysm = triangular_template(0, 0, 4, 2, seed=7).system
     sp = Sampler()
     rep = triangular_form_check(
@@ -237,5 +278,6 @@ def test_flat_output_and_transform_share_one_solve():
     assert rep.verdict and rep.case == CASE_NO_X1 and rep.n2 == 4
     with _counting_cauchy() as calls:
         flat = flat_output_for_report(rep, sp, phi1=Sym("y1"))
+        assert calls == []
         transform_to_triangular(sysm, rep, flat, sp)
     assert calls == [rep.delta1_flags[1]]

@@ -1,20 +1,25 @@
 """Flat output derivation for the three terminal-chain cases."""
 
+from dataclasses import replace
+
 import pytest
 
 from triflat.diffgeo import (
     annihilated_distribution,
-    contains_distribution,
+    annihilator,
     differential,
     form_in_span,
+    kernel_within,
 )
-from triflat.errors import NotApplicable
+from triflat.errors import NotApplicable, TriflatError
 from triflat.expr import Rat, Sym
 from triflat.fields import Codistribution
-from triflat.flatout import admissible_phi1, flat_output_for_report
+from triflat.flatout import _validate, admissible_phi1, flat_output_for_report
 from triflat.parser import parse_expr
 from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, ranks
 from triflat.simplify import simplify
+
+from reference import contains_distribution
 
 SP = Sampler()
 
@@ -94,6 +99,22 @@ def test_l_distribution_contained_in_flag(sqrt_analysis, sin_analysis):
         flag = rep.delta1_flags[rep.n2 - 3]
         L = annihilated_distribution(a.flat.l_perp, a.sp)
         assert contains_distribution(L, flag, a.sp)
+        assert kernel_within(a.flat.l_perp, flag, a.sp)
+
+
+@pytest.mark.parametrize("name", ["sqrt", "sin", "academic10", "vtol"])
+def test_validate_rejects_kernel_outside_flag(request, name):
+    # the first form of L_perp is one of ann(flag); in its place d(last
+    # state) keeps the rank of L_perp but lets its kernel leave the flag
+    a = request.getfixturevalue(f"{name}_analysis")
+    rep, sp, frame = a.report, a.sp, a.system.frame
+    flag = rep.delta1_flags[rep.n2 - 3]
+    forms = a.flat.l_perp.forms
+    assert forms[0] == annihilator(flag, sp).forms[0]
+    bad = Codistribution(frame, [differential(Sym(frame[-1]), frame), *forms[1:]])
+    assert not contains_distribution(annihilated_distribution(bad, sp), flag, sp)
+    with pytest.raises(TriflatError, match="escapes the flag member"):
+        _validate(rep, replace(a.flat, l_perp=bad), sp)
 
 
 def test_template_top_pair_via_case3():

@@ -170,6 +170,40 @@ def test_cli_transform_verify_round_trip(capsys, tmp_path):
     assert code == 1 and out["verified"] is False
 
 
+BAD_MAPS = {
+    "bad-json": "{",
+    "no-states": json.dumps({"result": {}, "state_map": {}, "input_map": {}}),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--samples", "4"],
+        ["check", "--tol", "-1"],
+        ["check", "--domain", "theta=2:1"],
+        ["check", "--prolong", "u1=x"],
+        ["check", "--prolong", "u1=-1"],
+        ["verify", "--transform", "bad-json"],
+        ["verify", "--transform", "no-states"],
+        ["verify", "--vtol", "nan"],
+        ["verify", "--vtol", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_cli_bad_input_is_a_usage_error(capsys, tmp_path, argv):
+    command, *options = argv
+    if options[0] == "--transform":
+        path = tmp_path / "map.json"
+        path.write_text(BAD_MAPS[options[1]])
+        options[1] = str(path)
+    code = main([command, corpus("vtol.sys"), *options])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
 def test_cli_reports_deterministic(capsys):
     code1, out1 = run_cli(capsys, "check", corpus("template.sys"))
     code2, out2 = run_cli(capsys, "check", corpus("template.sys"))
