@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .checks import check_static_feedback_linearizable
@@ -325,8 +326,8 @@ def _system_from_dict(d):
 
 
 def cmd_verify(args):
-    if not args.vtol > 0:
-        raise SysFileError(f"--vtol must be positive, got {args.vtol}")
+    if not 0 < args.vtol < math.inf:
+        raise SysFileError(f"--vtol must be finite and positive, got {args.vtol}")
     definition, sysm, sp, prolonged = _load(args)
     out = {
         "command": "verify",

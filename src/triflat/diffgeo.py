@@ -21,7 +21,7 @@ from .elimination import clear_denominators, nullspace
 from .errors import EliminationError, FrameMismatch
 from .expr import Expr, ONE, ZERO, add, derivative, mul, neg
 from .fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
-from .sampling import MatrixSampler, Sampler, nullspaces, ranks
+from .sampling import MatrixSampler, Sampler, all_zero_generic, nullspaces, ranks
 from .simplify import simplify
 
 _BRACKET_MEMO: dict = {}
@@ -187,16 +187,22 @@ def is_involutive(D: Distribution, sp: Sampler) -> bool:
 
 
 def annihilator(D: Distribution, sp: Sampler) -> Codistribution:
-    """One-forms spanning the generic null space of the component matrix."""
+    """One-forms spanning the generic null space of the component matrix.
+
+    The forms are solved on first read; rank and membership questions are
+    answered from the kernel D alone.
+    """
     frame = D.frame
     n = len(frame)
     b = basis(D, sp)
     if not b:
-        return Codistribution(frame, [_coordinate_form(frame, i) for i in range(n)])
-    rows = [list(f.components) for f in b]
-    vecs = nullspace(rows, sp)
-    forms = [OneForm(frame, tuple(clear_denominators(vec))) for vec in vecs]
-    return Codistribution(frame, forms)
+        return Codistribution(frame, [_coordinate_form(frame, i) for i in range(n)], D)
+
+    def solve():
+        vecs = nullspace([list(f.components) for f in b], sp)
+        return [OneForm(frame, tuple(clear_denominators(vec))) for vec in vecs]
+
+    return Codistribution(frame, solve, D)
 
 
 def _coordinate_form(frame, i):
@@ -207,6 +213,8 @@ def _coordinate_form(frame, i):
 
 def annihilated_distribution(W: Codistribution, sp: Sampler) -> Distribution:
     """Vector fields annihilated by all forms of the codistribution."""
+    if W.kernel is not None:
+        return W.kernel
     frame = W.frame
     if not W.forms:
         return Distribution(frame, [coordinate_field(frame, x) for x in frame])
@@ -217,6 +225,8 @@ def annihilated_distribution(W: Codistribution, sp: Sampler) -> Distribution:
 
 
 def codistribution_rank(W: Codistribution, sp: Sampler) -> int:
+    if W.kernel is not None:
+        return len(W.frame) - generic_rank(W.kernel, sp)
     if not W.forms:
         return 0
     _stack, top = _generic_samples(W.matrix_rows(), W.frame, sp)
@@ -224,6 +234,11 @@ def codistribution_rank(W: Codistribution, sp: Sampler) -> int:
 
 
 def form_in_span(w: OneForm, W: Codistribution, sp: Sampler) -> bool:
+    """Membership of w in W at generic points; with W's kernel known, w must
+    annihilate its basis fields."""
+    if W.kernel is not None:
+        pairings = [w.pair(v) for v in basis(W.kernel, sp)]
+        return all_zero_generic(pairings, sp, extra_syms=W.frame)
     return _in_span(W.matrix_rows(), [list(w.coefficients)], W.frame, sp)
 
 

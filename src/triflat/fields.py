@@ -89,18 +89,30 @@ class Distribution:
 
 
 class Codistribution:
-    """Span of one-forms; mirrors Distribution."""
+    """Span of one-forms; mirrors Distribution.
 
-    def __init__(self, frame, forms: Sequence[OneForm]):
+    ``forms`` may be a callable returning the spanning forms, called on the
+    first read of ``forms``; ``kernel`` is then the distribution the forms
+    annihilate, from which rank and membership are decided without them.
+    """
+
+    def __init__(self, frame, forms, kernel: Distribution = None):
         self.frame = tuple(frame)
-        self.forms = tuple(
-            w for w in forms if any(c != ZERO for c in w.coefficients)
-        )
-        for w in self.forms:
+        self.kernel = kernel
+        self._forms = forms if callable(forms) else self._nonzero(forms)
+
+    def _nonzero(self, forms) -> Tuple[OneForm, ...]:
+        forms = tuple(w for w in forms if any(c != ZERO for c in w.coefficients))
+        for w in forms:
             if w.frame != self.frame:
                 raise FrameMismatch("spanning form on a different frame")
-        self._rank = None
-        self._basis = None
+        return forms
+
+    @property
+    def forms(self) -> Tuple[OneForm, ...]:
+        if callable(self._forms):
+            self._forms = self._nonzero(self._forms())
+        return self._forms
 
     def matrix_rows(self):
         return [list(w.coefficients) for w in self.forms]

@@ -45,7 +45,7 @@ from .expr import (
     sub,
 )
 from .fields import Codistribution, OneForm
-from .sampling import MatrixSampler, Sampler, point_set, ranks
+from .sampling import MatrixSampler, Sampler, _admissible, nullspaces, ranks
 from .simplify import differentiate, simplify
 
 
@@ -261,21 +261,17 @@ def integrate_codistribution(
         # first occurrences in pool order: the fitted pass below keeps only a
         # prefix, so the order must not follow string hashes
         candidates = list(dict.fromkeys(full_pool))
+        kernel = _SampledKernel(W, sp, candidates)
         for g in candidates:
-            for xi in frame:
-                for xj in frame:
-                    if xi == xj:
-                        continue
-                    consider(sub(Sym(xi), mul(Sym(xj), g)), "combination")
-                    if len(found) == rank:
-                        break
+            for xi, xj in kernel.screened(g):
+                consider(sub(Sym(xi), mul(Sym(xj), g)), "combination")
                 if len(found) == rank:
                     break
             if len(found) == rank:
                 break
         if len(found) < rank:
             _fitted_combinations(
-                W, sp, frame, candidates, consider, lambda: len(found) == rank
+                kernel, [add(1)] + candidates[:12], consider, lambda: len(found) == rank
             )
 
     if len(found) < rank:
@@ -317,59 +313,81 @@ def _coefficient_ratios(forms) -> List[Expr]:
     return out
 
 
-def _fitted_combinations(W, sp, frame, pool, consider, done):
-    """Candidates xi + c * xj * g with the rational constant c fitted
-    numerically against the span and then verified symbolically."""
-    rows = W.matrix_rows()
-    syms = set(frame)
-    for r in rows:
-        for e in r:
-            syms |= free_symbols(e)
-    pool = [add(1)] + pool[:12]
+class _SampledKernel:
+    """Orthonormal rows spanning the fields W annihilates, at W's generic
+    sample points, and the combination forms d(xi - c xj g) measured there.
 
+    A form lies in W(p) exactly when it has no component along these rows,
+    so candidates are screened and constants fitted from numbers alone.
+    """
+
+    MARGIN = 1e-6  # screening margin, well above the decision tolerance
+
+    def __init__(self, W: Codistribution, sp: Sampler, pool):
+        self.frame, self.sp = W.frame, sp
+        syms = set(W.frame)
+        for g in pool:
+            syms |= free_symbols(g)
+        ms = MatrixSampler(W.matrix_rows(), syms, sp)
+        self.ps, idx = ms.admissible()
+        _points, stack = ms.stack()
+        rk, dirs = nullspaces(stack, sp.tol)
+        kept = np.flatnonzero(rk == rk.max())
+        self.idx = [idx[k] for k in kept]
+        self.dirs = np.stack([dirs[k] for k in kept])  # (P, m, n)
+        self.coords = np.array([[self.ps.point(i)[x] for x in W.frame] for i in self.idx])
+
+    def parts(self, g):
+        """At the points where g and its partials are admissible: the kernel
+        components of each dxi, (P, n, m), and of each d(xj g), (P, n, m),
+        and the forms d(xj g) themselves, (P, n, n)."""
+        exprs = [g] + [differentiate(g, x) for x in self.frame]
+        keep, rows = [], []
+        for k, i in enumerate(self.idx):
+            vals = self.ps.values_at(exprs, i)
+            if vals is not None and all(map(_admissible, vals)):
+                keep.append(k)
+                rows.append(vals)
+        n = len(self.frame)
+        vals = np.array(rows, dtype=float).reshape(len(keep), n + 1)
+        dirs, coords = self.dirs[keep], self.coords[keep]
+        # d(xj g) = g dxj + xj dg
+        dpart = vals[:, :1, None] * np.eye(n) + coords[:, :, None] * vals[:, None, 1:]
+        return dirs.transpose(0, 2, 1), dpart @ dirs.transpose(0, 2, 1), dpart
+
+    def screened(self, g):
+        """The pairs (xi, xj), in frame order, for which d(xi - xj g) has no
+        component along the kernel beyond the margin at any point."""
+        unit, along, dpart = self.parts(g)
+        comp = np.linalg.norm(unit[:, :, None] - along[:, None], axis=-1)
+        size = np.linalg.norm(np.eye(len(self.frame))[:, None] - dpart[:, None], axis=-1)
+        ok = (comp <= self.MARGIN * (1.0 + size)).all(axis=0)
+        return [
+            (xi, xj)
+            for i, xi in enumerate(self.frame)
+            for j, xj in enumerate(self.frame)
+            if i != j and ok[i, j]
+        ]
+
+
+def _fitted_combinations(kernel: _SampledKernel, pool, consider, done):
+    """Candidates xi + c * xj * g with the rational constant c fitted at the
+    first 8 sampled points and then verified symbolically."""
+    frame = kernel.frame
     for g in pool:
-        ps = point_set(sp, syms | free_symbols(g))
-        for xi in frame:
-            for xj in frame:
-                if xi == xj:
+        unit, along, _dpart = kernel.parts(g)
+        for i, xi in enumerate(frame):
+            for j, xj in enumerate(frame):
+                if i == j:
                     continue
                 if done():
                     return
-                part = simplify(mul(Sym(xj), g))
-                w0 = differential(Sym(xi), frame)
-                w1 = differential(part, frame)
-                if all(c == ZERO for c in w1.coefficients):
+                r0, r1 = unit[:8, i], along[:8, j]
+                n1 = (r1 * r1).sum(axis=1)
+                if len(n1) < 3 or (n1 < kernel.sp.tol).any():
                     continue
-                c = _fit_constant(rows, w0, w1, ps, sp.tol)
-                if c is None or c == 0:
-                    continue
-                consider(add(Sym(xi), mul(Rat(c), part)), "combination")
-
-
-def _fit_constant(rows, w0, w1, ps, tol):
-    """The constant fitted at the first 8 points of the stream (skipping
-    those where an entry fails), or None."""
-    entries = [e for r in rows for e in r]
-    n = len(w0.coefficients)
-    vals = []
-    for i in range(8):
-        got = ps.values_at(entries + list(w0.coefficients) + list(w1.coefficients), i)
-        if got is None:
-            continue
-        A = np.array(got[: len(entries)], dtype=float).reshape(len(rows), n)
-        b0 = np.array(got[len(entries) : len(entries) + n], dtype=float)
-        b1 = np.array(got[len(entries) + n :], dtype=float)
-        x0, *_ = np.linalg.lstsq(A.T, b0, rcond=None)
-        x1, *_ = np.linalg.lstsq(A.T, b1, rcond=None)
-        r0 = b0 - A.T @ x0
-        r1 = b1 - A.T @ x1
-        n1 = float(r1 @ r1)
-        if n1 < tol:
-            return None
-        vals.append(-float(r0 @ r1) / n1)
-    if len(vals) < 3:
-        return None
-    snap = Fraction(vals[0]).limit_denominator(12)
-    if all(abs(v - snap) <= 1e-6 * (1 + abs(v)) for v in vals):
-        return snap
-    return None
+                vals = (-(r0 * r1).sum(axis=1) / n1).tolist()
+                c = Fraction(vals[0]).limit_denominator(12)
+                if c != 0 and all(abs(v - c) <= 1e-6 * (1 + abs(v)) for v in vals):
+                    part = simplify(mul(Sym(xj), g))
+                    consider(add(Sym(xi), mul(Rat(c), part)), "combination")

@@ -883,6 +883,7 @@ def _normalize(e):
 _CACHE: dict = {}
 _CACHE_LIMIT = 200_000
 _DERIVATIVES: dict = {}  # (expr, symbol name) -> differentiate's value
+_FRACTIONS: dict = {}  # expr -> as_fraction's value
 
 
 def simplify(e: Expr) -> Expr:
@@ -900,22 +901,40 @@ def _simplify_new(e):
     if len(_CACHE) > _CACHE_LIMIT:
         _CACHE.clear()
         _DERIVATIVES.clear()
+        _FRACTIONS.clear()
         _TABLE_STALE = True
     _CACHE[e] = out
     _CACHE[out] = out
     return out
 
 
-@_normalization
 def is_zero_symbolic(e: Expr) -> bool:
     """Structural zero test through the normal form (sound, not complete)."""
+    hit = _CACHE.get(e)
+    if hit is not None:
+        return hit == ZERO
+    return _is_zero_new(e)
+
+
+@_normalization
+def _is_zero_new(e):
     num, _den = _nf(e)
     return not _sin_reduce(num)
 
 
-@_normalization
 def as_fraction(e: Expr):
     """Simplified (numerator, denominator) expression pair."""
+    hit = _FRACTIONS.get(e)
+    if hit is None:
+        hit = _as_fraction_new(e)
+        if len(_FRACTIONS) > _CACHE_LIMIT:
+            _FRACTIONS.clear()
+        _FRACTIONS[e] = hit
+    return hit
+
+
+@_normalization
+def _as_fraction_new(e):
     num, den = _normalize(e)
     return _poly_to_expr(num), _poly_to_expr(den)
 

@@ -10,6 +10,7 @@ feedback.  Every step is verified numerically against the original dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -420,7 +421,7 @@ def _check_invertible(stage: Stage, sp: Sampler, note=""):
         except EvalError:
             continue
         for x in orig.frame:
-            if abs(back[x] - point[x]) > 1e-8 * (1 + abs(point[x])):
+            if not abs(back[x] - point[x]) <= 1e-8 * (1 + abs(point[x])):
                 raise PipelineError(
                     f"inverse map fails to reproduce {x} at a sample point ({note})"
                 )
@@ -447,8 +448,11 @@ def verify_transformation(
     """Pushforward consistency at sampled states and inputs.
 
     The time derivative of the forward map along the original dynamics must
-    match the transformed dynamics at the mapped point.
+    match the transformed dynamics at the mapped point.  A comparison that
+    gives nan counts as a mismatch.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"the verification tolerance must be finite and positive, got {tol}")
     new_frame = result.frame
     jac = {
         new: {x: differentiate(f, x) for x in original.frame}
@@ -489,7 +493,7 @@ def verify_transformation(
                     + evaluate(result.b1.components[i], newpoint) * uvals[0]
                     + evaluate(result.b2.components[i], newpoint) * uvals[1]
                 )
-                if abs(lhs[new] - rhs) > tol * (1.0 + abs(lhs[new]) + abs(rhs)):
+                if not abs(lhs[new] - rhs) <= tol * (1.0 + abs(lhs[new]) + abs(rhs)):
                     return False
         except EvalError:
             continue
@@ -541,7 +545,7 @@ def _zero_at(e: Expr, points, tol) -> bool:
             scale = 1.0 + magnitude(e, pt)
         except EvalError:
             continue
-        if abs(v) > tol * scale:
+        if not abs(v) <= tol * scale:
             return False
         seen += 1
     if seen < 2 or 2 * seen < len(points):

@@ -1,10 +1,16 @@
 """Codistribution integration heuristics."""
 
+import os
+import sys
+
 import pytest
 
+from triflat import diffgeo, elimination, integrate
+from triflat.cli import main
 from triflat.diffgeo import annihilator, differential, form_in_span
 from triflat.errors import IntegrationError
-from triflat.expr import Rat, Sym
+from triflat.expr import Rat, Sym, ZERO
+from triflat.flatout import flat_output_for_report
 from triflat.fields import Codistribution, coordinate_field
 from triflat.integrate import integrate_codistribution, integrate_sym, is_closed, potential
 from triflat.parser import parse_expr
@@ -14,6 +20,7 @@ from triflat.simplify import differentiate, simplify
 from reference import one_form
 
 SP = Sampler()
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
 
 
 def check_antiderivative(text, x):
@@ -124,3 +131,73 @@ def test_hints_accepted():
     hint = parse_expr("x1 - x2*u1/u2")
     out = integrate_codistribution(W, SP, hints=[hint])
     assert any(fi.source == "hint" and fi.expr == simplify(hint) for fi in out)
+
+
+def _counted(monkeypatch, module, name):
+    """A list that grows by one on each call of module.name, counted through
+    every triflat module that binds the function."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("triflat")]:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "system, command, module, name, most",
+    [
+        # the annihilators integrated here yield plain coordinates: their
+        # forms are never solved (6 and 16 eliminations when they were)
+        ("academic10", "flat-output", elimination, "nullspace", 2),
+        ("academic10", "transform", elimination, "nullspace", 4),
+        # combination candidates are screened from sampled values (791
+        # differentials when every candidate was differentiated)
+        ("sqrt", "flat-output", diffgeo, "differential", 40),
+    ],
+)
+def test_integration_solves_and_differentiates_only_what_it_reads(
+    monkeypatch, capsys, system, command, module, name, most
+):
+    calls = _counted(monkeypatch, module, name)
+    assert main([command, os.path.join(CORPUS, system + ".sys")]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= most
+
+
+def test_combination_screen_keeps_every_candidate_in_the_span(
+    monkeypatch, product_analysis, sin_analysis, sqrt_analysis
+):
+    """Each combination xi - xj*g that the exact span test accepts, over every
+    pool the corpus flat outputs build, survives the numeric screen."""
+    kernels = []
+    init = integrate._SampledKernel.__init__
+
+    def recorded(self, W, sp, pool):
+        init(self, W, sp, pool)
+        kernels.append((self, W, sp, list(pool)))
+
+    monkeypatch.setattr(integrate._SampledKernel, "__init__", recorded)
+    for a in (product_analysis, sin_analysis, sqrt_analysis):
+        flat_output_for_report(a.report, a.sp, phi1=a.flat.phi1)
+    assert len(kernels) == 3
+    accepted = dropped = 0
+    for kernel, W, sp, pool in kernels:
+        for g in pool:
+            kept = set(kernel.screened(g))
+            for xi in W.frame:
+                for xj in W.frame:
+                    phi = simplify(Sym(xi) - Sym(xj) * g)
+                    if xi == xj or phi == ZERO:
+                        continue
+                    if form_in_span(differential(phi, W.frame), W, sp):
+                        accepted += 1
+                        assert (xi, xj) in kept, (xi, xj, str(g))
+                    dropped += (xi, xj) not in kept
+    assert accepted and dropped

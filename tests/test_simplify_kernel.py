@@ -4,7 +4,7 @@ import importlib
 
 import pytest
 
-from triflat.expr import Sym, to_str
+from triflat.expr import ZERO, Sym, to_str
 from triflat.parser import parse_expr
 from triflat.simplify import simplify
 
@@ -155,16 +155,19 @@ def test_normal_forms_share_their_printed_powers():
 
 
 def test_atoms_and_derivatives_cleared_with_the_tables(monkeypatch):
-    from triflat.simplify import differentiate
+    from triflat.simplify import as_fraction, differentiate
 
     S._clear_kernels()
     e = parse_expr("memo_a^2*memo_b^3 + sin(memo_b)/memo_a")
     form, slope = simplify(e), differentiate(e, "memo_a")  # memo_a is id 0, memo_b id 1
     assert differentiate(e, "memo_a") is slope  # memoized
-    assert S._ATOMS and S._DERIVATIVES
+    fraction = as_fraction(e)
+    assert as_fraction(e) is fraction  # memoized
+    assert S._ATOMS and S._DERIVATIVES and S._FRACTIONS
     monkeypatch.setattr(S, "_CACHE_LIMIT", 0)  # the next new normal form overflows
     simplify(parse_expr("memo_c + 1"))
     assert S._KERNELS == [] and S._ATOMS == {} and S._DERIVATIVES == {}
+    assert S._FRACTIONS == {}
     assert not S._TABLE_STALE
     monkeypatch.undo()
     # ids 0 and 1 now name other kernels: stale atoms would print memo_a, memo_b
@@ -172,3 +175,18 @@ def test_atoms_and_derivatives_cleared_with_the_tables(monkeypatch):
         "memo_y^3*memo_z^2 + memo_y")
     S._CACHE.clear()
     assert simplify(e) == form and differentiate(e, "memo_a") == slope
+    assert as_fraction(e) == fraction
+
+
+def test_zero_test_answered_from_the_normal_form_cache(monkeypatch):
+    from triflat.simplify import is_zero_symbolic
+
+    zero = parse_expr("(zc_a + zc_b)^2 - zc_a^2 - 2*zc_a*zc_b - zc_b^2")
+    other = parse_expr("(zc_a + zc_b)^2 - zc_a^2")
+    assert simplify(zero) == ZERO and simplify(other) != ZERO
+
+    def no_normalization(e):
+        raise AssertionError("normalized again")
+
+    monkeypatch.setattr(S, "_nf", no_normalization)
+    assert is_zero_symbolic(zero) and not is_zero_symbolic(other)

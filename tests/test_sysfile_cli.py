@@ -187,6 +187,7 @@ BAD_MAPS = {
         ["verify", "--transform", "bad-json"],
         ["verify", "--transform", "no-states"],
         ["verify", "--vtol", "nan"],
+        ["verify", "--vtol", "inf"],
         ["verify", "--vtol", "-1"],
     ],
     ids=lambda argv: " ".join(argv[1:]),

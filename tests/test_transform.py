@@ -86,6 +86,19 @@ def test_verify_identity_change(sin_analysis):
     assert verify_transformation(s, change, s, sin_analysis.sp)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(sin_analysis, tol):
+    # a nan tolerance made every comparison false, so every map passed
+    s = sin_analysis.system
+    change = CoordinateChange(
+        state_map={x: neg(Sym(x)) for x in s.frame},
+        input_map={u: Sym(u) for u in s.input_syms},
+        inverse_state_map=None,
+    )
+    with pytest.raises(ValueError, match="finite and positive"):
+        verify_transformation(s, change, s, sin_analysis.sp, tol=tol)
+
+
 def test_verify_rejects_corrupted_map(vtol_analysis):
     res = vtol_analysis.transform
     change = res.change
@@ -222,3 +235,7 @@ def test_zero_at_needs_half_the_image_points():
     for pts in (points[1:], points + [{"x": -3.0}]):
         with pytest.raises(PipelineError, match="evaluates at only"):
             _zero_at(e, pts, SP.tol)
+
+
+def test_zero_at_counts_nan_as_nonzero():
+    assert not _zero_at(Sym("x"), [{"x": 0.0}, {"x": float("nan")}], SP.tol)
