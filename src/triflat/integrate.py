@@ -45,7 +45,7 @@ from .expr import (
     sub,
 )
 from .fields import Codistribution, OneForm
-from .sampling import MatrixSampler, Sampler, _admissible, nullspaces, ranks
+from .sampling import MatrixSampler, Sampler, _admissible, all_zero_generic, nullspaces, ranks
 from .simplify import differentiate, simplify
 
 
@@ -127,8 +127,6 @@ def is_closed(w: OneForm, sp: Sampler) -> bool:
                     differentiate(w.coefficients[i], w.frame[j]),
                 )
             )
-    from .sampling import all_zero_generic
-
     return all_zero_generic([simplify(r) for r in residuals], sp, extra_syms=w.frame)
 
 
@@ -144,8 +142,6 @@ def potential(w: OneForm, sp: Sampler) -> Expr:
         simplify(sub(differentiate(phi, x), w.coefficients[i]))
         for i, x in enumerate(w.frame)
     ]
-    from .sampling import all_zero_generic
-
     if not all_zero_generic(check, sp, extra_syms=w.frame):
         raise IntegrationError("potential reconstruction failed to match the form")
     return phi
@@ -324,14 +320,10 @@ class _SampledKernel:
     MARGIN = 1e-6  # screening margin, well above the decision tolerance
 
     def __init__(self, W: Codistribution, sp: Sampler, pool):
-        self.frame, self.sp = W.frame, sp
-        syms = set(W.frame)
-        for g in pool:
-            syms |= free_symbols(g)
-        ms = MatrixSampler(W.matrix_rows(), syms, sp)
+        self.frame, self.tol = W.frame, sp.tol
+        ms = MatrixSampler(W.matrix_rows(), set(W.frame).union(*map(free_symbols, pool)), sp)
         self.ps, idx = ms.admissible()
-        _points, stack = ms.stack()
-        rk, dirs = nullspaces(stack, sp.tol)
+        rk, dirs = nullspaces(ms.stack()[1], sp.tol)
         kept = np.flatnonzero(rk == rk.max())
         self.idx = [idx[k] for k in kept]
         self.dirs = np.stack([dirs[k] for k in kept])  # (P, m, n)
@@ -384,7 +376,7 @@ def _fitted_combinations(kernel: _SampledKernel, pool, consider, done):
                     return
                 r0, r1 = unit[:8, i], along[:8, j]
                 n1 = (r1 * r1).sum(axis=1)
-                if len(n1) < 3 or (n1 < kernel.sp.tol).any():
+                if len(n1) < 3 or (n1 < kernel.tol).any():
                     continue
                 vals = (-(r0 * r1).sum(axis=1) / n1).tolist()
                 c = Fraction(vals[0]).limit_denominator(12)

@@ -908,35 +908,27 @@ def _simplify_new(e):
     return out
 
 
+@_normalization
 def is_zero_symbolic(e: Expr) -> bool:
     """Structural zero test through the normal form (sound, not complete)."""
     hit = _CACHE.get(e)
     if hit is not None:
         return hit == ZERO
-    return _is_zero_new(e)
-
-
-@_normalization
-def _is_zero_new(e):
     num, _den = _nf(e)
     return not _sin_reduce(num)
 
 
+@_normalization
 def as_fraction(e: Expr):
     """Simplified (numerator, denominator) expression pair."""
     hit = _FRACTIONS.get(e)
     if hit is None:
-        hit = _as_fraction_new(e)
+        num, den = _normalize(e)
+        hit = _poly_to_expr(num), _poly_to_expr(den)
         if len(_FRACTIONS) > _CACHE_LIMIT:
             _FRACTIONS.clear()
         _FRACTIONS[e] = hit
     return hit
-
-
-@_normalization
-def _as_fraction_new(e):
-    num, den = _normalize(e)
-    return _poly_to_expr(num), _poly_to_expr(den)
 
 
 @_normalization
