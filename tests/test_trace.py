@@ -61,8 +61,9 @@ def test_ordinary_gcd_counts_no_bail_out():
 
 @pytest.fixture
 def cold_memos(monkeypatch):
-    """Empty normal-form, derivative, fraction and bracket memos for the test, so every
-    normalization runs again; the warm ones come back afterwards."""
+    """Empty normal-form, derivative, fraction and bracket memos for the
+    test, so every normalization runs again; the warm ones come back
+    afterwards."""
     simplify_module = importlib.import_module("triflat.simplify")
     diffgeo = importlib.import_module("triflat.diffgeo")
     monkeypatch.setattr(simplify_module, "_CACHE", {})
