@@ -22,6 +22,7 @@ from .errors import EliminationError, FrameMismatch
 from .expr import Expr, ONE, ZERO, add, derivative, mul, neg
 from .fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
 from .sampling import MatrixSampler, Sampler, all_zero_generic, nullspaces, ranks
+from .sampling import _admissible, _free_symbols
 from .simplify import simplify
 
 _BRACKET_MEMO: dict = {}
@@ -84,40 +85,50 @@ def differential(f: Expr, frame) -> OneForm:
 # --- numeric span machinery --------------------------------------------------
 
 
-def _generic_samples(rows, frame, sp: Sampler):
-    """Stack of the sampled matrices attaining the modal rank, and that rank."""
-    _points, stack = MatrixSampler(rows, frame, sp).stack()
-    r = ranks(stack, sp.tol)
-    top = int(r.max())
-    return stack[r == top], top
+def _in_span(rows, extras, frame, sp: Sampler) -> list:
+    """For each extra row e, whether it lies in the row span of rows at the
+    generic points.
 
-
-def _in_span(rows, extra, frame, sp: Sampler) -> bool:
-    """Whether the extra rows lie in the row span at the generic points.
-
-    Points where the base rows drop below their modal rank are skipped.
+    rows + extras are sampled once.  Over the points where [rows; e] attains
+    its modal rank, the largest rank of the base rows must reach that rank:
+    points where the base drops below it are skipped.  The base is ranked
+    once and every [rows; e] in one batched SVD.  An extra row that would
+    move the admissible points of the base (it adds a symbol, or fails to
+    evaluate at one of them) is answered alone, at the points of [rows; e].
     """
-    stack, _top = _generic_samples(rows + extra, frame, sp)
-    base = ranks(stack[:, : len(rows), :], sp.tol)
-    modal = base.max()
-    return bool((ranks(stack[base == modal], sp.tol) == modal).all())
+    if not extras:
+        return []
+    if len(extras) > 1:
+        base = MatrixSampler(rows, frame, sp)
+        ps, idx = base.admissible()
+        moved = [
+            not all(_free_symbols(e) <= base.syms and all(map(_admissible, ps.scan(e, idx)))
+                    for e in row)
+            for row in extras
+        ]
+        if any(moved):
+            rest = iter(_in_span(rows, [e for e, m in zip(extras, moved) if not m], frame, sp))
+            return [_in_span(rows, [e], frame, sp)[0] if m else next(rest)
+                    for e, m in zip(extras, moved)]
+    _points, stack = MatrixSampler(rows + extras, frame, sp).stack()
+    (k, width, n), r, m = stack.shape, len(rows), len(extras)
+    base_rank = ranks(stack[:, :r], sp.tol)
+    grown = stack[:, [list(range(r)) + [q] for q in range(r, width)]]  # (k, m, r + 1, n)
+    full = ranks(grown.reshape(k * m, r + 1, n), sp.tol).reshape(k, m)
+    top = full.max(axis=0)
+    return [bool(base_rank[full[:, q] == top[q]].max() == top[q]) for q in range(m)]
 
 
 def generic_rank(D: Distribution, sp: Sampler) -> int:
     """Maximal numeric rank of the component matrix over sample points."""
     if not D.fields:
         return 0
-    key = _sampler_key(sp)
-    if D._rank is None:
-        D._rank = {}
-    if key not in D._rank:
-        _stack, top = _generic_samples(D.matrix_rows(), D.frame, sp)
-        D._rank[key] = top
-    return D._rank[key]
+    return MatrixSampler(D.matrix_rows(), D.frame, sp).generic()[1]
 
 
 def _sampler_key(sp: Sampler):
-    return (sp.seed, sp.samples, sp.tol, tuple(sorted(sp.domains.items())), sp.default_domain)
+    return (sp.seed, sp.samples, sp.tol, sp.max_resamples, tuple(sorted(sp.domains.items())),
+            sp.default_domain)
 
 
 def basis(D: Distribution, sp: Sampler):
@@ -129,7 +140,7 @@ def basis(D: Distribution, sp: Sampler):
         D._basis = {}
     if key in D._basis:
         return D._basis[key]
-    stack, top = _generic_samples(D.matrix_rows(), D.frame, sp)
+    stack, top = MatrixSampler(D.matrix_rows(), D.frame, sp).generic()
     kept_idx = []
     for i in range(len(D.fields)):
         if len(kept_idx) == top:
@@ -144,13 +155,18 @@ def basis(D: Distribution, sp: Sampler):
     return kept
 
 
+def span_contains(D: Distribution, fields, sp: Sampler) -> list:
+    """For each field, membership in the span of D at generic points."""
+    if not D.fields:
+        return [v.is_zero() for v in fields]
+    rows = [list(v.components) for v in fields if not v.is_zero()]
+    found = iter(_in_span(D.matrix_rows(), rows, D.frame, sp))
+    return [v.is_zero() or next(found) for v in fields]
+
+
 def contains_generic(D: Distribution, v: VectorField, sp: Sampler) -> bool:
     """Membership of v in the span of D at generic points."""
-    if v.is_zero():
-        return True
-    if not D.fields:
-        return False
-    return _in_span(D.matrix_rows(), [list(v.components)], D.frame, sp)
+    return span_contains(D, [v], sp)[0]
 
 
 def extend(D: Distribution, fields) -> Distribution:
@@ -175,12 +191,8 @@ def derived_step(D: Distribution, sp: Sampler) -> Distribution:
 
 def is_involutive(D: Distribution, sp: Sampler) -> bool:
     b = basis(D, sp)
-    core = Distribution(D.frame, b)
-    for i in range(len(b)):
-        for j in range(i + 1, len(b)):
-            if not contains_generic(core, lie_bracket(b[i], b[j]), sp):
-                return False
-    return True
+    brackets = [lie_bracket(b[i], b[j]) for i in range(len(b)) for j in range(i + 1, len(b))]
+    return all(span_contains(Distribution(D.frame, b), brackets, sp))
 
 
 # --- annihilators and characteristics ----------------------------------------
@@ -229,8 +241,7 @@ def codistribution_rank(W: Codistribution, sp: Sampler) -> int:
         return len(W.frame) - generic_rank(W.kernel, sp)
     if not W.forms:
         return 0
-    _stack, top = _generic_samples(W.matrix_rows(), W.frame, sp)
-    return top
+    return MatrixSampler(W.matrix_rows(), W.frame, sp).generic()[1]
 
 
 def form_in_span(w: OneForm, W: Codistribution, sp: Sampler) -> bool:
@@ -239,7 +250,7 @@ def form_in_span(w: OneForm, W: Codistribution, sp: Sampler) -> bool:
     if W.kernel is not None:
         pairings = [w.pair(v) for v in basis(W.kernel, sp)]
         return all_zero_generic(pairings, sp, extra_syms=W.frame)
-    return _in_span(W.matrix_rows(), [list(w.coefficients)], W.frame, sp)
+    return _in_span(W.matrix_rows(), [list(w.coefficients)], W.frame, sp)[0]
 
 
 def cauchy_characteristics(D: Distribution, sp: Sampler) -> Distribution:

@@ -10,7 +10,6 @@ decision procedure.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,7 @@ from .diffgeo import (
     is_involutive,
     lie_bracket,
     pruned,
+    span_contains,
 )
 from .elimination import clear_denominators
 from .errors import NotApplicable, TriflatError
@@ -143,8 +143,7 @@ def candidate_via_h(sys: AffineSystem, chain: BracketChain, sp: Sampler) -> Dire
     k = chain.depth + 1
     w1 = ad_iter(sys.drift, k, sys.b1)
     w2 = ad_iter(sys.drift, k, sys.b2)
-    in1 = contains_generic(H, w1, sp)
-    in2 = contains_generic(H, w2, sp)
+    in1, in2 = span_contains(H, [w1, w2], sp)
     if in1 and in2:
         raise NotApplicable(
             "both iterated brackets lie in H; the containment condition does not "
@@ -276,7 +275,7 @@ def _best_triple(triples, sp: Sampler):
         ps = point_set(sp, set().union(*(free_symbols(c) for c in t)))
         score = math.inf
         count = 0
-        for i in itertools.count():
+        for i in range(sp.max_resamples + sp.samples):
             vals = ps.values_at(t, i)
             if vals is None:
                 continue
@@ -284,6 +283,8 @@ def _best_triple(triples, sp: Sampler):
             count += 1
             if count >= sp.samples:
                 break
+        else:
+            continue  # too few evaluable points within the resample budget
         if score is not math.inf and (best is None or score > best[0]):
             best = (score, t)
     if best is None:

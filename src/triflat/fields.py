@@ -65,8 +65,7 @@ class OneForm:
 class Distribution:
     """Span of vector fields; the spanning set may be redundant.
 
-    The generic rank is computed on demand and cached; callers must use one
-    sampler consistently per analysis for the cache to be meaningful.
+    A generic basis is computed on demand and kept per sampler configuration.
     """
 
     def __init__(self, frame, fields: Sequence[VectorField]):
@@ -75,7 +74,6 @@ class Distribution:
         for f in self.fields:
             if f.frame != self.frame:
                 raise FrameMismatch("spanning field on a different frame")
-        self._rank = None
         self._basis = None
 
     def matrix_rows(self):

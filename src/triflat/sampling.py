@@ -12,6 +12,8 @@ domains, so the same expressions meet the same points again and again.  A
 computed at them; zero tests, :class:`MatrixSampler` and the numeric pivot
 scores of :mod:`triflat.elimination` read values through it, and the ranks
 of a stack of sampled matrices come from one batched SVD (:func:`ranks`).
+The generic stack of a matrix (:meth:`MatrixSampler.generic`) is kept on
+the point set too, so each row set is sampled and ranked once.
 """
 
 from __future__ import annotations
@@ -132,12 +134,13 @@ class PointSet:
     near-singular) is judged by the consumer.
     """
 
-    __slots__ = ("points", "values", "magnitudes", "_stream")
+    __slots__ = ("points", "values", "magnitudes", "stacks", "_stream")
 
     def __init__(self, stream):
         self.points = []
         self.values = {}  # expression -> column of evaluate results
         self.magnitudes = {}  # expression -> column of magnitude results
+        self.stacks = {}  # see MatrixSampler.generic
         self._stream = stream
 
     def point(self, i) -> Point:
@@ -335,14 +338,19 @@ def numeric_rank(matrix: np.ndarray, tol: float) -> int:
 
 
 class MatrixSampler:
-    """Evaluates a symbolic matrix at admissible sample points."""
+    """Evaluates a symbolic matrix at admissible sample points.
+
+    Each distinct entry is scanned once and its values are scattered to
+    every position it holds; sparse matrices repeat 0 and 1 many times.
+    """
 
     def __init__(self, rows, syms, sp: Sampler):
         self.rows = [list(r) for r in rows]
-        self.syms = set(syms)
-        for r in self.rows:
-            for e in r:
-                self.syms |= _free_symbols(e)
+        self.shape = (len(self.rows), len(self.rows[0]) if self.rows else 0)
+        index = {}
+        self.where = [index.setdefault(e, len(index)) for r in self.rows for e in r]
+        self.entries = list(index)
+        self.syms = set(syms).union(*map(_free_symbols, self.entries))
         self.sp = sp
 
     def at(self, point) -> np.ndarray:
@@ -363,7 +371,7 @@ class MatrixSampler:
         admissible, within the resampling budget."""
         want = self.sp.samples if count is None else count
         ps = point_set(self.sp, self.syms)
-        cols = [(e, ps.column(e)) for r in self.rows for e in r]
+        cols = [(e, ps.column(e)) for e in self.entries]
         out = []
         budget = self.sp.max_resamples + want
         for i in itertools.count():
@@ -387,9 +395,28 @@ class MatrixSampler:
         """(points, values): the admissible points and the (K, r, c) stack
         of the matrix evaluated at them."""
         ps, idx = self.admissible(count)
-        nrows = len(self.rows)
-        ncols = len(self.rows[0]) if self.rows else 0
-        cols = [ps.column(e) for r in self.rows for e in r]
-        by_entry = np.array([[col[i] for i in idx] for col in cols], dtype=float)
-        values = by_entry.T.reshape(len(idx), nrows, ncols)
+        by_entry = np.array([[col[i] for i in idx] for col in map(ps.column, self.entries)],
+                            dtype=float)
+        values = by_entry[self.where].T.reshape(len(idx), *self.shape)
         return [ps.point(i) for i in idx], values
+
+    def generic(self):
+        """(stack, top): the sampled matrices that attain the modal rank top.
+
+        Kept on the point set, which fixes the seed and the domains, under
+        the rows and the other sampler fields the result depends on.  The
+        stack is read-only, and its values count against the value limit.
+        """
+        global _CACHED_VALUES
+        sp = self.sp
+        ps = point_set(sp, self.syms)
+        key = (tuple(map(tuple, self.rows)), sp.samples, sp.max_resamples, sp.tol)
+        hit = ps.stacks.get(key)
+        if hit is None:
+            _points, stack = self.stack()
+            r = ranks(stack, sp.tol)
+            stack = stack[r == r.max()]
+            stack.flags.writeable = False
+            hit = ps.stacks[key] = stack, int(r.max())
+            _CACHED_VALUES += stack.size
+        return hit

@@ -45,6 +45,7 @@ from .integrate import integrate_codistribution
 from .sampling import (
     MatrixSampler,
     Sampler,
+    _admissible,
     is_zero_generic,
     numeric_rank,
     point_set,
@@ -560,17 +561,18 @@ def _depends_at(e: Expr, x: str, points, tol) -> bool:
 
 
 def _rank_at(rows, points, tol) -> int:
+    """Largest numeric rank at the image points where every entry is admissible;
+    at least two of them and half of all, as in :func:`_zero_at`."""
     found = []
     for pt in points:
         try:
-            m = np.array(
-                [[evaluate(e, pt) for e in r] for r in rows], dtype=float
-            )
+            vals = [[evaluate(e, pt) for e in r] for r in rows]
         except EvalError:
             continue
-        found.append(numeric_rank(m, tol))
-    if not found:
-        raise PipelineError("rows cannot be evaluated on the image points")
+        if all(_admissible(v) for r in vals for v in r):
+            found.append(numeric_rank(np.array(vals, dtype=float), tol))
+    if len(found) < 2 or 2 * len(found) < len(points):
+        raise PipelineError(f"rows cannot be evaluated: {len(found)} of {len(points)} points")
     return max(found)
 
 

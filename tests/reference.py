@@ -12,7 +12,6 @@ import random
 from dataclasses import replace
 
 from triflat.diffgeo import (
-    _in_span,
     basis,
     cauchy_characteristics,
     derived_step,
@@ -25,7 +24,7 @@ from triflat.expr import ZERO, Sym, add, mul, sub
 from triflat.fields import Distribution, OneForm, VectorField
 from triflat.generator import TemplateInstance, _random_poly
 from triflat.parser import parse_expr as pe
-from triflat.sampling import Sampler, is_zero_generic
+from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, ranks
 from triflat.simplify import simplify
 from triflat.systems import AffineSystem, vector_field
 
@@ -100,6 +99,17 @@ def equal_chain_template(n2: int, n3: int, seed: int = 0) -> TemplateInstance:
     return TemplateInstance(system=system, dims=(0, 0, n2, n3), long_input_index=0)
 
 
+def criterion5_combos():
+    """The template dimensions of acceptance criterion 5, in its order."""
+    rng = random.Random(31)
+    combos = []
+    while len(combos) < 10:
+        combo = tuple(rng.choice(c) for c in ([0, 1, 2], [0, 1, 2], [3, 4, 5], [1, 2, 3]))
+        if not (combo[2] == 3 and combo[0] == 0 and combo[1] == 0):
+            combos.append(combo)
+    return combos
+
+
 def feedback_transform(sys: AffineSystem, beta, gamma, sp: Sampler = None) -> AffineSystem:
     """Invertible static feedback given directly by the field recombination.
 
@@ -158,7 +168,21 @@ def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler)
         return True
     if not outer.fields:
         return False
-    return _in_span(outer.matrix_rows(), inner.matrix_rows(), outer.frame, sp)
+    rows = outer.matrix_rows()
+    return all(in_span_per_row(rows, row, outer.frame, sp) for row in inner.matrix_rows())
+
+
+def in_span_per_row(rows, row, frame, sp: Sampler) -> bool:
+    """Whether row lies in the row span of rows, one row at a time: the
+    sampled [rows; row] is cut to the points of its modal rank, and there
+    the base rows must reach that rank wherever they attain their own
+    modal rank."""
+    _points, stack = MatrixSampler(rows + [row], frame, sp).stack()
+    full = ranks(stack, sp.tol)
+    stack = stack[full == full.max()]
+    base = ranks(stack[:, : len(rows)], sp.tol)
+    modal = base.max()
+    return bool((ranks(stack[base == modal], sp.tol) == modal).all())
 
 
 def span_equal(D1: Distribution, D2: Distribution, sp: Sampler) -> bool:

@@ -11,7 +11,6 @@ import contextlib
 import io
 import itertools
 import os
-import random
 import sys
 
 import pytest
@@ -51,6 +50,7 @@ from triflat.triform import CASE_NO_X1, triangular_form_check
 
 from reference import (
     annihilates_characteristics_symbolic,
+    criterion5_combos,
     equal_chain_template,
     extended_chained,
     span_equal,
@@ -66,23 +66,12 @@ def _corpus(name):
     return definition.system(), definition
 
 
-def _criterion5_combos():
-    """The template dimensions of acceptance criterion 5, in its order."""
-    rng = random.Random(31)
-    combos = []
-    while len(combos) < 10:
-        combo = tuple(rng.choice(c) for c in ([0, 1, 2], [0, 1, 2], [3, 4, 5], [1, 2, 3]))
-        if not (combo[2] == 3 and combo[0] == 0 and combo[1] == 0):
-            combos.append(combo)
-    return combos
-
-
 def _instances(seed, samples):
     """(system, sampler factory): the corpus and the generated instances."""
     for name in SYSTEMS:
         sysm, definition = _corpus(name)
         yield pytest.param(sysm, definition.sampler, id=name)
-    for index, combo in enumerate(_criterion5_combos()):
+    for index, combo in enumerate(criterion5_combos()):
         # the symbolic reference takes seconds on (0, 0, 5, 1): default sampler only
         if combo != (0, 0, 5, 1) or (seed, samples) == (42, 16):
             inst = triangular_template(*combo, seed=index)

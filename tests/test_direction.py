@@ -1,9 +1,12 @@
 """Distinguished-direction search: chains, the H condition, the quadratic."""
 
+import signal
+
 import pytest
 
 from triflat.diffgeo import contains_generic, generic_rank
 from triflat.direction_search import (
+    _best_triple,
     candidates_via_quadratic,
     compute_bracket_chain,
     h_distribution,
@@ -194,3 +197,20 @@ def test_vtol_h_display(vtol_analysis):
         ],
     )
     assert span_equal(H, classical, sp)
+
+
+def test_best_triple_gives_up_within_the_resample_budget():
+    # log(-x1^2 - 1) is undefined everywhere: no coefficient ever evaluates
+    e = parse_expr("log(-x1^2 - 1)")
+
+    def stop(_signum, _frame):
+        raise TimeoutError("_best_triple did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        with pytest.raises(NotApplicable):
+            _best_triple([(e, e, e)], Sampler())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

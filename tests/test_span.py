@@ -1,0 +1,116 @@
+"""The batched span test against the one-row-at-a-time reference.
+
+``diffgeo._in_span`` answers "does row e lie in the span of these rows" for
+many rows e from one sampled stack and one batched SVD.  Every batch that
+``check`` asks for, over the corpus and the criterion-5 instances, must
+give the per-row answers of ``reference.in_span_per_row``; a row that would
+move the admissible points of the base is answered alone.  ``check`` now
+samples each matrix once: academic10 needs at most 35 sampled stacks and
+220 SVD calls (104 and 409 when every bracket test sampled its own stack).
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from triflat import diffgeo, sampling
+from triflat.cli import _analyze, main
+from triflat.generator import triangular_template
+from triflat.parser import parse_expr
+from triflat.sampling import MatrixSampler, Sampler
+
+from reference import criterion5_combos, in_span_per_row
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
+SYSTEMS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".sys"))
+
+
+def record_span_calls(monkeypatch):
+    """Every (rows, extras, frame, sp, answers) that reaches _in_span."""
+    calls = []
+    real = diffgeo._in_span
+
+    def spy(rows, extras, frame, sp):
+        out = real(rows, extras, frame, sp)
+        calls.append((rows, extras, frame, sp, out))
+        return out
+
+    monkeypatch.setattr(diffgeo, "_in_span", spy)
+    return calls
+
+
+def test_batched_answers_equal_per_row_answers(monkeypatch, capsys):
+    calls = record_span_calls(monkeypatch)
+    for name in SYSTEMS:
+        main(["check", os.path.join(CORPUS, name)])
+    capsys.readouterr()
+    for index, combo in enumerate(criterion5_combos()):
+        _analyze(triangular_template(*combo, seed=index).system, Sampler())
+    batches = [call for call in calls if len(call[1]) > 1]
+    assert sum(len(extras) for _rows, extras, *_rest in batches) >= 200
+    for rows, extras, frame, sp, out in batches:
+        assert out == [in_span_per_row(rows, e, frame, sp) for e in extras]
+
+
+def test_a_row_that_moves_the_base_points_is_answered_alone(monkeypatch):
+    frame = ("x1", "x2", "x3")
+    rows = [[parse_expr(e) for e in r] for r in (["1", "0", "0"], ["0", "x2", "0"])]
+    extras = [
+        [parse_expr(e) for e in r]
+        for r in (
+            ["0", "0", "1"],
+            ["x1", "x1*x2", "0"],
+            ["sqrt(x1 - 1)", "0", "0"],  # undefined at about half the base points
+            ["0", "0", "p"],  # adds a symbol, so a different point stream
+        )
+    ]
+    sp = Sampler()
+    calls = record_span_calls(monkeypatch)
+    got = diffgeo._in_span(rows, extras, frame, sp)
+    assert got == [False, True, True, False]
+    assert got == [in_span_per_row(rows, e, frame, sp) for e in extras]
+    asked = [extras_ for _rows, extras_, *_rest in calls[:-1]]
+    assert asked == [extras[:2], extras[2:3], extras[3:]]
+
+
+def test_check_samples_each_matrix_once(monkeypatch, capsys):
+    sampling.clear_caches()
+    counts = {"stack": 0, "svd": 0}
+    stack, svd = MatrixSampler.stack, np.linalg.svd
+
+    def counted_stack(self, count=None):
+        counts["stack"] += 1
+        return stack(self, count)
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(MatrixSampler, "stack", counted_stack)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert main(["check", os.path.join(CORPUS, "academic10.sys")]) == 0
+    capsys.readouterr()
+    assert counts["stack"] <= 35 and counts["svd"] <= 220, counts
+
+
+@pytest.mark.parametrize("max_resamples", [0, 200])
+def test_generic_stack_is_kept_read_only_until_the_caches_clear(max_resamples):
+    sampling.clear_caches()
+    rows = [[parse_expr(e) for e in r] for r in (["x", "y", "1"], ["x*y", "y", "x"])]
+    sp = Sampler(max_resamples=max_resamples)
+    before = sampling._CACHED_VALUES
+    stack, top = MatrixSampler(rows, (), sp).generic()
+    assert top == 2 and stack.shape == (sp.samples, 2, 3)
+    assert sampling._CACHED_VALUES - before >= stack.size
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+    assert MatrixSampler(rows, ("x",), sp).generic()[0] is stack
+    # a sampler that differs only in its resample budget keeps its own entry
+    other = Sampler(max_resamples=max_resamples + 1)
+    assert MatrixSampler(rows, (), other).generic()[0] is not stack
+    assert len(sampling.point_set(sp, ("x", "y")).stacks) == 2
+    sampling.clear_caches()
+    assert sampling.point_set(sp, ("x", "y")).stacks == {}
+    assert MatrixSampler(rows, (), sp).generic()[0] is not stack

@@ -225,6 +225,20 @@ def test_rank_at_raises_when_no_point_evaluates():
         _rank_at(bad, points, SP.tol)
 
 
+def test_rank_at_needs_admissible_values_at_half_the_image_points():
+    rows = [[parse_expr("x"), ONE], [ZERO, ONE]]
+    assert _rank_at(rows, [{"x": x} for x in (2.0, 3.0, float("inf"), 1.0)], SP.tol) == 2
+    # an infinite or NaN entry measures no rank: not 0, and not numpy's LinAlgError
+    for bad in (float("inf"), float("nan"), 1e13):
+        with pytest.raises(PipelineError, match="cannot be evaluated"):
+            _rank_at(rows, [{"x": bad}] * 4, SP.tol)
+    # one admissible point, or fewer than half of them, gives no verdict
+    for good in ([2.0], [2.0, 3.0]):
+        points = [{"x": x} for x in good + [float("inf")] * 3]
+        with pytest.raises(PipelineError, match="cannot be evaluated"):
+            _rank_at(rows, points, SP.tol)
+
+
 def test_zero_at_needs_half_the_image_points():
     # log(x) - log(x) is zero wherever it evaluates, which is only at x > 0
     e = parse_expr("log(x) - log(x)")
