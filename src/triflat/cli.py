@@ -343,7 +343,6 @@ def cmd_verify(args):
             change = CoordinateChange(
                 state_map={k: parse_expr(v) for k, v in payload["state_map"].items()},
                 input_map={k: parse_expr(v) for k, v in payload["input_map"].items()},
-                inverse_state_map=None,
             )
         except (ValueError, KeyError, TypeError, AttributeError, TriflatError) as e:
             raise SysFileError(

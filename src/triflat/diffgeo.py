@@ -174,7 +174,10 @@ def extend(D: Distribution, fields) -> Distribution:
 
 
 def pruned(D: Distribution, sp: Sampler) -> Distribution:
-    return Distribution(D.frame, basis(D, sp))
+    """D spanned by its generic basis, which is the copy's own basis too."""
+    out = Distribution(D.frame, basis(D, sp))
+    out._basis = {_sampler_key(sp): list(out.fields)}
+    return out
 
 
 # --- derived flag and involutivity --------------------------------------------

@@ -1,8 +1,9 @@
 """Reference builders and span helpers that only the tests use.
 
 The parametric systems (chained forms at any size, the double integrator
-pair, the equal-chain template) and the feedback and span helpers serve as
-known inputs and oracles; the bundled systems themselves are loaded from
+pair, the equal-chain template, disguised generated instances) and the
+feedback and span helpers serve as known inputs and oracles; the bundled
+systems themselves are loaded from
 ``src/triflat/corpus/*.sys`` (see ``conftest.py``).
 """
 
@@ -20,12 +21,12 @@ from triflat.diffgeo import (
     pruned,
 )
 from triflat.errors import TriflatError
-from triflat.expr import ZERO, Sym, add, mul, sub
+from triflat.expr import ZERO, Rat, Sym, add, mul, sub, substitute
 from triflat.fields import Distribution, OneForm, VectorField
 from triflat.generator import TemplateInstance, _random_poly
 from triflat.parser import parse_expr as pe
 from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, ranks
-from triflat.simplify import simplify
+from triflat.simplify import differentiate, simplify
 from triflat.systems import AffineSystem, vector_field
 
 
@@ -147,6 +148,51 @@ def feedback_transform(sys: AffineSystem, beta, gamma, sp: Sampler = None) -> Af
         b2=combo(beta[1][0], beta[1][1]),
         name=f"{sys.name}+feedback",
     )
+
+
+# constant unimodular feedback matrices the disguise draws from
+UNIMODULAR = (((1, 1), (0, 1)), ((1, 0), (-1, 1)), ((2, 1), (1, 1)), ((0, 1), (1, 0)))
+
+
+def disguise(sys: AffineSystem, k: int, seed: int = 0):
+    """sys in other coordinates and under another static feedback.
+
+    k rows x_i, chosen at random, move by x_i -> x_i + p_i(x_{>i}) with a
+    random nonzero polynomial p_i of the later coordinates; the new
+    coordinates keep the old names.  The fields are pushed through this
+    triangular automorphism, whose inverse is exact by back substitution,
+    and then recombined by a constant unimodular beta and a polynomial
+    gamma (:func:`feedback_transform`).  Returns the disguised system and
+    the inverse map, old name -> expression in the new coordinates, which
+    pulls functions of the old coordinates back (a known phi1, say).
+    """
+    rng = random.Random(seed)
+    frame = sys.frame
+    n = len(frame)
+    moved = {}
+    for i in sorted(rng.sample(range(n - 1), k)):
+        p = ZERO
+        while p == ZERO:
+            p = simplify(_random_poly(rng, list(frame[i + 1:])))
+        moved[frame[i]] = p
+    forward = {x: add(Sym(x), moved[x]) if x in moved else Sym(x) for x in frame}
+    inverse = {}
+    for x in reversed(frame):
+        inverse[x] = simplify(sub(Sym(x), substitute(moved[x], inverse))) if x in moved else Sym(x)
+
+    def push(field: VectorField) -> VectorField:
+        return VectorField(frame, tuple(
+            simplify(substitute(simplify(add(*(
+                mul(differentiate(forward[y], x), c) for x, c in zip(frame, field.components)
+            ))), inverse))
+            for y in frame
+        ))
+
+    moved_sys = replace(sys, drift=push(sys.drift), b1=push(sys.b1), b2=push(sys.b2))
+    beta = [[Rat(c) for c in row] for row in rng.choice(UNIMODULAR)]
+    gamma = [simplify(_random_poly(rng, list(frame))) for _ in range(2)]
+    out = feedback_transform(moved_sys, beta, gamma)
+    return replace(out, name=f"{sys.name}+disguise(k={k},seed={seed})"), inverse
 
 
 def involutive_closure(D: Distribution, sp: Sampler) -> Distribution:

@@ -379,7 +379,7 @@ def test_criterion_7_negative_controls(vtol_analysis):
     bad_map = dict(res.change.state_map)
     key = sorted(bad_map)[0]
     bad_map[key] = neg(bad_map[key])
-    corrupted = CoordinateChange(bad_map, dict(res.change.input_map), None)
+    corrupted = CoordinateChange(bad_map, dict(res.change.input_map))
     ok = ok and not verify_transformation(
         a.system, corrupted, res.final.system, a.sp, tol=VERIFY_TOL
     )

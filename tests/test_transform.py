@@ -1,6 +1,10 @@
 """Constructive pipeline: staged transformations and numeric verification."""
 
+from fractions import Fraction
+
 import pytest
+
+from triflat import transform
 
 from triflat.direction_search import (
     _normalized_candidate,
@@ -8,18 +12,21 @@ from triflat.direction_search import (
     compute_bracket_chain,
 )
 from triflat.errors import PipelineError
-from triflat.expr import ONE, Rat, Sym, ZERO, neg
+from triflat.expr import ONE, Rat, Sym, ZERO, add, mul, neg
 from triflat.flatout import flat_output_for_report
 from triflat.generator import triangular_template
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
 from triflat.simplify import simplify
-from triflat.systems import make_affine, prolong
+from triflat.systems import AffineSystem, make_affine, prolong, vector_field
 from triflat.transform import (
     CoordinateChange,
     _isolate,
     _rank_at,
+    _stage_verified,
     _zero_at,
+    apply_state_change,
+    initial_stage,
     solve_map,
     transform_to_triangular,
     verify_transformation,
@@ -62,7 +69,7 @@ def test_solve_map_cascaded():
         ("b", parse_expr("y")),
         ("c", parse_expr("tan(z)")),
     ]
-    sol = solve_map(("x", "y", "z"), defs, SP)
+    sol = solve_map(("x", "y", "z"), defs)
     assert sol is not None
     assert is_zero_generic(simplify(sol["y"] - Sym("b")), SP)
     assert is_zero_generic(simplify(sol["x"] - parse_expr("a - b")), SP)
@@ -71,7 +78,7 @@ def test_solve_map_cascaded():
 
 def test_solve_map_reports_implicit():
     defs = [("a", parse_expr("x + cos(x)"))]
-    assert solve_map(("x",), defs, SP) is None
+    assert solve_map(("x",), defs) is None
 
 
 # --- verification ------------------------------------------------------------
@@ -81,7 +88,6 @@ def test_verify_identity_change(sin_analysis):
     change = CoordinateChange(
         state_map={x: Sym(x) for x in s.frame},
         input_map={u: Sym(u) for u in s.input_syms},
-        inverse_state_map=None,
     )
     assert verify_transformation(s, change, s, sin_analysis.sp)
 
@@ -93,7 +99,6 @@ def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(sin_analysis
     change = CoordinateChange(
         state_map={x: neg(Sym(x)) for x in s.frame},
         input_map={u: Sym(u) for u in s.input_syms},
-        inverse_state_map=None,
     )
     with pytest.raises(ValueError, match="finite and positive"):
         verify_transformation(s, change, s, sin_analysis.sp, tol=tol)
@@ -105,7 +110,7 @@ def test_verify_rejects_corrupted_map(vtol_analysis):
     bad_state = dict(change.state_map)
     key = sorted(bad_state)[0]
     bad_state[key] = neg(bad_state[key])
-    corrupted = CoordinateChange(bad_state, dict(change.input_map), None)
+    corrupted = CoordinateChange(bad_state, dict(change.input_map))
     assert not verify_transformation(
         vtol_analysis.system, corrupted, res.final.system, vtol_analysis.sp
     )
@@ -253,3 +258,75 @@ def test_zero_at_needs_half_the_image_points():
 
 def test_zero_at_counts_nan_as_nonzero():
     assert not _zero_at(Sym("x"), [{"x": 0.0}, {"x": float("nan")}], SP.tol)
+
+
+# --- step inverse check ------------------------------------------------------
+
+def _plane():
+    """A two-state system on which coordinate changes are applied directly."""
+    frame = ("x1", "x2")
+    s = AffineSystem(
+        frame,
+        vector_field(frame, {"x1": parse_expr("x2")}),
+        vector_field(frame, {"x2": ONE}),
+        vector_field(frame, {"x1": ONE}),
+        ("u1", "u2"),
+    )
+    return initial_stage(s, blocks={"original": s})
+
+
+def _shear(stage, new, expr):
+    """Replace the state that `new` pairs with by `expr`, keeping the other."""
+    old = {"s0": "x1", "s1": "x2", "s2": "s0"}[new]
+    defs = [(new if x == old else x, parse_expr(expr) if x == old else Sym(x))
+            for x in stage.sys.frame]
+    return apply_state_change(stage, defs, SP, note=f"shear {new}")
+
+
+def test_alternating_shears_pass_their_step_inverses():
+    # the inverse composed back to x1, x2 has degree 8; its float round trip
+    # missed the 1e-8 bound at the third step, though every step is exact
+    stage = _plane()
+    stage = _shear(stage, "s0", "x1 + x2^2")
+    stage = _shear(stage, "s1", "x2 + s0^2")
+    stage = _shear(stage, "s2", "s0 + s1^2")
+    assert stage.sys.frame == ("s2", "s1")
+    assert _stage_verified(stage, SP)
+
+
+def test_perturbed_step_inverse_is_rejected(vtol_analysis, monkeypatch):
+    def perturbed(old_syms, defs):
+        sol = solve_map(old_syms, defs)
+        x = sorted(sol)[0]
+        sol[x] = add(sol[x], Rat(Fraction(1, 10**6)))
+        return sol
+
+    monkeypatch.setattr(transform, "solve_map", perturbed)
+    a = vtol_analysis
+    with pytest.raises(PipelineError, match=r"fails to reproduce .*\(straighten ladder\)"):
+        transform_to_triangular(a.system, a.report, a.flat, a.sp)
+
+
+def test_functionally_dependent_step_is_rejected(monkeypatch):
+    # b = 2a: no inverse exists, and the pattern solver finds none
+    dependent = [("a", parse_expr("x1 + x2")), ("b", parse_expr("2*x1 + 2*x2"))]
+    with pytest.raises(PipelineError, match="not invertible over the pattern set"):
+        apply_state_change(_plane(), dependent, SP, note="dependent")
+    # nor does the inverse of the map it was mutated from pass at the points
+    valid = [("a", parse_expr("x1 + x2")), ("b", parse_expr("x2"))]
+    monkeypatch.setattr(transform, "solve_map", lambda old, _defs: solve_map(old, valid))
+    with pytest.raises(PipelineError, match=r"fails to reproduce x1 .*\(dependent\)"):
+        apply_state_change(_plane(), dependent, SP, note="dependent")
+
+
+def test_wrong_forward_map_fails_the_stage_check(vtol_analysis, monkeypatch):
+    def wrong_forward(*args, **kwargs):
+        out = apply_state_change(*args, **kwargs)
+        x = sorted(out.forward)[0]
+        out.forward[x] = mul(Rat(Fraction(1001, 1000)), out.forward[x])
+        return out
+
+    monkeypatch.setattr(transform, "apply_state_change", wrong_forward)
+    a = vtol_analysis
+    with pytest.raises(PipelineError, match="straightening stage fails numeric verification"):
+        transform_to_triangular(a.system, a.report, a.flat, a.sp)
