@@ -1,22 +1,15 @@
 """Static feedback linearizability, and the outcome record checks return.
 
-A check returns a verdict plus a witness record (ranks, the first failing
-condition) rather than raising, so callers can report diagnostics.
+A check returns a verdict plus the first failing condition rather than
+raising, so callers can report diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .diffgeo import (
-    basis,
-    extend,
-    generic_rank,
-    is_involutive,
-    lie_bracket,
-    pruned,
-)
+from .diffgeo import drift_step, flag, is_involutive, pruned
 from .sampling import Sampler
 from .systems import AffineSystem
 
@@ -25,40 +18,23 @@ from .systems import AffineSystem
 class CheckOutcome:
     verdict: bool
     failing: Optional[str] = None
-    witness: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.verdict
 
 
-def _drift_chain(sys: AffineSystem, sp: Sampler, cap=None):
-    """D_1 = span{b1, b2}, D_{i+1} = D_i + [a, D_i], pruned at each step."""
-    chain = [pruned(sys.input_distribution(), sp)]
-    cap = cap if cap is not None else sys.n
-    for _ in range(cap):
-        cur = chain[-1]
-        if generic_rank(cur, sp) == sys.n:
-            break
-        nxt = pruned(
-            extend(cur, [lie_bracket(sys.drift, f) for f in basis(cur, sp)]), sp
-        )
-        if generic_rank(nxt, sp) == generic_rank(cur, sp):
-            chain.append(nxt)
-            break
-        chain.append(nxt)
-    return chain
+def drift_flag(sys: AffineSystem, sp: Sampler):
+    """D_1 = span{b1, b2}, D_{i+1} = D_i + [a, D_i], as a lazy :func:`flag`."""
+    return flag(pruned(sys.input_distribution(), sp), lambda D: drift_step(D, sys.drift, sp), sp)
 
 
 def check_static_feedback_linearizable(sys: AffineSystem, sp: Sampler) -> CheckOutcome:
     """All D_i involutive and D_{n-1} the full tangent space."""
-    chain = _drift_chain(sys, sp)
-    ranks = [generic_rank(D, sp) for D in chain]
-    witness = {"ranks": ranks}
-    for i, D in enumerate(chain, start=1):
+    for i, (D, rank) in enumerate(drift_flag(sys, sp), start=1):
         if not is_involutive(D, sp):
-            return CheckOutcome(False, f"D{i} is not involutive", witness)
-    if ranks[-1] != sys.n:
-        return CheckOutcome(False, "chain stalls below the full tangent space", witness)
-    if len(ranks) > max(1, sys.n - 1):
-        return CheckOutcome(False, "chain reaches full rank too late", witness)
-    return CheckOutcome(True, None, witness)
+            return CheckOutcome(False, f"D{i} is not involutive")
+    if rank != sys.n:
+        return CheckOutcome(False, "chain stalls below the full tangent space")
+    if i > max(1, sys.n - 1):
+        return CheckOutcome(False, "chain reaches full rank too late")
+    return CheckOutcome(True)

@@ -141,7 +141,7 @@ def _load(args):
     return definition, sysm, sp, prolongations
 
 
-def _analyze(sysm, sp, phi1=None, hints=()):
+def _analyze(sysm, sp):
     """Chain, candidates, and one report per candidate; best report first."""
     chain = compute_bracket_chain(sysm, sp)
     if chain.depth < 1:
@@ -165,7 +165,7 @@ def _analyze(sysm, sp, phi1=None, hints=()):
 
 
 def cmd_check(args):
-    definition, sysm, sp, prolonged = _load(args)
+    _definition, sysm, sp, prolonged = _load(args)
     out = {
         "command": "check",
         "file": args.file,
@@ -210,7 +210,14 @@ def cmd_check(args):
     return EXIT_TRUE if out["verdict"] else EXIT_FALSE
 
 
-def _passing_report(args, sysm, sp):
+def _flat_options(args, definition):
+    """phi1 from --phi1, else the file's; the --hint integrals, then the file's."""
+    phi1 = parse_expr(args.phi1) if args.phi1 else definition.phi1
+    hints = [parse_expr(h) for h in (args.hint or ())] + list(definition.hints)
+    return phi1, hints
+
+
+def _passing_report(sysm, sp):
     _chain, _h, _cands, reports = _analyze(sysm, sp)
     passing = [r for r in reports if r.verdict]
     if not passing:
@@ -227,9 +234,8 @@ def cmd_flat_output(args):
         "sampler": _sampler_dict(sp),
         "prolonged": prolonged,
     }
-    phi1 = parse_expr(args.phi1) if args.phi1 else definition.phi1
-    hints = [parse_expr(h) for h in (args.hint or ())] + list(definition.hints)
-    rep = _passing_report(args, sysm, sp)
+    phi1, hints = _flat_options(args, definition)
+    rep = _passing_report(sysm, sp)
     out["case"] = rep.case
     out["dims"] = rep.dims
     try:
@@ -264,9 +270,8 @@ def cmd_transform(args):
         "sampler": _sampler_dict(sp),
         "prolonged": prolonged,
     }
-    phi1 = parse_expr(args.phi1) if args.phi1 else definition.phi1
-    hints = [parse_expr(h) for h in (args.hint or ())] + list(definition.hints)
-    rep = _passing_report(args, sysm, sp)
+    phi1, hints = _flat_options(args, definition)
+    rep = _passing_report(sysm, sp)
     flat = flat_output_for_report(rep, sp, phi1=phi1, hints=hints)
     result = transform_to_triangular(sysm, rep, flat, sp, hints=hints)
     out["flat_output"] = {"phi1": to_str(flat.phi1), "phi2": to_str(flat.phi2)}
@@ -355,9 +360,8 @@ def cmd_verify(args):
         print(json.dumps(out, indent=2))
         return EXIT_TRUE if ok else EXIT_FALSE
     if args.evidence:
-        phi1 = parse_expr(args.phi1) if args.phi1 else definition.phi1
-        hints = [parse_expr(h) for h in (args.hint or ())] + list(definition.hints)
-        rep = _passing_report(args, sysm, sp)
+        phi1, hints = _flat_options(args, definition)
+        rep = _passing_report(sysm, sp)
         flat = flat_output_for_report(rep, sp, phi1=phi1, hints=hints)
         result = transform_to_triangular(sysm, rep, flat, sp, hints=hints)
         lin = prolonged_linearizability(result, sp)

@@ -180,7 +180,7 @@ def pruned(D: Distribution, sp: Sampler) -> Distribution:
     return out
 
 
-# --- derived flag and involutivity --------------------------------------------
+# --- flags and involutivity ----------------------------------------------------
 
 
 def derived_step(D: Distribution, sp: Sampler) -> Distribution:
@@ -190,6 +190,30 @@ def derived_step(D: Distribution, sp: Sampler) -> Distribution:
         for j in range(i + 1, len(b)):
             new.append(lie_bracket(b[i], b[j]))
     return pruned(Distribution(D.frame, new), sp)
+
+
+def drift_step(D: Distribution, a: VectorField, sp: Sampler) -> Distribution:
+    """D + [a, D], pruned to a generic basis."""
+    return pruned(extend(D, [lie_bracket(a, f) for f in basis(D, sp)]), sp)
+
+
+def flag(D: Distribution, step, sp: Sampler):
+    """Yield (member, generic rank) of D, step(D), step(step(D)), ...
+
+    Stops once a step leaves the rank unchanged (that member is not
+    yielded) or a member spans the full space.  Lazy: no step is taken
+    until the consumer asks for the next member.
+    """
+    rank = generic_rank(D, sp)
+    while True:
+        yield D, rank
+        if rank == len(D.frame):
+            return
+        nxt = step(D)
+        nxt_rank = generic_rank(nxt, sp)
+        if nxt_rank == rank:
+            return
+        D, rank = nxt, nxt_rank
 
 
 def is_involutive(D: Distribution, sp: Sampler) -> bool:

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
+from .checks import drift_flag
 from .diffgeo import (
     ad_iter,
     annihilator,
     basis,
     characteristics_span,
     contains_generic,
-    extend,
-    generic_rank,
     is_involutive,
     lie_bracket,
     pruned,
@@ -62,26 +61,20 @@ class BracketChain:
 
 def compute_bracket_chain(sys: AffineSystem, sp: Sampler) -> BracketChain:
     """Build the chain; errors out if it fills the state space while involutive."""
-    steps = [pruned(sys.input_distribution(), sp)]
-    while True:
-        cur = steps[-1]
-        if not is_involutive(cur, sp):
+    steps, ranks = [], []
+    for D, r in drift_flag(sys, sp):
+        steps.append(D)
+        ranks.append(r)
+        if not is_involutive(D, sp):
             break
-        if generic_rank(cur, sp) == sys.n:
+    else:
+        if ranks[-1] == sys.n:
             raise NotApplicable(
                 "chain of involutive distributions reaches the full tangent space; "
                 "the system is static feedback linearizable"
             )
-        nxt = pruned(
-            extend(cur, [lie_bracket(sys.drift, f) for f in basis(cur, sp)]), sp
-        )
-        if generic_rank(nxt, sp) == generic_rank(cur, sp):
-            raise NotApplicable(
-                "chain of involutive distributions stalls below the full space"
-            )
-        steps.append(nxt)
+        raise NotApplicable("chain of involutive distributions stalls below the full space")
     depth = len(steps) - 1
-    ranks = [generic_rank(D, sp) for D in steps]
     rank_ok = ranks == [2 * (i + 1) for i in range(len(steps))] and depth >= 1
     cauchy_ok = depth >= 1 and not characteristics_span(steps[depth], steps[depth - 1], sp)
     return BracketChain(steps, depth, ranks, rank_ok, cauchy_ok)

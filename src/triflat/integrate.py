@@ -185,7 +185,6 @@ def integrate_codistribution(
     found: List[FirstIntegral] = []
     diffs: List[OneForm] = []
     pool: List[Expr] = []
-    ms_state = {"samples": None}
 
     def spans(candidate_form):
         return form_in_span(candidate_form, W, sp)

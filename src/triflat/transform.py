@@ -530,7 +530,7 @@ def _zero_at(e: Expr, points, tol) -> bool:
             scale = 1.0 + magnitude(e, pt)
         except EvalError:
             continue
-        if not abs(v) <= tol * scale:
+        if not (math.isfinite(v) and abs(v) <= tol * scale):
             return False
         seen += 1
     if seen < 2 or 2 * seen < len(points):
@@ -707,7 +707,6 @@ def decompose(sys_original: AffineSystem, report: TriangularReport,
               flat: FlatOutput, sp: Sampler, hints=()) -> Stage:
     """Steps 1-3: straighten the ladder and verify the block structure."""
     defs = build_ladder_change(report, flat, sp, hints)
-    n3 = report.chain.depth
     blocks = {
         "original": sys_original,
         "p1": [n for n, _ in defs if n.startswith("p1_")],
@@ -723,6 +722,23 @@ def decompose(sys_original: AffineSystem, report: TriangularReport,
     return stage
 
 
+def _rhs_of(stage: Stage, sym: str):
+    sysm = stage.sys
+    i = sysm.frame.index(sym)
+    return (
+        sysm.drift.components[i],
+        sysm.b1.components[i],
+        sysm.b2.components[i],
+    )
+
+
+def _full_rhs(stage: Stage, sym: str) -> Expr:
+    """The whole right-hand side drift + b1*u1 + b2*u2 of sym's equation."""
+    dr, b1c, b2c = _rhs_of(stage, sym)
+    u1, u2 = stage.sys.input_syms
+    return add(dr, mul(b1c, Sym(u1)), mul(b2c, Sym(u2)))
+
+
 def _verify_block_structure(stage: Stage, report, sp: Sampler):
     """Prop-style block checks: dependencies and input-block ranks.
 
@@ -733,20 +749,11 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
     p_syms = blocks["p1"] + blocks["p2"]
     q_syms = blocks["q"]
     r_syms = blocks["rear"]
-    frame = sysm.frame
     points = _image_points(stage, sp)
-
-    def row(sym):
-        i = frame.index(sym)
-        return (
-            sysm.drift.components[i],
-            sysm.b1.components[i],
-            sysm.b2.components[i],
-        )
 
     failures = []
     for s in p_syms:
-        dr, b1c, b2c = row(s)
+        dr, b1c, b2c = _rhs_of(stage, s)
         if not (_zero_at(b1c, points, sp.tol) and _zero_at(b2c, points, sp.tol)):
             failures.append(f"terminal row {s} touches the inputs")
         for x in q_syms[3:] + r_syms:
@@ -754,7 +761,7 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
                 failures.append(f"terminal row {s} depends on {x}")
     deep = r_syms[3:] if n3 >= 2 else []
     for s in q_syms:
-        dr, b1c, b2c = row(s)
+        dr, b1c, b2c = _rhs_of(stage, s)
         if n3 >= 2 and not (
             _zero_at(b1c, points, sp.tol) and _zero_at(b2c, points, sp.tol)
         ):
@@ -765,16 +772,12 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
     if failures:
         raise PipelineError("block structure violated: " + "; ".join(failures))
 
-    p_rhs = [row(s)[0] for s in p_syms]
+    p_rhs = [_rhs_of(stage, s)[0] for s in p_syms]
     if p_syms:
         rows = [[differentiate(e, x) for x in q_syms[:3]] for e in p_rhs]
         if _rank_at(rows, points, sp.tol) > 2:
             raise PipelineError("terminal block has more than two effective inputs")
-    q_rhs_full = [
-        add(row(s)[0], mul(row(s)[1], Sym(sysm.input_syms[0])),
-            mul(row(s)[2], Sym(sysm.input_syms[1])))
-        for s in q_syms
-    ]
+    q_rhs_full = [_full_rhs(stage, s) for s in q_syms]
     if n3 >= 2:
         wrt_all = r_syms[:3]
         wrt_pair = r_syms[1:3]
@@ -792,19 +795,8 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
 # --- steps 4-6 -------------------------------------------------------------------
 
 
-def _rhs_of(stage: Stage, sym: str):
-    sysm = stage.sys
-    i = sysm.frame.index(sym)
-    return (
-        sysm.drift.components[i],
-        sysm.b1.components[i],
-        sysm.b2.components[i],
-    )
-
-
 def normalize_first_core_equation(stage: Stage, report, sp: Sampler) -> Stage:
     """Step 4: make the first core equation read q1' = w."""
-    sysm = stage.sys
     blocks = stage.blocks
     n3 = report.chain.depth
     q1 = blocks["q"][0]
@@ -830,7 +822,6 @@ def normalize_first_core_equation(stage: Stage, report, sp: Sampler) -> Stage:
         )
         return stage
     # n3 == 1: input transformation instead of a state change
-    u1, u2 = sysm.input_syms
     c1 = b1c
     c2 = b2c
     if not _zero_at(c2, points, sp.tol):
@@ -995,10 +986,9 @@ def rear_chains_to_integrators(stage: Stage, report, sp: Sampler) -> Stage:
         M = [[b11, b12], [b21, b22]]
         names = ("v1f", "v2f")
     else:
-        u1, u2 = sysm.input_syms
         g = (dr1, ZERO)
         M = [[b11, b12], [ZERO, ONE]]
-        names = ("v1f", u2 + "f")
+        names = ("v1f", sysm.input_syms[1] + "f")
     was_input_w = stage.blocks.get("w") == sysm.input_syms[1]
     stage = apply_input_change(stage, g, M, names, sp, note="closing feedback")
     if was_input_w:
@@ -1046,18 +1036,16 @@ def transform_to_triangular(
     stages.append(("core-couplings", stage))
     stage = rear_chains_to_integrators(stage, report, sp)
     stages.append(("rear-chains", stage))
-    verified = True
-    for name, st in stages:
+    for name, st in stages[1:]:  # decompose has verified the straightening stage
         if not _stage_verified(st, sp):
             raise PipelineError(f"stage {name} fails numeric verification")
     final = _assemble_decomposition(stage, report, sp)
-    return TransformResult(stages, final, stage.change(), verified)
+    return TransformResult(stages, final, stage.change(), verified=True)
 
 
 def _assemble_decomposition(stage: Stage, report, sp: Sampler) -> TriangularDecomposition:
     sysm = stage.sys
     blocks = stage.blocks
-    n3 = report.chain.depth
     w = blocks.get("w", sysm.input_syms[1])
     q_syms = blocks["q"]
     failures = []
@@ -1077,13 +1065,10 @@ def _assemble_decomposition(stage: Stage, report, sp: Sampler) -> TriangularDeco
             expect_zero(sub(dr, Sym(nxt)), f"terminal chain row {s}")
             expect_zero(b1c, f"terminal chain row {s} input 1")
             expect_zero(b2c, f"terminal chain row {s} input 2")
-    dr, b1c, b2c = _rhs_of(stage, q_syms[0])
-    rhs_full = add(dr, mul(b1c, Sym(sysm.input_syms[0])), mul(b2c, Sym(sysm.input_syms[1])))
-    expect_zero(sub(rhs_full, w_expr), "first core equation")
+    expect_zero(sub(_full_rhs(stage, q_syms[0]), w_expr), "first core equation")
     for i in range(2, report.n2):
         qi = q_syms[i - 1]
-        dr, b1c, b2c = _rhs_of(stage, qi)
-        rhs_full = add(dr, mul(b1c, Sym(sysm.input_syms[0])), mul(b2c, Sym(sysm.input_syms[1])))
+        rhs_full = _full_rhs(stage, qi)
         a_i = simplify(substitute(rhs_full, {w: ZERO}))
         expect_zero(
             sub(rhs_full, add(mul(Sym(q_syms[i]), w_expr), a_i)),
@@ -1094,9 +1079,7 @@ def _assemble_decomposition(stage: Stage, report, sp: Sampler) -> TriangularDeco
             expect_zero(differentiate(a_i, deep), f"drift coupling {qi} vs {deep}")
         for z in blocks.get("z1", []) + blocks.get("z2", []):
             expect_zero(differentiate(a_i, z), f"drift coupling {qi} vs rear {z}")
-    qn = q_syms[-1]
-    dr, b1c, b2c = _rhs_of(stage, qn)
-    rhs_full = add(dr, mul(b1c, Sym(sysm.input_syms[0])), mul(b2c, Sym(sysm.input_syms[1])))
+    rhs_full = _full_rhs(stage, q_syms[-1])
     z1_top = blocks["z1"][0]
     g_expr = simplify(
         substitute(sub(rhs_full, Sym(z1_top)), {w: ONE})
@@ -1107,13 +1090,10 @@ def _assemble_decomposition(stage: Stage, report, sp: Sampler) -> TriangularDeco
         sub(rhs_full, add(Sym(z1_top), mul(g_expr, w_expr))),
         "last core equation shape",
     )
-    for chain_key, bottom_feeds in (("z1", sysm.input_syms[0]), ("z2", None)):
+    for chain_key in ("z1", "z2"):
         chain = blocks.get(chain_key, [])
         for idx, s in enumerate(chain):
-            dr, b1c, b2c = _rhs_of(stage, s)
-            rhs_full = add(
-                dr, mul(b1c, Sym(sysm.input_syms[0])), mul(b2c, Sym(sysm.input_syms[1]))
-            )
+            rhs_full = _full_rhs(stage, s)
             if idx + 1 < len(chain):
                 expect_zero(sub(rhs_full, Sym(chain[idx + 1])), f"rear chain row {s}")
             else:

@@ -19,7 +19,9 @@ from .diffgeo import (
     characteristics_span,
     derived_step,
     drift_compatible,
+    drift_step,
     extend,
+    flag,
     generic_rank,
     is_involutive,
     lie_bracket,
@@ -127,17 +129,7 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
         _fail(report, "(a) characteristic distribution differs from the lower rung")
 
     # (b) derived flag grows by one per step up to the involutive closure
-    flags = [delta1]
-    ranks = [generic_rank(delta1, sp)]
-    while True:
-        nxt = derived_step(flags[-1], sp)
-        r = generic_rank(nxt, sp)
-        if r == ranks[-1]:
-            break
-        flags.append(nxt)
-        ranks.append(r)
-        if r == n:
-            break
+    flags, ranks = map(list, zip(*flag(delta1, lambda D: derived_step(D, sp), sp)))
     report.delta1_flags = flags
     report.closure = flags[-1]
     increments_ok = all(b - a == 1 for a, b in zip(ranks, ranks[1:]))
@@ -157,8 +149,7 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
             compat = False
             _fail(report, f"(c) drift incompatible at flag level {i}")
             break
-    closure_full = generic_rank(report.closure, sp) == n
-    if closure_full:
+    if ranks[-1] == n:
         report.items["c"] = compat
         report.items["d"] = None
         report.items["e"] = None
@@ -170,43 +161,30 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
         coupling_src = flags[n2 - 3] if n2 >= 3 else delta1
         extension = [lie_bracket(a, f) for f in basis(coupling_src, sp)]
         grown = pruned(extend(report.closure, extension), sp)
-        coupling = generic_rank(grown, sp) == generic_rank(report.closure, sp) + 1
+        coupling = generic_rank(grown, sp) == ranks[-1] + 1
         if not coupling:
             _fail(report, "(c) coupling rank condition fails")
         report.items["c"] = compat and coupling
 
         # (d), (e): prolong the closure by the drift until the full space
-        g_chain = [report.closure]
+        g_chain, g_ranks = [], []
         involutive_ok = True
-        while True:
-            cur = g_chain[-1]
-            if generic_rank(cur, sp) == n:
-                break
-            nxt = pruned(
-                extend(cur, [lie_bracket(a, f) for f in basis(cur, sp)]), sp
-            )
-            if generic_rank(nxt, sp) == generic_rank(cur, sp):
-                break
-            if not is_involutive(nxt, sp):
+        for k, (D, r) in enumerate(flag(report.closure, lambda D: drift_step(D, a, sp), sp)):
+            g_chain.append(D)
+            g_ranks.append(r)
+            if k and not is_involutive(D, sp):
                 involutive_ok = False
-                _fail(report, f"(d) extension step {len(g_chain)} is not involutive")
-                g_chain.append(nxt)
-                break
-            g_chain.append(nxt)
-            if len(g_chain) > n:
+                _fail(report, f"(d) extension step {k} is not involutive")
                 break
         report.g_chain = g_chain
         report.items["d"] = involutive_ok
-        reached = generic_rank(g_chain[-1], sp) == n
+        reached = g_ranks[-1] == n
         report.items["e"] = reached
         if not reached:
             _fail(report, "(e) drift extensions of the closure stall below the full space")
         report.s = len(g_chain) - 1
         if reached and involutive_ok:
-            increments = [
-                generic_rank(b, sp) - generic_rank(a_, sp)
-                for a_, b in zip(g_chain, g_chain[1:])
-            ]
+            increments = [b - a_ for a_, b in zip(g_ranks, g_ranks[1:])]
             if all(i in (1, 2) for i in increments):
                 long_len = report.s
                 short_len = sum(1 for i in increments if i == 2)
@@ -219,7 +197,7 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
 
     ok = all(v for v in report.items.values() if v is not None)
     if ok and report.chain_lengths is not None:
-        expected_n = generic_rank(report.closure, sp) + sum(report.chain_lengths)
+        expected_n = ranks[-1] + sum(report.chain_lengths)
         report.dims_consistent = expected_n == n
         if not report.dims_consistent:
             _fail(report, "block dimensions do not add up to the state count")
@@ -236,17 +214,11 @@ def equal_length_variant_check(sys: AffineSystem, sp: Sampler) -> CheckOutcome:
     try:
         chain = compute_bracket_chain(sys, sp)
     except NotApplicable as e:
-        return CheckOutcome(False, str(e), {})
+        return CheckOutcome(False, str(e))
     report = TriangularReport(sys, chain, None, sampler=sp)
     if not chain.rank_ok:
-        return CheckOutcome(False, "chain ranks differ from 2, 4, ...", {})
+        return CheckOutcome(False, "chain ranks differ from 2, 4, ...")
     n3 = chain.depth
     report = _run_items(report, chain.d(n3), chain.top, sp)
-    witness = {
-        "items": dict(report.items),
-        "failures": list(report.failures),
-        "n2": report.n2,
-        "depth": report.depth,
-    }
     failing = report.failures[0] if report.failures else None
-    return CheckOutcome(report.verdict, failing, witness)
+    return CheckOutcome(report.verdict, failing)

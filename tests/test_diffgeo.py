@@ -3,12 +3,15 @@
 import random
 
 import numpy as np
+import pytest
 from triflat.diffgeo import (
     ad_iter,
     annihilator,
     cauchy_characteristics,
     contains_generic,
     derived_step,
+    drift_step,
+    flag,
     form_in_span,
     generic_rank,
     is_involutive,
@@ -24,6 +27,8 @@ from triflat.simplify import simplify
 
 from reference import (
     chained_form,
+    double_integrator_pair,
+    extended_chained,
     feedback_transform,
     field_sum,
     involutive_closure,
@@ -360,6 +365,59 @@ def test_derived_flag_monotone_stabilizes_at_closure(sin_analysis):
             break
         prev, cur = r, nxt
     assert span_equal(cur, closure, sp)
+
+
+# --- flag -----------------------------------------------------------------------
+
+FLAGS = [  # system, step, expected ranks: full rank reached or a stall after the last
+    (chained_form(5), "derived", [2, 3, 4, 5]),
+    (chained_form(5), "drift", [2]),
+    (extended_chained(5), "derived", [2, 3, 4, 5]),
+    (extended_chained(5), "drift", [2, 4, 5]),
+    (double_integrator_pair(), "derived", [2]),
+    (double_integrator_pair(), "drift", [2, 4]),
+]
+
+
+def _counted_step(sysm, kind, made):
+    def step(D):
+        out = derived_step(D, SP) if kind == "derived" else drift_step(D, sysm.drift, SP)
+        made.append(out)
+        return out
+
+    return step
+
+
+@pytest.mark.parametrize("sysm, kind, expected", FLAGS,
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_flag_grows_until_full_rank_or_a_stall(sysm, kind, expected):
+    start = pruned(sysm.input_distribution(), SP)
+    made = []
+    members = list(flag(start, _counted_step(sysm, kind, made), SP))
+    ranks = [r for _, r in members]
+    assert ranks == expected
+    assert all(a < b for a, b in zip(ranks, ranks[1:]))
+    assert all(r == generic_rank(D, SP) for D, r in members)
+    assert members[0][0] is start
+    assert all(D is nxt for (D, _), nxt in zip(members[1:], made))
+    if ranks[-1] == sysm.n:
+        assert len(made) == len(members) - 1  # no step past the full space
+    else:
+        assert len(made) == len(members)
+        stalled = made[-1]
+        assert generic_rank(stalled, SP) == ranks[-1]
+        assert all(D is not stalled for D, _ in members)
+
+
+@pytest.mark.parametrize("stop", [0, 1, 2])
+def test_flag_takes_no_step_past_the_member_a_consumer_stops_at(stop):
+    sysm = extended_chained(5)
+    made = []
+    for i, _member in enumerate(flag(pruned(sysm.input_distribution(), SP),
+                                     _counted_step(sysm, "derived", made), SP)):
+        if i == stop:
+            break
+    assert len(made) == stop
 
 
 def test_leibniz_rule():

@@ -1,6 +1,9 @@
-"""Every name a module imports is used in it (no linter is installed).
+"""Every name a module imports is used in it, and every local a function
+assigns is read (no linter is installed).
 
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt from the import scan: its imports are the
+package's re-exports.  Locals whose names start with ``_`` are exempt from
+the local scan.
 """
 
 import ast
@@ -10,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "triflat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
 def unused_imports(source):
@@ -36,3 +40,51 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_locals(source):
+    """(line, name) of each name a function binds and nothing in it reads.
+
+    A read anywhere in the function counts, nested functions included, so a
+    local that only a closure reads is used.  Bindings inside a nested
+    function are checked with that function; class bodies are not scanned.
+    """
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        declared, bound = set(), {}
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound[node.id] = min(node.lineno, bound.get(node.id, node.lineno))
+            if not isinstance(node, _SCOPES):
+                todo.extend(ast.iter_child_nodes(node))
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(line, name) for name, line in bound.items()
+                if name not in read | declared and not name.startswith("_")]
+    return sorted(out)
+
+
+def test_scan_finds_an_unused_local():
+    source = (
+        "def f(xs):\n"
+        "    a, b = xs\n"
+        "    _c = 1\n"
+        "    for i, x in enumerate(xs):\n"
+        "        d = x\n"
+        "    def g():\n"
+        "        e = 2\n"
+        "        return a\n"
+        "    return g, x\n"
+    )
+    assert unused_locals(source) == [(2, "b"), (4, "i"), (5, "d"), (7, "e")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_locals(path):
+    assert unused_locals(path.read_text()) == []

@@ -260,6 +260,12 @@ def test_zero_at_counts_nan_as_nonzero():
     assert not _zero_at(Sym("x"), [{"x": 0.0}, {"x": float("nan")}], SP.tol)
 
 
+def test_zero_at_counts_an_infinite_value_as_nonzero():
+    # x*y + 1 overflows to inf at these points, and so does its scale
+    points = [{"x": 1e200, "y": 1e200}] * 4
+    assert not _zero_at(parse_expr("x*y + 1"), points, SP.tol)
+
+
 # --- step inverse check ------------------------------------------------------
 
 def _plane():
