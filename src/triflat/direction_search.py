@@ -10,7 +10,6 @@ decision procedure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
@@ -28,10 +27,10 @@ from .diffgeo import (
     span_contains,
 )
 from .elimination import clear_denominators
-from .errors import NotApplicable, TriflatError
-from .expr import Expr, ONE, Rat, ZERO, add, div, free_symbols, mul, neg, pow_, sub
+from .errors import NotApplicable, SamplerExhausted, TriflatError
+from .expr import Expr, ONE, Rat, ZERO, add, div, mul, neg, pow_, sub
 from .fields import Distribution, VectorField
-from .sampling import Sampler, is_zero_generic, point_set
+from .sampling import MatrixSampler, Sampler, is_zero_generic
 from .simplify import as_fraction, simplify, sqrt_of_square
 from .systems import AffineSystem
 
@@ -265,20 +264,12 @@ def _best_triple(triples, sp: Sampler):
     """Pick the quadratic with the best-conditioned coefficients."""
     best = None
     for t in triples:
-        ps = point_set(sp, set().union(*(free_symbols(c) for c in t)))
-        score = math.inf
-        count = 0
-        for i in range(sp.max_resamples + sp.samples):
-            vals = ps.values_at(t, i)
-            if vals is None:
-                continue
-            score = min(score, max(abs(v) for v in vals))
-            count += 1
-            if count >= sp.samples:
-                break
-        else:
-            continue  # too few evaluable points within the resample budget
-        if score is not math.inf and (best is None or score > best[0]):
+        try:
+            ps, idx = MatrixSampler([t], (), sp).admissible()
+        except SamplerExhausted:
+            continue  # too few admissible points within the resample budget
+        score = min(max(map(abs, vals)) for vals in zip(*(ps.scan(c, idx) for c in t)))
+        if best is None or score > best[0]:
             best = (score, t)
     if best is None:
         raise NotApplicable("quadratic coefficients cannot be evaluated")

@@ -64,14 +64,6 @@ class RowReduction:
         self.pivots = pivots  # list of (row, col) in elimination order
         self.ncols = ncols
 
-    @property
-    def pivot_cols(self):
-        return [c for _r, c in self.pivots]
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
 
 def row_reduce(rows, sp: Sampler, extra_syms=()) -> RowReduction:
     """Fraction-free Jordan elimination with numeric pivot selection.

@@ -406,7 +406,11 @@ def evaluate(e, point):
         except KeyError:
             raise EvalError("domain", f"unbound symbol {e.name!r}") from None
     if isinstance(e, Add):
-        return math.fsum(evaluate(t, point) for t in e.terms)
+        terms = [evaluate(t, point) for t in e.terms]
+        try:
+            return math.fsum(terms)
+        except (ValueError, OverflowError):  # inf - inf, or a finite sum past the float range
+            raise EvalError("domain", "sum overflows") from None
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:

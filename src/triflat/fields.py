@@ -27,9 +27,6 @@ class VectorField:
         frame = tuple(frame)
         return VectorField(frame, tuple(parts.get(x, ZERO) for x in frame))
 
-    def scale(self, factor) -> "VectorField":
-        return VectorField(self.frame, tuple(mul(factor, c) for c in self.components))
-
     def is_zero(self) -> bool:
         return all(c == ZERO for c in self.components)
 

@@ -69,6 +69,11 @@ class Sampler:
     def domain(self, name):
         return self.domains.get(name, self.default_domain)
 
+    def stream_key(self, names) -> tuple:
+        """What fixes the stream of the sorted symbol names: equal keys, equal
+        points, so :func:`point_set` shares one point set per key."""
+        return (self.seed, names, tuple(self.domain(n) for n in names))
+
     def point_stream(self, syms) -> Iterable[Point]:
         """Endless deterministic stream of sample points for the symbols."""
         names = sorted(set(syms))
@@ -148,7 +153,7 @@ class PointSet:
             try:
                 self.points.append(next(self._stream))
             except StopIteration:
-                raise SamplerExhausted("point stream ended unexpectedly") from None
+                raise SamplerExhausted("no further point within the resampling budget") from None
         return self.points[i]
 
     def column(self, e: Expr, table=None) -> list:
@@ -195,9 +200,11 @@ def _at(ps: PointSet, fn, e: Expr, col: list, i):
     return ps.fill(fn, e, col, i) if v is None else v
 
 
-# One point set per (seed, symbols, domains); values are a pure function of
-# (expression, point), so sharing them cannot change a verdict.  All point
-# sets are dropped together once this many values are cached.
+# One point set per stream key: (seed, symbols, domains) for a plain sampler,
+# the base key and the maps for the image of a transform stage.  Values are a
+# pure function of (expression, point), so sharing them cannot change a
+# verdict.  All point sets are dropped together once this many values are
+# cached.
 _POINT_SETS: dict = {}
 _VALUE_LIMIT = 500_000
 _CACHED_VALUES = 0
@@ -208,7 +215,7 @@ def point_set(sp: Sampler, syms) -> PointSet:
     if _CACHED_VALUES > _VALUE_LIMIT:
         clear_caches()
     names = tuple(sorted(set(syms)))
-    key = (sp.seed, names, tuple(sp.domain(n) for n in names))
+    key = sp.stream_key(names)
     ps = _POINT_SETS.get(key)
     if ps is None:
         ps = _POINT_SETS[key] = PointSet(sp.point_stream(names))
@@ -365,11 +372,10 @@ class MatrixSampler:
             vals.append(row)
         return np.array(vals, dtype=float)
 
-    def admissible(self, count=None):
-        """The point set and the indices of its first ``count`` points (the
-        sampler's sample count by default) at which every entry is
-        admissible, within the resampling budget."""
-        want = self.sp.samples if count is None else count
+    def admissible(self):
+        """The point set and the indices of its first ``samples`` points at
+        which every entry is admissible, within the resampling budget."""
+        want = self.sp.samples
         ps = point_set(self.sp, self.syms)
         cols = [(e, ps.column(e)) for e in self.entries]
         out = []
@@ -391,10 +397,10 @@ class MatrixSampler:
                 if len(out) == want:
                     return ps, out
 
-    def stack(self, count=None):
+    def stack(self):
         """(points, values): the admissible points and the (K, r, c) stack
         of the matrix evaluated at them."""
-        ps, idx = self.admissible(count)
+        ps, idx = self.admissible()
         by_entry = np.array([[col[i] for i in idx] for col in map(ps.column, self.entries)],
                             dtype=float)
         values = by_entry[self.where].T.reshape(len(idx), *self.shape)

@@ -56,12 +56,6 @@ class AffineSystem:
     def input_distribution(self) -> Distribution:
         return Distribution(self.frame, [self.b1, self.b2])
 
-    def rhs(self, u1_expr, u2_expr):
-        """Closed-loop right-hand side as expressions."""
-        return [
-            simplify(add(a, mul(p, u1_expr), mul(q, u2_expr)))
-            for a, p, q in zip(self.drift.components, self.b1.components, self.b2.components)
-        ]
 
 def vector_field(frame, mapping) -> VectorField:
     """Vector field from a {coordinate: Expr} mapping."""

@@ -10,14 +10,16 @@ feedback.  Every step is verified numerically against the original dynamics.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .diffgeo import annihilator, differential, lie_derivative
+from .elimination import _score
 from .errors import EvalError, IntegrationError, PipelineError
 from .expr import (
     Add,
@@ -45,9 +47,8 @@ from .integrate import integrate_codistribution
 from .sampling import (
     MatrixSampler,
     Sampler,
-    _admissible,
+    all_zero_generic,
     is_zero_generic,
-    numeric_rank,
     point_set,
     ranks,
 )
@@ -396,12 +397,11 @@ def _check_step_inverse(stage: Stage, defs, inverse, sp: Sampler, note=""):
 
     Where this holds at every stage, the composed maps round trip at the
     original points, and DG.DF = I makes the forward map a local
-    diffeomorphism there.  At least two points, and half of them, must
-    evaluate, as in :func:`_zero_at`.
+    diffeomorphism there.  At least half of the points must evaluate.
     """
-    points = _image_points(stage, sp, count=20)
+    ps = point_set(_image(stage, sp), ())
     seen = 0
-    for pt in points:
+    for pt in map(ps.point, range(20)):
         try:
             newvals = {new: evaluate(f, pt) for new, f in defs}
             newvals.update({p: pt[p] for p in stage.sys.params})
@@ -414,7 +414,7 @@ def _check_step_inverse(stage: Stage, defs, inverse, sp: Sampler, note=""):
                     f"inverse map fails to reproduce {x} at a sample point ({note})"
                 )
         seen += 1
-    if seen < 2 or 2 * seen < len(points):
+    if seen < 10:
         raise PipelineError(f"cannot sample the coordinate change ({note})")
 
 
@@ -496,68 +496,50 @@ def _stage_verified(stage: Stage, sp: Sampler, tol=1e-7) -> bool:
     )
 
 
-def _image_points(stage: Stage, sp: Sampler, count: int = None):
-    """Sample points of the current frame lying on the image of the original
-    sampling box; structural identities are only claimed there."""
+@dataclass(frozen=True)
+class _Image(Sampler):
+    """The base sampler's points mapped by a stage's forward and input maps.
+
+    Structural identities are only claimed on the image of the original
+    sampling box, so every test of a stage samples this stream: point i is
+    the image of the i-th base point at which every map evaluates, with the
+    parameters copied.  It ends once more than ``max_resamples`` base points
+    have failed, and a read past its end raises SamplerExhausted.
+    """
+
+    base: Sampler = None
+    base_syms: tuple = ()
+    maps: tuple = ()  # (name, expression in the base symbols) pairs
+
+    def stream_key(self, names):
+        return (self.base.stream_key(self.base_syms), self.maps)
+
+    def point_stream(self, syms):
+        ps = point_set(self.base, self.base_syms)
+        names = [name for name, _e in self.maps]
+        exprs = [e for _name, e in self.maps]
+        failed = 0
+        for i in itertools.count():
+            vals = ps.values_at(exprs, i)
+            if vals is not None:
+                yield dict(zip(names, vals))
+                continue
+            failed += 1
+            if failed > self.max_resamples:
+                return
+
+
+def _image(stage: Stage, sp: Sampler) -> _Image:
+    """The sampler of the stage's frame on the image of sp's points."""
     orig = _original_of(stage)
+    maps = {**stage.forward, **stage.input_map, **{p: Sym(p) for p in orig.params}}
     syms = set(orig.frame) | set(orig.input_syms) | set(orig.params)
-    want = sp.samples if count is None else count
-    names = list(stage.forward) + list(stage.input_map)
-    exprs = list(stage.forward.values()) + list(stage.input_map.values())
-    ps = point_set(sp, syms)
-    out = []
-    for i in range(sp.max_resamples + want):
-        vals = ps.values_at(exprs, i)
-        if vals is None:
-            continue
-        newpt = dict(zip(names, vals))
-        point = ps.point(i)
-        for par in orig.params:
-            newpt[par] = point[par]
-        out.append(newpt)
-        if len(out) == want:
-            return out
-    raise PipelineError("cannot sample the image of the original domain")
+    return _Image(**vars(sp), base=sp, base_syms=tuple(sorted(syms)),
+                  maps=tuple(maps.items()))
 
 
-def _zero_at(e: Expr, points, tol) -> bool:
-    from .sampling import magnitude
-
-    seen = 0
-    for pt in points:
-        try:
-            v = evaluate(e, pt)
-            scale = 1.0 + magnitude(e, pt)
-        except EvalError:
-            continue
-        if not (math.isfinite(v) and abs(v) <= tol * scale):
-            return False
-        seen += 1
-    if seen < 2 or 2 * seen < len(points):
-        raise PipelineError(
-            f"expression evaluates at only {seen} of {len(points)} image points"
-        )
-    return True
-
-
-def _depends_at(e: Expr, x: str, points, tol) -> bool:
-    return not _zero_at(differentiate(e, x), points, tol)
-
-
-def _rank_at(rows, points, tol) -> int:
-    """Largest numeric rank at the image points where every entry is admissible;
-    at least two of them and half of all, as in :func:`_zero_at`."""
-    found = []
-    for pt in points:
-        try:
-            vals = [[evaluate(e, pt) for e in r] for r in rows]
-        except EvalError:
-            continue
-        if all(_admissible(v) for r in vals for v in r):
-            found.append(numeric_rank(np.array(vals, dtype=float), tol))
-    if len(found) < 2 or 2 * len(found) < len(points):
-        raise PipelineError(f"rows cannot be evaluated: {len(found)} of {len(points)} points")
-    return max(found)
+def _depends_at(e: Expr, x: str, img: Sampler) -> bool:
+    return not is_zero_generic(differentiate(e, x), img)
 
 
 # --- step 1-3: ladder coordinates ------------------------------------------------
@@ -749,25 +731,23 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
     p_syms = blocks["p1"] + blocks["p2"]
     q_syms = blocks["q"]
     r_syms = blocks["rear"]
-    points = _image_points(stage, sp)
+    img = _image(stage, sp)
 
     failures = []
     for s in p_syms:
         dr, b1c, b2c = _rhs_of(stage, s)
-        if not (_zero_at(b1c, points, sp.tol) and _zero_at(b2c, points, sp.tol)):
+        if not all_zero_generic((b1c, b2c), img):
             failures.append(f"terminal row {s} touches the inputs")
         for x in q_syms[3:] + r_syms:
-            if not _zero_at(differentiate(dr, x), points, sp.tol):
+            if not is_zero_generic(differentiate(dr, x), img):
                 failures.append(f"terminal row {s} depends on {x}")
     deep = r_syms[3:] if n3 >= 2 else []
     for s in q_syms:
         dr, b1c, b2c = _rhs_of(stage, s)
-        if n3 >= 2 and not (
-            _zero_at(b1c, points, sp.tol) and _zero_at(b2c, points, sp.tol)
-        ):
+        if n3 >= 2 and not all_zero_generic((b1c, b2c), img):
             failures.append(f"core row {s} touches the inputs")
         for x in deep:
-            if not _zero_at(differentiate(dr, x), points, sp.tol):
+            if not is_zero_generic(differentiate(dr, x), img):
                 failures.append(f"core row {s} depends on deep rear state {x}")
     if failures:
         raise PipelineError("block structure violated: " + "; ".join(failures))
@@ -775,7 +755,7 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
     p_rhs = [_rhs_of(stage, s)[0] for s in p_syms]
     if p_syms:
         rows = [[differentiate(e, x) for x in q_syms[:3]] for e in p_rhs]
-        if _rank_at(rows, points, sp.tol) > 2:
+        if MatrixSampler(rows, (), img).generic()[1] > 2:
             raise PipelineError("terminal block has more than two effective inputs")
     q_rhs_full = [_full_rhs(stage, s) for s in q_syms]
     if n3 >= 2:
@@ -786,9 +766,9 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
         wrt_pair = list(sysm.input_syms)
     rows_all = [[differentiate(e, x) for x in wrt_all] for e in q_rhs_full]
     rows_pair = [[differentiate(e, x) for x in wrt_pair] for e in q_rhs_full]
-    if _rank_at(rows_all, points, sp.tol) != 2:
+    if MatrixSampler(rows_all, (), img).generic()[1] != 2:
         raise PipelineError("core block does not have exactly two effective inputs")
-    if _rank_at(rows_pair, points, sp.tol) != 1:
+    if MatrixSampler(rows_pair, (), img).generic()[1] != 1:
         raise PipelineError("core block short-direction rank is not one")
 
 
@@ -801,13 +781,13 @@ def normalize_first_core_equation(stage: Stage, report, sp: Sampler) -> Stage:
     n3 = report.chain.depth
     q1 = blocks["q"][0]
     dr, b1c, b2c = _rhs_of(stage, q1)
-    points = _image_points(stage, sp)
+    img = _image(stage, sp)
     if n3 >= 2:
         r_syms = blocks["rear"]
         f = dr
-        if not (_zero_at(b1c, points, sp.tol) and _zero_at(b2c, points, sp.tol)):
+        if not all_zero_generic((b1c, b2c), img):
             raise PipelineError("first core equation touches the inputs directly")
-        candidates = [x for x in r_syms[1:3] if _depends_at(f, x, points, sp.tol)]
+        candidates = [x for x in r_syms[1:3] if _depends_at(f, x, img)]
         if not candidates:
             raise PipelineError(
                 "first core equation does not depend on the rear pair; upstream "
@@ -824,9 +804,9 @@ def normalize_first_core_equation(stage: Stage, report, sp: Sampler) -> Stage:
     # n3 == 1: input transformation instead of a state change
     c1 = b1c
     c2 = b2c
-    if not _zero_at(c2, points, sp.tol):
+    if not is_zero_generic(c2, img):
         m = [[ONE, ZERO], [c1, c2]]
-    elif not _zero_at(c1, points, sp.tol):
+    elif not is_zero_generic(c1, img):
         m = [[ZERO, ONE], [c1, c2]]
     else:
         raise PipelineError(
@@ -856,20 +836,20 @@ def introduce_core_couplings(stage: Stage, report, sp: Sampler) -> Stage:
     n2 = report.n2
     w_sym, w_kind = _w_value(stage)
     for i in range(2, n2):
-        points = _image_points(stage, sp)
+        img = _image(stage, sp)
         q_syms = stage.blocks["q"]
         qi = q_syms[i - 1]
         dr, b1c, b2c = _rhs_of(stage, qi)
         if w_kind == "state":
             coeff = simplify(differentiate(dr, stage.blocks["w"]))
-            if not _zero_at(differentiate(coeff, stage.blocks["w"]), points, sp.tol):
+            if not is_zero_generic(differentiate(coeff, stage.blocks["w"]), img):
                 raise PipelineError(f"core equation {qi} is not affine in the chain input")
         else:
             coeff = b2c if stage.blocks["w"] == stage.sys.input_syms[1] else b1c
         target = q_syms[i]
         if simplify(sub(coeff, Sym(target))) == ZERO:
             continue  # already in chained shape at this level
-        if not _depends_at(coeff, target, points, sp.tol):
+        if not _depends_at(coeff, target, img):
             raise PipelineError(
                 f"coupling coefficient of {qi} does not depend on {target}; "
                 "upstream checks must be inconsistent"
@@ -883,34 +863,34 @@ def introduce_core_couplings(stage: Stage, report, sp: Sampler) -> Stage:
         )
         w_sym, w_kind = _w_value(stage)
     # split the last core equation
-    points = _image_points(stage, sp)
+    img = _image(stage, sp)
     q_syms = stage.blocks["q"]
     qn = q_syms[-1]
     dr, b1c, b2c = _rhs_of(stage, qn)
     if w_kind == "state":
         g2 = simplify(differentiate(dr, stage.blocks["w"]))
-        if not (_zero_at(b1c, points, sp.tol) and _zero_at(b2c, points, sp.tol)):
+        if not all_zero_generic((b1c, b2c), img):
             raise PipelineError("last core equation touches the inputs directly")
-        if not _zero_at(differentiate(g2, stage.blocks["w"]), points, sp.tol):
+        if not is_zero_generic(differentiate(g2, stage.blocks["w"]), img):
             raise PipelineError("last core equation is not affine in the chain input")
         g1 = simplify(sub(dr, mul(g2, w_sym)))
     else:
         which = 1 if stage.blocks["w"] == stage.sys.input_syms[1] else 0
         g2 = (b1c, b2c)[which]
         other = (b1c, b2c)[1 - which]
-        if not _zero_at(other, points, sp.tol):
+        if not is_zero_generic(other, img):
             raise PipelineError("last core equation depends on the long-chain input")
         g1 = dr
     rear = stage.blocks["rear"]
     if not rear:
         raise PipelineError("no rear coordinate available for the long-chain top")
     r1 = rear[0]
-    if not _depends_at(g1, r1, points, sp.tol):
+    if not _depends_at(g1, r1, img):
         raise PipelineError(
             "state part of the last core equation does not depend on the rear "
             "top; upstream checks must be inconsistent"
         )
-    if _depends_at(g2, r1, points, sp.tol):
+    if _depends_at(g2, r1, img):
         raise PipelineError("coupling factor of the last core equation reaches the rear top")
     if simplify(sub(g1, Sym(r1))) == ZERO:
         blocks = dict(stage.blocks)
@@ -934,22 +914,24 @@ def rear_chains_to_integrators(stage: Stage, report, sp: Sampler) -> Stage:
     def grow_chain(stage, chain_key, length):
         chain = stage.blocks[chain_key]
         while len(chain) < length:
-            points = _image_points(stage, sp)
+            img = _image(stage, sp)
             top = chain[-1]
             dr, b1c, b2c = _rhs_of(stage, top)
-            if not (_zero_at(b1c, points, sp.tol) and _zero_at(b2c, points, sp.tol)):
+            if not all_zero_generic((b1c, b2c), img):
                 raise PipelineError(
                     f"rear chain state {top} reaches the inputs too early; the "
                     "input span is no longer straightened"
                 )
             new_name = f"{chain_key}_{len(chain) + 1}"
             rear = stage.blocks["rear"]
-            candidates = [x for x in rear if _depends_at(dr, x, points, sp.tol)]
+            candidates = [x for x in rear if _depends_at(dr, x, img)]
             if not candidates:
                 raise PipelineError(
                     f"derivative of {top} does not reach a free rear coordinate"
                 )
-            target = _best_dependence(dr, candidates, points)
+            ps = point_set(img, ())
+            target = max(candidates, key=lambda x: _score(
+                ps, differentiate(dr, x), range(img.samples)))
             blocks = dict(stage.blocks)
             blocks[chain_key] = chain + [new_name]
             blocks["rear"] = [x for x in rear if x != target]
@@ -998,24 +980,6 @@ def rear_chains_to_integrators(stage: Stage, report, sp: Sampler) -> Stage:
     return stage
 
 
-def _best_dependence(expr, candidates, points):
-    best = None
-    for x in candidates:
-        d = differentiate(expr, x)
-        score = None
-        for pt in points:
-            try:
-                v = abs(evaluate(d, pt))
-            except EvalError:
-                continue
-            score = v if score is None else min(score, v)
-        if score is not None and (best is None or score > best[0]):
-            best = (score, x)
-    if best is None:
-        raise PipelineError("no usable rear coordinate dependence")
-    return best[1]
-
-
 # --- final assembly ---------------------------------------------------------------
 
 
@@ -1050,11 +1014,11 @@ def _assemble_decomposition(stage: Stage, report, sp: Sampler) -> TriangularDeco
     q_syms = blocks["q"]
     failures = []
     couplings = {}
-    points = _image_points(stage, sp, count=20)
+    img = _image(stage, replace(sp, samples=20))
     w_expr = Sym(w)
 
     def expect_zero(e, label):
-        if not _zero_at(simplify(e), points, sp.tol):
+        if not is_zero_generic(simplify(e), img):
             failures.append(label)
 
     for chain_key in ("p1", "p2"):
@@ -1126,7 +1090,8 @@ def image_sampler(result: TransformResult, sp: Sampler) -> Sampler:
     outside it can cross branch loci of inverse functions.
     """
     stage = result.stages[-1][1]
-    points = _image_points(stage, sp, count=max(sp.samples, 24))
+    ps = point_set(_image(stage, sp), ())
+    points = [ps.point(i) for i in range(max(sp.samples, 24))]
     domains = {}
     keys = list(stage.sys.frame) + list(stage.sys.input_syms)
     for k in keys:

@@ -248,6 +248,11 @@ def annihilates_characteristics_symbolic(report, sp: Sampler, functions):
     ]
 
 
+def scale(field: VectorField, factor) -> VectorField:
+    """The field times a scalar function (unsimplified)."""
+    return VectorField(field.frame, tuple(mul(factor, c) for c in field.components))
+
+
 def field_sum(*fields: VectorField) -> VectorField:
     """Componentwise sum of fields on one frame (unsimplified)."""
     frame = fields[0].frame

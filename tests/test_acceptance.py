@@ -5,6 +5,7 @@ verification at 1e-7, all sampling through seeded samplers.
 """
 
 import random
+from dataclasses import replace
 
 from triflat.checks import check_static_feedback_linearizable
 from triflat.diffgeo import (
@@ -47,6 +48,7 @@ from reference import (
     feedback_transform,
     field_sum,
     involutive_closure,
+    scale,
     span_equal,
 )
 
@@ -66,7 +68,7 @@ def spans_equal_forms(frame, exprs_a, exprs_b, sp, points=20):
     rows_a = [list(differential(e, frame).coefficients) for e in exprs_a]
     rows_b = [list(differential(e, frame).coefficients) for e in exprs_b]
     both = rows_a + rows_b
-    _points, stack = MatrixSampler(both, frame, sp).stack(points)
+    _points, stack = MatrixSampler(both, frame, replace(sp, samples=points)).stack()
     seen = 0
     for m in stack:
         ra = numeric_rank(m[: len(rows_a)], SPAN_TOL)
@@ -207,8 +209,8 @@ def test_criterion_4_property_suites(vtol_analysis):
         fw = VectorField(frame, tuple(simplify(mul(f, c)) for c in w.components))
         leibniz = field_sum(
             lie_bracket(u, fw),
-            w.scale(lie_derivative(u, f)).scale(Rat(-1)),
-            lie_bracket(u, w).scale(f).scale(Rat(-1)),
+            scale(scale(w, lie_derivative(u, f)), Rat(-1)),
+            scale(scale(lie_bracket(u, w), f), Rat(-1)),
         )
         residuals = list(anti.components) + list(jacobi.components) + list(leibniz.components)
         if not all_zero_generic([simplify(r) for r in residuals], SP):
@@ -288,7 +290,7 @@ def test_criterion_4_property_suites(vtol_analysis):
     scale_ok = True
     for k in range(5):
         lam = simplify(parse_expr(f"1 + {rng.randint(1, 3)}*theta^2"))
-        scaled = bp_field.scale(lam)
+        scaled = scale(bp_field, lam)
         v_low = ad_iter(s.drift, a.chain.depth - 1, scaled)
         delta0_s = pruned(extend(a.chain.d(a.chain.depth - 1), [v_low]), sp)
         delta1_s = pruned(

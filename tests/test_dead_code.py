@@ -2,9 +2,10 @@
 
 Code that only tests reach does not belong in the package: it is deleted,
 or moved into ``tests/`` when a test uses it as a reference.  References are
-matched by name (a ``Name``, an attribute read or an imported name), so a
-method counts as used when any attribute of that name is read anywhere in
-``src/``; the guard catches the definitions whose name appears nowhere else.
+matched by name.  A function or class counts as used when a ``Name``, an
+attribute read or an imported name carries its name; a method only through
+an attribute read, so a local variable of the same name does not keep it.
+The guard catches the definitions whose name appears nowhere else.
 """
 
 import ast
@@ -18,12 +19,13 @@ ALLOWED = {
     "trace.span": "timing spans for pipeline stages, kept for the --trace report",
     "sampling.MatrixSampler.at": "perfbench/tracer.py wraps it by name",
     "sampling.Sampler.admissible_points": "perfbench/tracer.py wraps it by name",
+    "sampling.numeric_rank": "perfbench/tracer.py wraps it by name",
 }
 
 
 def _definitions_and_references(src):
-    defs = []  # (qualified name, bare name, module, first line, last line)
-    refs = []  # (name, module, line)
+    defs = []  # (qualified name, bare name, module, first line, last line, is a method)
+    refs = []  # (name, module, line, is an attribute read)
     for path in sorted(src.glob("*.py")):
         module = path.stem
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -32,7 +34,8 @@ def _definitions_and_references(src):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     qual = f"{prefix}.{child.name}"
-                    defs.append((qual, child.name, module, child.lineno, child.end_lineno))
+                    method = isinstance(node, ast.ClassDef)
+                    defs.append((qual, child.name, module, child.lineno, child.end_lineno, method))
                     visit(child, qual)
                 else:
                     visit(child, prefix)
@@ -40,11 +43,11 @@ def _definitions_and_references(src):
         visit(tree, module)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((node.id, module, node.lineno))
+                refs.append((node.id, module, node.lineno, False))
             elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, module, node.lineno))
+                refs.append((node.attr, module, node.lineno, isinstance(node.ctx, ast.Load)))
             elif isinstance(node, ast.ImportFrom):
-                refs.extend((a.name, module, node.lineno) for a in node.names)
+                refs.extend((a.name, module, node.lineno, False) for a in node.names)
     return defs, refs
 
 
@@ -62,14 +65,15 @@ def _unreferenced(src=SRC):
     defs, refs = _definitions_and_references(src)
     public = _public_api(src)
     by_name = {}
-    for name, module, line in refs:
-        by_name.setdefault(name, []).append((module, line))
+    for name, module, line, read in refs:
+        by_name.setdefault(name, []).append((module, line, read))
     out = []
-    for qual, name, module, first, last in defs:
+    for qual, name, module, first, last, method in defs:
         if (name.startswith("__") and name.endswith("__")) or name in public:
             continue
         if not any(
-            not (m == module and first <= line <= last) for m, line in by_name.get(name, ())
+            not (m == module and first <= line <= last) and (read or not method)
+            for m, line, read in by_name.get(name, ())
         ):
             out.append(qual)
     return out
@@ -86,6 +90,19 @@ def test_scan_finds_a_definition_without_caller(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import Box\n")
     assert _unreferenced(tmp_path) == ["a.dead", "a.Box.unused"]
+
+
+def test_a_method_is_used_only_through_an_attribute_read(tmp_path):
+    # a local, a parameter or an attribute write of the method's name is no call
+    (tmp_path / "__init__.py").write_text('__all__ = ["Box", "use"]\n')
+    (tmp_path / "a.py").write_text(
+        "class Box:\n    def rank(self):\n        pass\n\n"
+        "    def scale(self):\n        pass\n\n"
+        "    def rhs(self):\n        pass\n\n"
+        "    def size(self):\n        pass\n\n"
+        "def use(box, scale):\n    rank = 1\n    box.rhs = scale\n    return box.size(), rank\n"
+    )
+    assert _unreferenced(tmp_path) == ["a.Box.rank", "a.Box.scale", "a.Box.rhs"]
 
 
 def test_every_definition_has_a_caller_in_src():

@@ -33,6 +33,7 @@ from reference import (
     field_sum,
     involutive_closure,
     one_form,
+    scale,
     span_equal,
 )
 
@@ -156,7 +157,7 @@ def test_lie_derivative_constant_and_iteration(vtol_analysis):
 def test_generic_rank_collinear():
     frame = ("x", "z")
     v = coordinate_field(frame, "x")
-    w = v.scale(Rat(2))
+    w = scale(v, Rat(2))
     assert generic_rank(Distribution(frame, [v, w]), SP) == 1
 
 
@@ -231,7 +232,7 @@ def test_input_fields_lie_in_input_span(vtol_analysis):
     D = pruned(s.input_distribution(), sp)
     assert contains_generic(D, s.b1, sp)
     assert contains_generic(D, s.b2, sp)
-    combo = field_sum(s.b1.scale(parse_expr("sin(theta)")), s.b2.scale(Sym("x")))
+    combo = field_sum(scale(s.b1, parse_expr("sin(theta)")), scale(s.b2, Sym("x")))
     assert contains_generic(D, combo, sp)
     assert not contains_generic(D, lie_bracket(s.drift, s.b1), sp)
 
@@ -428,6 +429,6 @@ def test_leibniz_rule():
         w = _random_poly_field(rng, frame)
         f = simplify(parse_expr("x*y + 2*z"))
         left = lie_bracket(v, VectorField(frame, tuple(simplify(mul(f, c)) for c in w.components)))
-        right = field_sum(w.scale(lie_derivative(v, f)), lie_bracket(v, w).scale(f))
+        right = field_sum(scale(w, lie_derivative(v, f)), scale(lie_bracket(v, w), f))
         for a, b in zip(left.components, right.components):
             assert is_zero_generic(simplify(a - b), SP)

@@ -18,7 +18,7 @@ from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
 from triflat.simplify import simplify
 
-from reference import double_integrator_pair, field_sum, span_equal
+from reference import double_integrator_pair, field_sum, scale, span_equal
 
 SP = Sampler()
 
@@ -75,7 +75,7 @@ def test_academic10_h_method(academic10_analysis):
     s = academic10_analysis.system
     sp = academic10_analysis.sp
     H = h_distribution(academic10_analysis.chain, sp)
-    combo = field_sum(s.b1.scale(Sym("x8")), s.b2)
+    combo = field_sum(scale(s.b1, Sym("x8")), s.b2)
     assert contains_generic(H, ad_iter(s.drift, 3, combo), sp)
 
 

@@ -13,11 +13,16 @@ naming their cause, so a fix has to flip them.
 import pytest
 
 from triflat.cli import _analyze
-from triflat.errors import IntegrationError, PipelineError
+from triflat.errors import EliminationError, IntegrationError, PipelineError, SamplerExhausted
+from triflat.expr import Sym
 from triflat.flatout import flat_output_for_report
 from triflat.generator import triangular_template
 from triflat.sampling import Sampler
-from triflat.transform import transform_to_triangular, verify_transformation
+from triflat.transform import (
+    prolonged_linearizability,
+    transform_to_triangular,
+    verify_transformation,
+)
 
 from reference import criterion5_combos, disguise
 
@@ -26,7 +31,7 @@ SP = Sampler()
 KNOWN_FAILURES = {
     (0, 1): (IntegrationError, "flat-output: 1 of 3 integrals missing "
              "(ROADMAP item 9)"),
-    (1, 3): (PipelineError, "transform: simplify splits sqrt((-2/q - r)/2) into "
+    (1, 3): (SamplerExhausted, "transform: simplify splits sqrt((-2/q - r)/2) into "
              "sqrt(-q*r/2 - 1)*sqrt(q)/q, real only for q > 0, and q3n < 0 on the "
              "image, so introduce_core_couplings evaluates nowhere (radical branch "
              "defect)"),
@@ -61,3 +66,28 @@ def test_disguised_instance_keeps_its_answer(index, combo, k):
     res = transform_to_triangular(system, rep, flat, SP)
     assert res.verified and res.final.structure_ok, res.final.structure_failures
     assert verify_transformation(system, res.change, res.final.system, SP)
+
+
+# The evidence of ``verify --evidence``: prolonging the chain-side input of
+# the normal form makes it static feedback linearizable.
+BASIS_FAILURE = ("diffgeo.basis gives up on a drift step of the prolonged normal form: "
+                 "its greedy basis is near-singular at one kept point where the whole "
+                 "spanning set is not (CHANGES FOUND)")
+
+
+def _generated():
+    for index, combo in enumerate(criterion5_combos()):
+        marks = ()
+        if index in (1, 9):
+            marks = pytest.mark.xfail(raises=EliminationError, reason=BASIS_FAILURE, strict=True)
+        yield pytest.param(index, combo, marks=marks,
+                           id=f"{'-'.join(map(str, combo))}-seed{index}")
+
+
+@pytest.mark.parametrize("index, combo", _generated())
+def test_generated_instance_is_prolonged_linearizable(index, combo):
+    inst = triangular_template(*combo, seed=index)
+    rep = _analyze(inst.system, SP)[3][0]
+    flat = flat_output_for_report(rep, SP, phi1=Sym("y1") if rep.case == "NoX1" else None)
+    res = transform_to_triangular(inst.system, rep, flat, SP)
+    assert prolonged_linearizability(res, SP).verdict

@@ -233,6 +233,17 @@ def test_eval_domain_errors():
         evaluate(parse_expr("arcsin(x)"), {"x": 2.0})
 
 
+@pytest.mark.parametrize("text, value", [
+    ("x*y - z*w", 1e200),  # inf - inf: ValueError in math.fsum
+    ("x + y", 1e308),  # a finite sum past the float range: OverflowError
+])
+def test_eval_sum_past_the_float_range_is_a_domain_error(text, value):
+    # an EvalError makes a sampler resample; any other error ends the run
+    with pytest.raises(EvalError) as err:
+        evaluate(parse_expr(text), dict.fromkeys("xyzw", value))
+    assert err.value.kind == "domain"
+
+
 def test_eval_trig():
     assert close(evaluate(parse_expr("sin(u1/u2)"), {"u1": math.pi, "u2": 2.0}), 1.0)
 

@@ -10,7 +10,7 @@ from triflat.generator import triangular_template
 from triflat.sampling import Sampler
 from triflat.triform import triangular_form_check
 
-from reference import equal_chain_template, field_sum, span_equal
+from reference import equal_chain_template, field_sum, scale, span_equal
 
 SP = Sampler()
 
@@ -36,8 +36,8 @@ def test_iterated_bracket_reaches_core_bottom():
     s = inst.system
     n3 = 2
     v = ad_iter(s.drift, n3, s.b1)
-    expected = coordinate_field(s.frame, "y4").scale(Rat((-1) ** n3))
-    diff = field_sum(v, expected.scale(Rat(-1)))
+    expected = scale(coordinate_field(s.frame, "y4"), Rat((-1) ** n3))
+    diff = field_sum(v, scale(expected, Rat(-1)))
     from triflat.sampling import all_zero_generic
     from triflat.simplify import simplify
 

@@ -79,9 +79,9 @@ def test_check_samples_each_matrix_once(monkeypatch, capsys):
     counts = {"stack": 0, "svd": 0}
     stack, svd = MatrixSampler.stack, np.linalg.svd
 
-    def counted_stack(self, count=None):
+    def counted_stack(self):
         counts["stack"] += 1
-        return stack(self, count)
+        return stack(self)
 
     def counted_svd(*args, **kwargs):
         counts["svd"] += 1

@@ -1,5 +1,6 @@
 """Constructive pipeline: staged transformations and numeric verification."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,20 +12,18 @@ from triflat.direction_search import (
     candidate_via_h,
     compute_bracket_chain,
 )
-from triflat.errors import PipelineError
-from triflat.expr import ONE, Rat, Sym, ZERO, add, mul, neg
+from triflat.errors import EvalError, PipelineError, SamplerExhausted
+from triflat.expr import ONE, Rat, Sym, ZERO, add, evaluate, mul, neg
 from triflat.flatout import flat_output_for_report
 from triflat.generator import triangular_template
 from triflat.parser import parse_expr
-from triflat.sampling import Sampler, is_zero_generic
+from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, point_set
 from triflat.simplify import simplify
 from triflat.systems import AffineSystem, make_affine, prolong, vector_field
 from triflat.transform import (
     CoordinateChange,
     _isolate,
-    _rank_at,
     _stage_verified,
-    _zero_at,
     apply_state_change,
     initial_stage,
     solve_map,
@@ -220,50 +219,95 @@ def test_stage_logs_recorded(vtol_analysis):
     assert any("closing feedback" in line for line in final_stage.log)
 
 
-def test_rank_at_raises_when_no_point_evaluates():
-    points = [{"x": -1.0 - i, "y": 0.5} for i in range(4)]
-    good = [[parse_expr("x"), parse_expr("y")], [parse_expr("2*x"), parse_expr("2*y")]]
-    assert _rank_at(good, points, SP.tol) == 1
-    # log of a negative value fails at every point: no rank was measured
-    bad = good + [[parse_expr("log(x)"), ONE]]
-    with pytest.raises(PipelineError, match="cannot be evaluated"):
-        _rank_at(bad, points, SP.tol)
+# --- the image of the original sampling box -----------------------------------
+
+def _direct_image(stage, sp, count):
+    """The first count image points, each map evaluated at each base point."""
+    orig = stage.blocks["original"]
+    maps = {**stage.forward, **stage.input_map}
+    out = []
+    for base in sp.point_stream(set(orig.frame) | set(orig.input_syms) | set(orig.params)):
+        try:
+            point = {name: evaluate(e, base) for name, e in maps.items()}
+        except EvalError:
+            continue
+        point.update((p, base[p]) for p in orig.params)
+        out.append(point)
+        if len(out) == count:
+            return out
 
 
-def test_rank_at_needs_admissible_values_at_half_the_image_points():
-    rows = [[parse_expr("x"), ONE], [ZERO, ONE]]
-    assert _rank_at(rows, [{"x": x} for x in (2.0, 3.0, float("inf"), 1.0)], SP.tol) == 2
-    # an infinite or NaN entry measures no rank: not 0, and not numpy's LinAlgError
-    for bad in (float("inf"), float("nan"), 1e13):
-        with pytest.raises(PipelineError, match="cannot be evaluated"):
-            _rank_at(rows, [{"x": bad}] * 4, SP.tol)
-    # one admissible point, or fewer than half of them, gives no verdict
-    for good in ([2.0], [2.0, 3.0]):
-        points = [{"x": x} for x in good + [float("inf")] * 3]
-        with pytest.raises(PipelineError, match="cannot be evaluated"):
-            _rank_at(rows, points, SP.tol)
+def _image_of(forward, domains=None):
+    """The image sampler of the plane under the given forward maps."""
+    stage = _plane()
+    stage.forward = {name: parse_expr(e) for name, e in forward.items()}
+    return stage, transform._image(stage, SP.with_domains(domains or {}))
 
 
-def test_zero_at_needs_half_the_image_points():
-    # log(x) - log(x) is zero wherever it evaluates, which is only at x > 0
-    e = parse_expr("log(x) - log(x)")
-    assert e != ZERO
-    points = [{"x": x} for x in (2.0, 3.0, -1.0, -2.0)]
-    assert _zero_at(e, points, SP.tol)
-    # one evaluable point, or fewer than half of them, gives no verdict
-    for pts in (points[1:], points + [{"x": -3.0}]):
-        with pytest.raises(PipelineError, match="evaluates at only"):
-            _zero_at(e, pts, SP.tol)
+def test_image_stream_maps_the_base_points_in_order(vtol_analysis):
+    a = vtol_analysis
+    stage = a.transform.stages[-1][1]
+    assert stage.blocks["original"].params  # copied from the base points
+    ps = point_set(transform._image(stage, a.sp), ())
+    assert [ps.point(i) for i in range(a.sp.samples)] == _direct_image(stage, a.sp, a.sp.samples)
 
 
-def test_zero_at_counts_nan_as_nonzero():
-    assert not _zero_at(Sym("x"), [{"x": 0.0}, {"x": float("nan")}], SP.tol)
+def test_image_stream_skips_base_points_where_a_map_is_undefined():
+    # exp overflows for x1 > 709.78, so about 29% of the base points have no image
+    stage, img = _image_of({"s0": "exp(x1)", "s1": "x2"}, {"x1": (0.0, 1000.0)})
+    ps = point_set(img, ())
+    assert [ps.point(i) for i in range(40)] == _direct_image(stage, img.base, 40)
+    # more than max_resamples undefined base points end the stream, at every read
+    _stage, nowhere = _image_of({"s0": "log(x1)", "s1": "x2"}, {"x1": (-2.0, -1.0)})
+    for _read in range(2):
+        with pytest.raises(SamplerExhausted, match="resampling budget"):
+            point_set(nowhere, ()).point(0)
 
 
-def test_zero_at_counts_an_infinite_value_as_nonzero():
-    # x*y + 1 overflows to inf at these points, and so does its scale
-    points = [{"x": 1e200, "y": 1e200}] * 4
-    assert not _zero_at(parse_expr("x*y + 1"), points, SP.tol)
+def test_zero_test_on_the_image_skips_nan_inf_and_undefined_values():
+    # s0^2 overflows to inf where x1 > 354.9: there s0*s0*(s1 - s1) is nan and
+    # s0*s0 - s0*s0 is undefined (inf - inf), which a zero test must not read
+    _stage, img = _image_of({"s0": "exp(x1)", "s1": "x2"}, {"x1": (0.0, 700.0)})
+    ps = point_set(img, ())
+    assert any(ps.point(i)["s0"] * ps.point(i)["s0"] == math.inf for i in range(img.samples))
+    for zero in ("s0*s0*(s1 - s1)", "s0*s0 - s0*s0"):
+        assert is_zero_generic(parse_expr(zero), img)
+    assert not is_zero_generic(parse_expr("s0*s0*(s1 - 1)"), img)
+    # x*y + 1 is inf at every image point: undefined there, not zero
+    _stage, big = _image_of({"s0": "exp(x1)", "s1": "exp(x2)"},
+                            {"x1": (400.0, 700.0), "x2": (400.0, 700.0)})
+    with pytest.raises(SamplerExhausted):
+        is_zero_generic(parse_expr("s0*s1 + 1"), big)
+
+
+def test_rank_test_on_the_image_skips_inadmissible_values():
+    # entries past 1e12 (x1 > 13.8) are skipped, not ranked
+    _stage, img = _image_of({"s0": "exp(x1)", "s1": "x2"}, {"x1": (0.0, 40.0)})
+
+    def rank(*rows):
+        return MatrixSampler([[parse_expr(e) for e in r] for r in rows], (), img).generic()[1]
+
+    assert rank(["s0*s0", "s1"], ["2*s0*s0", "2*s1"]) == 1
+    assert rank(["s0*s0", "1"], ["0", "1"]) == 2
+
+
+def test_an_expression_undefined_on_the_whole_image_raises():
+    _stage, img = _image_of({"s0": "x1", "s1": "x2"})
+    undefined = parse_expr("log(s1 - 5)")  # s1 < 1.8 on the image
+    with pytest.raises(SamplerExhausted):
+        is_zero_generic(undefined, img)
+    with pytest.raises(SamplerExhausted):
+        MatrixSampler([[undefined, ONE]], (), img).generic()
+
+
+def test_stages_with_the_same_frame_names_get_their_own_point_sets():
+    _stage, a = _image_of({"s0": "x1 + x2", "s1": "x2"})
+    _stage, b = _image_of({"s0": "x1 - x2", "s1": "x2"})
+    _stage, a_again = _image_of({"s0": "x1 + x2", "s1": "x2"})
+    assert point_set(a, ()) is not point_set(b, ())
+    assert point_set(a, ()).point(0)["s0"] != point_set(b, ()).point(0)["s0"]
+    # one point set per image, whatever symbols a test asks for
+    assert point_set(a_again, ("s1",)) is point_set(a, ())
 
 
 # --- step inverse check ------------------------------------------------------
