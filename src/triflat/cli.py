@@ -31,7 +31,7 @@ from .errors import (
     SamplerExhausted,
     TriflatError,
 )
-from .expr import ZERO, to_str
+from .expr import ZERO, Sym, to_str
 from .flatout import admissible_phi1, flat_output_for_report
 from .parser import parse_expr
 from .sysfile import SysFileError, load_sysfile
@@ -349,6 +349,15 @@ def cmd_verify(args):
                 state_map={k: parse_expr(v) for k, v in payload["state_map"].items()},
                 input_map={k: parse_expr(v) for k, v in payload["input_map"].items()},
             )
+            names = [*result_sys.frame, *result_sys.input_syms, *change.state_map,
+                     *change.input_map]
+            for name in names:  # an expression must be able to name each
+                try:
+                    named = parse_expr(name) == Sym(name)
+                except ExprSyntaxError:
+                    named = False
+                if not named:
+                    raise ValueError(f"{name!r} is not an identifier")
         except (ValueError, KeyError, TypeError, AttributeError, TriflatError) as e:
             raise SysFileError(
                 f"malformed transformation file {args.transform!r}: {e!r}"

@@ -25,7 +25,7 @@ from .diffgeo import (
     is_involutive,
 )
 from .elimination import row_reduce
-from .errors import IntegrationError
+from .errors import IntegrationError, TriflatError
 from .expr import (
     Add,
     Call,
@@ -193,7 +193,7 @@ def integrate_codistribution(
         rows = [list(f.coefficients) for f in diffs] + [list(candidate_form.coefficients)]
         try:
             _points, stack = MatrixSampler(rows, frame, sp).stack()
-        except Exception:
+        except TriflatError:
             return False
         return bool(ranks(stack, sp.tol).max() == len(rows))
 
@@ -208,7 +208,7 @@ def integrate_codistribution(
             return False
         try:
             ok = spans(dphi) and independent(dphi)
-        except Exception:
+        except TriflatError:
             return False
         if source in ("exact", "factor", "hint") and phi not in pool:
             pool.append(phi)
@@ -334,9 +334,8 @@ class _SampledKernel:
         and the forms d(xj g) themselves, (P, n, n)."""
         exprs = [g] + [differentiate(g, x) for x in self.frame]
         keep, rows = [], []
-        for k, i in enumerate(self.idx):
-            vals = self.ps.values_at(exprs, i)
-            if vals is not None and all(map(_admissible, vals)):
+        for k, vals in enumerate(zip(*(self.ps.scan(e, self.idx) for e in exprs))):
+            if all(map(_admissible, vals)):
                 keep.append(k)
                 rows.append(vals)
         n = len(self.frame)

@@ -55,8 +55,8 @@ class Sampler:
     def __post_init__(self):
         if self.samples < 8:
             raise ValueError("at least 8 sample points are required")
-        if not self.tol > 0:
-            raise ValueError("the rank tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"the rank tolerance must be finite and positive, got {self.tol}")
         for name, (lo, hi) in self.domains.items():
             if not hi > lo:
                 raise ValueError(f"domain for {name!r} must have positive length")
@@ -177,16 +177,6 @@ class PointSet:
         _CACHED_VALUES += 1
         return v
 
-    def values_at(self, exprs, i):
-        """The values of exprs at point i, or None at the first that fails."""
-        out = []
-        for e in exprs:
-            v = _at(self, evaluate, e, self.column(e), i)
-            if isinstance(v, EvalError):
-                return None
-            out.append(v)
-        return out
-
     def scan(self, e: Expr, idx):
         """The cached ``evaluate(e, point i)`` for i in idx, lazily."""
         col = self.column(e)
@@ -276,13 +266,13 @@ def _vanish(exprs, sp: Sampler, syms) -> bool:
                 return True
 
 
-def is_zero_generic(e: Expr, sp: Sampler, extra_syms=()) -> bool:
+def is_zero_generic(e: Expr, sp: Sampler) -> bool:
     """True iff the expression vanishes at all sampled admissible points.
 
     The comparison is relative to the accumulated term magnitude, so exact
     cancellations are recognized even when individual terms are large.
     """
-    return all_zero_generic([e], sp, extra_syms)
+    return all_zero_generic([e], sp)
 
 
 def all_zero_generic(exprs, sp: Sampler, extra_syms=()) -> bool:

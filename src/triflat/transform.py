@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffgeo import annihilator, differential, lie_derivative
 from .elimination import _score
-from .errors import EvalError, IntegrationError, PipelineError
+from .errors import EvalError, IntegrationError, PipelineError, SamplerExhausted
 from .expr import (
     Add,
     Call,
@@ -33,7 +33,6 @@ from .expr import (
     add,
     call,
     div,
-    evaluate,
     free_symbols,
     mul,
     neg,
@@ -334,7 +333,7 @@ def apply_input_change(stage: Stage, g, M, new_names, sp: Sampler, note="") -> S
     """New inputs v = g(x) + M(x) u; fields and drift follow u = M^-1 (v - g)."""
     sysm = stage.sys
     det = simplify(sub(mul(M[0][0], M[1][1]), mul(M[0][1], M[1][0])))
-    if is_zero_generic(det, sp, extra_syms=sysm.frame):
+    if is_zero_generic(det, _image(stage, sp)):
         raise PipelineError(f"input transformation is generically singular ({note})")
     minv = [
         [simplify(div(M[1][1], det)), simplify(neg(div(M[0][1], det)))],
@@ -393,23 +392,25 @@ def apply_input_change(stage: Stage, g, M, new_names, sp: Sampler, note="") -> S
 
 
 def _check_step_inverse(stage: Stage, defs, inverse, sp: Sampler, note=""):
-    """The step's inverse undoes the step at 20 image points of the stage.
+    """The step's inverse undoes the step at the first 20 points of the
+    stage's image mapped by the step, which carry each old x as "x before".
 
     Where this holds at every stage, the composed maps round trip at the
     original points, and DG.DF = I makes the forward map a local
     diffeomorphism there.  At least half of the points must evaluate.
     """
-    ps = point_set(_image(stage, sp), ())
+    frame = stage.sys.frame
+    maps = [*defs, *((p, Sym(p)) for p in stage.sys.params),
+            *((f"{x} before", Sym(x)) for x in frame)]
+    ps = point_set(_mapped(_image(stage, sp), (), maps), ())
     seen = 0
-    for pt in map(ps.point, range(20)):
-        try:
-            newvals = {new: evaluate(f, pt) for new, f in defs}
-            newvals.update({p: pt[p] for p in stage.sys.params})
-            back = {x: evaluate(inverse[x], newvals) for x in stage.sys.frame}
-        except EvalError:
+    for k, back in enumerate(zip(*[ps.scan(inverse[x], range(20)) for x in frame])):
+        if any(isinstance(v, EvalError) for v in back):
             continue
-        for x, v in back.items():
-            if not abs(v - pt[x]) <= 1e-8 * (1 + abs(pt[x])):
+        pt = ps.point(k)
+        for x, v in zip(frame, back):
+            old = pt[f"{x} before"]
+            if not abs(v - old) <= 1e-8 * (1 + abs(old)):
                 raise PipelineError(
                     f"inverse map fails to reproduce {x} at a sample point ({note})"
                 )
@@ -435,58 +436,47 @@ def verify_transformation(
     """Pushforward consistency at sampled states and inputs.
 
     The time derivative of the forward map along the original dynamics must
-    match the transformed dynamics at the mapped point.  A comparison that
-    gives nan counts as a mismatch.
+    match the transformed dynamics at the mapped point, at 20 points of one
+    image stream; the original side rides along under names no expression
+    can hold.  A comparison that gives nan counts as a mismatch.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"the verification tolerance must be finite and positive, got {tol}")
-    new_frame = result.frame
-    jac = {
-        new: {x: differentiate(f, x) for x in original.frame}
-        for new, f in change.state_map.items()
-    }
-    syms = set(original.frame) | set(original.input_syms) | set(original.params)
-    # everything in the original frame is read from the shared point set;
-    # only the transformed dynamics are evaluated at the mapped points
-    fields = (original.drift, original.b1, original.b2)
-    exprs = [c for f in fields for c in f.components]
-    exprs += [jac[new][x] for new in new_frame for x in original.frame]
-    exprs += list(change.state_map.values())
-    exprs += [change.input_map[u] for u in result.input_syms]
-    n = len(original.frame)
-    at_map = 3 * n + len(new_frame) * n  # where the state map's values start
-    at_inputs = at_map + len(change.state_map)
-    ps = point_set(sp, syms)
-    idx = range(sp.max_resamples + 20)
+    frame = original.frame
+    fkeys = [(f"drift {x}", f"b1 {x}", f"b2 {x}") for x in frame]
+    jkeys = [[f"d{new} / d{x}" for x in frame] for new in result.frame]
+    ukeys = [f"input {u}" for u in original.input_syms]
+    comps = zip(original.drift.components, original.b1.components, original.b2.components)
+    maps = [(v, change.input_map[v]) for v in result.input_syms]
+    maps += [*change.state_map.items(), *((p, Sym(p)) for p in original.params)]
+    maps += [pair for keys, cs in zip(fkeys, comps) for pair in zip(keys, cs)]
+    maps += [(key, differentiate(change.state_map[new], x))
+             for new, keys in zip(result.frame, jkeys) for key, x in zip(keys, frame)]
+    maps += zip(ukeys, map(Sym, original.input_syms))
+    ps = point_set(_mapped(sp, {*frame, *original.input_syms, *original.params}, maps), ())
+    rows = zip(result.drift.components, result.b1.components, result.b2.components)
+    scans = [ps.scan(e, range(sp.max_resamples + 20)) for row in rows for e in row]
     checked = 0
-    for k, vals in enumerate(zip(*[ps.scan(e, idx) for e in exprs])):
-        if any(isinstance(v, EvalError) for v in vals):
-            continue
-        point = ps.point(k)
-        u1, u2 = (point[u] for u in original.input_syms)
-        xdot = [vals[j] + vals[n + j] * u1 + vals[2 * n + j] * u2 for j in range(n)]
-        lhs = {}
-        for r, new in enumerate(new_frame):
-            row = vals[3 * n + r * n:3 * n + (r + 1) * n]
-            lhs[new] = sum(v * xdot[j] for j, v in enumerate(row))
-        newpoint = dict(zip(change.state_map, vals[at_map:at_inputs]))
-        for p in original.params:
-            newpoint[p] = point[p]
-        uvals = vals[at_inputs:]
-        try:
-            for i, new in enumerate(new_frame):
-                rhs = (
-                    evaluate(result.drift.components[i], newpoint)
-                    + evaluate(result.b1.components[i], newpoint) * uvals[0]
-                    + evaluate(result.b2.components[i], newpoint) * uvals[1]
-                )
-                if not abs(lhs[new] - rhs) <= tol * (1.0 + abs(lhs[new]) + abs(rhs)):
+    try:
+        for k, vals in enumerate(zip(*scans)):
+            pt = ps.point(k)
+            u1, u2 = (pt[key] for key in ukeys)
+            xdot = [pt[a] + pt[b] * u1 + pt[c] * u2 for a, b, c in fkeys]
+            v1, v2 = (pt[v] for v in result.input_syms)
+            for i, row in enumerate(jkeys):
+                dr, b1, b2 = vals[3 * i:3 * i + 3]
+                if any(isinstance(v, EvalError) for v in (dr, b1, b2)):
+                    break
+                lhs = sum(pt[key] * xdot[j] for j, key in enumerate(row))
+                rhs = dr + b1 * v1 + b2 * v2
+                if not abs(lhs - rhs) <= tol * (1.0 + abs(lhs) + abs(rhs)):
                     return False
-        except EvalError:
-            continue
-        checked += 1
-        if checked == 20:
-            return True
+            else:
+                checked += 1
+                if checked == 20:
+                    return True
+    except SamplerExhausted:
+        pass
     raise PipelineError("verification could not sample admissible points")
 
 
@@ -498,13 +488,15 @@ def _stage_verified(stage: Stage, sp: Sampler, tol=1e-7) -> bool:
 
 @dataclass(frozen=True)
 class _Image(Sampler):
-    """The base sampler's points mapped by a stage's forward and input maps.
+    """The base sampler's points mapped by named expressions.
 
     Structural identities are only claimed on the image of the original
-    sampling box, so every test of a stage samples this stream: point i is
-    the image of the i-th base point at which every map evaluates, with the
-    parameters copied.  It ends once more than ``max_resamples`` base points
-    have failed, and a read past its end raises SamplerExhausted.
+    sampling box, so every test of a stage samples the image under the
+    stage's forward and input maps (:func:`_image`), and every check of a
+    printed map reads an image too.  Point i is the image of the i-th base
+    point at which every map evaluates.  The stream ends once more than
+    ``max_resamples`` base points have failed, and a read past its end
+    raises SamplerExhausted.
     """
 
     base: Sampler = None
@@ -516,12 +508,10 @@ class _Image(Sampler):
 
     def point_stream(self, syms):
         ps = point_set(self.base, self.base_syms)
-        names = [name for name, _e in self.maps]
-        exprs = [e for _name, e in self.maps]
-        failed = 0
-        for i in itertools.count():
-            vals = ps.values_at(exprs, i)
-            if vals is not None:
+        names, exprs = zip(*self.maps)
+        failed = 0  # one scan per map looks its column up once, not at every point
+        for vals in zip(*(ps.scan(e, itertools.count()) for e in exprs)):
+            if not any(isinstance(v, EvalError) for v in vals):
                 yield dict(zip(names, vals))
                 continue
             failed += 1
@@ -529,13 +519,17 @@ class _Image(Sampler):
                 return
 
 
+def _mapped(sp: Sampler, syms, maps) -> _Image:
+    """sp's points for syms, mapped by the (name, expression) pairs."""
+    return _Image(**{f.name: getattr(sp, f.name) for f in fields(Sampler)}, base=sp,
+                  base_syms=tuple(sorted(set(syms))), maps=tuple(maps))
+
+
 def _image(stage: Stage, sp: Sampler) -> _Image:
     """The sampler of the stage's frame on the image of sp's points."""
     orig = _original_of(stage)
     maps = {**stage.forward, **stage.input_map, **{p: Sym(p) for p in orig.params}}
-    syms = set(orig.frame) | set(orig.input_syms) | set(orig.params)
-    return _Image(**vars(sp), base=sp, base_syms=tuple(sorted(syms)),
-                  maps=tuple(maps.items()))
+    return _mapped(sp, {*orig.frame, *orig.input_syms, *orig.params}, maps.items())
 
 
 def _depends_at(e: Expr, x: str, img: Sampler) -> bool:

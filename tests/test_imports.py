@@ -1,9 +1,10 @@
-"""Every name a module imports is used in it, and every local a function
-assigns is read (no linter is installed).
+"""Every name a module imports is used in it, every local a function
+assigns is read (no linter is installed), and only the sampling layer
+evaluates expressions.
 
-``__init__.py`` is exempt from the import scan: its imports are the
-package's re-exports.  Locals whose names start with ``_`` are exempt from
-the local scan.
+``__init__.py`` is exempt from the import and evaluation scans: its imports
+are the package's re-exports.  Locals whose names start with ``_`` are
+exempt from the local scan.
 """
 
 import ast
@@ -88,3 +89,27 @@ def test_scan_finds_an_unused_local():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_locals(path):
     assert unused_locals(path.read_text()) == []
+
+
+def references(source, name):
+    """Lines at which a module imports, reads or looks up the attribute name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = any(alias.name == name for alias in node.names)
+        else:
+            hit = getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+        if hit:
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_scan_finds_a_reference():
+    source = "from .expr import evaluate as ev\nv = m.evaluate\nevaluate(e)\nevaluated = 1\n"
+    assert references(source, "evaluate") == [1, 2, 3]
+
+
+def test_only_the_sampling_layer_evaluates():
+    # every numeric value is read through a PointSet, whose columns evaluate
+    evaluators = {p.name: references(p.read_text(), "evaluate") for p in MODULES}
+    assert {name for name, lines in evaluators.items() if lines} == {"expr.py", "sampling.py"}

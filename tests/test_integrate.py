@@ -74,6 +74,19 @@ def test_coordinate_plane_integration():
     assert out[0].source == "coordinate"
 
 
+def test_a_fault_in_a_candidate_test_propagates(monkeypatch):
+    # only a TriflatError rejects a candidate; a bug must not read as
+    # "could not complete the span"
+    def broken(*_args):
+        raise TypeError("broken span test")
+
+    monkeypatch.setattr(integrate, "form_in_span", broken)
+    frame = ("x", "z")
+    W = Codistribution(frame, [one_form(frame, {"z": Rat(1)})])
+    with pytest.raises(TypeError, match="broken span test"):
+        integrate_codistribution(W, SP)
+
+
 def test_vtol_closure_annihilator_integration(vtol_analysis):
     sp = vtol_analysis.sp
     ann = annihilator(vtol_analysis.report.closure, sp)

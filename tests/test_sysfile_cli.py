@@ -170,10 +170,34 @@ def test_cli_transform_verify_round_trip(capsys, tmp_path):
     assert code == 1 and out["verified"] is False
 
 
+def vtol_identity_map(x_name):
+    """vtol.sys mapped to itself with its state x renamed; no right-hand side
+    reads x, so the name is never evaluated."""
+    frame = [x_name, "z", "theta", "vx", "vz", "omega"]
+    return json.dumps({
+        "result": {
+            "states": frame, "inputs": ["u1", "u2"], "params": ["eps"],
+            "drift": {x_name: "vx", "z": "vz", "theta": "omega", "vz": "-1"},
+            "b1": {"vx": "-sin(theta)", "vz": "cos(theta)"},
+            "b2": {"vx": "eps*cos(theta)", "vz": "eps*sin(theta)", "omega": "1"},
+        },
+        "state_map": dict(zip(frame, ["x", "z", "theta", "vx", "vz", "omega"])),
+        "input_map": {"u1": "u1", "u2": "u2"},
+    })
+
+
 BAD_MAPS = {
     "bad-json": "{",
     "no-states": json.dumps({"result": {}, "state_map": {}, "input_map": {}}),
+    "unnamable-state": vtol_identity_map("q 1"),
 }
+
+
+def test_cli_verifies_a_renamed_identity_map(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(vtol_identity_map("q1"))
+    code, out = run_cli(capsys, "verify", corpus("vtol.sys"), "--transform", str(path))
+    assert (code, out["verified"]) == (0, True)
 
 
 @pytest.mark.parametrize(
@@ -181,11 +205,13 @@ BAD_MAPS = {
     [
         ["check", "--samples", "4"],
         ["check", "--tol", "-1"],
+        ["check", "--tol", "inf"],
         ["check", "--domain", "theta=2:1"],
         ["check", "--prolong", "u1=x"],
         ["check", "--prolong", "u1=-1"],
         ["verify", "--transform", "bad-json"],
         ["verify", "--transform", "no-states"],
+        ["verify", "--transform", "unnamable-state"],
         ["verify", "--vtol", "nan"],
         ["verify", "--vtol", "inf"],
         ["verify", "--vtol", "-1"],

@@ -300,6 +300,17 @@ def test_an_expression_undefined_on_the_whole_image_raises():
         MatrixSampler([[undefined, ONE]], (), img).generic()
 
 
+def test_input_change_tests_its_determinant_on_the_stage_image():
+    # z = -x1 < 0 on the image, while the default box has every z > 0, where
+    # log(-z) is undefined
+    stage = apply_state_change(_plane(), [("z", parse_expr("-x1")), ("x2", Sym("x2"))], SP)
+    det = parse_expr("log(-z) + 2")
+    out = transform.apply_input_change(
+        stage, (ZERO, ZERO), [[det, ZERO], [ZERO, ONE]], ("v1", "v2"), SP
+    )
+    assert out.sys.input_syms == ("v1", "v2")
+
+
 def test_stages_with_the_same_frame_names_get_their_own_point_sets():
     _stage, a = _image_of({"s0": "x1 + x2", "s1": "x2"})
     _stage, b = _image_of({"s0": "x1 - x2", "s1": "x2"})
