@@ -349,8 +349,7 @@ def cmd_verify(args):
                 state_map={k: parse_expr(v) for k, v in payload["state_map"].items()},
                 input_map={k: parse_expr(v) for k, v in payload["input_map"].items()},
             )
-            names = [*result_sys.frame, *result_sys.input_syms, *change.state_map,
-                     *change.input_map]
+            names = [*result_sys.frame, *result_sys.input_syms]
             for name in names:  # an expression must be able to name each
                 try:
                     named = parse_expr(name) == Sym(name)
@@ -358,6 +357,11 @@ def cmd_verify(args):
                     named = False
                 if not named:
                     raise ValueError(f"{name!r} is not an identifier")
+            if len({*names, *sysm.params}) < len(names) + len(sysm.params):
+                raise ValueError("result states, inputs and parameters must be distinct")
+            keys = (set(change.state_map), set(change.input_map))
+            if keys != (set(result_sys.frame), set(result_sys.input_syms)):
+                raise ValueError("state_map and input_map must map the result states and inputs")
         except (ValueError, KeyError, TypeError, AttributeError, TriflatError) as e:
             raise SysFileError(
                 f"malformed transformation file {args.transform!r}: {e!r}"

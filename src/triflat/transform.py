@@ -392,25 +392,24 @@ def apply_input_change(stage: Stage, g, M, new_names, sp: Sampler, note="") -> S
 
 
 def _check_step_inverse(stage: Stage, defs, inverse, sp: Sampler, note=""):
-    """The step's inverse undoes the step at the first 20 points of the
-    stage's image mapped by the step, which carry each old x as "x before".
+    """The step's inverse undoes the step at the first 20 image points of the
+    stage, read as ``inverse[x]`` with the step substituted.
 
     Where this holds at every stage, the composed maps round trip at the
     original points, and DG.DF = I makes the forward map a local
-    diffeomorphism there.  At least half of the points must evaluate.
+    diffeomorphism there.  At least half of the points must evaluate both
+    the step and its inverse.
     """
     frame = stage.sys.frame
-    maps = [*defs, *((p, Sym(p)) for p in stage.sys.params),
-            *((f"{x} before", Sym(x)) for x in frame)]
-    ps = point_set(_mapped(_image(stage, sp), (), maps), ())
+    exprs = [*(substitute(inverse[x], dict(defs)) for x in frame), *(f for _new, f in defs)]
+    ps = point_set(_image(stage, sp), ())
     seen = 0
-    for k, back in enumerate(zip(*[ps.scan(inverse[x], range(20)) for x in frame])):
-        if any(isinstance(v, EvalError) for v in back):
+    for k, vals in enumerate(zip(*(ps.scan(e, range(20)) for e in exprs))):
+        if any(isinstance(v, EvalError) for v in vals):
             continue
         pt = ps.point(k)
-        for x, v in zip(frame, back):
-            old = pt[f"{x} before"]
-            if not abs(v - old) <= 1e-8 * (1 + abs(old)):
+        for x, v in zip(frame, vals):
+            if not abs(v - pt[x]) <= 1e-8 * (1 + abs(pt[x])):
                 raise PipelineError(
                     f"inverse map fails to reproduce {x} at a sample point ({note})"
                 )
@@ -436,9 +435,9 @@ def verify_transformation(
     """Pushforward consistency at sampled states and inputs.
 
     The time derivative of the forward map along the original dynamics must
-    match the transformed dynamics at the mapped point, at 20 points of one
-    image stream; the original side rides along under names no expression
-    can hold.  A comparison that gives nan counts as a mismatch.
+    match the transformed dynamics at the mapped point, at 20 of the first
+    max_resamples + 20 base points, read as one image stream that carries the
+    original side under names no expression can hold; nan is a mismatch.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"the verification tolerance must be finite and positive, got {tol}")
@@ -448,14 +447,16 @@ def verify_transformation(
     ukeys = [f"input {u}" for u in original.input_syms]
     comps = zip(original.drift.components, original.b1.components, original.b2.components)
     maps = [(v, change.input_map[v]) for v in result.input_syms]
-    maps += [*change.state_map.items(), *((p, Sym(p)) for p in original.params)]
+    maps += [(new, change.state_map[new]) for new in result.frame]
+    maps += [(p, Sym(p)) for p in original.params]
     maps += [pair for keys, cs in zip(fkeys, comps) for pair in zip(keys, cs)]
     maps += [(key, differentiate(change.state_map[new], x))
              for new, keys in zip(result.frame, jkeys) for key, x in zip(keys, frame)]
     maps += zip(ukeys, map(Sym, original.input_syms))
-    ps = point_set(_mapped(sp, {*frame, *original.input_syms, *original.params}, maps), ())
+    img = _mapped(sp, {*frame, *original.input_syms, *original.params}, maps)
+    ps = point_set(replace(img, base_points=sp.max_resamples + 20), ())
     rows = zip(result.drift.components, result.b1.components, result.b2.components)
-    scans = [ps.scan(e, range(sp.max_resamples + 20)) for row in rows for e in row]
+    scans = [ps.scan(e, itertools.count()) for row in rows for e in row]
     checked = 0
     try:
         for k, vals in enumerate(zip(*scans)):
@@ -480,10 +481,8 @@ def verify_transformation(
     raise PipelineError("verification could not sample admissible points")
 
 
-def _stage_verified(stage: Stage, sp: Sampler, tol=1e-7) -> bool:
-    return verify_transformation(
-        _original_of(stage), stage.change(), stage.sys, sp, tol
-    )
+def _stage_verified(stage: Stage, sp: Sampler) -> bool:
+    return verify_transformation(_original_of(stage), stage.change(), stage.sys, sp)
 
 
 @dataclass(frozen=True)
@@ -494,23 +493,26 @@ class _Image(Sampler):
     sampling box, so every test of a stage samples the image under the
     stage's forward and input maps (:func:`_image`), and every check of a
     printed map reads an image too.  Point i is the image of the i-th base
-    point at which every map evaluates.  The stream ends once more than
-    ``max_resamples`` base points have failed, and a read past its end
-    raises SamplerExhausted.
+    point at which every map evaluates.  The stream ends after ``base_points``
+    base points if set, or once more than ``max_resamples`` have failed; a
+    read past its end raises SamplerExhausted.
     """
 
     base: Sampler = None
     base_syms: tuple = ()
     maps: tuple = ()  # (name, expression in the base symbols) pairs
+    base_points: Optional[int] = None
 
     def stream_key(self, names):
-        return (self.base.stream_key(self.base_syms), self.maps)
+        return (self.base.stream_key(self.base_syms), self.maps, self.max_resamples,
+                self.base_points)
 
     def point_stream(self, syms):
         ps = point_set(self.base, self.base_syms)
         names, exprs = zip(*self.maps)
         failed = 0  # one scan per map looks its column up once, not at every point
-        for vals in zip(*(ps.scan(e, itertools.count()) for e in exprs)):
+        scans = zip(*(ps.scan(e, itertools.count()) for e in exprs))
+        for vals in itertools.islice(scans, self.base_points):
             if not any(isinstance(v, EvalError) for v in vals):
                 yield dict(zip(names, vals))
                 continue

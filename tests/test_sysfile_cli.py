@@ -168,36 +168,40 @@ def test_cli_transform_verify_round_trip(capsys, tmp_path):
         capsys, "verify", corpus("template.sys"), "--transform", str(save)
     )
     assert code == 1 and out["verified"] is False
+    # the map that BAD_MAPS alters verifies as it is
+    save.write_text(vtol_identity_map())
+    code, out = run_cli(capsys, "verify", corpus("vtol.sys"), "--transform", str(save))
+    assert code == 0 and out["verified"] is True
 
 
-def vtol_identity_map(x_name):
-    """vtol.sys mapped to itself with its state x renamed; no right-hand side
-    reads x, so the name is never evaluated."""
+def vtol_identity_map(x_name="q1", u1_name="v1", extra_state=None):
+    """vtol.sys mapped to itself with its state x and input u1 renamed; no
+    right-hand side reads x or u1, so those names are never evaluated."""
     frame = [x_name, "z", "theta", "vx", "vz", "omega"]
+    state_map = dict(zip(frame, ["x", "z", "theta", "vx", "vz", "omega"]))
+    input_map = {u1_name: "u1", "u2": "u2"}
+    if extra_state:  # a wrong u1 image, and an extra state holding the right one
+        input_map[u1_name] = "u2"
+        state_map[extra_state] = "u1"
     return json.dumps({
         "result": {
-            "states": frame, "inputs": ["u1", "u2"], "params": ["eps"],
+            "states": frame, "inputs": [u1_name, "u2"], "params": ["eps"],
             "drift": {x_name: "vx", "z": "vz", "theta": "omega", "vz": "-1"},
             "b1": {"vx": "-sin(theta)", "vz": "cos(theta)"},
             "b2": {"vx": "eps*cos(theta)", "vz": "eps*sin(theta)", "omega": "1"},
         },
-        "state_map": dict(zip(frame, ["x", "z", "theta", "vx", "vz", "omega"])),
-        "input_map": {"u1": "u1", "u2": "u2"},
+        "state_map": state_map,
+        "input_map": input_map,
     })
 
 
 BAD_MAPS = {
     "bad-json": "{",
     "no-states": json.dumps({"result": {}, "state_map": {}, "input_map": {}}),
-    "unnamable-state": vtol_identity_map("q 1"),
+    "unnamable-state": vtol_identity_map(x_name="q 1"),
+    "extra-state": vtol_identity_map(extra_state="v1"),
+    "input-named-like-a-parameter": vtol_identity_map(u1_name="eps"),
 }
-
-
-def test_cli_verifies_a_renamed_identity_map(capsys, tmp_path):
-    path = tmp_path / "map.json"
-    path.write_text(vtol_identity_map("q1"))
-    code, out = run_cli(capsys, "verify", corpus("vtol.sys"), "--transform", str(path))
-    assert (code, out["verified"]) == (0, True)
 
 
 @pytest.mark.parametrize(
@@ -212,6 +216,8 @@ def test_cli_verifies_a_renamed_identity_map(capsys, tmp_path):
         ["verify", "--transform", "bad-json"],
         ["verify", "--transform", "no-states"],
         ["verify", "--transform", "unnamable-state"],
+        ["verify", "--transform", "extra-state"],
+        ["verify", "--transform", "input-named-like-a-parameter"],
         ["verify", "--vtol", "nan"],
         ["verify", "--vtol", "inf"],
         ["verify", "--vtol", "-1"],

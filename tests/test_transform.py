@@ -1,6 +1,7 @@
 """Constructive pipeline: staged transformations and numeric verification."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,29 @@ def test_verify_rejects_corrupted_map(vtol_analysis):
     assert not verify_transformation(
         vtol_analysis.system, corrupted, res.final.system, vtol_analysis.sp
     )
+
+
+def test_verification_counts_both_failures_against_one_budget():
+    # the state map is undefined where x1 < 0.84 and the result where
+    # x2 < 0.84, so about 36% of the base points compare; 20 of them must lie
+    # within the first max_resamples + 20, whichever side failed at the others
+    gap = "log({0} - 21/25) - log({0} - 21/25)"  # zero where defined
+    s = _plane().sys
+    change = CoordinateChange(
+        state_map={"s0": parse_expr("x1 + " + gap.format("x1")), "s1": Sym("x2")},
+        input_map={u: Sym(u) for u in s.input_syms},
+    )
+    frame = ("s0", "s1")
+    result = AffineSystem(
+        frame,
+        vector_field(frame, {"s0": parse_expr("s1 + " + gap.format("s1"))}),
+        vector_field(frame, {"s1": ONE}),
+        vector_field(frame, {"s0": ONE}),
+        s.input_syms,
+    )
+    with pytest.raises(PipelineError, match="could not sample"):
+        verify_transformation(s, change, result, Sampler(max_resamples=24))
+    assert verify_transformation(s, change, result, Sampler(max_resamples=28))
 
 
 # --- full pipelines ----------------------------------------------------------
@@ -311,6 +335,14 @@ def test_input_change_tests_its_determinant_on_the_stage_image():
     assert out.sys.input_syms == ("v1", "v2")
 
 
+def test_images_under_different_resampling_budgets_get_their_own_point_sets():
+    # log(x1) is undefined at about half of the base points
+    _stage, img = _image_of({"s0": "log(x1)", "s1": "x2"}, {"x1": (-1.0, 1.0)})
+    with pytest.raises(SamplerExhausted):
+        point_set(replace(img, max_resamples=0), ()).point(20)
+    assert point_set(img, ()).point(20)
+
+
 def test_stages_with_the_same_frame_names_get_their_own_point_sets():
     _stage, a = _image_of({"s0": "x1 + x2", "s1": "x2"})
     _stage, b = _image_of({"s0": "x1 - x2", "s1": "x2"})
@@ -353,6 +385,13 @@ def test_alternating_shears_pass_their_step_inverses():
     stage = _shear(stage, "s2", "s0 + s1^2")
     assert stage.sys.frame == ("s2", "s1")
     assert _stage_verified(stage, SP)
+
+
+def test_step_undefined_on_most_of_the_image_is_rejected():
+    # log(x1 - 3/2) is defined at fewer than 10 of the first 20 image points
+    step = [("a", parse_expr("log(x1 - 3/2)")), ("x2", Sym("x2"))]
+    with pytest.raises(PipelineError, match=r"cannot sample the coordinate change \(log\)"):
+        apply_state_change(_plane(), step, SP, note="log")
 
 
 def test_perturbed_step_inverse_is_rejected(vtol_analysis, monkeypatch):
