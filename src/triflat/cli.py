@@ -31,10 +31,10 @@ from .errors import (
     SamplerExhausted,
     TriflatError,
 )
-from .expr import ZERO, Sym, to_str
+from .expr import ZERO, to_str
 from .flatout import admissible_phi1, flat_output_for_report
 from .parser import parse_expr
-from .sysfile import SysFileError, load_sysfile
+from .sysfile import SysFileError, check_names, load_sysfile
 from .systems import prolong
 from .transform import (
     CoordinateChange,
@@ -349,16 +349,7 @@ def cmd_verify(args):
                 state_map={k: parse_expr(v) for k, v in payload["state_map"].items()},
                 input_map={k: parse_expr(v) for k, v in payload["input_map"].items()},
             )
-            names = [*result_sys.frame, *result_sys.input_syms]
-            for name in names:  # an expression must be able to name each
-                try:
-                    named = parse_expr(name) == Sym(name)
-                except ExprSyntaxError:
-                    named = False
-                if not named:
-                    raise ValueError(f"{name!r} is not an identifier")
-            if len({*names, *sysm.params}) < len(names) + len(sysm.params):
-                raise ValueError("result states, inputs and parameters must be distinct")
+            check_names(result_sys.frame, result_sys.input_syms, sysm.params)
             keys = (set(change.state_map), set(change.input_map))
             if keys != (set(result_sys.frame), set(result_sys.input_syms)):
                 raise ValueError("state_map and input_map must map the result states and inputs")

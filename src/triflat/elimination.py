@@ -8,9 +8,9 @@ symbolic result is cross-checked numerically before it is returned.
 from __future__ import annotations
 
 from .errors import EliminationError, EvalError
-from .expr import ZERO, add, div, mul, neg, sub
-from .sampling import MatrixSampler, Sampler, point_set
-from .simplify import is_zero_symbolic, simplify
+from .expr import ZERO, Add, Call, Mul, Pow, Rat, Sym, add, div, mul, neg, sub
+from .sampling import MatrixSampler, Sampler, all_zero_generic, point_set
+from .simplify import as_fraction, is_zero_symbolic, lcm_expr, simplify
 
 
 def _sample_points(rows, sp: Sampler, extra_syms=()):
@@ -41,8 +41,6 @@ def _score(ps, e, idx):
 
 def _complexity(e):
     """Rough size of an expression; cheap pivots keep elimination sparse."""
-    from .expr import Add, Call, Mul, Pow, Rat, Sym
-
     if isinstance(e, (Rat, Sym)):
         return 1
     if isinstance(e, Add):
@@ -151,17 +149,12 @@ def _verify_nullspace(rows, basis, sp, extra_syms=()):
     for vec in basis:
         for r in rows:
             residuals.append(add(*(mul(a, b) for a, b in zip(r, vec))))
-    from .sampling import all_zero_generic
-
     if residuals and not all_zero_generic(residuals, sp, extra_syms):
         raise EliminationError("null space verification failed at sample points")
 
 
 def clear_denominators(exprs):
     """Scale a coefficient vector to polynomial form (direction preserved)."""
-    from .expr import Rat
-    from .simplify import as_fraction, lcm_expr
-
     pairs = [as_fraction(e) for e in exprs]
     common = add(1)
     for _n, d in pairs:

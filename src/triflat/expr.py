@@ -6,6 +6,12 @@ represented as a power with exponent 1/2).  Quotients and differences are
 encoded through negative powers and (-1)-scaled terms.  All values are
 immutable; the constructors below perform only cheap local folding, full
 normalization lives in :mod:`triflat.simplify`.
+
+A constant (``Rat.value``, ``Pow.exponent``) is an ``int`` when it is
+integral and a ``Fraction`` only when it is not (:func:`exact`).  An int
+hashes and compares equal to the Fraction it replaces, so keys, hashes and
+``key()`` orders are those of all-Fraction trees; an int is only cheaper
+to build, hash and evaluate.
 """
 
 from __future__ import annotations
@@ -68,11 +74,20 @@ class Expr:
         return neg(self)
 
 
+def exact(v):
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class Rat(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = value if isinstance(value, Fraction) else Fraction(value)
+        self.value = exact(value)
         self._key = ("rat", self.value)
         self._hash = hash(self._key)
 
@@ -109,7 +124,7 @@ class Pow(Expr):
 
     def __init__(self, base, exponent):
         self.base = base
-        self.exponent = exponent if isinstance(exponent, Fraction) else Fraction(exponent)
+        self.exponent = exact(exponent)
         self._key = ("pow", base._key, self.exponent)
         self._hash = hash(self._key)
 
@@ -133,10 +148,8 @@ HALF = Fraction(1, 2)
 def as_expr(v):
     if isinstance(v, Expr):
         return v
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, (int, Fraction, float)):
         return Rat(v)
-    if isinstance(v, float):
-        return Rat(Fraction(v))
     if isinstance(v, str):
         return Sym(v)
     raise TypeError(f"cannot coerce {v!r} to Expr")
@@ -144,7 +157,7 @@ def as_expr(v):
 
 def add(*terms):
     flat = []
-    const = Fraction(0)
+    const = 0
     for t in terms:
         t = as_expr(t)
         if isinstance(t, Add):
@@ -168,7 +181,7 @@ def add(*terms):
 
 def mul(*factors):
     flat = []
-    const = Fraction(1)
+    const = 1
     for f in factors:
         f = as_expr(f)
         if isinstance(f, Mul):
@@ -206,7 +219,7 @@ def pow_(base, exponent):
         if not isinstance(exponent, Rat):
             raise ValueError("exponent must be a rational constant")
         exponent = exponent.value
-    q = Fraction(exponent)
+    q = exact(exponent)
     if q == 0:
         return ONE
     if q == 1:
@@ -215,7 +228,8 @@ def pow_(base, exponent):
         if q.denominator == 1:
             if base.value == 0 and q < 0:
                 raise ZeroDivisionError("0 raised to a negative power")
-            return Rat(base.value ** q)
+            # an int to a negative int power is a float: fold in Fractions
+            return Rat(Fraction(base.value) ** q)
         folded = _exact_rational_root(base.value, q)
         if folded is not None:
             return Rat(folded)
@@ -268,13 +282,13 @@ def call(fn, arg):
         raise ValueError(f"unknown function {fn!r}")
     if isinstance(arg, Rat):
         table = {
-            ("sin", Fraction(0)): ZERO,
-            ("cos", Fraction(0)): ONE,
-            ("tan", Fraction(0)): ZERO,
-            ("arcsin", Fraction(0)): ZERO,
-            ("arctan", Fraction(0)): ZERO,
-            ("exp", Fraction(0)): ONE,
-            ("log", Fraction(1)): ZERO,
+            ("sin", 0): ZERO,
+            ("cos", 0): ONE,
+            ("tan", 0): ZERO,
+            ("arcsin", 0): ZERO,
+            ("arctan", 0): ZERO,
+            ("exp", 0): ONE,
+            ("log", 1): ZERO,
         }
         hit = table.get((fn, arg.value))
         if hit is not None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import FrameMismatch
-from .expr import Expr, ZERO, add, mul
+from .expr import ONE, Expr, ZERO, add, mul
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,4 @@ class Codistribution:
 
 
 def coordinate_field(frame, name) -> VectorField:
-    from .expr import ONE
-
     return VectorField.from_dict(frame, {name: ONE})

@@ -133,7 +133,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.take()
-            return Rat(_decimal_to_fraction(t.text))
+            return Rat(_decimal_value(t.text))
         if t.kind == "ident":
             self.take()
             if self.peek().kind == "(":
@@ -152,9 +152,10 @@ class _Parser:
         raise ExprSyntaxError("expected an operand", t.pos)
 
 
-def _decimal_to_fraction(text):
+def _decimal_value(text):
+    """The literal's exact value; ``Rat`` stores an integral one as an int."""
     if "." not in text:
-        return Fraction(int(text))
+        return int(text)
     whole, frac = text.split(".")
     whole = whole or "0"
     return Fraction(int(whole) * 10 ** len(frac) + int(frac or "0"), 10 ** len(frac))

@@ -33,6 +33,7 @@ from math import isqrt
 from . import trace
 from .errors import TriflatError
 from .expr import (
+    ONE,
     Add,
     Call,
     Expr,
@@ -43,9 +44,12 @@ from .expr import (
     ZERO,
     add,
     call,
+    derivative,
+    exact,
     mul,
     neg,
     pow_,
+    sub,
 )
 
 # Poly: dict monomial -> coefficient, an int when integral, else a Fraction.
@@ -61,18 +65,11 @@ class ZeroDenominator(TriflatError):
     """The denominator normalizes to the zero polynomial."""
 
 
-def _coeff(c):
-    """A coefficient in stored form: the int when c is integral."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def _quotient(a, b):
     """a / b for coefficients, exact."""
     if type(a) is int and type(b) is int and a % b == 0:
         return a // b
-    return _coeff(Fraction(a, b))
+    return exact(Fraction(a, b))
 
 
 # --- kernel table ---------------------------------------------------------------
@@ -224,7 +221,7 @@ def _poly_add(p1, p2):
     for m, c in p2.items():
         nc = out.get(m, 0) + c
         if nc:
-            out[m] = nc if type(nc) is int else _coeff(nc)
+            out[m] = nc if type(nc) is int else exact(nc)
         else:
             out.pop(m, None)
     return out
@@ -233,7 +230,7 @@ def _poly_add(p1, p2):
 def _poly_scale(p, c):
     if c == 0:
         return {}
-    return {m: _coeff(v * c) for m, v in p.items()}
+    return {m: exact(v * c) for m, v in p.items()}
 
 
 def _poly_mul(p1, p2):
@@ -278,14 +275,14 @@ def _poly_mul(p1, p2):
             else:
                 nc = out.get(m, 0) + c1 * c2
                 if nc:
-                    out[m] = nc if type(nc) is int else _coeff(nc)
+                    out[m] = nc if type(nc) is int else exact(nc)
                 else:
                     out.pop(m, None)
                 continue
             for m, c in _mono_mul(m1, m2).items():
                 nc = out.get(m, 0) + c1 * c2 * c
                 if nc:
-                    out[m] = nc if type(nc) is int else _coeff(nc)
+                    out[m] = nc if type(nc) is int else exact(nc)
                 else:
                     out.pop(m, None)
     return out
@@ -324,7 +321,7 @@ def _poly_mul_vectors(p1, p2, order):
             v = v1 + v2
             nc = out.get(v, 0) + c1 * c2
             if nc:
-                out[v] = nc if type(nc) is int else _coeff(nc)
+                out[v] = nc if type(nc) is int else exact(nc)
             else:
                 out.pop(v, None)
     result = {}
@@ -425,7 +422,7 @@ def _poly_div_exact(a, b):
         if mq is None:
             return None
         cq = _quotient(rem[la], cb)
-        q[mq] = _coeff(q.get(mq, 0) + cq)
+        q[mq] = exact(q.get(mq, 0) + cq)
         for k, e in la:
             if e >= fold_at[k]:
                 prod = _poly_mul({mq: cq}, b)
@@ -447,7 +444,7 @@ def _poly_div_exact(a, b):
                 continue
             nc = old - c
             if nc:
-                rem[m] = nc if type(nc) is int else _coeff(nc)
+                rem[m] = nc if type(nc) is int else exact(nc)
             else:
                 del rem[m]
                 del order[bisect_left(order, (_mono_key(m), m))]
@@ -485,11 +482,11 @@ def _root_part(b, p, r):
     """
     k = pow_(b, Fraction(1, r))
     if isinstance(k, Rat):
-        poly = {_EMPTY_MONO: _coeff(k.value ** abs(p))}
+        poly = {_EMPTY_MONO: k.value ** abs(p)}
         return (poly, _POLY_ONE) if p > 0 else (_POLY_ONE, poly)
     if not isinstance(k, Pow):
         # pow_ collapsed the root, e.g. nested roots merging
-        return _nf(pow_(k, Fraction(abs(p)))) if p > 0 else _nf(pow_(k, Fraction(-abs(p))))
+        return _nf(pow_(k, abs(p))) if p > 0 else _nf(pow_(k, -abs(p)))
     mono = {((_kid(k), abs(p)),): 1}
     return (mono, _POLY_ONE) if p > 0 else (_POLY_ONE, mono)
 
@@ -497,7 +494,7 @@ def _root_part(b, p, r):
 def _nf(e):
     """(numerator Poly, denominator Poly) of an expression."""
     if isinstance(e, Rat):
-        return ({_EMPTY_MONO: _coeff(e.value)} if e.value else {}), _POLY_ONE
+        return ({_EMPTY_MONO: e.value} if e.value else {}), _POLY_ONE
     if isinstance(e, Sym):
         return {((_kid(e), 1),): 1}, _POLY_ONE
     if isinstance(e, Add):
@@ -571,15 +568,13 @@ def _inverse_composition(fn, arg):
     if not isinstance(arg, Call):
         return None
     t = arg.arg
-    from .expr import ONE, sub as esub
-
     if arg.fn == "arcsin":
         if fn == "sin":
             return t
         if fn == "cos":
-            return pow_(esub(ONE, mul(t, t)), Fraction(1, 2))
+            return pow_(sub(ONE, mul(t, t)), Fraction(1, 2))
         if fn == "tan":
-            return mul(t, pow_(esub(ONE, mul(t, t)), Fraction(-1, 2)))
+            return mul(t, pow_(sub(ONE, mul(t, t)), Fraction(-1, 2)))
     if arg.fn == "arctan":
         if fn == "tan":
             return t
@@ -1011,8 +1006,6 @@ def lcm_expr(a: Expr, b: Expr) -> Expr:
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative, returned in normal form."""
-    from .expr import derivative
-
     key = (e, name)
     hit = _DERIVATIVES.get(key)
     if hit is None:

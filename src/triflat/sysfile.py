@@ -16,8 +16,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import TriflatError
-from .expr import Expr, ZERO
+from .errors import ExprSyntaxError, TriflatError
+from .expr import Expr, Sym, ZERO, free_symbols
 from .parser import parse_expr
 from .sampling import Sampler
 from .systems import AffineSystem, make_affine, vector_field
@@ -72,6 +72,22 @@ class SystemDefinition:
                 eps = max(abs(v) * 1e-9, 1e-12)
                 domains[p] = (v - eps, v + eps)
         return Sampler(seed=seed, samples=samples, tol=tol, domains=domains)
+
+
+def check_names(*groups):
+    """Every name must read back through the grammar as its own symbol, and
+    no name may appear twice within or across the groups."""
+    names = [name for group in groups for name in group]
+    for name in names:
+        try:
+            named = parse_expr(name) == Sym(name)
+        except ExprSyntaxError:
+            named = False
+        if not named:
+            raise SysFileError(f"{name!r} is not an identifier")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise SysFileError(f"states, inputs and parameters must be distinct: {repeated}")
 
 
 _SECTIONS = ("states", "inputs", "drift", "b1", "b2", "params", "domain", "hints")
@@ -137,17 +153,18 @@ def _assemble(data, meta) -> SystemDefinition:
     if general and (b1 or b2):
         raise SysFileError("a general system must not declare [b1]/[b2]")
 
-    params: Dict[str, Optional[float]] = {}
+    declared = []
     for line_no, line in data["params"]:
         if "=" in line:
             sym, val = (p.strip() for p in line.split("=", 1))
             try:
-                params[sym] = float(val)
+                declared.append((sym, float(val)))
             except ValueError:
                 raise SysFileError(f"bad parameter value {val!r}", line_no) from None
         else:
-            for sym in line.replace(",", " ").split():
-                params[sym] = None
+            declared.extend((sym, None) for sym in line.replace(",", " ").split())
+    check_names(states, inputs, [sym for sym, _ in declared])
+    params: Dict[str, Optional[float]] = dict(declared)
 
     domains = {}
     for line_no, line in data["domain"]:
@@ -177,8 +194,6 @@ def _assemble(data, meta) -> SystemDefinition:
     allowed = set(states) | set(params) | (set(inputs) if general else set())
     for key, comp in (("drift", drift), ("b1", b1), ("b2", b2)):
         for sym, e in comp.items():
-            from .expr import free_symbols
-
             extra = free_symbols(e) - allowed
             if extra:
                 raise SysFileError(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import FrameMismatch, TriflatError
-from .expr import Call, ZERO, add, free_symbols, mul
+from .expr import Call, Sym, ZERO, add, free_symbols, mul
 from .fields import Distribution, VectorField, coordinate_field
 from .simplify import simplify
 
@@ -88,8 +88,6 @@ def prolong(sys: AffineSystem, which: int, k: int) -> AffineSystem:
 
     b_pro = sys.b1 if which == 0 else sys.b2
     b_other = sys.b2 if which == 0 else sys.b1
-    from .expr import Sym
-
     drift_comps = [
         add(a, mul(c, Sym(u))) for a, c in zip(sys.drift.components, b_pro.components)
     ]

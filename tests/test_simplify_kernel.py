@@ -102,7 +102,7 @@ def _textbook_division(a, b):
         if mq is None:
             return None
         cq = S._quotient(ca, cb)
-        q[mq] = S._coeff(q.get(mq, 0) + cq)
+        q[mq] = S.exact(q.get(mq, 0) + cq)
         rem = S._poly_add(rem, S._poly_scale(S._poly_mul({mq: cq}, b), -1))
     return None
 

@@ -237,6 +237,29 @@ def test_cli_bad_input_is_a_usage_error(capsys, tmp_path, argv):
     assert "error" in json.loads(captured.err)
 
 
+@pytest.mark.parametrize(
+    "states, params, message",
+    [
+        ("x1 x-2 x3", "", "'x-2' is not an identifier"),  # no expression can name it
+        ("x1 x1 x3", "", "must be distinct: ['x1']"),
+        ("x1 x2 x3", "x3", "must be distinct: ['x3']"),
+        ("x1 x2 x3", "eps = 0.5\neps", "must be distinct: ['eps']"),  # fixed, then sampled
+    ],
+    ids=["unnamable-state", "repeated-state", "parameter-named-like-a-state",
+         "repeated-parameter"],
+)
+def test_cli_rejects_names_an_expression_cannot_tell_apart(capsys, tmp_path, states,
+                                                           params, message):
+    path = tmp_path / "bad.sys"
+    path.write_text(f"[states]\n{states}\n[inputs]\nu1 u2\n[drift]\nx1 = x3\n"
+                    f"[b1]\nx3 = 1\n[b2]\nx1 = 1\n[params]\n{params}\n")
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in json.loads(captured.err)["error"]
+
+
 def test_cli_reports_deterministic(capsys):
     code1, out1 = run_cli(capsys, "check", corpus("template.sys"))
     code2, out2 = run_cli(capsys, "check", corpus("template.sys"))
