@@ -118,13 +118,6 @@ def _load(args):
         sp = definition.sampler(seed=args.seed, samples=args.samples, tol=args.tol)
     except ValueError as e:
         raise SysFileError(f"bad sampler option: {e}") from None
-    for entry in args.domain or ():
-        try:
-            name, rng = entry.split("=", 1)
-            lo, hi = (float(p) for p in rng.split(":", 1))
-            sp = sp.with_domains({name.strip(): (lo, hi)})
-        except ValueError:
-            raise SysFileError(f"bad --domain entry {entry!r}") from None
     sysm = definition.system()
     prolongations = []
     for entry in args.prolong or ():
@@ -138,6 +131,17 @@ def _load(args):
             order = int(count)
             sysm = prolong(sysm, sysm.input_syms.index(name), order)
             prolongations.append({"input": name, "order": order})
+    names = {*sysm.frame, *sysm.input_syms, *sysm.params}
+    for entry in args.domain or ():
+        try:
+            name, rng = (p.strip() for p in entry.split("=", 1))
+            lo, hi = (float(p) for p in rng.split(":", 1))
+            sp = sp.with_domains({name: (lo, hi)})
+        except ValueError:
+            raise SysFileError(f"bad --domain entry {entry!r}") from None
+        if name not in names:
+            raise SysFileError(f"--domain names {name!r}, which is no state, input or "
+                               "parameter of the system")
     return definition, sysm, sp, prolongations
 
 
@@ -396,6 +400,8 @@ def build_parser():
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--domain", action="append", metavar="SYM=LO:HI")
         p.add_argument("--prolong", action="append", metavar="INPUT=K")
+
+    def flat_options(p):
         p.add_argument("--phi1", help="first output function (no-terminal-chain case)")
         p.add_argument("--hint", action="append", metavar="EXPR",
                        help="candidate integral for the straightening heuristic")
@@ -408,16 +414,19 @@ def build_parser():
 
     p = sub.add_parser("flat-output", help="derive a flat output")
     common(p)
+    flat_options(p)
     p.set_defaults(fn=cmd_flat_output)
 
     p = sub.add_parser("transform", help="construct the normal-form transformation")
     common(p)
+    flat_options(p)
     p.add_argument("--save", metavar="PATH", help="write the composed map as JSON")
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("verify", help="re-verify a saved transformation or gather "
                                       "prolongation evidence")
     common(p)
+    flat_options(p)
     p.add_argument("--transform", metavar="PATH", help="saved transformation JSON")
     p.add_argument("--vtol", type=float, default=1e-7,
                    help="verification tolerance")

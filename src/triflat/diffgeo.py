@@ -293,7 +293,7 @@ def cauchy_characteristics(D: Distribution, sp: Sampler) -> Distribution:
     brackets = [[lie_bracket(vj, vi) for vj in b] for vi in b]
     for i in range(len(b)):
         for w in ann.forms:
-            rows.append([simplify(w.pair(br)) for br in brackets[i]])
+            rows.append([w.pair(br) for br in brackets[i]])
     lam_vectors = nullspace(rows, sp)
     fields = []
     for lam in lam_vectors:

@@ -30,7 +30,7 @@ from .elimination import clear_denominators
 from .errors import NotApplicable, SamplerExhausted, TriflatError
 from .expr import Expr, ONE, Rat, ZERO, add, div, mul, neg, pow_, sub
 from .fields import Distribution, VectorField
-from .sampling import MatrixSampler, Sampler, is_zero_generic
+from .sampling import MatrixSampler, Sampler, all_zero_generic, is_zero_generic
 from .simplify import as_fraction, simplify, sqrt_of_square
 from .systems import AffineSystem
 
@@ -99,7 +99,7 @@ class DirectionCandidate:
 
     def collinear_with(self, other, sp: Sampler) -> bool:
         cross = sub(mul(self.alpha1, other.alpha2), mul(self.alpha2, other.alpha1))
-        return is_zero_generic(simplify(cross), sp)
+        return is_zero_generic(cross, sp)
 
 
 def _normalized_candidate(sys, alpha1, alpha2, source) -> DirectionCandidate:
@@ -127,6 +127,17 @@ def _normalized_candidate(sys, alpha1, alpha2, source) -> DirectionCandidate:
     return DirectionCandidate(a1, a2, field, source)
 
 
+def _consistent_pair(pairs, sp: Sampler):
+    """The equation c1 a1 + c2 a2 = 0 that fixes the direction: the first
+    pair with c2 nonzero, else with c1 nonzero, once every 2x2 minor of the
+    pairs vanishes; None when the equations disagree or all vanish."""
+    minors = [sub(mul(c1, d2), mul(c2, d1))
+              for j, (c1, c2) in enumerate(pairs) for d1, d2 in pairs[j + 1:]]
+    if not all_zero_generic(minors, sp):
+        return None
+    return next((p for i in (1, 0) for p in pairs if not is_zero_generic(p[i], sp)), None)
+
+
 def candidate_via_h(sys: AffineSystem, chain: BracketChain, sp: Sampler) -> DirectionCandidate:
     """Unique direction with ad_a^{depth+1} b_p inside H, when one exists."""
     if chain.depth < 1:
@@ -146,37 +157,16 @@ def candidate_via_h(sys: AffineSystem, chain: BracketChain, sp: Sampler) -> Dire
     if in2:
         return _normalized_candidate(sys, ZERO, ONE, "h-method")
     # pair against the annihilator: one linear equation per complement form
-    pairs = []
-    for form in annihilator(H, sp).forms:
-        c1 = simplify(form.pair(w1))
-        c2 = simplify(form.pair(w2))
-        if c1 == ZERO and c2 == ZERO:
-            continue
-        pairs.append((c1, c2))
-    best = None
-    for i, (c1, c2) in enumerate(pairs):
-        cross_ok = True
-        for j, (d1, d2) in enumerate(pairs):
-            if j == i:
-                continue
-            cross = simplify(sub(mul(c1, d2), mul(c2, d1)))
-            if not is_zero_generic(cross, sp):
-                cross_ok = False
-                break
-        if cross_ok and not is_zero_generic(c2, sp):
-            best = (c1, c2)
-            break
-        if cross_ok and best is None and not is_zero_generic(c1, sp):
-            best = (c1, c2)
+    pairs = [(simplify(form.pair(w1)), simplify(form.pair(w2)))
+             for form in annihilator(H, sp).forms]
+    best = _consistent_pair([p for p in pairs if p != (ZERO, ZERO)], sp)
     if best is None:
         raise NotApplicable("no direction satisfies the containment condition")
-    alpha1 = best[1]
-    alpha2 = neg(best[0])
-    cand = _normalized_candidate(sys, alpha1, alpha2, "h-method")
+    cand = _normalized_candidate(sys, best[1], neg(best[0]), "h-method")
     combo = VectorField(
         sys.frame,
         tuple(
-            simplify(add(mul(cand.alpha1, a), mul(cand.alpha2, b)))
+            add(mul(cand.alpha1, a), mul(cand.alpha2, b))
             for a, b in zip(w1.components, w2.components)
         ),
     )
@@ -227,24 +217,14 @@ def candidates_via_quadratic(
             "the quadratic condition is vacuous; the characteristic condition on "
             "the first non-involutive member must have failed"
         )
-    pivot = _best_triple(triples, sp)
-    raw_roots = _projective_roots(pivot, sp)
-    roots = []
-    for a1, a2 in raw_roots:
-        ok = True
-        for A, B, C in triples:
-            residual = simplify(
-                add(
-                    mul(A, a1, a1),
-                    mul(Rat(2), B, a1, a2),
-                    mul(C, a2, a2),
-                )
-            )
-            if not is_zero_generic(residual, sp):
-                ok = False
-                break
-        if ok:
-            roots.append((a1, a2))
+    roots = [
+        (a1, a2)
+        for a1, a2 in _projective_roots(_best_triple(triples, sp), sp)
+        if all(
+            is_zero_generic(add(mul(A, a1, a1), mul(Rat(2), B, a1, a2), mul(C, a2, a2)), sp)
+            for A, B, C in triples
+        )
+    ]
     out: List[DirectionCandidate] = []
     for a1, a2 in roots:
         cand = _normalized_candidate(
@@ -278,7 +258,7 @@ def _best_triple(triples, sp: Sampler):
 
 def _projective_roots(triple, sp: Sampler):
     """Roots (alpha1 : alpha2) of A a1^2 + 2 B a1 a2 + C a2^2 = 0."""
-    A, B, C = (simplify(c) for c in triple)
+    A, B, C = triple
     a_zero = is_zero_generic(A, sp)
     c_zero = is_zero_generic(C, sp)
     if a_zero and c_zero:

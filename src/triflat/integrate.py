@@ -11,6 +11,7 @@ Failures surface with a diagnostic; nothing is ever approximated.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
@@ -117,17 +118,11 @@ def _linear_in(e: Expr, x: str):
 
 
 def is_closed(w: OneForm, sp: Sampler) -> bool:
-    n = len(w.frame)
-    residuals = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            residuals.append(
-                sub(
-                    differentiate(w.coefficients[j], w.frame[i]),
-                    differentiate(w.coefficients[i], w.frame[j]),
-                )
-            )
-    return all_zero_generic([simplify(r) for r in residuals], sp, extra_syms=w.frame)
+    residuals = [
+        sub(differentiate(cj, xi), differentiate(ci, xj))
+        for (xi, ci), (xj, cj) in itertools.combinations(zip(w.frame, w.coefficients), 2)
+    ]
+    return all_zero_generic(residuals, sp, extra_syms=w.frame)
 
 
 def potential(w: OneForm, sp: Sampler) -> Expr:
@@ -138,10 +133,7 @@ def potential(w: OneForm, sp: Sampler) -> Expr:
         if residue == ZERO:
             continue
         phi = simplify(add(phi, integrate_sym(residue, x)))
-    check = [
-        simplify(sub(differentiate(phi, x), w.coefficients[i]))
-        for i, x in enumerate(w.frame)
-    ]
+    check = [sub(differentiate(phi, x), w.coefficients[i]) for i, x in enumerate(w.frame)]
     if not all_zero_generic(check, sp, extra_syms=w.frame):
         raise IntegrationError("potential reconstruction failed to match the form")
     return phi
@@ -239,11 +231,10 @@ def integrate_codistribution(
         except IntegrationError:
             pass
         for factor in _factor_candidates(w):
-            scaled = OneForm(
-                frame, tuple(simplify(mul(factor, c)) for c in w.coefficients)
-            )
+            scaled = OneForm(frame, tuple(mul(factor, c) for c in w.coefficients))
             try:
                 if is_closed(scaled, sp):
+                    scaled = OneForm(frame, tuple(map(simplify, scaled.coefficients)))
                     if consider(potential(scaled, sp), "factor"):
                         break
                     # keep valid potentials in the pool even when dependent

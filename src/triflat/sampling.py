@@ -57,9 +57,10 @@ class Sampler:
             raise ValueError("at least 8 sample points are required")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"the rank tolerance must be finite and positive, got {self.tol}")
-        for name, (lo, hi) in self.domains.items():
-            if not hi > lo:
-                raise ValueError(f"domain for {name!r} must have positive length")
+        named = [(f"domain for {name!r}", d) for name, d in self.domains.items()]
+        for what, (lo, hi) in named + [("the default domain", self.default_domain)]:
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError(f"{what} must be finite with positive length")
 
     def with_domains(self, domains) -> "Sampler":
         merged = dict(self.domains)

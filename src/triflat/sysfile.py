@@ -12,6 +12,7 @@ allowed then.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -165,6 +166,7 @@ def _assemble(data, meta) -> SystemDefinition:
             declared.extend((sym, None) for sym in line.replace(",", " ").split())
     check_names(states, inputs, [sym for sym, _ in declared])
     params: Dict[str, Optional[float]] = dict(declared)
+    names = {*states, *inputs, *params}
 
     domains = {}
     for line_no, line in data["domain"]:
@@ -176,8 +178,11 @@ def _assemble(data, meta) -> SystemDefinition:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError:
             raise SysFileError("domain bounds must be numbers", line_no) from None
-        if not hi > lo:
-            raise SysFileError("domain must have positive length", line_no)
+        if not -math.inf < lo < hi < math.inf:
+            raise SysFileError("domain must be finite with positive length", line_no)
+        if sym not in names:
+            raise SysFileError(f"[domain] names {sym!r}, which is no state, input or "
+                               "parameter", line_no)
         domains[sym] = (lo, hi)
 
     hints: List[Expr] = []

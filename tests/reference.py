@@ -248,6 +248,28 @@ def annihilates_characteristics_symbolic(report, sp: Sampler, functions):
     ]
 
 
+def pairwise_direction(pairs, sp: Sampler):
+    """The h-method's pair choice as a loop over simplified pairwise crosses:
+    the first pair collinear with every other one and with c2 nonzero, else
+    the first such pair with c1 nonzero; None if there is none."""
+    best = None
+    for i, (c1, c2) in enumerate(pairs):
+        cross_ok = True
+        for j, (d1, d2) in enumerate(pairs):
+            if j == i:
+                continue
+            cross = simplify(sub(mul(c1, d2), mul(c2, d1)))
+            if not is_zero_generic(cross, sp):
+                cross_ok = False
+                break
+        if cross_ok and not is_zero_generic(c2, sp):
+            best = (c1, c2)
+            break
+        if cross_ok and best is None and not is_zero_generic(c1, sp):
+            best = (c1, c2)
+    return best
+
+
 def scale(field: VectorField, factor) -> VectorField:
     """The field times a scalar function (unsimplified)."""
     return VectorField(field.frame, tuple(mul(factor, c) for c in field.components))

@@ -1,12 +1,16 @@
 """Distinguished-direction search: chains, the H condition, the quadratic."""
 
+import os
 import signal
 
 import pytest
 
+from triflat import direction_search
 from triflat.diffgeo import contains_generic, generic_rank
 from triflat.direction_search import (
     _best_triple,
+    _consistent_pair,
+    candidate_via_h,
     candidates_via_quadratic,
     compute_bracket_chain,
     h_distribution,
@@ -17,8 +21,17 @@ from triflat.generator import triangular_template
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
 from triflat.simplify import simplify
+from triflat.sysfile import load_sysfile
 
-from reference import double_integrator_pair, field_sum, scale, span_equal
+from reference import (
+    criterion5_combos,
+    disguise,
+    double_integrator_pair,
+    field_sum,
+    pairwise_direction,
+    scale,
+    span_equal,
+)
 
 SP = Sampler()
 
@@ -214,3 +227,109 @@ def test_best_triple_gives_up_within_the_resample_budget():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# --- the h-method's pair choice ---------------------------------------------------
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
+
+
+def _h_systems():
+    """academic10 and vtol at their file's sampler, and the criterion-5
+    instances, plain and disguised."""
+    for name in ("academic10", "vtol"):
+        def load(name=name):
+            definition = load_sysfile(os.path.join(CORPUS, name + ".sys"))
+            return definition.system(), definition.sampler()
+        yield pytest.param(load, id=name)
+    for index, combo in enumerate(criterion5_combos()):
+        for k in (0, 1, 3):
+            def build(combo=combo, index=index, k=k):
+                inst = triangular_template(*combo, seed=index)
+                system = inst.system if k == 0 else disguise(inst.system, k, seed=index)[0]
+                return system, SP
+            yield pytest.param(build, id=f"{'-'.join(map(str, combo))}-seed{index}-k{k}")
+
+
+# the cases whose H leaves both iterated brackets out, so a pair is chosen
+PAIRED = {"academic10", "2-0-3-1-seed4-k1", "2-2-4-3-seed5-k1", "1-0-5-1-seed6-k3",
+          "1-2-3-1-seed9-k1"}
+
+
+def _h_outcome(system, sp):
+    try:
+        c = candidate_via_h(system, compute_bracket_chain(system, sp), sp)
+    except NotApplicable as e:
+        return str(e)
+    return c.alpha1, c.alpha2
+
+
+@pytest.mark.parametrize("build", _h_systems())
+def test_h_pair_choice_matches_the_pairwise_loop(build, monkeypatch, request):
+    system, sp = build()
+    seen = []
+
+    def joint(pairs, sp):
+        seen.append(pairs)
+        return _consistent_pair(pairs, sp)
+
+    monkeypatch.setattr(direction_search, "_consistent_pair", joint)
+    got = _h_outcome(system, sp)
+    monkeypatch.setattr(direction_search, "_consistent_pair", pairwise_direction)
+    assert _h_outcome(system, sp) == got
+    assert bool(seen) == (request.node.callspec.id in PAIRED)
+
+
+# zero at every point, but no constructor folds it
+NOUGHT = parse_expr("log(x1*x2) - log(x1) - log(x2)")
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    ([], None),
+    ([("x1", "0"), ("x1*x2", "0"), ("2*x1", "0")], 0),  # rank 1, every c2 = 0
+    ([(NOUGHT, "0"), ("x2", "x1"), ("x2^2", "x1*x2")], 1),  # rank 1, leading c2 = 0
+    ([("x2", "x1"), ("x2^2", "x1*x2"), ("x2", "0")], None),  # rank 2
+    ([("x1", "x2"), ("x2", "x1")], None),  # rank 2
+    ([(NOUGHT, NOUGHT), ("x1", "1"), ("1", "x1")], None),  # rank 2 and a zero pair
+    ([(NOUGHT, NOUGHT)], None),  # zero numerically, not structurally
+    ([(NOUGHT, NOUGHT), ("x1", "x1^2")], 1),
+], ids=["empty", "rank1-no-c2", "rank1-leading-c2-zero", "rank2-three", "rank2-two",
+        "rank2-zero-pair", "zero-pair-only", "zero-pair-then-rank1"])
+def test_pair_choice_on_synthetic_pairs(pairs, expected):
+    pairs = [tuple(parse_expr(c) if isinstance(c, str) else c for c in p) for p in pairs]
+    assert NOUGHT != ZERO and is_zero_generic(NOUGHT, SP)
+    want = None if expected is None else pairs[expected]
+    assert _consistent_pair(pairs, SP) == pairwise_direction(pairs, SP) == want
+
+
+def test_quadratic_root_filter_normalizes_no_residual(monkeypatch):
+    # the residuals only feed a sampled zero test; normal forms of them took
+    # most of this case's time
+    inst = triangular_template(0, 0, 5, 1, seed=3)
+    system, _inverse = disguise(inst.system, 3, seed=3)
+    chain = compute_bracket_chain(system, SP)
+    roots, normalized, simplify_ = (direction_search._projective_roots,
+                                    direction_search._normalized_candidate,
+                                    direction_search.simplify)
+    filtering, calls = [], []
+
+    def roots_then_filter(*args):
+        out = roots(*args)
+        filtering.append(True)
+        return out
+
+    def normalize(*args):
+        filtering.clear()
+        return normalized(*args)
+
+    def counted(e):
+        if filtering:
+            calls.append(e)
+        return simplify_(e)
+
+    monkeypatch.setattr(direction_search, "_projective_roots", roots_then_filter)
+    monkeypatch.setattr(direction_search, "_normalized_candidate", normalize)
+    monkeypatch.setattr(direction_search, "simplify", counted)
+    assert candidates_via_quadratic(system, chain, SP)
+    assert calls == []

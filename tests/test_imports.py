@@ -1,6 +1,6 @@
 """Every name a module imports is used in it, every local a function
-assigns is read (no linter is installed), and only the sampling layer
-evaluates expressions.
+assigns is read (no linter is installed), only the sampling layer
+evaluates expressions, and no zero test reads a normal form built for it.
 
 ``__init__.py`` is exempt from the import and evaluation scans: its imports
 are the package's re-exports.  Locals whose names start with ``_`` are
@@ -113,3 +113,51 @@ def test_only_the_sampling_layer_evaluates():
     # every numeric value is read through a PointSet, whose columns evaluate
     evaluators = {p.name: references(p.read_text(), "evaluate") for p in MODULES}
     assert {name for name, lines in evaluators.items() if lines} == {"expr.py", "sampling.py"}
+
+
+ZERO_TESTS = ("is_zero_generic", "all_zero_generic")
+
+
+def _called(node):
+    """The name a call node calls, plain or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return None
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def normalized_zero_tests(source):
+    """(line, function) of each zero test whose argument is a direct
+    ``simplify(...)`` call or a comprehension of them: the sampled test reads
+    raw expressions, so the normal form is work nothing prints."""
+    out = []
+    todo = [(ast.parse(source), None)]
+    while todo:
+        node, fn = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        todo.extend((child, fn) for child in ast.iter_child_nodes(node))
+        if _called(node) not in ZERO_TESTS:
+            continue
+        for arg in node.args + [k.value for k in node.keywords]:
+            if isinstance(arg, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
+                arg = arg.elt
+            if _called(arg) == "simplify":
+                out.append((node.lineno, fn))
+    return sorted(out)
+
+
+def test_scan_finds_a_normalized_zero_test():
+    source = (
+        "def f(e, es, sp):\n"
+        "    a = is_zero_generic(simplify(e), sp)\n"
+        "    b = s.all_zero_generic([simplify(x) for x in es], sp)\n"
+        "    c = all_zero_generic((simplify(x) for x in es), sp, extra_syms=es)\n"
+        "    d = is_zero_generic(e, sp) or is_zero_generic(differentiate(e, 'x'), sp)\n"
+        "    return a, b, c, d, is_zero_generic(simplify_all(e), sp)\n"
+    )
+    assert normalized_zero_tests(source) == [(2, "f"), (3, "f"), (4, "f")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_zero_test_reads_a_normal_form(path):
+    assert normalized_zero_tests(path.read_text()) == []

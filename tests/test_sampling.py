@@ -249,3 +249,16 @@ def test_undefined_constant_exhausts_both_zero_tests(text):
     ):
         with pytest.raises(SamplerExhausted, match="constant expression undefined"):
             zero_test()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"domains": {"x": (0.2, math.inf)}},
+    {"domains": {"x": (-math.inf, 1.0)}},
+    {"domains": {"x": (math.nan, 1.0)}},
+    {"domains": {"x": (1.0, 1.0)}},
+    {"default_domain": (0.2, math.inf)},
+    {"default_domain": (1.0, 0.5)},
+], ids=["inf", "minus-inf", "nan", "empty", "default-inf", "default-reversed"])
+def test_sampler_domains_are_finite_intervals(kwargs):
+    with pytest.raises(ValueError):
+        Sampler(**kwargs)

@@ -87,6 +87,24 @@ def test_reject_bad_domain():
         parse_sysfile(bad)
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("x = 0 : inf", "finite"),
+    ("x = -inf : 1", "finite"),
+    ("x = nan : 1", "finite"),
+    ("q = 0 : 1", "'q', which is no state, input or parameter"),
+], ids=["inf", "minus-inf", "nan", "unknown-name"])
+def test_reject_domain_entry(entry, message):
+    bad = f"[states]\nx\n[inputs]\nu1 u2\n[domain]\n{entry}\n"
+    with pytest.raises(SysFileError, match=message) as err:
+        parse_sysfile(bad)
+    assert err.value.line_no == 6
+
+
+def test_domain_may_name_a_state_an_input_or_a_parameter():
+    text = "[states]\nx\n[inputs]\nu1 u2\n[params]\np\n[domain]\nx = 0 : 1\nu1 = 1 : 2\np = 2 : 3\n"
+    assert parse_sysfile(text).domains == {"x": (0, 1), "u1": (1, 2), "p": (2, 3)}
+
+
 def test_reject_general_with_fields():
     bad = "[states]\nx\n[inputs]\ngeneral = true\nu1 u2\n[b1]\nx = 1\n"
     with pytest.raises(SysFileError):
@@ -211,6 +229,9 @@ BAD_MAPS = {
         ["check", "--tol", "-1"],
         ["check", "--tol", "inf"],
         ["check", "--domain", "theta=2:1"],
+        ["check", "--domain", "theta=0.2:inf"],
+        ["check", "--domain", "thetaa=0.2:1.2"],
+        ["check", "--domain", "u1_1=0.2:1.2"],  # a state only once u1 is prolonged
         ["check", "--prolong", "u1=x"],
         ["check", "--prolong", "u1=-1"],
         ["verify", "--transform", "bad-json"],
@@ -273,6 +294,23 @@ def test_cli_prolong_flag(capsys):
     assert code == 0
     assert out["linearizable"] is True
     assert out["prolonged"] == [{"input": "u2", "order": 2}]
+
+
+@pytest.mark.parametrize("option", ["--hint", "--phi1"])
+def test_cli_check_takes_no_flat_output_options(capsys, option):
+    # only flat-output, transform and verify --evidence read them
+    code = main(["check", corpus("vtol.sys"), option, "x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_cli_domain_of_a_prolonged_state(capsys):
+    code, out = run_cli(
+        capsys, "verify", corpus("chained4.sys"), "--prolong", "u2=2", "--domain", "u2_1=0.5:1"
+    )
+    assert code == 0 and out["linearizable"] is True
+    assert out["sampler"]["domains"] == {"u2_1": [0.5, 1.0]}
 
 
 def test_cli_flat_output_independent_of_hash_seed():
