@@ -17,6 +17,7 @@ import math
 import sys
 
 from .checks import check_static_feedback_linearizable
+from .diffgeo import generic_rank
 from .direction_search import (
     candidate_via_h,
     candidates_via_quadratic,
@@ -35,14 +36,14 @@ from .expr import ZERO, to_str
 from .flatout import admissible_phi1, flat_output_for_report
 from .parser import parse_expr
 from .sysfile import SysFileError, check_names, load_sysfile
-from .systems import prolong
+from .systems import AffineSystem, prolong, vector_field
 from .transform import (
     CoordinateChange,
     prolonged_linearizability,
     transform_to_triangular,
     verify_transformation,
 )
-from .triform import equal_length_variant_check, triangular_form_check
+from .triform import TriangularReport, equal_length_variant_check, triangular_form_check
 
 EXIT_TRUE, EXIT_FALSE, EXIT_USAGE, EXIT_HEURISTIC = 0, 1, 2, 3
 
@@ -74,8 +75,6 @@ def _system_dict(sysm):
 
 
 def _distribution_dict(D, sp):
-    from .diffgeo import generic_rank
-
     return {
         "rank": generic_rank(D, sp),
         "fields": [[to_str(c) for c in f.components] for f in D.fields],
@@ -106,9 +105,7 @@ def _report_dict(rep, sp):
         if dist is not None:
             out[key] = _distribution_dict(dist, sp)
     if rep.g_chain:
-        out["extension_ranks"] = [
-            _distribution_dict(D, sp)["rank"] for D in rep.g_chain
-        ]
+        out["extension_ranks"] = [generic_rank(D, sp) for D in rep.g_chain]
     return out
 
 
@@ -142,6 +139,9 @@ def _load(args):
         if name not in names:
             raise SysFileError(f"--domain names {name!r}, which is no state, input or "
                                "parameter of the system")
+        if definition.params.get(name) is not None:
+            raise SysFileError(f"--domain names {name!r}, a fixed parameter, which takes no "
+                               "domain")
     return definition, sysm, sp, prolongations
 
 
@@ -149,8 +149,6 @@ def _analyze(sysm, sp):
     """Chain, candidates, and one report per candidate; best report first."""
     chain = compute_bracket_chain(sysm, sp)
     if chain.depth < 1:
-        from .triform import TriangularReport
-
         rep = TriangularReport(sysm, chain, None, sampler=sp)
         rep.failures.append("the input span itself is non-involutive")
         return chain, "inapplicable", [], [rep]
@@ -316,8 +314,6 @@ def cmd_transform(args):
 
 
 def _system_from_dict(d):
-    from .systems import AffineSystem, vector_field
-
     frame = tuple(d["states"])
 
     def fld(key):

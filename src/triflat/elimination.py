@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import EliminationError, EvalError
 from .expr import ZERO, Add, Call, Mul, Pow, Rat, Sym, add, div, mul, neg, sub
 from .sampling import MatrixSampler, Sampler, all_zero_generic, point_set
-from .simplify import as_fraction, is_zero_symbolic, lcm_expr, simplify
+from .simplify import as_fraction, lcm_expr, simplify
 
 
 def _sample_points(rows, sp: Sampler, extra_syms=()):
@@ -91,8 +91,6 @@ def row_reduce(rows, sp: Sampler, extra_syms=()) -> RowReduction:
                     continue
                 s = scores[i, j]
                 if s <= sp.tol:
-                    continue
-                if is_zero_symbolic(rows[i][j]):
                     continue
                 # prefer structurally simple pivots, then well-conditioned ones
                 key = (-_complexity(rows[i][j]), s)

@@ -904,16 +904,6 @@ def _simplify_new(e):
 
 
 @_normalization
-def is_zero_symbolic(e: Expr) -> bool:
-    """Structural zero test through the normal form (sound, not complete)."""
-    hit = _CACHE.get(e)
-    if hit is not None:
-        return hit == ZERO
-    num, _den = _nf(e)
-    return not _sin_reduce(num)
-
-
-@_normalization
 def as_fraction(e: Expr):
     """Simplified (numerator, denominator) expression pair."""
     hit = _FRACTIONS.get(e)

@@ -4,10 +4,10 @@ Sections: [states], [inputs], [drift], [b1], [b2], [params], [domain],
 [hints]; '#' starts a comment.  Component sections use ``name = expression``
 lines in the package expression grammar; [params] entries are either bare
 symbols (sampled) or ``name = value`` (fixed); [domain] entries read
-``name = lo : hi``.  A ``general = true`` line in [inputs] declares a
-general (non-affine) system whose drift may mention the input symbols; it is
-made affine by prolonging every control once, and no [b1]/[b2] sections are
-allowed then.
+``name = lo : hi`` and name no fixed parameter.  A ``general = true`` line
+in [inputs] declares a general (non-affine) system whose drift may mention
+the input symbols; it is made affine by prolonging every control once, and
+no [b1]/[b2] sections are allowed then.
 """
 
 from __future__ import annotations
@@ -183,6 +183,9 @@ def _assemble(data, meta) -> SystemDefinition:
         if sym not in names:
             raise SysFileError(f"[domain] names {sym!r}, which is no state, input or "
                                "parameter", line_no)
+        if params.get(sym) is not None:
+            raise SysFileError(f"[domain] names {sym!r}, a fixed parameter, which takes no "
+                               "domain", line_no)
         domains[sym] = (lo, hi)
 
     hints: List[Expr] = []

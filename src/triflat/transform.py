@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dfield, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .checks import check_static_feedback_linearizable
 from .diffgeo import annihilator, differential, lie_derivative
 from .elimination import _score
 from .errors import EvalError, IntegrationError, PipelineError, SamplerExhausted
@@ -52,7 +53,7 @@ from .sampling import (
     ranks,
 )
 from .simplify import differentiate, simplify
-from .systems import AffineSystem
+from .systems import AffineSystem, prolong
 from .triform import TriangularReport
 
 
@@ -64,13 +65,16 @@ class CoordinateChange:
     input_map: Dict[str, Expr]  # result input symbol -> expr(original states+inputs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stage:
+    """One recorded step of the pipeline; steps derive new stages, never
+    rewrite a recorded one."""
+
     sys: AffineSystem
     forward: Dict[str, Expr]
     input_map: Dict[str, Expr]
     blocks: dict
-    log: List[str] = dfield(default_factory=list)
+    log: Tuple[str, ...] = ()
 
     def change(self) -> CoordinateChange:
         return CoordinateChange(dict(self.forward), dict(self.input_map))
@@ -267,12 +271,11 @@ def initial_stage(sys: AffineSystem, blocks=None) -> Stage:
         forward={x: Sym(x) for x in sys.frame},
         input_map={u: Sym(u) for u in sys.input_syms},
         blocks=blocks or {},
-        log=[],
     )
 
 
 def apply_state_change(stage: Stage, defs: Sequence[Tuple[str, Expr]], sp: Sampler,
-                       blocks=None, note="") -> Stage:
+                       note="") -> Stage:
     """Apply a full coordinate change given as new symbol -> expr(current)."""
     sysm = stage.sys
     old_frame = sysm.frame
@@ -297,36 +300,13 @@ def apply_state_change(stage: Stage, defs: Sequence[Tuple[str, Expr]], sp: Sampl
             comps.append(simplify(substitute(simplify(term), inverse)))
         return VectorField(new_frame, tuple(comps))
 
-    new_sys = AffineSystem(
-        frame=new_frame,
-        drift=push(sysm.drift),
-        b1=push(sysm.b1),
-        b2=push(sysm.b2),
-        input_syms=sysm.input_syms,
-        params=sysm.params,
-        name=sysm.name,
-    )
+    new_sys = replace(sysm, frame=new_frame, drift=push(sysm.drift), b1=push(sysm.b1),
+                      b2=push(sysm.b2))
     forward = {
         new: simplify(substitute(f, stage.forward)) for new, f in defs
     }
-    return Stage(
-        sys=new_sys,
-        forward=forward,
-        input_map=dict(stage.input_map),
-        blocks=blocks if blocks is not None else dict(stage.blocks),
-        log=stage.log + [note] if note else list(stage.log),
-    )
-
-
-def replace_state(stage: Stage, old_sym: str, new_sym: str, func: Expr, sp: Sampler,
-                  blocks=None, note="") -> Stage:
-    defs = []
-    for x in stage.sys.frame:
-        if x == old_sym:
-            defs.append((new_sym, simplify(func)))
-        else:
-            defs.append((x, Sym(x)))
-    return apply_state_change(stage, defs, sp, blocks=blocks, note=note)
+    return replace(stage, sys=new_sys, forward=forward,
+                   log=(*stage.log, note) if note else stage.log)
 
 
 def apply_input_change(stage: Stage, g, M, new_names, sp: Sampler, note="") -> Stage:
@@ -373,22 +353,9 @@ def apply_input_change(stage: Stage, g, M, new_names, sp: Sampler, note="") -> S
             mul(row[1], Sym(sysm.input_syms[1])),
         )
         new_input_map[name] = simplify(substitute(expr, subs_map))
-    new_sys = AffineSystem(
-        frame=sysm.frame,
-        drift=drift,
-        b1=new_b[0],
-        b2=new_b[1],
-        input_syms=tuple(new_names),
-        params=sysm.params,
-        name=sysm.name,
-    )
-    return Stage(
-        sys=new_sys,
-        forward=dict(stage.forward),
-        input_map=new_input_map,
-        blocks=dict(stage.blocks),
-        log=stage.log + [note] if note else list(stage.log),
-    )
+    new_sys = replace(sysm, drift=drift, b1=new_b[0], b2=new_b[1], input_syms=tuple(new_names))
+    return replace(stage, sys=new_sys, input_map=new_input_map,
+                   log=(*stage.log, note) if note else stage.log)
 
 
 def _check_step_inverse(stage: Stage, defs, inverse, sp: Sampler, note=""):
@@ -693,7 +660,7 @@ def decompose(sys_original: AffineSystem, report: TriangularReport,
         "rear": [n for n, _ in defs if n.startswith("r")],
     }
     stage0 = initial_stage(sys_original, blocks)
-    stage = apply_state_change(stage0, defs, sp, blocks=blocks, note="straighten ladder")
+    stage = apply_state_change(stage0, defs, sp, note="straighten ladder")
     _verify_block_structure(stage, report, sp)
     if not _stage_verified(stage, sp):
         raise PipelineError("straightening stage fails numeric verification")
@@ -771,52 +738,58 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
 # --- steps 4-6 -------------------------------------------------------------------
 
 
+def _introduce(stage: Stage, sp: Sampler, new: str, rhs: Expr, candidates, note: str,
+               missing: str, scored=False, **updates) -> Stage:
+    """Make rhs the state new, in place of a candidate coordinate it depends on.
+
+    The replaced coordinate is the first candidate that rhs depends on at the
+    stage image, or with ``scored`` the one whose partial derivative scores
+    best there; PipelineError(missing) when there is none.  It leaves the rear
+    block, or is renamed in the core block, and ``updates`` set further blocks.
+    """
+    img = _image(stage, sp)
+    kept = [x for x in candidates if _depends_at(rhs, x, img)]
+    if not kept:
+        raise PipelineError(missing)
+    target = kept[0]
+    if scored:
+        ps = point_set(img, ())
+        target = max(kept, key=lambda x: _score(
+            ps, differentiate(rhs, x), range(img.samples)))
+    blocks = {**stage.blocks, **updates,
+              "q": [new if s == target else s for s in stage.blocks["q"]],
+              "rear": [x for x in stage.blocks["rear"] if x != target]}
+    defs = [(new, simplify(rhs)) if x == target else (x, Sym(x)) for x in stage.sys.frame]
+    return apply_state_change(replace(stage, blocks=blocks), defs, sp, note=note)
+
+
 def normalize_first_core_equation(stage: Stage, report, sp: Sampler) -> Stage:
     """Step 4: make the first core equation read q1' = w."""
-    blocks = stage.blocks
     n3 = report.chain.depth
-    q1 = blocks["q"][0]
-    dr, b1c, b2c = _rhs_of(stage, q1)
+    dr, b1c, b2c = _rhs_of(stage, stage.blocks["q"][0])
     img = _image(stage, sp)
     if n3 >= 2:
-        r_syms = blocks["rear"]
-        f = dr
         if not all_zero_generic((b1c, b2c), img):
             raise PipelineError("first core equation touches the inputs directly")
-        candidates = [x for x in r_syms[1:3] if _depends_at(f, x, img)]
-        if not candidates:
-            raise PipelineError(
-                "first core equation does not depend on the rear pair; upstream "
-                "checks must be inconsistent"
-            )
-        target = candidates[0]
-        blocks = dict(blocks)
-        blocks["w"] = "z2_1"
-        blocks["rear"] = [x for x in r_syms if x != target]
-        stage = replace_state(
-            stage, target, "z2_1", f, sp, blocks=blocks, note="normalize first core equation"
+        return _introduce(
+            stage, sp, "z2_1", dr, stage.blocks["rear"][1:3], "normalize first core equation",
+            "first core equation does not depend on the rear pair; upstream checks must "
+            "be inconsistent", w="z2_1",
         )
-        return stage
     # n3 == 1: input transformation instead of a state change
-    c1 = b1c
-    c2 = b2c
-    if not is_zero_generic(c2, img):
-        m = [[ONE, ZERO], [c1, c2]]
-    elif not is_zero_generic(c1, img):
-        m = [[ZERO, ONE], [c1, c2]]
+    if not is_zero_generic(b2c, img):
+        m = [[ONE, ZERO], [b1c, b2c]]
+    elif not is_zero_generic(b1c, img):
+        m = [[ZERO, ONE], [b1c, b2c]]
     else:
         raise PipelineError(
             "first core equation does not depend on the inputs; upstream checks "
             "must be inconsistent"
         )
-    g = (ZERO, dr)
     stage = apply_input_change(
-        stage, g, m, ("v1", "v2"), sp, note="normalize first core equation (input)"
+        stage, (ZERO, dr), m, ("v1", "v2"), sp, note="normalize first core equation (input)"
     )
-    blocks = dict(stage.blocks)
-    blocks["w"] = "v2"
-    stage.blocks = blocks
-    return stage
+    return replace(stage, blocks={**stage.blocks, "w": "v2"})
 
 
 def _w_value(stage: Stage):
@@ -829,15 +802,14 @@ def _w_value(stage: Stage):
 def introduce_core_couplings(stage: Stage, report, sp: Sampler) -> Stage:
     """Step 5: bring the core block into chained shape, then split the last
     equation and introduce the long-chain top."""
-    n2 = report.n2
     w_sym, w_kind = _w_value(stage)
-    for i in range(2, n2):
+    for i in range(2, report.n2):
         img = _image(stage, sp)
         q_syms = stage.blocks["q"]
         qi = q_syms[i - 1]
         dr, b1c, b2c = _rhs_of(stage, qi)
         if w_kind == "state":
-            coeff = simplify(differentiate(dr, stage.blocks["w"]))
+            coeff = differentiate(dr, stage.blocks["w"])
             if not is_zero_generic(differentiate(coeff, stage.blocks["w"]), img):
                 raise PipelineError(f"core equation {qi} is not affine in the chain input")
         else:
@@ -845,26 +817,16 @@ def introduce_core_couplings(stage: Stage, report, sp: Sampler) -> Stage:
         target = q_syms[i]
         if simplify(sub(coeff, Sym(target))) == ZERO:
             continue  # already in chained shape at this level
-        if not _depends_at(coeff, target, img):
-            raise PipelineError(
-                f"coupling coefficient of {qi} does not depend on {target}; "
-                "upstream checks must be inconsistent"
-            )
-        new_name = f"{target}n"
-        blocks = dict(stage.blocks)
-        blocks["q"] = [new_name if s == target else s for s in q_syms]
-        stage = replace_state(
-            stage, target, new_name, coeff, sp, blocks=blocks,
-            note=f"introduce coupling state level {i}",
+        stage = _introduce(
+            stage, sp, f"{target}n", coeff, [target], f"introduce coupling state level {i}",
+            f"coupling coefficient of {qi} does not depend on {target}; "
+            "upstream checks must be inconsistent",
         )
-        w_sym, w_kind = _w_value(stage)
     # split the last core equation
     img = _image(stage, sp)
-    q_syms = stage.blocks["q"]
-    qn = q_syms[-1]
-    dr, b1c, b2c = _rhs_of(stage, qn)
+    dr, b1c, b2c = _rhs_of(stage, stage.blocks["q"][-1])
     if w_kind == "state":
-        g2 = simplify(differentiate(dr, stage.blocks["w"]))
+        g2 = differentiate(dr, stage.blocks["w"])
         if not all_zero_generic((b1c, b2c), img):
             raise PipelineError("last core equation touches the inputs directly")
         if not is_zero_generic(differentiate(g2, stage.blocks["w"]), img):
@@ -881,26 +843,18 @@ def introduce_core_couplings(stage: Stage, report, sp: Sampler) -> Stage:
     if not rear:
         raise PipelineError("no rear coordinate available for the long-chain top")
     r1 = rear[0]
+    missing = ("state part of the last core equation does not depend on the rear "
+               "top; upstream checks must be inconsistent")
+    # the state part's test comes first, as in _introduce, which repeats it on
+    # cached values once the coupling factor has passed
     if not _depends_at(g1, r1, img):
-        raise PipelineError(
-            "state part of the last core equation does not depend on the rear "
-            "top; upstream checks must be inconsistent"
-        )
+        raise PipelineError(missing)
     if _depends_at(g2, r1, img):
         raise PipelineError("coupling factor of the last core equation reaches the rear top")
     if simplify(sub(g1, Sym(r1))) == ZERO:
-        blocks = dict(stage.blocks)
-        blocks["z1"] = [r1]
-        blocks["rear"] = rear[1:]
-        stage.blocks = blocks
-        return stage
-    blocks = dict(stage.blocks)
-    blocks["z1"] = ["z1_1"]
-    blocks["rear"] = rear[1:]
-    stage = replace_state(
-        stage, r1, "z1_1", g1, sp, blocks=blocks, note="introduce long-chain top"
-    )
-    return stage
+        return replace(stage, blocks={**stage.blocks, "z1": [r1], "rear": rear[1:]})
+    return _introduce(stage, sp, "z1_1", g1, [r1], "introduce long-chain top", missing,
+                      z1=["z1_1"])
 
 
 def rear_chains_to_integrators(stage: Stage, report, sp: Sampler) -> Stage:
@@ -908,48 +862,31 @@ def rear_chains_to_integrators(stage: Stage, report, sp: Sampler) -> Stage:
     n3 = report.chain.depth
 
     def grow_chain(stage, chain_key, length):
-        chain = stage.blocks[chain_key]
-        while len(chain) < length:
-            img = _image(stage, sp)
+        while len(stage.blocks[chain_key]) < length:
+            chain = stage.blocks[chain_key]
             top = chain[-1]
             dr, b1c, b2c = _rhs_of(stage, top)
-            if not all_zero_generic((b1c, b2c), img):
+            if not all_zero_generic((b1c, b2c), _image(stage, sp)):
                 raise PipelineError(
                     f"rear chain state {top} reaches the inputs too early; the "
                     "input span is no longer straightened"
                 )
             new_name = f"{chain_key}_{len(chain) + 1}"
-            rear = stage.blocks["rear"]
-            candidates = [x for x in rear if _depends_at(dr, x, img)]
-            if not candidates:
-                raise PipelineError(
-                    f"derivative of {top} does not reach a free rear coordinate"
-                )
-            ps = point_set(img, ())
-            target = max(candidates, key=lambda x: _score(
-                ps, differentiate(dr, x), range(img.samples)))
-            blocks = dict(stage.blocks)
-            blocks[chain_key] = chain + [new_name]
-            blocks["rear"] = [x for x in rear if x != target]
-            stage = replace_state(
-                stage, target, new_name, dr, sp, blocks=blocks,
-                note=f"rear chain state {new_name}",
+            stage = _introduce(
+                stage, sp, new_name, dr, stage.blocks["rear"], f"rear chain state {new_name}",
+                f"derivative of {top} does not reach a free rear coordinate",
+                scored=True, **{chain_key: chain + [new_name]},
             )
-            chain = stage.blocks[chain_key]
         return stage
 
     if "z1" not in stage.blocks:
         raise PipelineError("long-chain top missing; run the previous step first")
     if n3 >= 2:
-        blocks = dict(stage.blocks)
-        blocks.setdefault("z2", [stage.blocks["w"]])
-        stage.blocks = blocks
+        stage = replace(stage, blocks={"z2": [stage.blocks["w"]], **stage.blocks})
         stage = grow_chain(stage, "z1", n3)
         stage = grow_chain(stage, "z2", n3 - 1)
     else:
-        blocks = dict(stage.blocks)
-        blocks["z2"] = []
-        stage.blocks = blocks
+        stage = replace(stage, blocks={**stage.blocks, "z2": []})
     if stage.blocks["rear"]:
         raise PipelineError("rear coordinates left over after chain construction")
 
@@ -970,9 +907,7 @@ def rear_chains_to_integrators(stage: Stage, report, sp: Sampler) -> Stage:
     was_input_w = stage.blocks.get("w") == sysm.input_syms[1]
     stage = apply_input_change(stage, g, M, names, sp, note="closing feedback")
     if was_input_w:
-        blocks = dict(stage.blocks)
-        blocks["w"] = names[1]
-        stage.blocks = blocks
+        stage = replace(stage, blocks={**stage.blocks, "w": names[1]})
     return stage
 
 
@@ -1106,9 +1041,6 @@ def prolonged_linearizability(result: TransformResult, sp: Sampler):
     transformed system; prolongation does not commute with static feedback,
     so the test runs on the normal form, sampled over the image domain.
     """
-    from .checks import check_static_feedback_linearizable
-    from .systems import prolong
-
     final = result.final
     k = len(final.core) - 1
     extended = prolong(final.system, 1, k)

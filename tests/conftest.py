@@ -53,6 +53,11 @@ def _make(name):
 
 
 @pytest.fixture(scope="session")
+def template_analysis():
+    return _make("template")
+
+
+@pytest.fixture(scope="session")
 def vtol_analysis():
     return _make("vtol")
 

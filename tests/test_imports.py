@@ -1,6 +1,7 @@
-"""Every name a module imports is used in it, every local a function
-assigns is read (no linter is installed), only the sampling layer
-evaluates expressions, and no zero test reads a normal form built for it.
+"""Every name a module imports is used in it, no function imports, every
+local a function assigns is read (no linter is installed), only the
+sampling layer evaluates expressions, and no zero test reads a normal form
+built for it.
 
 ``__init__.py`` is exempt from the import and evaluation scans: its imports
 are the package's re-exports.  Locals whose names start with ``_`` are
@@ -41,6 +42,42 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source):
+    """(line, function) of each import inside a function: imports sit at
+    module level, where an import cycle shows when the package loads."""
+    out = []
+    todo = [(ast.parse(source), None)]
+    while todo:
+        node, fn = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif fn is not None and isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.append((node.lineno, fn))
+        todo.extend((child, fn) for child in ast.iter_child_nodes(node))
+    return sorted(out)
+
+
+def test_scan_finds_an_import_in_a_function():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from .checks import g\n"
+        "    def h():\n"
+        "        import math\n"
+        "    return g, h\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from . import x\n"
+        "        return x\n"
+    )
+    assert function_imports(source) == [(3, "f"), (5, "h"), (9, "m")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert function_imports(path.read_text()) == []
 
 
 def unused_locals(source):

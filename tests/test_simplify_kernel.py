@@ -4,7 +4,7 @@ import importlib
 
 import pytest
 
-from triflat.expr import ZERO, Sym, to_str
+from triflat.expr import Sym, to_str
 from triflat.parser import parse_expr
 from triflat.simplify import simplify
 
@@ -177,16 +177,3 @@ def test_atoms_and_derivatives_cleared_with_the_tables(monkeypatch):
     assert simplify(e) == form and differentiate(e, "memo_a") == slope
     assert as_fraction(e) == fraction
 
-
-def test_zero_test_answered_from_the_normal_form_cache(monkeypatch):
-    from triflat.simplify import is_zero_symbolic
-
-    zero = parse_expr("(zc_a + zc_b)^2 - zc_a^2 - 2*zc_a*zc_b - zc_b^2")
-    other = parse_expr("(zc_a + zc_b)^2 - zc_a^2")
-    assert simplify(zero) == ZERO and simplify(other) != ZERO
-
-    def no_normalization(e):
-        raise AssertionError("normalized again")
-
-    monkeypatch.setattr(S, "_nf", no_normalization)
-    assert is_zero_symbolic(zero) and not is_zero_symbolic(other)

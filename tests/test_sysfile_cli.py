@@ -92,12 +92,13 @@ def test_reject_bad_domain():
     ("x = -inf : 1", "finite"),
     ("x = nan : 1", "finite"),
     ("q = 0 : 1", "'q', which is no state, input or parameter"),
-], ids=["inf", "minus-inf", "nan", "unknown-name"])
+    ("k = 0 : 1", "'k', a fixed parameter, which takes no domain"),
+], ids=["inf", "minus-inf", "nan", "unknown-name", "fixed-parameter"])
 def test_reject_domain_entry(entry, message):
-    bad = f"[states]\nx\n[inputs]\nu1 u2\n[domain]\n{entry}\n"
+    bad = f"[states]\nx\n[inputs]\nu1 u2\n[params]\nk = 2\n[domain]\n{entry}\n"
     with pytest.raises(SysFileError, match=message) as err:
         parse_sysfile(bad)
-    assert err.value.line_no == 6
+    assert err.value.line_no == 8
 
 
 def test_domain_may_name_a_state_an_input_or_a_parameter():
@@ -232,6 +233,7 @@ BAD_MAPS = {
         ["check", "--domain", "theta=0.2:inf"],
         ["check", "--domain", "thetaa=0.2:1.2"],
         ["check", "--domain", "u1_1=0.2:1.2"],  # a state only once u1 is prolonged
+        ["check", "--domain", "eps=2:3"],  # with eps fixed in the file
         ["check", "--prolong", "u1=x"],
         ["check", "--prolong", "u1=-1"],
         ["verify", "--transform", "bad-json"],
@@ -247,11 +249,17 @@ BAD_MAPS = {
 )
 def test_cli_bad_input_is_a_usage_error(capsys, tmp_path, argv):
     command, *options = argv
+    sysfile = corpus("vtol.sys")
     if options[0] == "--transform":
         path = tmp_path / "map.json"
         path.write_text(BAD_MAPS[options[1]])
         options[1] = str(path)
-    code = main([command, corpus("vtol.sys"), *options])
+    if options == ["--domain", "eps=2:3"]:  # vtol with eps fixed and no eps domain
+        with open(sysfile) as fh:
+            text = fh.read().replace("[params]\neps", "[params]\neps = 0.5")
+        sysfile = tmp_path / "vtol.sys"
+        sysfile.write_text(text.replace("eps = 0.4 : 0.9\n", ""))
+    code = main([command, str(sysfile), *options])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -1,7 +1,7 @@
 """Constructive pipeline: staged transformations and numeric verification."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -200,6 +200,23 @@ def test_template_pipeline_is_renaming():
 
 
 
+def test_recorded_stages_are_never_rewritten(template_analysis):
+    # the stage a step was given stays as it was recorded: no step returns it
+    # unchanged, adds blocks to it, or can assign to its fields
+    s = triangular_template(0, 0, 5, 1, seed=3).system  # criterion 5's fourth instance
+    rep = triangular_form_check(s, _normalized_candidate(s, ONE, ZERO, "h-method"), SP,
+                                compute_bracket_chain(s, SP))
+    flat = flat_output_for_report(rep, SP, phi1=Sym("y1"))  # no terminal chains
+    generated = transform_to_triangular(s, rep, flat, SP)
+    for res in (template_analysis.transform, generated):
+        stages = [stage for _name, stage in res.stages]
+        assert len({id(stage) for stage in stages}) == len(stages)
+        first = dict(res.stages)["normalize-first"]
+        assert not {"z1", "z2"} & set(first.blocks)
+        with pytest.raises(FrozenInstanceError):
+            first.blocks = {}
+
+
 def test_slow_template_transform_completes():
     """template(1, 2, 5, 1, seed=11), whose transform was slow enough for the
     benchmark to stop it, runs through and recovers the generating blocks."""
@@ -263,8 +280,7 @@ def _direct_image(stage, sp, count):
 
 def _image_of(forward, domains=None):
     """The image sampler of the plane under the given forward maps."""
-    stage = _plane()
-    stage.forward = {name: parse_expr(e) for name, e in forward.items()}
+    stage = replace(_plane(), forward={name: parse_expr(e) for name, e in forward.items()})
     return stage, transform._image(stage, SP.with_domains(domains or {}))
 
 
