@@ -145,6 +145,22 @@ def _load(args):
     return definition, sysm, sp, prolongations
 
 
+def _header(command, args, sp, prolonged, sysm=None):
+    """The report's opening keys; verify reports carry no system."""
+    out = {"command": command, "file": args.file}
+    if sysm is not None:
+        out["system"] = _system_dict(sysm)
+    out["sampler"] = _sampler_dict(sp)
+    out["prolonged"] = prolonged
+    return out
+
+
+def _emit(out, verdict):
+    """Print the report and return the verdict's exit code."""
+    print(json.dumps(out, indent=2))
+    return EXIT_TRUE if verdict else EXIT_FALSE
+
+
 def _analyze(sysm, sp):
     """Chain, candidates, and one report per candidate; best report first."""
     chain = compute_bracket_chain(sysm, sp)
@@ -168,13 +184,7 @@ def _analyze(sysm, sp):
 
 def cmd_check(args):
     _definition, sysm, sp, prolonged = _load(args)
-    out = {
-        "command": "check",
-        "file": args.file,
-        "system": _system_dict(sysm),
-        "sampler": _sampler_dict(sp),
-        "prolonged": prolonged,
-    }
+    out = _header("check", args, sp, prolonged, sysm)
     try:
         chain, h_status, candidates, reports = _analyze(sysm, sp)
     except NotApplicable as e:
@@ -183,12 +193,10 @@ def cmd_check(args):
             out["detail"] = str(e)
             lin = check_static_feedback_linearizable(sysm, sp)
             out["linearizable"] = lin.verdict
-            print(json.dumps(out, indent=2))
-            return EXIT_TRUE if lin.verdict else EXIT_FALSE
+            return _emit(out, lin.verdict)
         out["verdict"] = False
         out["detail"] = str(e)
-        print(json.dumps(out, indent=2))
-        return EXIT_FALSE
+        return _emit(out, False)
     out["chain"] = {
         "depth_n3": chain.depth,
         "ranks": chain.ranks,
@@ -208,8 +216,7 @@ def cmd_check(args):
             "verdict": variant.verdict,
             "failing": variant.failing,
         }
-    print(json.dumps(out, indent=2))
-    return EXIT_TRUE if out["verdict"] else EXIT_FALSE
+    return _emit(out, out["verdict"])
 
 
 def _flat_options(args, definition):
@@ -227,15 +234,17 @@ def _passing_report(sysm, sp):
     return passing[0]
 
 
+def _transformed(args, definition, sysm, sp):
+    """Flat options, passing report, flat output and transform, in that order."""
+    phi1, hints = _flat_options(args, definition)
+    rep = _passing_report(sysm, sp)
+    flat = flat_output_for_report(rep, sp, phi1=phi1, hints=hints)
+    return rep, flat, transform_to_triangular(sysm, rep, flat, sp, hints=hints)
+
+
 def cmd_flat_output(args):
     definition, sysm, sp, prolonged = _load(args)
-    out = {
-        "command": "flat-output",
-        "file": args.file,
-        "system": _system_dict(sysm),
-        "sampler": _sampler_dict(sp),
-        "prolonged": prolonged,
-    }
+    out = _header("flat-output", args, sp, prolonged, sysm)
     phi1, hints = _flat_options(args, definition)
     rep = _passing_report(sysm, sp)
     out["case"] = rep.case
@@ -252,8 +261,7 @@ def cmd_flat_output(args):
     out["provenance"] = list(flat.provenance)
     out["l_perp"] = [str(w) for w in flat.l_perp.forms]
     out["verdict"] = True
-    print(json.dumps(out, indent=2))
-    return EXIT_TRUE
+    return _emit(out, True)
 
 
 def _change_dict(change: CoordinateChange):
@@ -265,17 +273,8 @@ def _change_dict(change: CoordinateChange):
 
 def cmd_transform(args):
     definition, sysm, sp, prolonged = _load(args)
-    out = {
-        "command": "transform",
-        "file": args.file,
-        "system": _system_dict(sysm),
-        "sampler": _sampler_dict(sp),
-        "prolonged": prolonged,
-    }
-    phi1, hints = _flat_options(args, definition)
-    rep = _passing_report(sysm, sp)
-    flat = flat_output_for_report(rep, sp, phi1=phi1, hints=hints)
-    result = transform_to_triangular(sysm, rep, flat, sp, hints=hints)
+    out = _header("transform", args, sp, prolonged, sysm)
+    _rep, flat, result = _transformed(args, definition, sysm, sp)
     out["flat_output"] = {"phi1": to_str(flat.phi1), "phi2": to_str(flat.phi2)}
     out["stages"] = [
         {
@@ -309,8 +308,7 @@ def cmd_transform(args):
         with open(args.save, "w") as fh:
             json.dump(payload, fh, indent=2)
         out["saved"] = args.save
-    print(json.dumps(out, indent=2))
-    return EXIT_TRUE if out["verdict"] else EXIT_FALSE
+    return _emit(out, out["verdict"])
 
 
 def _system_from_dict(d):
@@ -334,12 +332,7 @@ def cmd_verify(args):
     if not 0 < args.vtol < math.inf:
         raise SysFileError(f"--vtol must be finite and positive, got {args.vtol}")
     definition, sysm, sp, prolonged = _load(args)
-    out = {
-        "command": "verify",
-        "file": args.file,
-        "sampler": _sampler_dict(sp),
-        "prolonged": prolonged,
-    }
+    out = _header("verify", args, sp, prolonged)
     if args.transform:
         try:
             with open(args.transform) as fh:
@@ -361,24 +354,16 @@ def cmd_verify(args):
         out["transform_file"] = args.transform
         out["verified"] = ok
         out["tol"] = args.vtol
-        print(json.dumps(out, indent=2))
-        return EXIT_TRUE if ok else EXIT_FALSE
+        return _emit(out, ok)
     if args.evidence:
-        phi1, hints = _flat_options(args, definition)
-        rep = _passing_report(sysm, sp)
-        flat = flat_output_for_report(rep, sp, phi1=phi1, hints=hints)
-        result = transform_to_triangular(sysm, rep, flat, sp, hints=hints)
+        rep, _flat, result = _transformed(args, definition, sysm, sp)
         lin = prolonged_linearizability(result, sp)
         out["prolongation_order"] = rep.n2 - 1
-        out["linearizable"] = lin.verdict
-        out["detail"] = lin.failing
-        print(json.dumps(out, indent=2))
-        return EXIT_TRUE if lin.verdict else EXIT_FALSE
-    lin = check_static_feedback_linearizable(sysm, sp)
+    else:
+        lin = check_static_feedback_linearizable(sysm, sp)
     out["linearizable"] = lin.verdict
     out["detail"] = lin.failing
-    print(json.dumps(out, indent=2))
-    return EXIT_TRUE if lin.verdict else EXIT_FALSE
+    return _emit(out, lin.verdict)
 
 
 def build_parser():

@@ -119,7 +119,7 @@ def row_reduce(rows, sp: Sampler, extra_syms=()) -> RowReduction:
     return RowReduction(rows, pivots, ncols)
 
 
-def nullspace(rows, sp: Sampler, extra_syms=()) -> list:
+def nullspace(rows, sp: Sampler) -> list:
     """Basis of the right null space over the function field.
 
     Returns vectors of simplified expressions; each is verified numerically
@@ -128,7 +128,7 @@ def nullspace(rows, sp: Sampler, extra_syms=()) -> list:
     if not rows:
         return []
     ncols = len(rows[0])
-    red = row_reduce(rows, sp, extra_syms)
+    red = row_reduce(rows, sp)
     pivot_cols = {c: r for r, c in red.pivots}
     free_cols = [j for j in range(ncols) if j not in pivot_cols]
     basis = []
@@ -138,16 +138,16 @@ def nullspace(rows, sp: Sampler, extra_syms=()) -> list:
         for r, c in red.pivots:
             vec[c] = simplify(neg(div(red.rows[r][j], red.rows[r][c])))
         basis.append(vec)
-    _verify_nullspace(rows, basis, sp, extra_syms)
+    _verify_nullspace(rows, basis, sp)
     return basis
 
 
-def _verify_nullspace(rows, basis, sp, extra_syms=()):
+def _verify_nullspace(rows, basis, sp):
     residuals = []
     for vec in basis:
         for r in rows:
             residuals.append(add(*(mul(a, b) for a, b in zip(r, vec))))
-    if residuals and not all_zero_generic(residuals, sp, extra_syms):
+    if residuals and not all_zero_generic(residuals, sp):
         raise EliminationError("null space verification failed at sample points")
 
 

@@ -240,7 +240,7 @@ def pow_(base, exponent):
 
 
 def _exact_rational_root(value, q):
-    """value**q as an exact Fraction, or None when it is irrational."""
+    """value**q, exact (see ``exact``), or None when it is irrational."""
     if value < 0:
         return None
     p, r = q.numerator, q.denominator
@@ -250,7 +250,7 @@ def _exact_rational_root(value, q):
     base = Fraction(rn, rd)
     if p < 0 and base == 0:
         return None
-    return base**p
+    return exact(base**p)
 
 
 def _exact_iroot(n, r):
@@ -310,10 +310,6 @@ def tan(e):
 
 def exp(e):
     return call("exp", e)
-
-
-def log(e):
-    return call("log", e)
 
 
 def free_symbols(e):

@@ -78,12 +78,6 @@ def integrate_sym(e: Expr, x: str) -> Expr:
             q = e.exponent
             if q == -1:
                 return div(call("log", e.base), a)
-            if isinstance(e.base, Call) and e.base.fn == "cos" and q == -2:
-                inner = _linear_in(e.base.arg, x)
-                if inner is not None:
-                    ai, _ = inner
-                    return div(div(call("sin", e.base.arg), call("cos", e.base.arg)), ai)
-                raise IntegrationError(f"cannot integrate {e} in {x}")
             return div(pow_(e.base, q + 1), mul(a, Rat(q + 1)))
         if isinstance(e.base, Call) and e.base.fn == "cos" and e.exponent == -2:
             inner = _linear_in(e.base.arg, x)

@@ -105,9 +105,12 @@ class _Parser:
     def term(self):
         e = self.unary()
         while self.peek().kind in "*/":
-            op = self.take().kind
+            op = self.take()
             rhs = self.unary()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            try:
+                e = mul(e, rhs) if op.kind == "*" else div(e, rhs)
+            except ZeroDivisionError:
+                raise ExprSyntaxError("division by zero", op.pos) from None
         return e
 
     def unary(self):

@@ -28,11 +28,11 @@ from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import wraps
 from itertools import compress
-from math import isqrt
 
 from . import trace
 from .errors import TriflatError
 from .expr import (
+    HALF,
     ONE,
     Add,
     Call,
@@ -42,6 +42,7 @@ from .expr import (
     Rat,
     Sym,
     ZERO,
+    _exact_rational_root,
     add,
     call,
     derivative,
@@ -941,7 +942,7 @@ def _poly_sqrt(p):
     lm, lc = _leading(p)
     if lc < 0 or any(exp % 2 for _k, exp in lm):
         return None
-    root_c = _exact_sqrt(lc)
+    root_c = _exact_rational_root(lc, HALF)
     if root_c is None:
         return None
     half = tuple((k, exp // 2) for k, exp in lm)
@@ -961,16 +962,6 @@ def _poly_sqrt(p):
             return None
         r = _poly_add(r, term)
     return None
-
-
-def _exact_sqrt(q):
-    if q < 0:
-        return None
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return _quotient(rn, rd)
 
 
 @_normalization

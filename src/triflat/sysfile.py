@@ -4,10 +4,11 @@ Sections: [states], [inputs], [drift], [b1], [b2], [params], [domain],
 [hints]; '#' starts a comment.  Component sections use ``name = expression``
 lines in the package expression grammar; [params] entries are either bare
 symbols (sampled) or ``name = value`` (fixed); [domain] entries read
-``name = lo : hi`` and name no fixed parameter.  A ``general = true`` line
-in [inputs] declares a general (non-affine) system whose drift may mention
-the input symbols; it is made affine by prolonging every control once, and
-no [b1]/[b2] sections are allowed then.
+``name = lo : hi`` and name no fixed parameter.  A component, a domain and
+``phi1`` may each be given once.  A ``general = true`` line in [inputs]
+declares a general (non-affine) system whose drift may mention the input
+symbols; it is made affine by prolonging every control once, and no
+[b1]/[b2] sections are allowed then.
 """
 
 from __future__ import annotations
@@ -145,6 +146,8 @@ def _assemble(data, meta) -> SystemDefinition:
             sym, text = (p.strip() for p in line.split("=", 1))
             if sym not in states:
                 raise SysFileError(f"unknown state {sym!r} in [{key}]", line_no)
+            if sym in out:
+                raise SysFileError(f"repeated component {sym!r} in [{key}]", line_no)
             out[sym] = parse_expr(text)
         return out
 
@@ -186,6 +189,8 @@ def _assemble(data, meta) -> SystemDefinition:
         if params.get(sym) is not None:
             raise SysFileError(f"[domain] names {sym!r}, a fixed parameter, which takes no "
                                "domain", line_no)
+        if sym in domains:
+            raise SysFileError(f"repeated [domain] entry for {sym!r}", line_no)
         domains[sym] = (lo, hi)
 
     hints: List[Expr] = []
@@ -194,6 +199,8 @@ def _assemble(data, meta) -> SystemDefinition:
         if "=" in line:
             key, val = (p.strip() for p in line.split("=", 1))
             if key == "phi1":
+                if phi1 is not None:
+                    raise SysFileError("repeated 'phi1' in [hints]", line_no)
                 phi1 = parse_expr(val)
                 continue
             raise SysFileError("only 'phi1 = expr' assignments allowed in [hints]", line_no)

@@ -41,10 +41,6 @@ class AffineSystem:
     def n(self):
         return len(self.frame)
 
-    @property
-    def inputs(self):
-        return (self.b1, self.b2)
-
     def call_arguments(self):
         """Arguments of the elementary-function calls that are whole
         components of the drift, b1 and b2, in component order."""

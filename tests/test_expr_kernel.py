@@ -64,6 +64,13 @@ def test_symbolic_exponent_rejected():
         parse_expr("x^y")
 
 
+@pytest.mark.parametrize("text, offset", [("1/0", 1), ("x/(2-2)", 1), ("x^(1/0)", 4)])
+def test_division_by_constant_zero_is_a_syntax_error(text, offset):
+    with pytest.raises(ExprSyntaxError, match="division by zero") as err:
+        parse_expr(text)
+    assert err.value.offset == offset
+
+
 # --- printing round trip ---------------------------------------------------
 
 def _random_expr(rng, depth=0):
@@ -214,6 +221,28 @@ def test_sqrt_of_square_detection():
     assert r is not None
     assert is_zero_generic(r - parse_expr("cos(w)*u^2"), SP)
     assert sqrt_of_square(parse_expr("x^3")) is None
+
+
+def _rationals(e):
+    if isinstance(e, Rat):
+        return [e.value]
+    children = getattr(e, "terms", getattr(e, "factors", ()))
+    return [v for child in children for v in _rationals(child)]
+
+
+@pytest.mark.parametrize("square, root", [
+    ("9*x^2 + 12*x*y + 4*y^2", "3*x + 2*y"),
+    ("4/9*x^2", "2/3*x"),
+    ("2*x^2", None),  # the coefficient 2 has no rational root
+    ("-x^2", None),
+])
+def test_sqrt_of_square_exact_coefficients(square, root):
+    r = sqrt_of_square(parse_expr(square))
+    if root is None:
+        assert r is None
+        return
+    assert is_zero_generic(r - parse_expr(root), SP)
+    assert all(type(v) is int or v.denominator > 1 for v in _rationals(r)), to_str(r)
 
 
 # --- evaluation ------------------------------------------------------------

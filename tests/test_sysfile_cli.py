@@ -106,6 +106,27 @@ def test_domain_may_name_a_state_an_input_or_a_parameter():
     assert parse_sysfile(text).domains == {"x": (0, 1), "u1": (1, 2), "p": (2, 3)}
 
 
+@pytest.mark.parametrize("line, repeat, message", [
+    ("x = vx", "x = z", "repeated component 'x' in [drift]"),
+    ("vz = cos(theta)", "vz = 0", "repeated component 'vz' in [b1]"),
+    ("omega = 1", "omega = 2", "repeated component 'omega' in [b2]"),
+    ("theta = 0.2 : 1.2", "theta = 5 : 6", "repeated [domain] entry for 'theta'"),
+    ("[hints]\nphi1 = x", "phi1 = z", "repeated 'phi1' in [hints]"),
+], ids=["drift", "b1", "b2", "domain", "phi1"])
+def test_cli_rejects_a_repeated_entry(capsys, tmp_path, line, repeat, message):
+    with open(corpus("vtol.sys")) as fh:
+        text = fh.read() + "\n[hints]\nphi1 = x\n"
+    text = text.replace(line + "\n", f"{line}\n{repeat}\n", 1)
+    path = tmp_path / "vtol.sys"
+    path.write_text(text)
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    line_no = text[:text.index(repeat)].count("\n") + 1
+    assert json.loads(captured.err)["error"] == f"{message} (line {line_no})"
+
+
 def test_reject_general_with_fields():
     bad = "[states]\nx\n[inputs]\ngeneral = true\nu1 u2\n[b1]\nx = 1\n"
     with pytest.raises(SysFileError):
@@ -220,6 +241,7 @@ BAD_MAPS = {
     "unnamable-state": vtol_identity_map(x_name="q 1"),
     "extra-state": vtol_identity_map(extra_state="v1"),
     "input-named-like-a-parameter": vtol_identity_map(u1_name="eps"),
+    "division-by-zero": vtol_identity_map().replace('"z": "z"', '"z": "1/0"'),
 }
 
 
@@ -241,6 +263,9 @@ BAD_MAPS = {
         ["verify", "--transform", "unnamable-state"],
         ["verify", "--transform", "extra-state"],
         ["verify", "--transform", "input-named-like-a-parameter"],
+        ["verify", "--transform", "division-by-zero"],
+        ["flat-output", "--phi1", "1/0"],
+        ["flat-output", "--phi1", "x1^(1/0)"],
         ["verify", "--vtol", "nan"],
         ["verify", "--vtol", "inf"],
         ["verify", "--vtol", "-1"],
@@ -264,6 +289,18 @@ def test_cli_bad_input_is_a_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+def test_cli_division_by_zero_in_the_file_is_a_usage_error(capsys, tmp_path):
+    with open(corpus("vtol.sys")) as fh:
+        text = fh.read().replace("theta = omega", "theta = omega + 1/0")
+    path = tmp_path / "vtol.sys"
+    path.write_text(text)
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "division by zero" in json.loads(captured.err)["error"]
 
 
 @pytest.mark.parametrize(

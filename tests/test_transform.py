@@ -47,7 +47,7 @@ def test_isolate_patterns():
         ("exp(x) + 1", "x", "log(V - 1)"),
         ("(1+y^2)*x", "x", "V/(1+y^2)"),
         ("-cos(x)/sin(x)", "x", None),  # solvable, via the quotient pattern
-        ("sqrt(q*r^2)/2/r", "q", None),  # solvable, via the kernel route
+        ("sqrt(q*r^2)/2/r", "q", None),  # solvable, via the power pattern
     ]
     for text, x, expected in cases:
         sol = _isolate(simplify(parse_expr(text)), x, V)
