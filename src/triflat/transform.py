@@ -124,7 +124,7 @@ def _isolate(f: Expr, x: str, v: Expr) -> Optional[Expr]:
         rest = [g for g in f.factors if x not in free_symbols(g)]
         if len(dep) == 1:
             return _isolate(dep[0], x, div(v, mul(*rest) if rest else ONE))
-        ratio = _trig_ratio(dep, x)
+        ratio = _trig_ratio(dep)
         if ratio is not None:
             kind, u = ratio
             target = div(v, mul(*rest) if rest else ONE)
@@ -151,7 +151,7 @@ def _isolate(f: Expr, x: str, v: Expr) -> Optional[Expr]:
     return None
 
 
-def _trig_ratio(dep_factors, x):
+def _trig_ratio(dep_factors):
     """Recognize {sin(u)^±1, cos(u)^∓1} pairs: tan or cot of a common u."""
     if len(dep_factors) != 2:
         return None
