@@ -106,6 +106,13 @@ class TransformResult:
 
 def _isolate(f: Expr, x: str, v: Expr) -> Optional[Expr]:
     """Solve f(..., x, ...) = v for x by unwrapping elementary operations."""
+    out = _isolate_structural(f, x, v)
+    if out is not None:
+        return out
+    return _isolate_through_kernel(f, x, v)
+
+
+def _isolate_structural(f: Expr, x: str, v: Expr) -> Optional[Expr]:
     if isinstance(f, Sym):
         return v if f.name == x else None
     d = differentiate(f, x)
@@ -148,6 +155,53 @@ def _isolate(f: Expr, x: str, v: Expr) -> Optional[Expr]:
         if inverse_fn is None:
             return None
         return _isolate(f.arg, x, call(inverse_fn, v))
+    return None
+
+
+def _replace_subtree(e: Expr, target: Expr, repl: Expr) -> Expr:
+    if e == target:
+        return repl
+    if isinstance(e, Add):
+        return add(*(_replace_subtree(t, target, repl) for t in e.terms))
+    if isinstance(e, Mul):
+        return mul(*(_replace_subtree(g, target, repl) for g in e.factors))
+    if isinstance(e, Pow):
+        return pow_(_replace_subtree(e.base, target, repl), e.exponent)
+    if isinstance(e, Call):
+        return call(e.fn, _replace_subtree(e.arg, target, repl))
+    return e
+
+
+def _isolate_through_kernel(f: Expr, x: str, v: Expr) -> Optional[Expr]:
+    """When every occurrence of x sits inside one repeated kernel, solve the
+    rational outer problem first and then invert the kernel."""
+    kernels = []
+
+    def collect(e):
+        if (isinstance(e, Call) or (isinstance(e, Pow) and e.exponent.denominator > 1)) \
+                and x in free_symbols(e) and e not in kernels:
+            kernels.append(e)
+        if isinstance(e, Add):
+            for t in e.terms:
+                collect(t)
+        elif isinstance(e, Mul):
+            for g in e.factors:
+                collect(g)
+        elif isinstance(e, Pow):
+            collect(e.base)
+        elif isinstance(e, Call):
+            collect(e.arg)
+
+    collect(f)
+    placeholder = Sym("_ker")
+    for K in kernels:
+        outer = simplify(_replace_subtree(f, K, placeholder))
+        if x in free_symbols(outer) or "_ker" not in free_symbols(outer):
+            continue
+        k_value = _isolate_structural(outer, "_ker", v)
+        if k_value is None:
+            continue
+        return _isolate_structural(K, x, k_value)
     return None
 
 

@@ -17,7 +17,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "triflat"
 ALLOWED = {
     "generator.triangular_template": "builds the benchmark's generated instances",
     "trace.span": "timing spans for pipeline stages, kept for the --trace report",
-    "trace.collect": "collector for the --trace report; tests read gcd bail-outs through it",
     "sampling.MatrixSampler.at": "perfbench/tracer.py wraps it by name",
     "sampling.Sampler.admissible_points": "perfbench/tracer.py wraps it by name",
     "sampling.numeric_rank": "perfbench/tracer.py wraps it by name",

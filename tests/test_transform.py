@@ -48,6 +48,10 @@ def test_isolate_patterns():
         ("(1+y^2)*x", "x", "V/(1+y^2)"),
         ("-cos(x)/sin(x)", "x", None),  # solvable, via the quotient pattern
         ("sqrt(q*r^2)/2/r", "q", None),  # solvable, via the power pattern
+        # x only inside one kernel repeated across the expanded terms
+        ("(1+y)*exp(x)", "x", "log(V/(1+y))"),
+        ("sqrt(x)*(a+b)", "x", "(V/(a+b))^2"),
+        ("sin(x)*(1+y)", "x", "arcsin(V/(1+y))"),
     ]
     for text, x, expected in cases:
         sol = _isolate(simplify(parse_expr(text)), x, V)
