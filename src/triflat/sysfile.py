@@ -148,7 +148,7 @@ def _assemble(data, meta) -> SystemDefinition:
                 raise SysFileError(f"unknown state {sym!r} in [{key}]", line_no)
             if sym in out:
                 raise SysFileError(f"repeated component {sym!r} in [{key}]", line_no)
-            out[sym] = parse_expr(text)
+            out[sym] = _expression(text, line_no)
         return out
 
     drift = component_map("drift")
@@ -201,10 +201,10 @@ def _assemble(data, meta) -> SystemDefinition:
             if key == "phi1":
                 if phi1 is not None:
                     raise SysFileError("repeated 'phi1' in [hints]", line_no)
-                phi1 = parse_expr(val)
+                phi1 = _expression(val, line_no)
                 continue
             raise SysFileError("only 'phi1 = expr' assignments allowed in [hints]", line_no)
-        hints.append(parse_expr(line))
+        hints.append(_expression(line, line_no))
 
     allowed = set(states) | set(params) | (set(inputs) if general else set())
     for key, comp in (("drift", drift), ("b1", b1), ("b2", b2)):
@@ -227,6 +227,13 @@ def _assemble(data, meta) -> SystemDefinition:
         phi1=phi1,
         general=general,
     )
+
+
+def _expression(text: str, line_no: int) -> Expr:
+    try:
+        return parse_expr(text)
+    except ExprSyntaxError as err:
+        raise SysFileError(str(err), line_no) from None
 
 
 def load_sysfile(path) -> SystemDefinition:

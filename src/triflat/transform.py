@@ -558,23 +558,28 @@ def build_ladder_change(
 
     Terminal chains come from drift derivatives of the flat output, the core
     tops are the chain feeds, and the interior coordinates are integrals of
-    the successive level annihilators.
+    the successive level annihilators.  The form does not fix which feed
+    becomes q1: the second does only when its equation alone already reads
+    q1' = w (:func:`_reads_w`).  The chain feeding q1 is p1.
     """
     sysm = report.system
     a = sysm.drift
     frame = sysm.frame
-    l1, l2 = report.chain_lengths
     defs: List[Tuple[str, Expr]] = []
     knowns: List[Expr] = []
 
-    for j, (phi, length) in enumerate(((flat.phi1, l1), (flat.phi2, l2)), start=1):
+    chains = list(zip((flat.phi1, flat.phi2), report.chain_lengths))
+    feeds = [simplify(f) for f in flat.feeds]
+    if _reads_w(sysm, feeds[1]) and not _reads_w(sysm, feeds[0]):
+        chains.reverse()
+        feeds.reverse()
+    for j, (phi, length) in enumerate(chains, start=1):
         cur = phi
         for k in range(1, length + 1):
             defs.append((f"p{j}_{k}", simplify(cur)))
             knowns.append(simplify(cur))
             cur = lie_derivative(a, cur)
     q_names = [f"q{i}" for i in range(1, report.n2 + 1)]
-    feeds = [simplify(f) for f in flat.feeds]
     defs.append((q_names[0], feeds[0]))
     defs.append((q_names[1], feeds[1]))
     knowns += feeds
@@ -616,6 +621,16 @@ def build_ladder_change(
         knowns.append(Sym(x))
         next_r += 1
     return defs
+
+
+def _reads_w(sysm: AffineSystem, f: Expr) -> bool:
+    """Whether f' is a bare state or input symbol, that is, whether the full
+    right-hand side L_a f + (L_b1 f) u1 + (L_b2 f) u2 normalizes to one.  It
+    reads symbols only, never sampled values, so it does not follow the seed."""
+    rhs = simplify(add(lie_derivative(sysm.drift, f),
+                       *(mul(lie_derivative(b, f), Sym(u))
+                         for b, u in zip((sysm.b1, sysm.b2), sysm.input_syms))))
+    return isinstance(rhs, Sym) and rhs.name in (*sysm.frame, *sysm.input_syms)
 
 
 def _call_argument_coordinates(sysm: AffineSystem):

@@ -5,18 +5,22 @@ or moved into ``tests/`` when a test uses it as a reference.  References are
 matched by name.  A function or class counts as used when a ``Name``, an
 attribute read or an imported name carries its name; a method only through
 an attribute read, so a local variable of the same name does not keep it.
-The guard catches the definitions whose name appears nowhere else.
+A ``Name`` read inside a function that defines a nested function of that
+name is local: it keeps only that nested function.  The guard catches the
+definitions whose name appears nowhere else.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "triflat"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # Unreferenced in src/ on purpose, one reason each.
 ALLOWED = {
     "generator.triangular_template": "builds the benchmark's generated instances",
     "trace.span": "timing spans for pipeline stages, kept for the --trace report",
+    "trace.collect": "the collector that the --trace report activates (ROADMAP item 6)",
     "sampling.MatrixSampler.at": "perfbench/tracer.py wraps it by name",
     "sampling.Sampler.admissible_points": "perfbench/tracer.py wraps it by name",
     "sampling.numeric_rank": "perfbench/tracer.py wraps it by name",
@@ -25,29 +29,35 @@ ALLOWED = {
 
 def _definitions_and_references(src):
     defs = []  # (qualified name, bare name, module, first line, last line, is a method)
-    refs = []  # (name, module, line, is an attribute read)
+    # (name, module, line, is an attribute read, the function it is local to or None)
+    refs = []
     for path in sorted(src.glob("*.py")):
         module = path.stem
         tree = ast.parse(path.read_text(), filename=str(path))
 
-        def visit(node, prefix):
+        def visit(node, prefix, local):  # local: nested function name -> its definer
             for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
                     qual = f"{prefix}.{child.name}"
                     method = isinstance(node, ast.ClassDef)
                     defs.append((qual, child.name, module, child.lineno, child.end_lineno, method))
-                    visit(child, qual)
-                else:
-                    visit(child, prefix)
+                    inner = local
+                    if isinstance(child, FUNCTIONS):
+                        nested = {n.name for n in ast.walk(child)
+                                  if n is not child and isinstance(n, FUNCTIONS)}
+                        inner = {**local, **dict.fromkeys(nested, qual)}
+                    visit(child, qual, inner)
+                    continue
+                if isinstance(child, ast.Name):
+                    refs.append((child.id, module, child.lineno, False, local.get(child.id)))
+                elif isinstance(child, ast.Attribute):
+                    refs.append((child.attr, module, child.lineno,
+                                 isinstance(child.ctx, ast.Load), None))
+                elif isinstance(child, ast.ImportFrom):
+                    refs.extend((a.name, module, child.lineno, False, None) for a in child.names)
+                visit(child, prefix, local)
 
-        visit(tree, module)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.append((node.id, module, node.lineno, False))
-            elif isinstance(node, ast.Attribute):
-                refs.append((node.attr, module, node.lineno, isinstance(node.ctx, ast.Load)))
-            elif isinstance(node, ast.ImportFrom):
-                refs.extend((a.name, module, node.lineno, False) for a in node.names)
+        visit(tree, module, {})
     return defs, refs
 
 
@@ -65,15 +75,16 @@ def _unreferenced(src=SRC):
     defs, refs = _definitions_and_references(src)
     public = _public_api(src)
     by_name = {}
-    for name, module, line, read in refs:
-        by_name.setdefault(name, []).append((module, line, read))
+    for name, module, line, read, definer in refs:
+        by_name.setdefault(name, []).append((module, line, read, definer))
     out = []
     for qual, name, module, first, last, method in defs:
         if (name.startswith("__") and name.endswith("__")) or name in public:
             continue
         if not any(
             not (m == module and first <= line <= last) and (read or not method)
-            for m, line, read in by_name.get(name, ())
+            and (definer is None or qual.startswith(definer + "."))
+            for m, line, read, definer in by_name.get(name, ())
         ):
             out.append(qual)
     return out
@@ -103,6 +114,19 @@ def test_a_method_is_used_only_through_an_attribute_read(tmp_path):
         "def use(box, scale):\n    rank = 1\n    box.rhs = scale\n    return box.size(), rank\n"
     )
     assert _unreferenced(tmp_path) == ["a.Box.rank", "a.Box.scale", "a.Box.rhs"]
+
+
+def test_a_nested_function_keeps_only_itself_alive(tmp_path):
+    # the read of walk inside outer names its nested walk, not a.walk; a read in
+    # a later function that defines no walk still names a.walk
+    (tmp_path / "__init__.py").write_text('__all__ = ["outer", "later"]\n')
+    source = ("def walk():\n    pass\n\n"
+              "def outer(e):\n    def walk(e):\n        return e\n\n    return walk(e)\n\n"
+              "def later():\n    {}\n")
+    (tmp_path / "a.py").write_text(source.format("pass"))
+    assert _unreferenced(tmp_path) == ["a.walk"]
+    (tmp_path / "a.py").write_text(source.format("walk()"))
+    assert _unreferenced(tmp_path) == []
 
 
 def test_every_definition_has_a_caller_in_src():

@@ -13,7 +13,7 @@ naming their cause, so a fix has to flip them.
 import pytest
 
 from triflat.cli import _analyze
-from triflat.errors import EliminationError, IntegrationError, PipelineError, SamplerExhausted
+from triflat.errors import EliminationError, IntegrationError, PipelineError
 from triflat.expr import Sym
 from triflat.flatout import flat_output_for_report
 from triflat.generator import triangular_template
@@ -31,10 +31,6 @@ SP = Sampler()
 KNOWN_FAILURES = {
     (0, 1): (IntegrationError, "flat-output: 1 of 3 integrals missing "
              "(ROADMAP item 9)"),
-    (1, 3): (SamplerExhausted, "transform: simplify splits sqrt((-2/q - r)/2) into "
-             "sqrt(-q*r/2 - 1)*sqrt(q)/q, real only for q > 0, and q3n < 0 on the "
-             "image, so introduce_core_couplings evaluates nowhere (radical branch "
-             "defect)"),
     (5, 3): (PipelineError, "transform: solve_map finds no pattern inverse of the "
              "ladder change (ROADMAP item 3)"),
     (6, 3): (PipelineError, "transform: straightening stalls at level cauchy1 with 1 "
@@ -70,24 +66,23 @@ def test_disguised_instance_keeps_its_answer(index, combo, k):
 
 # The evidence of ``verify --evidence``: prolonging the chain-side input of
 # the normal form makes it static feedback linearizable.
-BASIS_FAILURE = ("diffgeo.basis gives up on a drift step of the prolonged normal form: "
-                 "its greedy basis is near-singular at one kept point where the whole "
-                 "spanning set is not (CHANGES FOUND)")
-
-
-def _generated():
-    for index, combo in enumerate(criterion5_combos()):
-        marks = ()
-        if index in (1, 9):
-            marks = pytest.mark.xfail(raises=EliminationError, reason=BASIS_FAILURE, strict=True)
-        yield pytest.param(index, combo, marks=marks,
-                           id=f"{'-'.join(map(str, combo))}-seed{index}")
-
-
-@pytest.mark.parametrize("index, combo", _generated())
+@pytest.mark.parametrize("index, combo", [
+    pytest.param(index, combo, id=f"{'-'.join(map(str, combo))}-seed{index}")
+    for index, combo in enumerate(criterion5_combos())])
 def test_generated_instance_is_prolonged_linearizable(index, combo):
     inst = triangular_template(*combo, seed=index)
     rep = _analyze(inst.system, SP)[3][0]
     flat = flat_output_for_report(rep, SP, phi1=Sym("y1") if rep.case == "NoX1" else None)
     res = transform_to_triangular(inst.system, rep, flat, SP)
+    assert prolonged_linearizability(res, SP).verdict
+
+
+@pytest.mark.xfail(raises=EliminationError, strict=True, reason=(
+    "diffgeo.basis gives up on a drift step of the prolonged normal form: its greedy "
+    "basis is near-singular at one kept point where the whole spanning set is not "
+    "(ROADMAP item 12)"))
+def test_disguised_instance_is_prolonged_linearizable():
+    system, _inverse = disguise(triangular_template(1, 2, 3, 1, seed=9).system, 1, seed=9)
+    rep = _analyze(system, SP)[3][0]
+    res = transform_to_triangular(system, rep, flat_output_for_report(rep, SP), SP)
     assert prolonged_linearizability(res, SP).verdict

@@ -4,7 +4,8 @@ import importlib
 
 import pytest
 
-from triflat.expr import Sym, to_str
+from triflat.errors import EvalError
+from triflat.expr import Sym, evaluate, to_str
 from triflat.parser import parse_expr
 from triflat.simplify import simplify
 
@@ -177,3 +178,10 @@ def test_atoms_and_derivatives_cleared_with_the_tables(monkeypatch):
     assert simplify(e) == form and differentiate(e, "memo_a") == slope
     assert as_fraction(e) == fraction
 
+
+@pytest.mark.xfail(raises=EvalError, strict=True, reason=(
+    "the normal form splits sqrt((-2/q - r)/2) into sqrt(-q*r/2 - 1)*sqrt(q)/q, real "
+    "only for q > 0 (radical branch defect, ROADMAP item 13)"))
+def test_a_root_of_a_quotient_keeps_its_domain():
+    root = simplify(parse_expr("sqrt((-2/q - r)/2)"))
+    assert evaluate(root, {"q": -3.0, "r": 0.3}) == pytest.approx(((2 / 3 - 0.3) / 2) ** 0.5)

@@ -291,6 +291,27 @@ def test_cli_bad_input_is_a_usage_error(capsys, tmp_path, argv):
     assert "error" in json.loads(captured.err)
 
 
+@pytest.mark.parametrize("line, bad, message", [
+    ("theta = omega", "theta = omega + 1/0", "division by zero (offset 9)"),
+    ("vz = cos(theta)", "vz = cos(theta", "expected ')' (offset 9)"),
+    ("omega = 1", "omega = 1 +", "expected an operand (offset 3)"),
+    ("phi1 = x", "phi1 = x/0", "division by zero (offset 1)"),
+    ("x*z", "x*", "expected an operand (offset 2)"),
+], ids=["drift", "b1", "b2", "phi1", "hint"])
+def test_cli_names_the_line_of_a_bad_expression(capsys, tmp_path, line, bad, message):
+    with open(corpus("vtol.sys")) as fh:
+        text = fh.read() + "\n[hints]\nphi1 = x\nx*z\n"
+    text = text.replace(line + "\n", bad + "\n", 1)
+    path = tmp_path / "vtol.sys"
+    path.write_text(text)
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    line_no = text[:text.index(bad + "\n")].count("\n") + 1
+    assert json.loads(captured.err)["error"] == f"{message} (line {line_no})"
+
+
 def test_cli_division_by_zero_in_the_file_is_a_usage_error(capsys, tmp_path):
     with open(corpus("vtol.sys")) as fh:
         text = fh.read().replace("theta = omega", "theta = omega + 1/0")

@@ -8,6 +8,7 @@ import pytest
 
 from triflat import transform
 
+from triflat.cli import _analyze
 from triflat.direction_search import (
     _normalized_candidate,
     candidate_via_h,
@@ -32,6 +33,8 @@ from triflat.transform import (
     verify_transformation,
 )
 from triflat.triform import triangular_form_check
+
+from reference import criterion5_combos
 
 SP = Sampler()
 
@@ -165,6 +168,9 @@ def test_sin_pipeline_matches_form(sin_analysis):
     res = sin_analysis.transform
     fin = res.final
     assert res.verified and fin.structure_ok
+    # neither feed's equation is a bare symbol, so the chain keeps feeding q1
+    assert not any(transform._reads_w(sin_analysis.system, simplify(f))
+                   for f in sin_analysis.flat.feeds)
     assert [len(c) for c in fin.chains] == [1, 0]
     # cross-coupling factor in the last core equation is present and state-only
     g = fin.couplings["g"]
@@ -202,6 +208,38 @@ def test_template_pipeline_is_renaming():
     for new, expr in res.change.state_map.items():
         assert isinstance(expr, Sym), f"{new} -> {expr} is not a renaming"
 
+
+# the three slow instances of the benchmark's generated workload
+TAILS = [((1, 2, 5, 1), 11), ((0, 2, 4, 3), 19), ((0, 2, 5, 3), 12)]
+
+
+@pytest.mark.parametrize("combo, seed", [
+    pytest.param(combo, seed, id=f"{'-'.join(map(str, combo))}-seed{seed}")
+    for combo, seed in [*((c, i) for i, c in enumerate(criterion5_combos())), *TAILS]])
+def test_generated_instance_transforms_by_a_renaming(combo, seed):
+    s = triangular_template(*combo, seed=seed).system
+    rep = _analyze(s, SP)[3][0]
+    flat = flat_output_for_report(rep, SP, phi1=Sym("y1") if rep.case == "NoX1" else None)
+    res = transform_to_triangular(s, rep, flat, SP)
+    assert res.verified and res.final.structure_ok
+    assert verify_transformation(s, res.change, res.final.system, SP)
+    for new, expr in res.change.state_map.items():
+        assert isinstance(expr, Sym), f"{new} -> {expr} is not a renaming"
+    assert sorted(map(str, res.change.input_map.values())) == sorted(s.input_syms)
+
+
+@pytest.mark.parametrize("combo, seed, chains", [
+    ((1, 0, 5, 1), 6, ["p1_1"]),  # the chain feeds y1, whose equation reads y1' = u2
+    ((0, 2, 3, 1), 1, ["p2_1", "p2_2"]),  # the chain feeds y2: y1 becomes q1
+])
+def test_the_feed_that_already_reads_w_becomes_q1(combo, seed, chains):
+    s = triangular_template(*combo, seed=seed).system
+    rep = _analyze(s, SP)[3][0]
+    flat = flat_output_for_report(rep, SP)
+    defs = dict(transform.build_ladder_change(rep, flat, SP))
+    assert [n for n in defs if n.startswith("p")] == chains
+    assert (defs["q1"], defs["q2"]) == (Sym("y1"), Sym("y2"))
+    assert [defs[n] for n in chains] == [Sym(n.replace("p", "w")) for n in chains]
 
 
 def test_recorded_stages_are_never_rewritten(template_analysis):
