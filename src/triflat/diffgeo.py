@@ -132,7 +132,8 @@ def _sampler_key(sp: Sampler):
 
 
 def basis(D: Distribution, sp: Sampler):
-    """Generic basis, keeping the earliest spanning fields that raise rank."""
+    """Generic basis, keeping the earliest spanning fields that raise rank at
+    more than half of the generic stack's points (the rest are non-generic)."""
     if not D.fields:
         return []
     key = _sampler_key(sp)
@@ -146,7 +147,7 @@ def basis(D: Distribution, sp: Sampler):
         if len(kept_idx) == top:
             break
         idx = kept_idx + [i]
-        if (ranks(stack[:, idx, :], sp.tol) == len(idx)).all():
+        if 2 * np.count_nonzero(ranks(stack[:, idx, :], sp.tol) == len(idx)) > len(stack):
             kept_idx.append(i)
     if len(kept_idx) != top:
         raise EliminationError("could not extract a generic basis")

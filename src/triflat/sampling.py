@@ -12,8 +12,9 @@ domains, so the same expressions meet the same points again and again.  A
 computed at them; zero tests, :class:`MatrixSampler` and the numeric pivot
 scores of :mod:`triflat.elimination` read values through it, and the ranks
 of a stack of sampled matrices come from one batched SVD (:func:`ranks`).
-The generic stack of a matrix (:meth:`MatrixSampler.generic`) is kept on
-the point set too, so each row set is sampled and ranked once.
+The generic stack of a matrix (:meth:`MatrixSampler.generic`), its rows at
+unit norm, is kept on the point set too, so each row set is sampled and
+ranked once.
 """
 
 from __future__ import annotations
@@ -328,6 +329,15 @@ def nullspaces(stack: np.ndarray, tol: float):
     return rk, [vt[i, rk[i]:] for i in range(k)]
 
 
+def _equilibrated(stack: np.ndarray, tol: float) -> np.ndarray:
+    """The (K, r, c) stack with unit rows, so the cutoff of :func:`ranks` does
+    not swamp small rows (van der Sluis 1969); ranks do not change.  A row of
+    norm at most tol * max(1, largest row norm) is noise and becomes zero."""
+    norms = np.linalg.norm(stack, axis=2, keepdims=True)
+    kept = norms > tol * np.fmax(1.0, norms.max(axis=1, keepdims=True, initial=0.0))
+    return np.where(kept, stack / np.where(kept, norms, 1.0), 0.0)
+
+
 def numeric_rank(matrix: np.ndarray, tol: float) -> int:
     """SVD rank of one matrix (see :func:`ranks`)."""
     if matrix.size == 0:
@@ -398,7 +408,8 @@ class MatrixSampler:
         return [ps.point(i) for i in idx], values
 
     def generic(self):
-        """(stack, top): the sampled matrices that attain the modal rank top.
+        """(stack, top): the sampled matrices, with unit rows
+        (:func:`_equilibrated`), that attain the modal rank top.
 
         Kept on the point set, which fixes the seed and the domains, under
         the rows and the other sampler fields the result depends on.  The
@@ -411,6 +422,7 @@ class MatrixSampler:
         hit = ps.stacks.get(key)
         if hit is None:
             _points, stack = self.stack()
+            stack = _equilibrated(stack, sp.tol)
             r = ranks(stack, sp.tol)
             stack = stack[r == r.max()]
             stack.flags.writeable = False

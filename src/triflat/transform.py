@@ -1029,34 +1029,18 @@ def _assemble_decomposition(stage: Stage, report, sp: Sampler) -> TriangularDeco
 # --- prolongation evidence ----------------------------------------------------
 
 
-def image_sampler(result: TransformResult, sp: Sampler) -> Sampler:
-    """Sampler whose state/input boxes cover the image of the original domain.
-
-    The transformed expressions are only claimed on that image; sampling
-    outside it can cross branch loci of inverse functions.
-    """
-    stage = result.stages[-1][1]
-    ps = point_set(_image(stage, sp), ())
-    points = [ps.point(i) for i in range(max(sp.samples, 24))]
-    domains = {}
-    keys = list(stage.sys.frame) + list(stage.sys.input_syms)
-    for k in keys:
-        vals = [pt[k] for pt in points]
-        lo, hi = min(vals), max(vals)
-        pad = 0.05 * (hi - lo) + 1e-6
-        domains[k] = (lo - pad, hi + pad)
-    return sp.with_domains(domains)
-
-
 def prolonged_linearizability(result: TransformResult, sp: Sampler):
     """Prolong the normal form's chain-side input and test static feedback
     linearizability of the extension.
 
     The right input to prolong is the one feeding the core chain of the
     transformed system; prolongation does not commute with static feedback,
-    so the test runs on the normal form, sampled over the image domain.
+    so the test runs on the normal form, on the final stage's image; the new
+    chain states and input join it as identity maps.
     """
     final = result.final
-    k = len(final.core) - 1
-    extended = prolong(final.system, 1, k)
-    return check_static_feedback_linearizable(extended, image_sampler(result, sp))
+    extended = prolong(final.system, 1, len(final.core) - 1)
+    img = _image(result.stages[-1][1], sp)
+    chain = [x for x in (*extended.frame, *extended.input_syms) if x not in dict(img.maps)]
+    img = _mapped(sp, {*img.base_syms, *chain}, img.maps + tuple((x, Sym(x)) for x in chain))
+    return check_static_feedback_linearizable(extended, img)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 from triflat.diffgeo import (
     basis,
@@ -21,7 +22,9 @@ from triflat.diffgeo import (
     pruned,
 )
 from triflat.errors import TriflatError
-from triflat.expr import ZERO, Rat, Sym, add, mul, sub, substitute
+from triflat.expr import (
+    ZERO, Add, Call, Mul, Pow, Rat, Sym, add, free_symbols, mul, sub, substitute,
+)
 from triflat.fields import Distribution, OneForm, VectorField
 from triflat.generator import TemplateInstance, _random_poly
 from triflat.parser import parse_expr as pe
@@ -109,6 +112,15 @@ def criterion5_combos():
         if not (combo[2] == 3 and combo[0] == 0 and combo[1] == 0):
             combos.append(combo)
     return combos
+
+
+# the three slow instances of the benchmark's generated workload
+TAILS = [((1, 2, 5, 1), 11), ((0, 2, 4, 3), 19), ((0, 2, 5, 3), 12)]
+
+
+def generated_instances():
+    """(combo, seed) of the criterion-5 instances, then the tails."""
+    return [*((c, i) for i, c in enumerate(criterion5_combos())), *TAILS]
 
 
 def feedback_transform(sys: AffineSystem, beta, gamma, sp: Sampler = None) -> AffineSystem:
@@ -286,3 +298,75 @@ def one_form(frame, parts) -> OneForm:
     """One-form from a {coordinate: Expr} mapping; absent coordinates are 0."""
     frame = tuple(frame)
     return OneForm(frame, tuple(parts.get(x, ZERO) for x in frame))
+
+
+# --- exact ranks over GF(p) ------------------------------------------------------
+
+# A nonzero rational function of degree d vanishes at a uniformly random point
+# of GF(p)^n with probability at most d/p (Schwartz 1980, Zippel 1979), so the
+# rank over Q(x) of a rational matrix is its rank at a random point mod p,
+# except with negligible probability.
+P = 2**61 - 1
+
+
+def eval_mod_p(e, point, memo=None):
+    """The rational expression e at a point of GF(P)^n ({name: residue}).
+
+    Raises TypeError on a function call or a fractional power, and
+    ValueError at a pole.
+    """
+    memo = {} if memo is None else memo
+    hit = memo.get(e)
+    if hit is not None:
+        return hit
+    if isinstance(e, Rat):
+        v = Fraction(e.value)
+        out = v.numerator * pow(v.denominator, -1, P) % P
+    elif isinstance(e, Sym):
+        out = point[e.name]
+    elif isinstance(e, Add):
+        out = sum(eval_mod_p(t, point, memo) for t in e.terms) % P
+    elif isinstance(e, Mul):
+        out = 1
+        for f in e.factors:
+            out = out * eval_mod_p(f, point, memo) % P
+    elif isinstance(e, Pow) and Fraction(e.exponent).denominator == 1:
+        out = pow(eval_mod_p(e.base, point, memo), int(e.exponent), P)  # ValueError at a pole
+    else:
+        kind = "function call" if isinstance(e, Call) else "fractional power"
+        raise TypeError(f"{kind} has no value mod p: {e}")
+    memo[e] = out
+    return out
+
+
+def rank_mod_p(rows) -> int:
+    """Rank of a matrix of residues mod P, by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, P)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % P
+            if f:
+                rows[i] = [(a - f * b) % P for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def exact_rank(rows, seed=0) -> int:
+    """Generic rank over Q(x) of a matrix of rational expressions, from its
+    rank at a random point mod P (one that is not a pole of any entry)."""
+    names = sorted(set().union(*(free_symbols(e) for r in rows for e in r)))
+    rng = random.Random(seed)
+    for _ in range(5):
+        point = {n: rng.randrange(P) for n in names}
+        memo = {}
+        try:
+            return rank_mod_p([[eval_mod_p(e, point, memo) for e in r] for r in rows])
+        except ValueError:  # a pole
+            continue
+    raise ValueError("five random points are poles")

@@ -3,11 +3,12 @@
 ``data/cli_golden.json`` maps ``"<system> <command>"`` to the exit code and
 stdout of that command at default flags, for each of the 8 corpus files and
 the commands ``check``, ``check --variant``, ``flat-output``,
-``transform --save``, the saved map itself and ``verify --transform`` of
-that map.  Paths are replaced by ``<corpus>`` and ``<tmp>``, so the file does
-not depend on where the repository or the temporary directory lives.  All
-commands run in one fresh process under ``PYTHONHASHSEED=0``.  A change that
-alters an output must list each changed entry in CHANGES.md.
+``transform --save``, the saved map itself, ``verify --transform`` of
+that map and ``verify --evidence``.  Paths are replaced by ``<corpus>`` and
+``<tmp>``, so the file does not depend on where the repository or the
+temporary directory lives.  All commands run in one fresh process under
+``PYTHONHASHSEED=0``.  A change that alters an output must list each changed
+entry in CHANGES.md.
 
 Re-record with ``PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -56,6 +57,7 @@ def cli_transcripts():
                 payload.pop("original")
                 out[f"{name} saved map"] = payload
             run(f"{name} verify --transform", "verify", path, "--transform", saved)
+            run(f"{name} verify --evidence", "verify", path, "--evidence")
     return out
 
 

@@ -1,12 +1,15 @@
 """Vector field calculus: brackets, flags, characteristics, annihilators."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from triflat import sampling
 from triflat.diffgeo import (
     ad_iter,
     annihilator,
+    basis,
     cauchy_characteristics,
     contains_generic,
     derived_step,
@@ -19,7 +22,7 @@ from triflat.diffgeo import (
     lie_derivative,
     pruned,
 )
-from triflat.expr import Rat, Sym, ZERO, evaluate, mul
+from triflat.expr import Rat, Sym, ZERO, evaluate, mul, sub
 from triflat.fields import Distribution, VectorField, coordinate_field
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
@@ -159,6 +162,36 @@ def test_generic_rank_collinear():
     v = coordinate_field(frame, "x")
     w = scale(v, Rat(2))
     assert generic_rank(Distribution(frame, [v, w]), SP) == 1
+
+
+def _fields(frame, *rows):
+    return Distribution(frame, [VectorField(frame, tuple(map(parse_expr, r))) for r in rows])
+
+
+def test_generic_rank_of_rows_whose_scales_differ_by_1e7():
+    # rank 2 everywhere, but the small row's distance from the big row's line
+    # is below a cutoff scaled by the big row (about 1e-3 against 2e-2)
+    D = _fields(("x", "y"), ["10000000*x", "0"], ["x", "x/1000"])
+    assert generic_rank(D, SP) == 2
+
+
+def test_a_noise_level_row_is_not_counted():
+    # sin(x)^2 + cos(x)^2 - 1, left unsimplified, evaluates to rounding noise;
+    # equilibrating rows must zero it, not scale it up to a unit row
+    D = _fields(("x", "y", "z"), ["10000000*x", "0", "0"], ["x", "x/1000", "0"],
+                ["0", "0", "sin(x)^2 + cos(x)^2 - 1"])
+    assert generic_rank(D, SP) == 2
+
+
+def test_a_basis_field_may_drop_rank_at_a_minority_of_points():
+    # x - c vanishes at stream point 2 and y - d at stream point 5: every
+    # field but the first drops rank at one point, the spanning set nowhere
+    frame = ("x", "y")
+    points = sampling.point_set(SP, frame)
+    c, d = Rat(Fraction(points.point(2)["x"])), Rat(Fraction(points.point(5)["y"]))
+    fields = [coordinate_field(frame, "x"), VectorField(frame, (ZERO, sub(Sym("x"), c))),
+              VectorField(frame, (ZERO, sub(Sym("y"), d)))]
+    assert basis(Distribution(frame, fields), SP) == fields[:2]
 
 
 def test_generic_rank_vtol_and_ten_state(vtol_analysis, academic10_analysis):

@@ -12,8 +12,10 @@ naming their cause, so a fix has to flip them.
 
 import pytest
 
+from triflat import checks
 from triflat.cli import _analyze
-from triflat.errors import EliminationError, IntegrationError, PipelineError
+from triflat.diffgeo import extend, lie_bracket
+from triflat.errors import IntegrationError, PipelineError
 from triflat.expr import Sym
 from triflat.flatout import flat_output_for_report
 from triflat.generator import triangular_template
@@ -24,7 +26,7 @@ from triflat.transform import (
     verify_transformation,
 )
 
-from reference import criterion5_combos, disguise
+from reference import criterion5_combos, disguise, exact_rank, generated_instances
 
 SP = Sampler()
 
@@ -64,25 +66,41 @@ def test_disguised_instance_keeps_its_answer(index, combo, k):
     assert verify_transformation(system, res.change, res.final.system, SP)
 
 
-# The evidence of ``verify --evidence``: prolonging the chain-side input of
-# the normal form makes it static feedback linearizable.
-@pytest.mark.parametrize("index, combo", [
-    pytest.param(index, combo, id=f"{'-'.join(map(str, combo))}-seed{index}")
-    for index, combo in enumerate(criterion5_combos())])
-def test_generated_instance_is_prolonged_linearizable(index, combo):
-    inst = triangular_template(*combo, seed=index)
-    rep = _analyze(inst.system, SP)[3][0]
-    flat = flat_output_for_report(rep, SP, phi1=Sym("y1") if rep.case == "NoX1" else None)
-    res = transform_to_triangular(inst.system, rep, flat, SP)
-    assert prolonged_linearizability(res, SP).verdict
-
-
-@pytest.mark.xfail(raises=EliminationError, strict=True, reason=(
-    "diffgeo.basis gives up on a drift step of the prolonged normal form: its greedy "
-    "basis is near-singular at one kept point where the whole spanning set is not "
-    "(ROADMAP item 12)"))
-def test_disguised_instance_is_prolonged_linearizable():
-    system, _inverse = disguise(triangular_template(1, 2, 3, 1, seed=9).system, 1, seed=9)
+def assert_prolonged_linearizable(monkeypatch, system, phi1=None):
+    """The evidence of ``verify --evidence`` holds: prolonging the chain-side
+    input of the normal form makes it static feedback linearizable.  Each
+    member of the prolonged drift flag, and the spanning set it was pruned
+    from, has the rank over Q(x) that the float rank test gave it.  phi1 is
+    passed on in the NoX1 case only."""
     rep = _analyze(system, SP)[3][0]
-    res = transform_to_triangular(system, rep, flat_output_for_report(rep, SP), SP)
+    flat = flat_output_for_report(rep, SP, phi1=phi1 if rep.case == "NoX1" else None)
+    res = transform_to_triangular(system, rep, flat, SP)
+    prolonged, seen = [], []
+    real = checks.drift_flag
+
+    def spy(sys, sp):
+        prolonged.append(sys)
+        for member in real(sys, sp):
+            seen.append(member)
+            yield member
+
+    monkeypatch.setattr(checks, "drift_flag", spy)
     assert prolonged_linearizability(res, SP).verdict
+    (prolonged,) = prolonged
+    spanning = prolonged.input_distribution()
+    for D, rank in seen:
+        assert exact_rank(spanning.matrix_rows()) == exact_rank(D.matrix_rows()) == rank
+        spanning = extend(D, [lie_bracket(prolonged.drift, f) for f in D.fields])
+
+
+@pytest.mark.parametrize("combo, seed", [
+    pytest.param(combo, seed, id=f"{'-'.join(map(str, combo))}-seed{seed}")
+    for combo, seed in generated_instances()])
+def test_generated_instance_is_prolonged_linearizable(monkeypatch, combo, seed):
+    system = triangular_template(*combo, seed=seed).system
+    assert_prolonged_linearizable(monkeypatch, system, phi1=Sym("y1"))
+
+
+def test_disguised_instance_is_prolonged_linearizable(monkeypatch):
+    system, _inverse = disguise(triangular_template(1, 2, 3, 1, seed=9).system, 1, seed=9)
+    assert_prolonged_linearizable(monkeypatch, system)

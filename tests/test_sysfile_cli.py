@@ -362,6 +362,15 @@ def test_cli_prolong_flag(capsys):
     assert out["prolonged"] == [{"input": "u2", "order": 2}]
 
 
+@pytest.mark.parametrize("seed", ["1", "3", "4", "7"])
+def test_cli_evidence_on_academic10_holds_across_seeds(capsys, seed):
+    # the prolonged normal form's rows differ in scale by up to 1e5 on the
+    # image of academic10's box; its ranks must not follow the seed
+    code, out = run_cli(capsys, "verify", corpus("academic10.sys"), "--evidence",
+                        "--seed", seed)
+    assert code == 0 and out["prolongation_order"] == 3 and out["linearizable"] is True
+
+
 @pytest.mark.parametrize("option", ["--hint", "--phi1"])
 def test_cli_check_takes_no_flat_output_options(capsys, option):
     # only flat-output, transform and verify --evidence read them

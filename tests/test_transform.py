@@ -34,7 +34,7 @@ from triflat.transform import (
 )
 from triflat.triform import triangular_form_check
 
-from reference import criterion5_combos
+from reference import generated_instances
 
 SP = Sampler()
 
@@ -209,13 +209,9 @@ def test_template_pipeline_is_renaming():
         assert isinstance(expr, Sym), f"{new} -> {expr} is not a renaming"
 
 
-# the three slow instances of the benchmark's generated workload
-TAILS = [((1, 2, 5, 1), 11), ((0, 2, 4, 3), 19), ((0, 2, 5, 3), 12)]
-
-
 @pytest.mark.parametrize("combo, seed", [
     pytest.param(combo, seed, id=f"{'-'.join(map(str, combo))}-seed{seed}")
-    for combo, seed in [*((c, i) for i, c in enumerate(criterion5_combos())), *TAILS]])
+    for combo, seed in generated_instances()])
 def test_generated_instance_transforms_by_a_renaming(combo, seed):
     s = triangular_template(*combo, seed=seed).system
     rep = _analyze(s, SP)[3][0]
