@@ -22,7 +22,7 @@ from .errors import EliminationError, FrameMismatch
 from .expr import Expr, ONE, ZERO, add, derivative, mul, neg
 from .fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
 from .sampling import MatrixSampler, Sampler, all_zero_generic, nullspaces, ranks
-from .sampling import _admissible, _free_symbols
+from .sampling import _admissible, _free_symbols, _svd_ranks
 from .simplify import simplify
 
 _BRACKET_MEMO: dict = {}
@@ -132,26 +132,28 @@ def _sampler_key(sp: Sampler):
 
 
 def basis(D: Distribution, sp: Sampler):
-    """Generic basis, keeping the earliest spanning fields that raise rank at
-    more than half of the generic stack's points (the rest are non-generic)."""
+    """Generic basis, in D's order: greedily, the field that with the kept ones
+    reaches full rank at the most points of the generic stack, the earliest
+    on a tie, while that is more than half of them."""
     if not D.fields:
         return []
     key = _sampler_key(sp)
-    if D._basis is None:
-        D._basis = {}
+    D._basis = D._basis or {}
     if key in D._basis:
         return D._basis[key]
     stack, top = MatrixSampler(D.matrix_rows(), D.frame, sp).generic()
     kept_idx = []
-    for i in range(len(D.fields)):
-        if len(kept_idx) == top:
-            break
-        idx = kept_idx + [i]
-        if 2 * np.count_nonzero(ranks(stack[:, idx, :], sp.tol) == len(idx)) > len(stack):
-            kept_idx.append(i)
+    for need in range(len(stack), len(stack) // 2, -1):  # a field's count only falls
+        for i in range(len(D.fields)):
+            if len(kept_idx) == top:
+                break
+            idx = kept_idx + [i]
+            if i not in kept_idx and need <= np.count_nonzero(
+                    _svd_ranks(stack[:, idx, :], sp.tol) == len(idx)):
+                kept_idx.append(i)
     if len(kept_idx) != top:
         raise EliminationError("could not extract a generic basis")
-    kept = [D.fields[i] for i in kept_idx]
+    kept = [D.fields[i] for i in sorted(kept_idx)]
     D._basis[key] = kept
     return kept
 

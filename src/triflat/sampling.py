@@ -12,9 +12,8 @@ domains, so the same expressions meet the same points again and again.  A
 computed at them; zero tests, :class:`MatrixSampler` and the numeric pivot
 scores of :mod:`triflat.elimination` read values through it, and the ranks
 of a stack of sampled matrices come from one batched SVD (:func:`ranks`).
-The generic stack of a matrix (:meth:`MatrixSampler.generic`), its rows at
-unit norm, is kept on the point set too, so each row set is sampled and
-ranked once.
+The generic stack of a matrix (:meth:`MatrixSampler.generic`) is kept on
+the point set too, so each row set is sampled and ranked once.
 """
 
 from __future__ import annotations
@@ -307,35 +306,38 @@ def _ranks_of(sv: np.ndarray, shape, tol: float) -> np.ndarray:
 
 
 def ranks(stack: np.ndarray, tol: float) -> np.ndarray:
-    """SVD rank of each matrix of a (K, r, c) stack, from one batched SVD."""
-    k, r, c = stack.shape
-    if r == 0 or c == 0:
-        return np.zeros(k, dtype=int)
+    """SVD rank of each matrix of a (K, r, c) stack, from one batched SVD of
+    the stack :func:`_scaled` (nonsingular diagonal scaling keeps ranks)."""
+    return _svd_ranks(_scaled(stack, tol), tol)
+
+
+def _svd_ranks(stack: np.ndarray, tol: float) -> np.ndarray:
+    if 0 in stack.shape[1:]:
+        return np.zeros(len(stack), dtype=int)
     return _ranks_of(np.linalg.svd(stack, compute_uv=False), stack.shape, tol)
 
 
 def nullspaces(stack: np.ndarray, tol: float):
-    """Ranks and right null spaces of each matrix of a (K, r, c) stack.
-
-    Returns (ranks, bases) from one batched SVD with the cutoff of
-    :func:`ranks`; bases[k] is a (c - ranks[k], c) array whose orthonormal
-    rows span the null space of matrix k.
-    """
+    """Ranks and right null spaces of each matrix of a (K, r, c) stack, from
+    one batched SVD at unit rows (which keep null spaces) with the cutoff of
+    :func:`ranks`; bases[k]'s orthonormal rows span matrix k's null space."""
     k, r, c = stack.shape
     if r == 0 or c == 0:
         return np.zeros(k, dtype=int), [np.eye(c) for _ in range(k)]
-    _u, sv, vt = np.linalg.svd(stack, full_matrices=True)
+    _u, sv, vt = np.linalg.svd(_scaled(stack, tol, (2,)), full_matrices=True)
     rk = _ranks_of(sv, stack.shape, tol)
     return rk, [vt[i, rk[i]:] for i in range(k)]
 
 
-def _equilibrated(stack: np.ndarray, tol: float) -> np.ndarray:
-    """The (K, r, c) stack with unit rows, so the cutoff of :func:`ranks` does
-    not swamp small rows (van der Sluis 1969); ranks do not change.  A row of
-    norm at most tol * max(1, largest row norm) is noise and becomes zero."""
-    norms = np.linalg.norm(stack, axis=2, keepdims=True)
-    kept = norms > tol * np.fmax(1.0, norms.max(axis=1, keepdims=True, initial=0.0))
-    return np.where(kept, stack / np.where(kept, norms, 1.0), 0.0)
+def _scaled(stack: np.ndarray, tol: float, axes=(2, 1)) -> np.ndarray:
+    """The (K, r, c) stack at unit rows (axis 2), then unit columns (axis 1):
+    no small row or column falls under the cutoff (van der Sluis 1969); one
+    of norm at most tol * max(1, largest such norm) is noise, set to zero."""
+    for axis in axes:
+        sq = (stack * stack).sum(axis=axis, keepdims=True)
+        noise = tol * tol * np.fmax(1.0, sq.max(axis=(1, 2), keepdims=True, initial=0.0))
+        stack = stack / np.sqrt(np.where(sq > noise, sq, np.inf))
+    return stack
 
 
 def numeric_rank(matrix: np.ndarray, tol: float) -> int:
@@ -408,8 +410,7 @@ class MatrixSampler:
         return [ps.point(i) for i in idx], values
 
     def generic(self):
-        """(stack, top): the sampled matrices, with unit rows
-        (:func:`_equilibrated`), that attain the modal rank top.
+        """(stack, top): the sampled matrices, :func:`_scaled`, of modal rank top.
 
         Kept on the point set, which fixes the seed and the domains, under
         the rows and the other sampler fields the result depends on.  The
@@ -422,8 +423,8 @@ class MatrixSampler:
         hit = ps.stacks.get(key)
         if hit is None:
             _points, stack = self.stack()
-            stack = _equilibrated(stack, sp.tol)
-            r = ranks(stack, sp.tol)
+            stack = _scaled(stack, sp.tol)
+            r = _svd_ranks(stack, sp.tol)
             stack = stack[r == r.max()]
             stack.flags.writeable = False
             hit = ps.stacks[key] = stack, int(r.max())

@@ -1038,8 +1038,7 @@ def prolonged_linearizability(result: TransformResult, sp: Sampler):
     so the test runs on the normal form, on the final stage's image; the new
     chain states and input join it as identity maps.
     """
-    final = result.final
-    extended = prolong(final.system, 1, len(final.core) - 1)
+    extended = prolong(result.final.system, 1, len(result.final.core) - 1)
     img = _image(result.stages[-1][1], sp)
     chain = [x for x in (*extended.frame, *extended.input_syms) if x not in dict(img.maps)]
     img = _mapped(sp, {*img.base_syms, *chain}, img.maps + tuple((x, Sym(x)) for x in chain))

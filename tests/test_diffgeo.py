@@ -11,13 +11,16 @@ from triflat.diffgeo import (
     annihilator,
     basis,
     cauchy_characteristics,
+    characteristics_span,
     contains_generic,
     derived_step,
+    drift_compatible,
     drift_step,
     flag,
     form_in_span,
     generic_rank,
     is_involutive,
+    kernel_within,
     lie_bracket,
     lie_derivative,
     pruned,
@@ -192,6 +195,37 @@ def test_a_basis_field_may_drop_rank_at_a_minority_of_points():
     fields = [coordinate_field(frame, "x"), VectorField(frame, (ZERO, sub(Sym("x"), c))),
               VectorField(frame, (ZERO, sub(Sym("y"), d)))]
     assert basis(Distribution(frame, fields), SP) == fields[:2]
+
+
+def test_generic_rank_does_not_follow_the_units_of_a_coordinate():
+    # x12 in units 1e8 times too large: the last field's x12 component is
+    # 1e-8 of its row, below a cutoff that grows with the 12 columns
+    frame = tuple(f"x{i}" for i in range(1, 13))
+    last = VectorField(frame, (Rat(1),) * 11 + (parse_expr("1/100000000"),))
+    D = Distribution(frame, [coordinate_field(frame, x) for x in frame[:11]] + [last])
+    assert generic_rank(D, SP) == 12
+
+
+def test_the_span_tests_read_rows_whose_scales_differ_by_1e7():
+    # {(1e7*x, 0, 0), (x, x/1000, 0)} spans {d/dx, d/dy}: involutive, its own
+    # characteristics, and the drift z d/dx + d/dz keeps them
+    frame = ("x", "y", "z")
+    D = _fields(frame, ["10000000*x", "0", "0"], ["x", "x/1000", "0"])
+    assert len(basis(D, SP)) == 2 and is_involutive(D, SP)
+    assert is_involutive(_fields(frame[:2], ["10000000*x", "0"], ["x", "x/1000"]), SP)
+    assert generic_rank(cauchy_characteristics(D, SP), SP) == 2
+    assert characteristics_span(D, D, SP)
+    assert drift_compatible(D, VectorField(frame, (Sym("z"), ZERO, Rat(1))), SP)
+    assert kernel_within(annihilator(D, SP), D, SP)
+
+
+def test_a_field_of_full_rank_everywhere_beats_an_earlier_one_that_drops_rank():
+    # x - c vanishes at stream point 2; (0, 1) is a basis field at every point
+    frame = ("x", "y")
+    c = Rat(Fraction(sampling.point_set(SP, frame).point(2)["x"]))
+    fields = [coordinate_field(frame, "x"), VectorField(frame, (ZERO, sub(Sym("x"), c))),
+              coordinate_field(frame, "y")]
+    assert basis(Distribution(frame, fields), SP) == [fields[0], fields[2]]
 
 
 def test_generic_rank_vtol_and_ten_state(vtol_analysis, academic10_analysis):
