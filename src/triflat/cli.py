@@ -161,23 +161,24 @@ def _emit(out, verdict):
     return EXIT_TRUE if verdict else EXIT_FALSE
 
 
-def _analyze(sysm, sp):
-    """Chain, candidates, and one report per candidate; best report first."""
+def _candidates(sysm, sp):
+    """Chain, h-method status and direction candidates, in the order tried."""
     chain = compute_bracket_chain(sysm, sp)
     if chain.depth < 1:
-        rep = TriangularReport(sysm, chain, None, sampler=sp)
-        rep.failures.append("the input span itself is non-involutive")
-        return chain, "inapplicable", [], [rep]
-    candidates = []
-    h_status = None
+        return chain, "inapplicable", []
     try:
-        candidates.append(candidate_via_h(sysm, chain, sp))
-        h_status = "ok"
+        return chain, "ok", [candidate_via_h(sysm, chain, sp)]
     except NotApplicable as e:
-        h_status = str(e)
-    if not candidates:
-        candidates = candidates_via_quadratic(sysm, chain, sp)
+        return chain, str(e), candidates_via_quadratic(sysm, chain, sp)
+
+
+def _analyze(sysm, sp):
+    """Chain, candidates, and one report per candidate; best report first."""
+    chain, h_status, candidates = _candidates(sysm, sp)
     reports = [triangular_form_check(sysm, c, sp, chain) for c in candidates]
+    if not candidates:
+        reports = [TriangularReport(sysm, chain, None, sampler=sp)]
+        reports[0].failures.append("the input span itself is non-involutive")
     reports.sort(key=lambda r: (not r.verdict))
     return chain, h_status, candidates, reports
 
@@ -227,11 +228,13 @@ def _flat_options(args, definition):
 
 
 def _passing_report(sysm, sp):
-    _chain, _h, _cands, reports = _analyze(sysm, sp)
-    passing = [r for r in reports if r.verdict]
-    if not passing:
+    """The first candidate's report that passes; later candidates go unchecked."""
+    chain, _h, candidates = _candidates(sysm, sp)
+    reports = (triangular_form_check(sysm, c, sp, chain) for c in candidates)
+    rep = next((r for r in reports if r.verdict), None)
+    if rep is None:
         raise NotApplicable("no direction candidate passes the decision procedure")
-    return passing[0]
+    return rep
 
 
 def _transformed(args, definition, sysm, sp):

@@ -30,7 +30,7 @@ from .elimination import clear_denominators
 from .errors import NotApplicable, SamplerExhausted, TriflatError
 from .expr import Expr, ONE, Rat, ZERO, add, div, mul, neg, pow_, sub
 from .fields import Distribution, VectorField
-from .sampling import MatrixSampler, Sampler, all_zero_generic, is_zero_generic
+from .sampling import MatrixSampler, Sampler, is_zero_generic
 from .simplify import as_fraction, simplify, sqrt_of_square
 from .systems import AffineSystem
 
@@ -127,14 +127,9 @@ def _normalized_candidate(sys, alpha1, alpha2, source) -> DirectionCandidate:
     return DirectionCandidate(a1, a2, field, source)
 
 
-def _consistent_pair(pairs, sp: Sampler):
+def _fixing_pair(pairs, sp: Sampler):
     """The equation c1 a1 + c2 a2 = 0 that fixes the direction: the first
-    pair with c2 nonzero, else with c1 nonzero, once every 2x2 minor of the
-    pairs vanishes; None when the equations disagree or all vanish."""
-    minors = [sub(mul(c1, d2), mul(c2, d1))
-              for j, (c1, c2) in enumerate(pairs) for d1, d2 in pairs[j + 1:]]
-    if not all_zero_generic(minors, sp):
-        return None
+    pair with c2 nonzero, else the first with c1 nonzero; None if all vanish."""
     return next((p for i in (1, 0) for p in pairs if not is_zero_generic(p[i], sp)), None)
 
 
@@ -156,10 +151,16 @@ def candidate_via_h(sys: AffineSystem, chain: BracketChain, sp: Sampler) -> Dire
         return _normalized_candidate(sys, ONE, ZERO, "h-method")
     if in2:
         return _normalized_candidate(sys, ZERO, ONE, "h-method")
-    # pair against the annihilator: one linear equation per complement form
-    pairs = [(simplify(form.pair(w1)), simplify(form.pair(w2)))
-             for form in annihilator(H, sp).forms]
-    best = _consistent_pair([p for p in pairs if p != (ZERO, ZERO)], sp)
+    # w1 and w2 add one rank to H's pruned basis exactly when a direction lands in H
+    rows = H.matrix_rows() + [list(w1.components), list(w2.components)]
+    if MatrixSampler(rows, H.frame, sp).generic()[1] != len(H.fields) + 1:
+        raise NotApplicable("no direction satisfies the containment condition")
+    # dx_j annihilates H where every field of H leaves column j empty; the
+    # annihilator's forms are solved only when no such column fixes the direction
+    empty = [j for j in range(sys.n) if all(f.components[j] == ZERO for f in H.fields)]
+    best = (_fixing_pair([(w1.components[j], w2.components[j]) for j in empty], sp)
+            or _fixing_pair([(simplify(form.pair(w1)), simplify(form.pair(w2)))
+                             for form in annihilator(H, sp).forms], sp))
     if best is None:
         raise NotApplicable("no direction satisfies the containment condition")
     cand = _normalized_candidate(sys, best[1], neg(best[0]), "h-method")

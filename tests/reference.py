@@ -1,19 +1,24 @@
 """Reference builders and span helpers that only the tests use.
 
 The parametric systems (chained forms at any size, the double integrator
-pair, the equal-chain template, disguised generated instances) and the
-feedback and span helpers serve as known inputs and oracles; the bundled
-systems themselves are loaded from
-``src/triflat/corpus/*.sys`` (see ``conftest.py``).
+pair, the equal-chain template, disguised generated instances), the
+feedback and span helpers and the symbolic h-method pairing serve as known
+inputs and oracles, and :func:`counting` counts calls into the package; the
+bundled systems themselves are loaded from ``src/triflat/corpus/*.sys``
+(see ``conftest.py``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 from triflat.diffgeo import (
+    ad_iter,
+    annihilator,
     basis,
     cauchy_characteristics,
     derived_step,
@@ -21,9 +26,11 @@ from triflat.diffgeo import (
     generic_rank,
     pruned,
 )
+from triflat.direction_search import _normalized_candidate, compute_bracket_chain, h_distribution
 from triflat.errors import TriflatError
 from triflat.expr import (
-    ZERO, Add, Call, Mul, Pow, Rat, Sym, add, free_symbols, mul, sub, substitute,
+    ONE, ZERO, Add, Call, Mul, Pow, Rat, Sym, add, free_symbols, mul, neg, sub, substitute,
+    to_str,
 )
 from triflat.fields import Distribution, OneForm, VectorField
 from triflat.generator import TemplateInstance, _random_poly
@@ -280,6 +287,52 @@ def pairwise_direction(pairs, sp: Sampler):
         if cross_ok and best is None and not is_zero_generic(c1, sp):
             best = (c1, c2)
     return best
+
+
+def h_direction_from_forms(system: AffineSystem, sp: Sampler):
+    """The h-method's outcome read off every symbolic form of ann(H): the
+    alpha strings, or the NotApplicable text.  An iterated bracket lies in H
+    when every form pairs it to zero; otherwise each form gives an equation
+    c1 a1 + c2 a2 = 0, and :func:`pairwise_direction` picks one."""
+    chain = compute_bracket_chain(system, sp)
+    w1, w2 = (ad_iter(system.drift, chain.depth + 1, b) for b in (system.b1, system.b2))
+    pairs = [(simplify(form.pair(w1)), simplify(form.pair(w2)))
+             for form in annihilator(h_distribution(chain, sp), sp).forms]
+    in1, in2 = (all(is_zero_generic(p[i], sp) for p in pairs) for i in (0, 1))
+    if in1 and in2:
+        return ("both iterated brackets lie in H; the containment condition does not "
+                "single out a direction")
+    if in1 or in2:
+        alpha = (ONE, ZERO) if in1 else (ZERO, ONE)
+    else:
+        best = pairwise_direction(pairs, sp)
+        if best is None:
+            return "no direction satisfies the containment condition"
+        alpha = (best[1], neg(best[0]))
+    c = _normalized_candidate(system, *alpha, "h-method")
+    return to_str(c.alpha1), to_str(c.alpha2)
+
+
+@contextlib.contextmanager
+def counting(module, name):
+    """Count the calls of ``module.name`` through every triflat module that
+    binds it; yields the list of their positional arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    bound = [m for n, m in sys.modules.items()
+             if n.startswith("triflat") and getattr(m, name, None) is original]
+    for m in bound:
+        setattr(m, name, counted)
+    try:
+        yield calls
+    finally:
+        for m in bound:
+            setattr(m, name, original)
 
 
 def scale(field: VectorField, factor) -> VectorField:

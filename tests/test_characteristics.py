@@ -11,7 +11,6 @@ import contextlib
 import io
 import itertools
 import os
-import sys
 
 import pytest
 
@@ -50,6 +49,7 @@ from triflat.triform import CASE_NO_X1, triangular_form_check
 
 from reference import (
     annihilates_characteristics_symbolic,
+    counting,
     criterion5_combos,
     equal_chain_template,
     extended_chained,
@@ -210,29 +210,8 @@ def test_incompatible_drift_still_fails_pointwise():
         assert all(levels) == compatible
 
 
-@contextlib.contextmanager
-def _counting_cauchy():
-    """Count cauchy_characteristics calls through every module binding."""
-    calls = []
-    original = diffgeo.cauchy_characteristics
-
-    def counted(D, sp):
-        calls.append(D)
-        return original(D, sp)
-
-    bound = [m for n, m in sys.modules.items()
-             if n.startswith("triflat") and getattr(m, "cauchy_characteristics", None) is original]
-    for module in bound:
-        module.cauchy_characteristics = counted
-    try:
-        yield calls
-    finally:
-        for module in bound:
-            module.cauchy_characteristics = original
-
-
 def test_check_solves_no_symbolic_cauchy_system():
-    with _counting_cauchy() as calls:
+    with counting(diffgeo, "cauchy_characteristics") as calls:
         for name in SYSTEMS:
             path = os.path.join(CORPUS, name)
             for argv in (["check", path, "--variant"], ["flat-output", path]):
@@ -245,7 +224,7 @@ def test_cauchy_flags_lazy_and_memoized(academic10_analysis):
     rep, sp = academic10_analysis.report, academic10_analysis.sp
     levels = range(1, rep.n2 - 2)
     assert len(levels) >= 1
-    with _counting_cauchy() as calls:
+    with counting(diffgeo, "cauchy_characteristics") as calls:
         flags = rep.cauchy_flags
         again = rep.cauchy_flags
     assert len(calls) <= len(levels)
@@ -265,8 +244,8 @@ def test_flat_output_and_transform_share_one_solve():
         sysm, _normalized_candidate(sysm, ONE, ZERO, "h"), sp, compute_bracket_chain(sysm, sp)
     )
     assert rep.verdict and rep.case == CASE_NO_X1 and rep.n2 == 4
-    with _counting_cauchy() as calls:
+    with counting(diffgeo, "cauchy_characteristics") as calls:
         flat = flat_output_for_report(rep, sp, phi1=Sym("y1"))
         assert calls == []
         transform_to_triangular(sysm, rep, flat, sp)
-    assert calls == [rep.delta1_flags[1]]
+    assert calls == [(rep.delta1_flags[1], sp)]

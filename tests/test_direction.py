@@ -1,33 +1,39 @@
 """Distinguished-direction search: chains, the H condition, the quadratic."""
 
+import contextlib
+import io
 import os
 import signal
 
 import pytest
 
-from triflat import direction_search
-from triflat.diffgeo import contains_generic, generic_rank
+from triflat import diffgeo, direction_search, elimination
+from triflat.cli import main
+from triflat.diffgeo import ad_iter, contains_generic, extend, generic_rank
 from triflat.direction_search import (
     _best_triple,
-    _consistent_pair,
+    _fixing_pair,
     candidate_via_h,
     candidates_via_quadratic,
     compute_bracket_chain,
     h_distribution,
 )
 from triflat.errors import NotApplicable
-from triflat.expr import ONE, Rat, Sym, ZERO, mul, sub
+from triflat.expr import ONE, Rat, Sym, ZERO, mul, sub, to_str
 from triflat.generator import triangular_template
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
 from triflat.simplify import simplify
 from triflat.sysfile import load_sysfile
+from triflat.systems import AffineSystem, vector_field
 
 from reference import (
+    counting,
     criterion5_combos,
     disguise,
     double_integrator_pair,
     field_sum,
+    h_direction_from_forms,
     pairwise_direction,
     scale,
     span_equal,
@@ -252,55 +258,124 @@ def _h_systems():
             yield pytest.param(build, id=f"{'-'.join(map(str, combo))}-seed{index}-k{k}")
 
 
-# the cases whose H leaves both iterated brackets out, so a pair is chosen
-PAIRED = {"academic10", "2-0-3-1-seed4-k1", "2-2-4-3-seed5-k1", "1-0-5-1-seed6-k3",
-          "1-2-3-1-seed9-k1"}
+# the cases whose H leaves both iterated brackets out, so a pair is chosen:
+# off a column that every field of H leaves empty, or else off the solved
+# forms of ann(H)
+EMPTY_COLUMN = {"academic10", "2-0-3-1-seed4-k1", "2-2-4-3-seed5-k1", "1-2-3-1-seed9-k1"}
+FALLBACK = {"1-0-5-1-seed6-k3"}
+NO_DIRECTION = "no direction satisfies the containment condition"
 
 
-def _h_outcome(system, sp):
+def _h_outcome(system, sp, chain=None):
+    """candidate_via_h's alpha strings, or its NotApplicable text."""
     try:
-        c = candidate_via_h(system, compute_bracket_chain(system, sp), sp)
+        c = candidate_via_h(system, chain or compute_bracket_chain(system, sp), sp)
     except NotApplicable as e:
         return str(e)
-    return c.alpha1, c.alpha2
+    return to_str(c.alpha1), to_str(c.alpha2)
 
 
 @pytest.mark.parametrize("build", _h_systems())
-def test_h_pair_choice_matches_the_pairwise_loop(build, monkeypatch, request):
+def test_h_pair_choice_matches_the_pairwise_loop(build, request):
     system, sp = build()
-    seen = []
+    chain = compute_bracket_chain(system, sp)
+    with counting(direction_search, "_fixing_pair") as fixing, \
+            counting(diffgeo, "annihilator") as solved:
+        got = _h_outcome(system, sp, chain)
+    assert got == h_direction_from_forms(system, sp)
+    case = request.node.callspec.id
+    assert bool(fixing) == (case in EMPTY_COLUMN | FALLBACK)
+    assert bool(solved) == (case in FALLBACK)
 
-    def joint(pairs, sp):
-        seen.append(pairs)
-        return _consistent_pair(pairs, sp)
 
-    monkeypatch.setattr(direction_search, "_consistent_pair", joint)
-    got = _h_outcome(system, sp)
-    monkeypatch.setattr(direction_search, "_consistent_pair", pairwise_direction)
-    assert _h_outcome(system, sp) == got
-    assert bool(seen) == (request.node.callspec.id in PAIRED)
+@pytest.mark.parametrize("name, solves", [
+    ("academic10", 0), ("sqrt", 1), ("sin", 1), ("template", 1), ("product", 1), ("vtol", 0),
+])
+def test_check_eliminates_only_for_the_quadratic(name, solves):
+    # academic10 reads its pair off the empty column x1 of H; the quadratic
+    # still solves annihilator(D_{depth+1}) once
+    with counting(elimination, "nullspace") as nullspaces, \
+            counting(elimination, "row_reduce") as reductions, \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", os.path.join(CORPUS, name + ".sys")]) == 0
+    assert (len(nullspaces), len(reductions)) == (solves, solves)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_academic10_direction_at_every_seed(seed):
+    definition = load_sysfile(os.path.join(CORPUS, "academic10.sys"))
+    assert _h_outcome(definition.system(), definition.sampler(seed=seed)) == ("x8", "1")
 
 
 # zero at every point, but no constructor folds it
 NOUGHT = parse_expr("log(x1*x2) - log(x1) - log(x2)")
 
 
-@pytest.mark.parametrize("pairs, expected", [
-    ([], None),
-    ([("x1", "0"), ("x1*x2", "0"), ("2*x1", "0")], 0),  # rank 1, every c2 = 0
-    ([(NOUGHT, "0"), ("x2", "x1"), ("x2^2", "x1*x2")], 1),  # rank 1, leading c2 = 0
-    ([("x2", "x1"), ("x2^2", "x1*x2"), ("x2", "0")], None),  # rank 2
-    ([("x1", "x2"), ("x2", "x1")], None),  # rank 2
-    ([(NOUGHT, NOUGHT), ("x1", "1"), ("1", "x1")], None),  # rank 2 and a zero pair
-    ([(NOUGHT, NOUGHT)], None),  # zero numerically, not structurally
-    ([(NOUGHT, NOUGHT), ("x1", "x1^2")], 1),
+def _pair_system(pairs):
+    """s3' = s1, s4' = s2, s5' = s1 s2 and e_j' = c1_j s3 + c2_j s4, with
+    inputs on s1 and s2 and the pairs read in the passive states x1, x2.
+
+    D_2 is not involutive, H = span{d/ds1, ..., d/ds5} and ad_a^2 b_p is
+    sum_j c_pj d/de_j, so column e_j of H is empty and pairs to (c1_j, c2_j).
+    """
+    frame = ("s1", "s2", "s3", "s4", "s5", "x1", "x2") + tuple(f"e{j}" for j in range(len(pairs)))
+    drift = {"s3": Sym("s1"), "s4": Sym("s2"), "s5": mul(Sym("s1"), Sym("s2"))}
+    for j, (c1, c2) in enumerate(pairs):
+        drift[f"e{j}"] = mul(c1, Sym("s3")) + mul(c2, Sym("s4"))
+    return AffineSystem(frame, vector_field(frame, drift), vector_field(frame, {"s1": ONE}),
+                        vector_field(frame, {"s2": ONE}), ("u1", "u2"))
+
+
+@pytest.mark.parametrize("pairs, rank, expected", [
+    ([], 0, None),
+    ([("x1", "0"), ("x1*x2", "0"), ("2*x1", "0")], 1, 0),  # every c2 = 0
+    ([(NOUGHT, "0"), ("x2", "x1"), ("x2^2", "x1*x2")], 1, 1),  # leading c2 = 0
+    ([("x2", "x1"), ("x2^2", "x1*x2"), ("x2", "0")], 2, None),
+    ([("x1", "x2"), ("x2", "x1")], 2, None),
+    ([(NOUGHT, NOUGHT), ("x1", "1"), ("1", "x1")], 2, None),  # and a zero pair
+    ([(NOUGHT, NOUGHT)], 0, None),  # zero numerically, not structurally
+    ([(NOUGHT, NOUGHT), ("x1", "x1^2")], 1, 1),
 ], ids=["empty", "rank1-no-c2", "rank1-leading-c2-zero", "rank2-three", "rank2-two",
         "rank2-zero-pair", "zero-pair-only", "zero-pair-then-rank1"])
-def test_pair_choice_on_synthetic_pairs(pairs, expected):
+def test_pair_choice_on_synthetic_pairs(pairs, rank, expected):
     pairs = [tuple(parse_expr(c) if isinstance(c, str) else c for c in p) for p in pairs]
     assert NOUGHT != ZERO and is_zero_generic(NOUGHT, SP)
     want = None if expected is None else pairs[expected]
-    assert _consistent_pair(pairs, SP) == pairwise_direction(pairs, SP) == want
+    assert pairwise_direction(pairs, SP) == want
+    system = _pair_system(pairs)
+    chain = compute_bracket_chain(system, SP)
+    H = h_distribution(chain, SP)
+    w = [ad_iter(system.drift, 2, b) for b in (system.b1, system.b2)]
+    assert chain.depth == 1 and generic_rank(extend(H, w), SP) == generic_rank(H, SP) + rank
+    got = _h_outcome(system, SP, chain)
+    assert got == h_direction_from_forms(system, SP)
+    if rank == 2:  # w1 and w2 add two dimensions to H
+        assert got == NO_DIRECTION
+    else:
+        assert _fixing_pair(pairs, SP) == want
+
+
+def test_h_method_solves_the_forms_when_no_empty_column_fixes_the_direction():
+    # H = span{d/ds1, ..., d/ds5, d/ds6 + d/ds8} leaves column s7 alone empty,
+    # and w1 = w2 = d/ds6 + N d/ds7 pair to N there, zero at every point: the
+    # direction comes from the form ds6 - ds8, which the annihilator solves
+    frame = tuple(f"s{i}" for i in range(1, 9))
+    nought = parse_expr("log(p*q) - log(p) - log(q)")
+    drift = {name: parse_expr(text) for name, text in (
+        ("s3", "s1"), ("s4", "s2"), ("s5", "s1*s2"), ("s6", "s1^2/2 + s3 + s4"), ("s8", "s1^2/2"))}
+    drift["s7"] = mul(nought, parse_expr("s3 + s4"))
+    system = AffineSystem(frame, vector_field(frame, drift), vector_field(frame, {"s1": ONE}),
+                          vector_field(frame, {"s2": ONE}), ("u1", "u2"), params=("p", "q"))
+    chain = compute_bracket_chain(system, SP)
+    H = h_distribution(chain, SP)
+    assert [x for j, x in enumerate(frame) if all(f.components[j] == ZERO for f in H.fields)] \
+        == ["s7"]
+    w1 = ad_iter(system.drift, 2, system.b1)
+    assert w1.components[6] != ZERO and is_zero_generic(w1.components[6], SP)
+    with counting(diffgeo, "annihilator") as solved:
+        got = _h_outcome(system, SP, chain)
+    assert len(solved) == 1
+    assert got == h_direction_from_forms(system, SP) == ("-1", "1")
 
 
 def test_quadratic_root_filter_normalizes_no_residual(monkeypatch):

@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
+from triflat import triform
 from triflat.cli import main
 from triflat.sysfile import SysFileError, load_sysfile, parse_sysfile
+
+from reference import counting
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 CORPUS = os.path.join(SRC, "triflat", "corpus")
@@ -403,3 +406,15 @@ def test_cli_flat_output_independent_of_hash_seed():
         assert proc.returncode == 0, proc.stdout[-500:] + proc.stderr[-500:]
         outs.append(json.loads(proc.stdout))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command, checks", [("check", 2), ("flat-output", 1)])
+def test_cli_flat_output_stops_at_the_first_passing_candidate(capsys, command, checks):
+    # sin has two quadratic roots and the first passes: check reports both,
+    # flat-output decides the first only
+    with counting(triform, "triangular_form_check") as calls:
+        assert main([command, corpus("sin.sys")]) == 0
+    assert len(calls) == checks
+    if command == "check":
+        assert [r["verdict"] for r in json.loads(capsys.readouterr().out)["reports"]] \
+            == [True, False]
