@@ -11,11 +11,16 @@ bundled systems themselves are loaded from ``src/triflat/corpus/*.sys``
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
+import json
 import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+from triflat.cli import _analyze
 from triflat.diffgeo import (
     ad_iter,
     annihilator,
@@ -33,11 +38,13 @@ from triflat.expr import (
     to_str,
 )
 from triflat.fields import Distribution, OneForm, VectorField
+from triflat.flatout import flat_output_for_report
 from triflat.generator import TemplateInstance, _random_poly
 from triflat.parser import parse_expr as pe
 from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, ranks
 from triflat.simplify import differentiate, simplify
 from triflat.systems import AffineSystem, vector_field
+from triflat.transform import transform_to_triangular
 
 
 def chained_form(n: int) -> AffineSystem:
@@ -212,6 +219,47 @@ def disguise(sys: AffineSystem, k: int, seed: int = 0):
     gamma = [simplify(_random_poly(rng, list(frame))) for _ in range(2)]
     out = feedback_transform(moved_sys, beta, gamma)
     return replace(out, name=f"{sys.name}+disguise(k={k},seed={seed})"), inverse
+
+
+# --- byte identity of instance outputs -------------------------------------------
+
+INSTANCE_DIGESTS = Path(__file__).parent / "data" / "instance_digests.json"
+
+
+def instance_key(combo, seed, k=None) -> str:
+    """The digest table's key: a generated instance, or disguised on k rows."""
+    name = f"{'-'.join(map(str, combo))} seed{seed}"
+    return f"generated {name}" if k is None else f"disguised {name} k{k}"
+
+
+def instance_outputs(system: AffineSystem, phi1, sp: Sampler):
+    """(report, flat output, transform) of the best candidate; phi1 is passed
+    on in the NoX1 case only."""
+    rep = _analyze(system, sp)[3][0]
+    flat = flat_output_for_report(rep, sp, phi1=phi1 if rep.case == "NoX1" else None)
+    return rep, flat, transform_to_triangular(system, rep, flat, sp)
+
+
+def instance_digest(rep, flat, res) -> str:
+    """sha256 of the verdict, case, dims, flat output and its provenance, the
+    composed state and input maps and every stage log, in report order."""
+    out = {
+        "verdict": rep.verdict,
+        "case": rep.case,
+        "dims": rep.dims,
+        "phi1": to_str(flat.phi1),
+        "phi2": to_str(flat.phi2),
+        "provenance": list(flat.provenance),
+        "state_map": {x: to_str(e) for x, e in res.change.state_map.items()},
+        "input_map": {u: to_str(e) for u, e in res.change.input_map.items()},
+        "logs": [[name, list(stage.log)] for name, stage in res.stages],
+    }
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def recorded_instance_digests() -> dict:
+    return json.loads(INSTANCE_DIGESTS.read_text(encoding="utf-8"))
 
 
 def involutive_closure(D: Distribution, sp: Sampler) -> Distribution:

@@ -8,25 +8,38 @@ are still the answer.  Outside NoX1, flat-output and transform must succeed
 and the map must verify; for NoX1 the template's phi1 = y1, pulled back to
 the new coordinates, is passed in.  Cases that fail today are strict xfails
 naming their cause, so a fix has to flip them.
+The sha256 of each passing instance's outputs (``reference.instance_digest``)
+must equal its entry in ``data/instance_digests.json``, as must each
+generated instance's in ``test_transform.py``.  Re-record both with
+``PYTHONPATH=src python tests/test_disguised.py``.
 """
+
+import json
 
 import pytest
 
 from triflat import checks
-from triflat.cli import _analyze
 from triflat.diffgeo import extend, lie_bracket
 from triflat.errors import IntegrationError, PipelineError
 from triflat.expr import Sym
-from triflat.flatout import flat_output_for_report
 from triflat.generator import triangular_template
 from triflat.sampling import Sampler
 from triflat.transform import (
     prolonged_linearizability,
-    transform_to_triangular,
     verify_transformation,
 )
 
-from reference import criterion5_combos, disguise, exact_rank, generated_instances
+from reference import (
+    INSTANCE_DIGESTS,
+    criterion5_combos,
+    disguise,
+    exact_rank,
+    generated_instances,
+    instance_digest,
+    instance_key,
+    instance_outputs,
+    recorded_instance_digests,
+)
 
 SP = Sampler()
 
@@ -56,14 +69,13 @@ def test_disguised_instance_keeps_its_answer(index, combo, k):
     inst = triangular_template(*combo, seed=index)
     system, inverse = disguise(inst.system, k, seed=index)
     l1, l2, n2, n3 = combo
-    rep = _analyze(system, SP)[3][0]
+    rep, flat, res = instance_outputs(system, inverse["y1"], SP)
     assert (rep.verdict, rep.case, rep.n2, rep.depth, rep.chain_lengths) == (
         True, inst.case, n2, n3, (max(l1, l2), min(l1, l2)))
-    phi1 = inverse["y1"] if rep.case == "NoX1" else None
-    flat = flat_output_for_report(rep, SP, phi1=phi1)
-    res = transform_to_triangular(system, rep, flat, SP)
     assert res.verified and res.final.structure_ok, res.final.structure_failures
     assert verify_transformation(system, res.change, res.final.system, SP)
+    key = instance_key(combo, index, k)
+    assert instance_digest(rep, flat, res) == recorded_instance_digests().get(key), key
 
 
 def assert_prolonged_linearizable(monkeypatch, system, phi1=None):
@@ -72,9 +84,7 @@ def assert_prolonged_linearizable(monkeypatch, system, phi1=None):
     member of the prolonged drift flag, and the spanning set it was pruned
     from, has the rank over Q(x) that the float rank test gave it.  phi1 is
     passed on in the NoX1 case only."""
-    rep = _analyze(system, SP)[3][0]
-    flat = flat_output_for_report(rep, SP, phi1=phi1 if rep.case == "NoX1" else None)
-    res = transform_to_triangular(system, rep, flat, SP)
+    _rep, _flat, res = instance_outputs(system, phi1, SP)
     prolonged, seen = [], []
     real = checks.drift_flag
 
@@ -104,3 +114,19 @@ def test_generated_instance_is_prolonged_linearizable(monkeypatch, combo, seed):
 def test_disguised_instance_is_prolonged_linearizable(monkeypatch):
     system, _inverse = disguise(triangular_template(1, 2, 3, 1, seed=9).system, 1, seed=9)
     assert_prolonged_linearizable(monkeypatch, system)
+
+
+if __name__ == "__main__":
+    table = {}
+    for combo, seed in generated_instances():
+        outputs = instance_outputs(triangular_template(*combo, seed=seed).system, Sym("y1"), SP)
+        table[instance_key(combo, seed)] = instance_digest(*outputs)
+    for index, combo in enumerate(criterion5_combos()):
+        for k in (1, 3):
+            if (index, k) not in KNOWN_FAILURES:
+                system, inverse = disguise(triangular_template(*combo, seed=index).system, k,
+                                           seed=index)
+                outputs = instance_outputs(system, inverse["y1"], SP)
+                table[instance_key(combo, index, k)] = instance_digest(*outputs)
+    INSTANCE_DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
+                                encoding="utf-8")

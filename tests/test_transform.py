@@ -34,7 +34,13 @@ from triflat.transform import (
 )
 from triflat.triform import triangular_form_check
 
-from reference import generated_instances
+from reference import (
+    generated_instances,
+    instance_digest,
+    instance_key,
+    instance_outputs,
+    recorded_instance_digests,
+)
 
 SP = Sampler()
 
@@ -214,14 +220,14 @@ def test_template_pipeline_is_renaming():
     for combo, seed in generated_instances()])
 def test_generated_instance_transforms_by_a_renaming(combo, seed):
     s = triangular_template(*combo, seed=seed).system
-    rep = _analyze(s, SP)[3][0]
-    flat = flat_output_for_report(rep, SP, phi1=Sym("y1") if rep.case == "NoX1" else None)
-    res = transform_to_triangular(s, rep, flat, SP)
+    rep, flat, res = instance_outputs(s, Sym("y1"), SP)
     assert res.verified and res.final.structure_ok
     assert verify_transformation(s, res.change, res.final.system, SP)
     for new, expr in res.change.state_map.items():
         assert isinstance(expr, Sym), f"{new} -> {expr} is not a renaming"
     assert sorted(map(str, res.change.input_map.values())) == sorted(s.input_syms)
+    key = instance_key(combo, seed)
+    assert instance_digest(rep, flat, res) == recorded_instance_digests().get(key), key
 
 
 @pytest.mark.parametrize("combo, seed, chains", [
