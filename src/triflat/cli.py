@@ -332,6 +332,8 @@ def _system_from_dict(d):
 
 
 def cmd_verify(args):
+    if not args.evidence and (args.phi1 is not None or args.hint):
+        raise SysFileError("--phi1 and --hint are read only with --evidence")
     if not 0 < args.vtol < math.inf:
         raise SysFileError(f"--vtol must be finite and positive, got {args.vtol}")
     definition, sysm, sp, prolonged = _load(args)
@@ -411,11 +413,12 @@ def build_parser():
                                       "prolongation evidence")
     common(p)
     flat_options(p)
-    p.add_argument("--transform", metavar="PATH", help="saved transformation JSON")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--transform", metavar="PATH", help="saved transformation JSON")
+    mode.add_argument("--evidence", action="store_true",
+                      help="prolongation linearizability evidence via the normal form")
     p.add_argument("--vtol", type=float, default=1e-7,
                    help="verification tolerance")
-    p.add_argument("--evidence", action="store_true",
-                   help="prolongation linearizability evidence via the normal form")
     p.set_defaults(fn=cmd_verify)
     return ap
 
@@ -428,7 +431,7 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (SysFileError, ExprSyntaxError, FileNotFoundError) as e:
+    except (SysFileError, ExprSyntaxError, OSError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return EXIT_USAGE
     except (IntegrationError, SamplerExhausted) as e:

@@ -237,6 +237,10 @@ def _expression(text: str, line_no: int) -> Expr:
 
 
 def load_sysfile(path) -> SystemDefinition:
-    with open(path, "r") as fh:
-        text = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise SysFileError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") \
+                from None
     return parse_sysfile(text, name=os.path.splitext(os.path.basename(path))[0])

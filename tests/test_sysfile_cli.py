@@ -21,6 +21,11 @@ def corpus(name):
     return os.path.join(CORPUS, name)
 
 
+def corpus_text(name):
+    with open(corpus(name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 MINIMAL = """
 name = demo
 [states]
@@ -294,6 +299,43 @@ def test_cli_bad_input_is_a_usage_error(capsys, tmp_path, argv):
     assert "error" in json.loads(captured.err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "<dir>"], "Is a directory"),
+    (["check", "<latin-1>"], "is not UTF-8 text"),
+    (["transform", "vtol.sys", "--save", "<dir>"], "Is a directory"),
+    (["verify", "vtol.sys", "--transform", "<dir>"], "Is a directory"),
+], ids=["sys-directory", "sys-not-utf8", "save-directory", "transform-directory"])
+def test_cli_unreadable_path_is_a_usage_error(capsys, tmp_path, argv, message):
+    latin = tmp_path / "latin.sys"
+    latin.write_bytes(corpus_text("vtol.sys").replace("name = vtol", "name = vtol\xe9")
+                      .encode("latin-1"))
+    paths = {"<dir>": str(tmp_path), "<latin-1>": str(latin), "vtol.sys": corpus("vtol.sys")}
+    code = main([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("options", [
+    ["--transform", "map.json", "--evidence"],
+    ["--hint", "x+"],
+    ["--phi1", "x"],
+    ["--transform", "map.json", "--hint", "x"],
+], ids=lambda options: " ".join(options))
+def test_cli_verify_rejects_options_it_would_not_read(capsys, tmp_path, options):
+    # --transform checks a saved map; the flat-output options serve --evidence
+    saved = tmp_path / "map.json"
+    saved.write_text(vtol_identity_map())
+    assert main(["verify", corpus("vtol.sys"), "--transform", str(saved)]) == 0
+    capsys.readouterr()
+    code = main(["verify", corpus("vtol.sys"), *(str(saved) if o == "map.json" else o
+                                                 for o in options)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("line, bad, message", [
     ("theta = omega", "theta = omega + 1/0", "division by zero (offset 9)"),
     ("vz = cos(theta)", "vz = cos(theta", "expected ')' (offset 9)"),
@@ -392,9 +434,10 @@ def test_cli_domain_of_a_prolonged_state(capsys):
 
 
 def test_cli_flat_output_independent_of_hash_seed():
-    # The integration heuristic fits constants only for a prefix of its
-    # candidate pool; under hash seed 216 a pool ordered by string hashes
-    # lost the second sqrt integral (exit 3).
+    # The integration heuristic tries its candidate pool in order and stops
+    # at the first integrals that complete the span; when it fitted only a
+    # prefix of the pool, a pool ordered by string hashes lost the second
+    # sqrt integral under hash seed 216 (exit 3).
     outs = []
     for hash_seed in ("216", "0"):
         path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
