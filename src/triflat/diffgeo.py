@@ -20,7 +20,7 @@ import numpy as np
 from .elimination import clear_denominators, nullspace
 from .errors import EliminationError, FrameMismatch
 from .expr import Expr, ONE, ZERO, add, derivative, mul, neg
-from .fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
+from .fields import Codistribution, Distribution, OneForm, VectorField
 from .sampling import MatrixSampler, Sampler, all_zero_generic, nullspaces, ranks
 from .sampling import _admissible, _free_symbols, _svd_ranks
 from .simplify import simplify
@@ -251,19 +251,6 @@ def _coordinate_form(frame, i):
     coeffs = [ZERO] * len(frame)
     coeffs[i] = ONE
     return OneForm(tuple(frame), tuple(coeffs))
-
-
-def annihilated_distribution(W: Codistribution, sp: Sampler) -> Distribution:
-    """Vector fields annihilated by all forms of the codistribution."""
-    if W.kernel is not None:
-        return W.kernel
-    frame = W.frame
-    if not W.forms:
-        return Distribution(frame, [coordinate_field(frame, x) for x in frame])
-    rows = [list(w.coefficients) for w in W.forms]
-    vecs = nullspace(rows, sp)
-    fields = [VectorField(frame, tuple(clear_denominators(vec))) for vec in vecs]
-    return Distribution(frame, fields)
 
 
 def codistribution_rank(W: Codistribution, sp: Sampler) -> int:

@@ -2,32 +2,30 @@
 
 Finds functions whose differentials span a given codistribution.  The
 strategy ladder: caller-supplied functions (hints and already-known
-integrals), plain coordinates, exact spanning forms (potential by successive
-single-variable integration), forms made exact by a single-symbol
-integrating factor from a fixed pattern table, and finally combination
-candidates assembled from coordinates and previously found integrals.
+integrals), plain coordinates, spanning forms that are exact or made exact
+by a single-symbol integrating factor from a fixed pattern table (potential
+by successive single-variable integration), and finally combination
+candidates xi + c*xj*g, with g among the potentials found, the coefficient
+ratios of the spanning forms and the caller's extras.  Which factor closes
+a form and which constant c fits are decided on sampled values; a candidate
+integral is accepted only by the exact span and independence tests, and
+rank W independent differentials in W certify that W is integrable.
 Failures surface with a diagnostic; nothing is ever approximated.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
 
-from .diffgeo import (
-    annihilated_distribution,
-    codistribution_rank,
-    differential,
-    form_in_span,
-    is_involutive,
-)
+from .diffgeo import codistribution_rank, differential, form_in_span
 from .elimination import row_reduce
 from .errors import IntegrationError, TriflatError
 from .expr import (
+    ONE,
     Add,
     Call,
     Expr,
@@ -38,6 +36,7 @@ from .expr import (
     ZERO,
     add,
     call,
+    derivative,
     div,
     free_symbols,
     mul,
@@ -111,14 +110,6 @@ def _linear_in(e: Expr, x: str):
     return d, simplify(sub(e, mul(d, Sym(x))))
 
 
-def is_closed(w: OneForm, sp: Sampler) -> bool:
-    residuals = [
-        sub(differentiate(cj, xi), differentiate(ci, xj))
-        for (xi, ci), (xj, cj) in itertools.combinations(zip(w.frame, w.coefficients), 2)
-    ]
-    return all_zero_generic(residuals, sp, extra_syms=w.frame)
-
-
 def potential(w: OneForm, sp: Sampler) -> Expr:
     """Potential function of a closed one-form by successive integration."""
     phi = ZERO
@@ -136,13 +127,35 @@ def potential(w: OneForm, sp: Sampler) -> Expr:
 _FACTOR_EXPONENTS = (-1, -2, -3, 1, 2)
 
 
-def _factor_candidates(w: OneForm):
-    syms = set()
-    for c in w.coefficients:
-        syms |= free_symbols(c)
-    for s in sorted(syms):
+def closing_factors(w: OneForm, sp: Sampler):
+    """The factors f with f*w closed, in the order tried: 1, then x^k over
+    the symbols x of w's coefficients by name and k in _FACTOR_EXPONENTS.
+
+    One sampled stack [c; d_1 c; ...; d_n c] of w's coefficients and their
+    raw partials decides them all: with J_ij = d_i c_j, x^k w is closed iff
+    (J - J^T) + (k/x)(e_x c^T - c e_x^T) vanishes relative to its terms.
+    """
+    frame, c = w.frame, w.coefficients
+    rows = [list(c)] + [[derivative(cj, x) for cj in c] for x in frame]
+    points, stack = MatrixSampler(rows, frame, sp).stack()
+    vals, jac = stack[:, 0], stack[:, 1:]
+    curl, size = jac - jac.transpose(0, 2, 1), abs(jac) + abs(jac).transpose(0, 2, 1)
+
+    def closed(term):
+        return bool((abs(curl + term) <= sp.tol * (1.0 + size + abs(term))).all())
+
+    if closed(0.0):
+        yield ONE
+    for s in sorted(set().union(*map(free_symbols, c))):
+        wedge = np.zeros_like(jac)
+        if s in frame:
+            i = frame.index(s)
+            inv = np.array([1.0 / p[s] for p in points])[:, None]
+            wedge[:, i, :] += inv * vals
+            wedge[:, :, i] -= inv * vals
         for k in _FACTOR_EXPONENTS:
-            yield pow_(Sym(s), k)
+            if closed(k * wedge):
+                yield pow_(Sym(s), k)
 
 
 def integrate_codistribution(
@@ -158,22 +171,18 @@ def integrate_codistribution(
 
     ``knowns`` are trusted integrals from the caller (counted, not
     re-derived); ``hints`` are user-supplied candidates that are validated
-    and used when they help.  Integrability is checked up front: the
-    annihilated distribution must be involutive.
+    and used when they help.  Integrability is not tested apart: a W that
+    is not integrable has no rank W independent differentials in it, so the
+    ladder cannot complete its span.
     """
     frame = W.frame
     rank = codistribution_rank(W, sp)
     if rank == 0:
         return []
-    if not is_involutive(annihilated_distribution(W, sp), sp):
-        raise IntegrationError("codistribution is not integrable")
 
     found: List[FirstIntegral] = []
     diffs: List[OneForm] = []
     pool: List[Expr] = []
-
-    def spans(candidate_form):
-        return form_in_span(candidate_form, W, sp)
 
     def independent(candidate_form):
         rows = [list(f.coefficients) for f in diffs] + [list(candidate_form.coefficients)]
@@ -193,7 +202,7 @@ def integrate_codistribution(
         if all(c == ZERO for c in dphi.coefficients):
             return False
         try:
-            ok = spans(dphi) and independent(dphi)
+            ok = form_in_span(dphi, W, sp) and independent(dphi)
         except TriflatError:
             return False
         if source in ("exact", "factor", "hint") and phi not in pool:
@@ -218,41 +227,22 @@ def integrate_codistribution(
     for w in echelon:
         if len(found) == rank:
             break
-        try:
-            if is_closed(w, sp):
-                consider(potential(w, sp), "exact")
-                continue
-        except IntegrationError:
-            pass
-        for factor in _factor_candidates(w):
-            scaled = OneForm(frame, tuple(mul(factor, c) for c in w.coefficients))
+        for factor in closing_factors(w, sp):
+            scaled = w if factor == ONE else OneForm(
+                frame, tuple(simplify(mul(factor, c)) for c in w.coefficients))
             try:
-                if is_closed(scaled, sp):
-                    scaled = OneForm(frame, tuple(map(simplify, scaled.coefficients)))
-                    if consider(potential(scaled, sp), "factor"):
-                        break
-                    # keep valid potentials in the pool even when dependent
+                phi = potential(scaled, sp)
             except IntegrationError:
                 continue
+            # keep valid potentials in the pool even when dependent
+            if consider(phi, "exact" if factor == ONE else "factor") or factor == ONE:
+                break
 
     if len(found) < rank:
-        ratio_pool = _coefficient_ratios(echelon)
-        full_pool = pool + ratio_pool + [simplify(c) for c in extra_candidates]
-        # first occurrences in pool order: the fitted pass below keeps only a
-        # prefix, so the order must not follow string hashes
-        candidates = list(dict.fromkeys(full_pool))
-        kernel = _SampledKernel(W, sp, candidates)
-        for g in candidates:
-            for xi, xj in kernel.screened(g):
-                consider(sub(Sym(xi), mul(Sym(xj), g)), "combination")
-                if len(found) == rank:
-                    break
-            if len(found) == rank:
-                break
-        if len(found) < rank:
-            _fitted_combinations(
-                kernel, [add(1)] + candidates[:12], consider, lambda: len(found) == rank
-            )
+        # first occurrences in pool order, so the order never follows hashes
+        candidates = list(dict.fromkeys(
+            [ONE] + pool + _coefficient_ratios(echelon) + [simplify(c) for c in extra_candidates]))
+        _fitted_combinations(W, sp, candidates, consider, lambda: len(found) == rank)
 
     if len(found) < rank:
         missing = rank - len(found)
@@ -293,64 +283,30 @@ def _coefficient_ratios(forms) -> List[Expr]:
     return out
 
 
-class _SampledKernel:
-    """Orthonormal rows spanning the fields W annihilates, at W's generic
-    sample points, and the combination forms d(xi - c xj g) measured there.
+def _fitted_combinations(W: Codistribution, sp: Sampler, pool, consider, done):
+    """Candidates xi + c*xj*g, for g in the pool, with the rational constant c
+    fitted at the first 8 sampled points and then verified symbolically.
 
-    A form lies in W(p) exactly when it has no component along these rows,
-    so candidates are screened and constants fitted from numbers alone.
+    At W's generic sample points, orthonormal rows span the fields W
+    annihilates; a form lies in W(p) exactly when it has no component along
+    them, so c is fitted from the values of g and its partials alone.
     """
-
-    MARGIN = 1e-6  # screening margin, well above the decision tolerance
-
-    def __init__(self, W: Codistribution, sp: Sampler, pool):
-        self.frame, self.tol = W.frame, sp.tol
-        ms = MatrixSampler(W.matrix_rows(), set(W.frame).union(*map(free_symbols, pool)), sp)
-        self.ps, idx = ms.admissible()
-        rk, dirs = nullspaces(ms.stack()[1], sp.tol)
-        kept = np.flatnonzero(rk == rk.max())
-        self.idx = [idx[k] for k in kept]
-        self.dirs = np.stack([dirs[k] for k in kept])  # (P, m, n)
-        self.coords = np.array([[self.ps.point(i)[x] for x in W.frame] for i in self.idx])
-
-    def parts(self, g):
-        """At the points where g and its partials are admissible: the kernel
-        components of each dxi, (P, n, m), and of each d(xj g), (P, n, m),
-        and the forms d(xj g) themselves, (P, n, n)."""
-        exprs = [g] + [differentiate(g, x) for x in self.frame]
-        keep, rows = [], []
-        for k, vals in enumerate(zip(*(self.ps.scan(e, self.idx) for e in exprs))):
-            if all(map(_admissible, vals)):
-                keep.append(k)
-                rows.append(vals)
-        n = len(self.frame)
-        vals = np.array(rows, dtype=float).reshape(len(keep), n + 1)
-        dirs, coords = self.dirs[keep], self.coords[keep]
-        # d(xj g) = g dxj + xj dg
-        dpart = vals[:, :1, None] * np.eye(n) + coords[:, :, None] * vals[:, None, 1:]
-        return dirs.transpose(0, 2, 1), dpart @ dirs.transpose(0, 2, 1), dpart
-
-    def screened(self, g):
-        """The pairs (xi, xj), in frame order, for which d(xi - xj g) has no
-        component along the kernel beyond the margin at any point."""
-        unit, along, dpart = self.parts(g)
-        comp = np.linalg.norm(unit[:, :, None] - along[:, None], axis=-1)
-        size = np.linalg.norm(np.eye(len(self.frame))[:, None] - dpart[:, None], axis=-1)
-        ok = (comp <= self.MARGIN * (1.0 + size)).all(axis=0)
-        return [
-            (xi, xj)
-            for i, xi in enumerate(self.frame)
-            for j, xj in enumerate(self.frame)
-            if i != j and ok[i, j]
-        ]
-
-
-def _fitted_combinations(kernel: _SampledKernel, pool, consider, done):
-    """Candidates xi + c * xj * g with the rational constant c fitted at the
-    first 8 sampled points and then verified symbolically."""
-    frame = kernel.frame
+    frame, n = W.frame, len(W.frame)
+    ms = MatrixSampler(W.matrix_rows(), set(frame).union(*map(free_symbols, pool)), sp)
+    ps, idx = ms.admissible()
+    rk, dirs = nullspaces(ms.stack()[1], sp.tol)
+    kept = np.flatnonzero(rk == rk.max())
+    idx = [idx[k] for k in kept]
+    kernel = np.stack([dirs[k] for k in kept]).transpose(0, 2, 1)  # (P, n, m)
+    coords = np.array([[ps.point(i)[x] for x in frame] for i in idx])
     for g in pool:
-        unit, along, _dpart = kernel.parts(g)
+        exprs = [g] + [differentiate(g, x) for x in frame]
+        rows = list(zip(*(ps.scan(e, idx) for e in exprs)))
+        keep = [k for k, vals in enumerate(rows) if all(map(_admissible, vals))]
+        vals = np.array([rows[k] for k in keep], dtype=float).reshape(len(keep), n + 1)
+        # the kernel components of each dxi and of each d(xj g) = g dxj + xj dg
+        dpart = vals[:, :1, None] * np.eye(n) + coords[keep][:, :, None] * vals[:, None, 1:]
+        unit, along = kernel[keep], dpart @ kernel[keep]
         for i, xi in enumerate(frame):
             for j, xj in enumerate(frame):
                 if i == j:
@@ -359,10 +315,10 @@ def _fitted_combinations(kernel: _SampledKernel, pool, consider, done):
                     return
                 r0, r1 = unit[:8, i], along[:8, j]
                 n1 = (r1 * r1).sum(axis=1)
-                if len(n1) < 3 or (n1 < kernel.tol).any():
+                if len(n1) < 3 or (n1 < sp.tol).any():
                     continue
-                vals = (-(r0 * r1).sum(axis=1) / n1).tolist()
-                c = Fraction(vals[0]).limit_denominator(12)
-                if c != 0 and all(abs(v - c) <= 1e-6 * (1 + abs(v)) for v in vals):
+                fits = (-(r0 * r1).sum(axis=1) / n1).tolist()
+                c = Fraction(fits[0]).limit_denominator(12)
+                if c != 0 and all(abs(v - c) <= 1e-6 * (1 + abs(v)) for v in fits):
                     part = simplify(mul(Sym(xj), g))
                     consider(add(Sym(xi), mul(Rat(c), part)), "combination")

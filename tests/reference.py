@@ -2,8 +2,10 @@
 
 The parametric systems (chained forms at any size, the double integrator
 pair, the equal-chain template, disguised generated instances), the
-feedback and span helpers and the symbolic h-method pairing serve as known
-inputs and oracles, and :func:`counting` counts calls into the package; the
+feedback and span helpers, the symbolic h-method pairing, the symbolic
+annihilated distribution and closure test serve as known inputs and
+oracles, :func:`instance_digest` fingerprints an instance's outputs, and
+:func:`counting` counts calls into the package; the
 bundled systems themselves are loaded from ``src/triflat/corpus/*.sys``
 (see ``conftest.py``).
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -37,11 +40,12 @@ from triflat.expr import (
     ONE, ZERO, Add, Call, Mul, Pow, Rat, Sym, add, free_symbols, mul, neg, sub, substitute,
     to_str,
 )
-from triflat.fields import Distribution, OneForm, VectorField
+from triflat.elimination import clear_denominators, nullspace
+from triflat.fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
 from triflat.flatout import flat_output_for_report
 from triflat.generator import TemplateInstance, _random_poly
 from triflat.parser import parse_expr as pe
-from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, ranks
+from triflat.sampling import MatrixSampler, Sampler, all_zero_generic, is_zero_generic, ranks
 from triflat.simplify import differentiate, simplify
 from triflat.systems import AffineSystem, vector_field
 from triflat.transform import transform_to_triangular
@@ -273,6 +277,27 @@ def involutive_closure(D: Distribution, sp: Sampler) -> Distribution:
             return out
         out, r = nxt, rn
     return out
+
+
+def annihilated_distribution(W: Codistribution, sp: Sampler) -> Distribution:
+    """Vector fields annihilated by all forms of the codistribution, solved
+    symbolically; W's kernel when it has one."""
+    if W.kernel is not None:
+        return W.kernel
+    frame = W.frame
+    if not W.forms:
+        return Distribution(frame, [coordinate_field(frame, x) for x in frame])
+    vecs = nullspace([list(w.coefficients) for w in W.forms], sp)
+    return Distribution(frame, [VectorField(frame, tuple(clear_denominators(v))) for v in vecs])
+
+
+def is_closed(w: OneForm, sp: Sampler) -> bool:
+    """Whether dw = 0, from the normalized symbolic curl residuals."""
+    residuals = [
+        sub(differentiate(cj, xi), differentiate(ci, xj))
+        for (xi, ci), (xj, cj) in itertools.combinations(zip(w.frame, w.coefficients), 2)
+    ]
+    return all_zero_generic(residuals, sp, extra_syms=w.frame)
 
 
 def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler) -> bool:

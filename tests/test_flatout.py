@@ -4,13 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from triflat.diffgeo import (
-    annihilated_distribution,
-    annihilator,
-    differential,
-    form_in_span,
-    kernel_within,
-)
+from triflat.diffgeo import annihilator, differential, form_in_span, kernel_within
 from triflat.errors import NotApplicable, TriflatError
 from triflat.expr import Rat, Sym
 from triflat.fields import Codistribution
@@ -19,7 +13,7 @@ from triflat.parser import parse_expr
 from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, ranks
 from triflat.simplify import simplify
 
-from reference import contains_distribution
+from reference import annihilated_distribution, contains_distribution
 
 SP = Sampler()
 

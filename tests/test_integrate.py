@@ -1,5 +1,6 @@
 """Codistribution integration heuristics."""
 
+import importlib
 import os
 import sys
 
@@ -9,16 +10,17 @@ from triflat import diffgeo, elimination, integrate
 from triflat.cli import main
 from triflat.diffgeo import annihilator, differential, form_in_span
 from triflat.errors import IntegrationError
-from triflat.expr import Rat, Sym, ZERO
+from triflat.expr import ONE, Rat, Sym, ZERO, free_symbols, pow_
 from triflat.flatout import flat_output_for_report
-from triflat.fields import Codistribution, coordinate_field
-from triflat.integrate import integrate_codistribution, integrate_sym, is_closed, potential
+from triflat.fields import Codistribution, OneForm, coordinate_field
+from triflat.integrate import closing_factors, integrate_codistribution, integrate_sym, potential
 from triflat.parser import parse_expr
 from triflat.sampling import Sampler, is_zero_generic
 from triflat.simplify import differentiate, simplify
 
-from reference import one_form
+from reference import is_closed, one_form
 
+SIMPLIFY = importlib.import_module("triflat.simplify")  # the package exports simplify()
 SP = Sampler()
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
 
@@ -52,7 +54,7 @@ def test_closed_form_potential():
     w = one_form(
         frame, {"theta": parse_expr("eps*sin(theta)"), "z": parse_expr("-1")}
     )
-    assert is_closed(w, SP)
+    assert is_closed(w, SP) and next(closing_factors(w, SP)) == ONE
     phi = potential(w, SP)
     d = differential(phi, frame)
     for a, b in zip(d.coefficients, w.coefficients):
@@ -63,6 +65,35 @@ def test_non_closed_detected():
     frame = ("x1", "x2", "u1", "u2")
     w = one_form(frame, {"x1": Sym("u2"), "x2": -Sym("u1")})
     assert not is_closed(w, SP)
+    assert list(closing_factors(w, SP)) == []  # w ^ dw != 0: no factor closes it
+
+
+def test_closing_factors_agree_with_the_symbolic_closure_test(capsys, monkeypatch):
+    """closing_factors yields, in order, exactly the factors f of the table
+    with f*w closed by the symbolic oracle, on every echelon form that the
+    corpus transforms (and the flat outputs they start from) integrate at
+    sampler seeds 0-3."""
+    forms = {}
+    echelon = integrate._echelon_forms
+
+    def recorded(W, sp):
+        out = echelon(W, sp)
+        for w in out:
+            forms.setdefault((w, repr(sp)), (w, sp))
+        return out
+
+    monkeypatch.setattr(integrate, "_echelon_forms", recorded)
+    for name in sorted(os.listdir(CORPUS)):
+        for seed in range(4):
+            main(["transform", os.path.join(CORPUS, name), "--seed", str(seed)])
+    capsys.readouterr()
+    assert len(forms) >= 50
+    for w, sp in forms.values():
+        syms = sorted(set().union(*map(free_symbols, w.coefficients)))
+        table = [ONE] + [pow_(Sym(s), k) for s in syms for k in integrate._FACTOR_EXPONENTS]
+        closed = [f for f in table
+                  if is_closed(OneForm(w.frame, tuple(f * c for c in w.coefficients)), sp)]
+        assert list(closing_factors(w, sp)) == closed, str(w)
 
 
 def test_coordinate_plane_integration():
@@ -170,9 +201,15 @@ def _counted(monkeypatch, module, name):
         # forms are never solved (6 and 16 eliminations when they were)
         ("academic10", "flat-output", elimination, "nullspace", 2),
         ("academic10", "transform", elimination, "nullspace", 4),
-        # combination candidates are screened from sampled values (791
+        # combination constants are fitted from sampled values (791
         # differentials when every candidate was differentiated)
         ("sqrt", "flat-output", diffgeo, "differential", 40),
+        # integrability is certified by the integrals found, not tested on a
+        # solved kernel (3 eliminations when it was)
+        ("sqrt", "flat-output", elimination, "nullspace", 2),
+        # closure is decided on one sampled stack of raw partials per form
+        # (1,407 differentiations when every factor's curl was normalized)
+        ("sqrt", "transform", SIMPLIFY, "differentiate", 350),
     ],
 )
 def test_integration_solves_and_differentiates_only_what_it_reads(
@@ -184,33 +221,44 @@ def test_integration_solves_and_differentiates_only_what_it_reads(
     assert 0 < len(calls) <= most
 
 
-def test_combination_screen_keeps_every_candidate_in_the_span(
+def test_combination_fit_recovers_every_candidate_in_the_span(
     monkeypatch, product_analysis, sin_analysis, sqrt_analysis
 ):
     """Each combination xi - xj*g that the exact span test accepts, over every
-    pool the corpus flat outputs build, survives the numeric screen."""
-    kernels = []
-    init = integrate._SampledKernel.__init__
+    pool the corpus flat outputs build, is fitted with c = -1, unless d(xj*g)
+    lies in the span on its own: then the kernel sees no xj*g to fit, and xi
+    and xj*g are integrals apart (x2 and u2 in one pool)."""
+    pools = []
+    fit = integrate._fitted_combinations
 
-    def recorded(self, W, sp, pool):
-        init(self, W, sp, pool)
-        kernels.append((self, W, sp, list(pool)))
+    def recorded(W, sp, pool, consider, done):
+        pools.append((W, sp, list(pool)))
+        fit(W, sp, pool, consider, done)
 
-    monkeypatch.setattr(integrate._SampledKernel, "__init__", recorded)
+    monkeypatch.setattr(integrate, "_fitted_combinations", recorded)
     for a in (product_analysis, sin_analysis, sqrt_analysis):
         flat_output_for_report(a.report, a.sp, phi1=a.flat.phi1)
-    assert len(kernels) == 3
-    accepted = dropped = 0
-    for kernel, W, sp, pool in kernels:
+    assert len(pools) == 3
+    fitted_pairs, missed = 0, set()
+    for W, sp, pool in pools:
+        fitted = set()
+
+        def consider(phi, _source):
+            fitted.add(simplify(phi))
+            return False
+
+        fit(W, sp, pool, consider, lambda: False)
         for g in pool:
-            kept = set(kernel.screened(g))
             for xi in W.frame:
                 for xj in W.frame:
                     phi = simplify(Sym(xi) - Sym(xj) * g)
                     if xi == xj or phi == ZERO:
                         continue
-                    if form_in_span(differential(phi, W.frame), W, sp):
-                        accepted += 1
-                        assert (xi, xj) in kept, (xi, xj, str(g))
-                    dropped += (xi, xj) not in kept
-    assert accepted and dropped
+                    if not form_in_span(differential(phi, W.frame), W, sp):
+                        continue
+                    if phi in fitted:
+                        fitted_pairs += 1
+                    else:
+                        assert form_in_span(differential(Sym(xj) * g, W.frame), W, sp)
+                        missed.add((xi, xj))
+    assert fitted_pairs and missed == {("x2", "u2"), ("u2", "x2")}
