@@ -234,7 +234,8 @@ def integrate_codistribution(
                 phi = potential(scaled, sp)
             except IntegrationError:
                 continue
-            # keep valid potentials in the pool even when dependent
+            # a dependent potential still joins the pool; the table is tried
+            # only when the form is not exact or its potential is not found
             if consider(phi, "exact" if factor == ONE else "factor") or factor == ONE:
                 break
 

@@ -21,11 +21,6 @@ def corpus(name):
     return os.path.join(CORPUS, name)
 
 
-def corpus_text(name):
-    with open(corpus(name), encoding="utf-8") as fh:
-        return fh.read()
-
-
 MINIMAL = """
 name = demo
 [states]
@@ -306,9 +301,10 @@ def test_cli_bad_input_is_a_usage_error(capsys, tmp_path, argv):
     (["verify", "vtol.sys", "--transform", "<dir>"], "Is a directory"),
 ], ids=["sys-directory", "sys-not-utf8", "save-directory", "transform-directory"])
 def test_cli_unreadable_path_is_a_usage_error(capsys, tmp_path, argv, message):
+    with open(corpus("vtol.sys"), encoding="utf-8") as fh:
+        text = fh.read().replace("name = vtol", "name = vtol\xe9")
     latin = tmp_path / "latin.sys"
-    latin.write_bytes(corpus_text("vtol.sys").replace("name = vtol", "name = vtol\xe9")
-                      .encode("latin-1"))
+    latin.write_bytes(text.encode("latin-1"))
     paths = {"<dir>": str(tmp_path), "<latin-1>": str(latin), "vtol.sys": corpus("vtol.sys")}
     code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
