@@ -12,8 +12,10 @@ report.  Exit codes: 0 verdict true, 1 verdict false, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 
 from .checks import check_static_feedback_linearizable
@@ -274,8 +276,19 @@ def _change_dict(change: CoordinateChange):
     }
 
 
+def _check_writable(path):
+    """The OSError writing path would end in, for a directory or a missing
+    parent directory, raised before any work and without touching it."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_transform(args):
     definition, sysm, sp, prolonged = _load(args)
+    if args.save:
+        _check_writable(args.save)
     out = _header("transform", args, sp, prolonged, sysm)
     _rep, flat, result = _transformed(args, definition, sysm, sp)
     out["flat_output"] = {"phi1": to_str(flat.phi1), "phi2": to_str(flat.phi2)}
@@ -371,60 +384,59 @@ def cmd_verify(args):
     return _emit(out, lin.verdict)
 
 
-def build_parser():
+def build_parser(command=None):
+    """The argument parser.  Given the name of a command, only that command's
+    parser is built, under the usage line of the full parser, so its help and
+    its errors read as with the full parser; anything else builds them all."""
+    commands = {
+        "check": ("run the equivalence decision procedure", cmd_check),
+        "flat-output": ("derive a flat output", cmd_flat_output),
+        "transform": ("construct the normal-form transformation", cmd_transform),
+        "verify": ("re-verify a saved transformation or gather prolongation evidence", cmd_verify),
+    }
     ap = argparse.ArgumentParser(
         prog="triflat",
         description="Static feedback equivalence to a flat triangular form: "
         "checks, flat outputs, constructive transformations.",
     )
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
+    if command in commands:
+        # the full parser's metavar, for the usage line of an error
+        sub = ap.add_subparsers(dest="cmd", required=True,
+                                metavar="{" + ",".join(commands) + "}")
+        commands = {command: commands[command]}
+    else:
+        sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (helptext, fn) in commands.items():
+        p = sub.add_parser(name, help=helptext)
+        p.set_defaults(fn=fn)
         p.add_argument("file", help="system definition (.sys)")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--samples", type=int, default=16)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--domain", action="append", metavar="SYM=LO:HI")
         p.add_argument("--prolong", action="append", metavar="INPUT=K")
-
-    def flat_options(p):
+        if name == "check":
+            p.add_argument("--variant", action="store_true",
+                           help="also test the equal-chain-length variant form")
+            continue
         p.add_argument("--phi1", help="first output function (no-terminal-chain case)")
         p.add_argument("--hint", action="append", metavar="EXPR",
                        help="candidate integral for the straightening heuristic")
-
-    p = sub.add_parser("check", help="run the equivalence decision procedure")
-    common(p)
-    p.add_argument("--variant", action="store_true",
-                   help="also test the equal-chain-length variant form")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("flat-output", help="derive a flat output")
-    common(p)
-    flat_options(p)
-    p.set_defaults(fn=cmd_flat_output)
-
-    p = sub.add_parser("transform", help="construct the normal-form transformation")
-    common(p)
-    flat_options(p)
-    p.add_argument("--save", metavar="PATH", help="write the composed map as JSON")
-    p.set_defaults(fn=cmd_transform)
-
-    p = sub.add_parser("verify", help="re-verify a saved transformation or gather "
-                                      "prolongation evidence")
-    common(p)
-    flat_options(p)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--transform", metavar="PATH", help="saved transformation JSON")
-    mode.add_argument("--evidence", action="store_true",
-                      help="prolongation linearizability evidence via the normal form")
-    p.add_argument("--vtol", type=float, default=1e-7,
-                   help="verification tolerance")
-    p.set_defaults(fn=cmd_verify)
+        if name == "transform":
+            p.add_argument("--save", metavar="PATH", help="write the composed map as JSON")
+        if name == "verify":
+            mode = p.add_mutually_exclusive_group()
+            mode.add_argument("--transform", metavar="PATH", help="saved transformation JSON")
+            mode.add_argument("--evidence", action="store_true",
+                              help="prolongation linearizability evidence via the normal form")
+            p.add_argument("--vtol", type=float, default=1e-7,
+                           help="verification tolerance")
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -101,11 +101,9 @@ def _in_span(rows, extras, frame, sp: Sampler) -> list:
     if len(extras) > 1:
         base = MatrixSampler(rows, frame, sp)
         ps, idx = base.admissible()
-        moved = [
-            not all(_free_symbols(e) <= base.syms and all(map(_admissible, ps.scan(e, idx)))
-                    for e in row)
-            for row in extras
-        ]
+        inside = [e for row in extras for e in row if _free_symbols(e) <= base.syms]
+        ok = {e: all(map(_admissible, vals)) for e, vals in zip(inside, zip(*ps.scan(inside, idx)))}
+        moved = [not all(ok.get(e, False) for e in row) for row in extras]
         if any(moved):
             rest = iter(_in_span(rows, [e for e, m in zip(extras, moved) if not m], frame, sp))
             return [_in_span(rows, [e], frame, sp)[0] if m else next(rest)

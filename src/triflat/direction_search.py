@@ -249,7 +249,7 @@ def _best_triple(triples, sp: Sampler):
             ps, idx = MatrixSampler([t], (), sp).admissible()
         except SamplerExhausted:
             continue  # too few admissible points within the resample budget
-        score = min(max(map(abs, vals)) for vals in zip(*(ps.scan(c, idx) for c in t)))
+        score = min(max(map(abs, vals)) for vals in ps.scan(t, idx))
         if best is None or score > best[0]:
             best = (score, t)
     if best is None:

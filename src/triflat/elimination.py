@@ -23,16 +23,15 @@ def _sample_points(rows, sp: Sampler, extra_syms=()):
 
 def _scores(rows, ps, idx):
     """Minimum |value| across the points for each entry; 0 for failures."""
-    out = {}
-    for i, r in enumerate(rows):
-        for j, e in enumerate(r):
-            out[i, j] = 0.0 if e == ZERO else _score(ps, e, idx)
-    return out
+    entries = list(dict.fromkeys(e for r in rows for e in r if e != ZERO))
+    score = dict(zip(entries, map(_score, zip(*ps.scan(entries, idx)))))
+    return {(i, j): score.get(e, 0.0) for i, r in enumerate(rows) for j, e in enumerate(r)}
 
 
-def _score(ps, e, idx):
+def _score(values):
+    """Minimum |v| over the values, read lazily; 0 at the first failure."""
     vals = []
-    for v in ps.scan(e, idx):
+    for v in values:
         if isinstance(v, EvalError):
             return 0.0
         vals.append(abs(v))

@@ -416,38 +416,114 @@ def evaluate(e, point):
         except KeyError:
             raise EvalError("domain", f"unbound symbol {e.name!r}") from None
     if isinstance(e, Add):
-        terms = [evaluate(t, point) for t in e.terms]
-        try:
-            return math.fsum(terms)
-        except (ValueError, OverflowError):  # inf - inf, or a finite sum past the float range
-            raise EvalError("domain", "sum overflows") from None
+        return _fsum([evaluate(t, point) for t in e.terms])
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:
             out *= evaluate(f, point)
         return out
     if isinstance(e, Pow):
-        b = evaluate(e.base, point)
-        q = e.exponent
-        if b == 0.0 and q < 0:
-            raise EvalError("division", "division by zero")
-        if b < 0.0 and q.denominator != 1:
-            raise EvalError("domain", "fractional power of a negative base")
-        try:
-            return b ** float(q)
-        except OverflowError:
-            raise EvalError("domain", "overflow in power") from None
+        return _power(evaluate(e.base, point), e.exponent)
     if isinstance(e, Call):
-        u = evaluate(e.arg, point)
-        if e.fn == "arcsin" and not -1.0 <= u <= 1.0:
-            raise EvalError("domain", "arcsin argument out of range")
-        if e.fn == "log" and u <= 0.0:
-            raise EvalError("domain", "log of a non-positive value")
-        try:
-            return _MATH[e.fn](u)
-        except (ValueError, OverflowError):
-            raise EvalError("domain", f"{e.fn} evaluation failed") from None
+        return _apply(evaluate(e.arg, point), e.fn)
     raise TypeError(type(e))
+
+
+# the steps of evaluate at a sum, a power and a call, shared with evaluate_column
+def _fsum(terms):
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):  # inf - inf, or a finite sum past the float range
+        raise EvalError("domain", "sum overflows") from None
+
+
+def _power(b, q):
+    if b == 0.0 and q < 0:
+        raise EvalError("division", "division by zero")
+    if b < 0.0 and q.denominator != 1:
+        raise EvalError("domain", "fractional power of a negative base")
+    try:
+        return b ** float(q)
+    except OverflowError:
+        raise EvalError("domain", "overflow in power") from None
+
+
+def _apply(u, fn):
+    if fn == "arcsin" and not -1.0 <= u <= 1.0:
+        raise EvalError("domain", "arcsin argument out of range")
+    if fn == "log" and u <= 0.0:
+        raise EvalError("domain", "log of a non-positive value")
+    try:
+        return _MATH[fn](u)
+    except (ValueError, OverflowError):
+        raise EvalError("domain", f"{fn} evaluation failed") from None
+
+
+def evaluate_column(e, points, memo):
+    """[:func:`evaluate` (e, p) for p in points], the EvalError raised at a
+    point standing as its value.
+
+    One post-order pass over the distinct subterms of e, each computed for
+    all points with the float operations :func:`evaluate` performs, in its
+    order, so the values agree bit for bit.  ``memo`` maps each subterm
+    computed to its column; expressions evaluated at the same points may
+    share it.
+    """
+    col = memo.get(e)
+    if col is not None:
+        return col
+    if isinstance(e, Rat):
+        try:
+            col = [float(e.value)] * len(points)
+        except OverflowError:
+            col = [EvalError("domain", "constant beyond float range")] * len(points)
+    elif isinstance(e, Sym):
+        col = [float(p[e.name]) if e.name in p else EvalError("domain", f"unbound symbol {e.name!r}")
+               for p in points]
+    elif isinstance(e, Add):
+        col = _combine(_fsum, [evaluate_column(t, points, memo) for t in e.terms])
+    elif isinstance(e, Mul):  # math.prod multiplies 1 by each factor in turn, as evaluate does
+        col = _combine(math.prod, [evaluate_column(f, points, memo) for f in e.factors])
+    elif isinstance(e, Pow):
+        col = _pointwise(_power, evaluate_column(e.base, points, memo), e.exponent)
+    elif isinstance(e, Call):
+        col = _pointwise(_apply, evaluate_column(e.arg, points, memo), e.fn)
+    else:
+        raise TypeError(type(e))
+    memo[e] = col
+    return col
+
+
+def _stored(err):
+    """err without the traceback and context that would keep frames alive."""
+    err.__context__ = None
+    return err.with_traceback(None)
+
+
+def _combine(fn, cols) -> list:
+    """fn of the values at each point of the columns, or the first EvalError
+    among the values, which evaluate would raise before calling fn."""
+    out = []
+    for vals in zip(*cols):
+        try:
+            out.append(fn(vals))
+        except (TypeError, EvalError) as err:  # TypeError: fn met an EvalError
+            out.append(next((v for v in vals if type(v) is not float), None) or _stored(err))
+    return out
+
+
+def _pointwise(fn, col, arg) -> list:
+    """fn(v, arg) at each float v of the column; an EvalError, met or raised,
+    stands as the value."""
+    out = []
+    for v in col:
+        if type(v) is float:
+            try:
+                v = fn(v, arg)
+            except EvalError as err:
+                v = _stored(err)
+        out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def _fitted_combinations(W: Codistribution, sp: Sampler, pool, consider, done):
     coords = np.array([[ps.point(i)[x] for x in frame] for i in idx])
     for g in pool:
         exprs = [g] + [differentiate(g, x) for x in frame]
-        rows = list(zip(*(ps.scan(e, idx) for e in exprs)))
+        rows = list(ps.scan(exprs, idx))
         keep = [k for k, vals in enumerate(rows) if all(map(_admissible, vals))]
         vals = np.array([rows[k] for k in keep], dtype=float).reshape(len(keep), n + 1)
         # the kernel components of each dxi and of each d(xj g) = g dxj + xj dg

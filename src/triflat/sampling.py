@@ -8,17 +8,19 @@ budget; this operationalizes working at generic points only.
 
 The stream of a sampler is fixed by its seed, the symbol names and their
 domains, so the same expressions meet the same points again and again.  A
-:class:`PointSet` per stream keeps the points drawn and every value
-computed at them; zero tests, :class:`MatrixSampler` and the numeric pivot
-scores of :mod:`triflat.elimination` read values through it, and the ranks
-of a stack of sampled matrices come from one batched SVD (:func:`ranks`).
+:class:`PointSet` per stream keeps the points drawn and, per expression, a
+column of its values at them, computed a block of points at a time by
+:func:`~triflat.expr.evaluate_column` (bit for bit what
+:func:`~triflat.expr.evaluate` gives at each point); zero tests,
+:class:`MatrixSampler` and every other reader take values from those
+columns, and the ranks of a stack of sampled matrices come from one
+batched SVD (:func:`ranks`).
 The generic stack of a matrix (:meth:`MatrixSampler.generic`) is kept on
 the point set too, so each row set is sampled and ranked once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -27,7 +29,20 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import EvalError, SamplerExhausted
-from .expr import Add, Call, Expr, Mul, Pow, Rat, Sym, evaluate, free_symbols
+from .expr import (
+    Add,
+    Call,
+    Expr,
+    Mul,
+    Pow,
+    Rat,
+    Sym,
+    _combine,
+    _pointwise,
+    evaluate,
+    evaluate_column,
+    free_symbols,
+)
 
 _HUGE = 1e12
 
@@ -104,28 +119,42 @@ class Sampler:
         raise SamplerExhausted("point stream ended unexpectedly")
 
 
-def magnitude(e: Expr, point) -> float:
-    """Evaluation with all cancellations disabled; scale reference for zero tests."""
-    if isinstance(e, (Rat, Sym)):
-        return abs(evaluate(e, point))
-    if isinstance(e, Add):
-        return sum(magnitude(t, point) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= magnitude(f, point)
-        return out
-    if isinstance(e, Pow):
-        b = magnitude(e.base, point)
-        if b == 0.0 and e.exponent < 0:
-            raise EvalError("division", "division by zero")
-        try:
-            return b ** float(e.exponent)
-        except OverflowError:
-            raise EvalError("domain", "overflow") from None
-    if isinstance(e, Call):
-        return abs(evaluate(e, point)) + 1.0
-    raise TypeError(type(e))
+def _power_magnitude(b, q):
+    if b == 0.0 and q < 0:
+        raise EvalError("division", "division by zero")
+    try:
+        return b ** float(q)
+    except OverflowError:
+        raise EvalError("domain", "overflow") from None
+
+
+def magnitude_column(e: Expr, points, memo, values) -> list:
+    """The magnitude of e at each of the points: its evaluation with all
+    cancellations disabled, the scale reference of the zero tests; an
+    EvalError stands as the value where one is raised.
+
+    A post-order pass over the distinct subterms like :func:`evaluate_column`:
+    ``memo`` maps subterms to magnitude columns, ``values`` to the value
+    columns that sums of absolute values start from.
+    """
+    col = memo.get(e)
+    if col is not None:
+        return col
+    if isinstance(e, (Rat, Sym, Call)):
+        col = [abs(v) if type(v) is float else v for v in evaluate_column(e, points, values)]
+        if isinstance(e, Call):
+            col = [m + 1.0 if type(m) is float else m for m in col]
+    elif isinstance(e, Add):
+        col = _combine(sum, [magnitude_column(t, points, memo, values) for t in e.terms])
+    elif isinstance(e, Mul):
+        col = _combine(math.prod, [magnitude_column(f, points, memo, values) for f in e.factors])
+    elif isinstance(e, Pow):
+        col = _pointwise(_power_magnitude, magnitude_column(e.base, points, memo, values),
+                         e.exponent)
+    else:
+        raise TypeError(type(e))
+    memo[e] = col
+    return col
 
 
 class PointSet:
@@ -134,10 +163,13 @@ class PointSet:
     Points come from the live ``Sampler.point_stream`` generator, drawn on
     first use and kept, so point ``i`` is the ``i``-th point of the stream;
     they are shared with every reader and must not be modified.
-    A column holds, per point index, the raw result of :func:`evaluate` (or
-    :func:`magnitude`) for one expression, or the ``EvalError`` it raised;
-    ``None`` marks an index not computed yet.  Admissibility (finite, not
-    near-singular) is judged by the consumer.
+    A column holds, for the first points in stream order, what
+    :func:`evaluate` returns at each for one expression, or its magnitude
+    (:func:`magnitude_column`), an ``EvalError`` standing as the value where
+    one is raised.  :meth:`columns` computes the missing tail of each column
+    asked for in one pass over the expression, for all points of the tail
+    at once.  Admissibility (finite, not near-singular) is judged by the
+    consumer.
     """
 
     __slots__ = ("points", "values", "magnitudes", "stacks", "_stream")
@@ -145,50 +177,59 @@ class PointSet:
     def __init__(self, stream):
         self.points = []
         self.values = {}  # expression -> column of evaluate results
-        self.magnitudes = {}  # expression -> column of magnitude results
+        self.magnitudes = {}  # expression -> column of magnitudes
         self.stacks = {}  # see MatrixSampler.generic
         self._stream = stream
 
+    def _draw(self, n) -> int:
+        """Draw points up to n; how many there are, fewer once the stream ends."""
+        while len(self.points) < n:
+            p = next(self._stream, None)
+            if p is None:
+                break
+            self.points.append(p)
+        return min(n, len(self.points))
+
     def point(self, i) -> Point:
-        while len(self.points) <= i:
-            try:
-                self.points.append(next(self._stream))
-            except StopIteration:
-                raise SamplerExhausted("no further point within the resampling budget") from None
+        if self._draw(i + 1) <= i:
+            raise SamplerExhausted("no further point within the resampling budget")
         return self.points[i]
 
-    def column(self, e: Expr, table=None) -> list:
-        table = self.values if table is None else table
-        col = table.get(e)
-        if col is None:
-            col = table[e] = []
-        return col
+    def columns(self, exprs, n, magnitudes=False) -> list:
+        """The value columns of exprs, then with ``magnitudes`` their
+        magnitude columns, each filled through point n - 1 or through the
+        last point of a stream that ends first.
 
-    def fill(self, fn, e: Expr, col: list, i):
-        """col[i] = fn(e, point i), or the EvalError it raised."""
+        Columns whose missing tails start at the same point share one memo,
+        so a subterm common to the expressions is computed once per tail.
+        """
         global _CACHED_VALUES
-        if i >= len(col):
-            col.extend([None] * (i + 1 - len(col)))
-        try:
-            v = fn(e, self.point(i))
-        except EvalError as err:
-            v = err.with_traceback(None)
-            v.__context__ = None
-        col[i] = v
-        _CACHED_VALUES += 1
-        return v
+        n = self._draw(n)
+        cols = [self.values.setdefault(e, []) for e in exprs]
+        if magnitudes:
+            cols += [self.magnitudes.setdefault(e, []) for e in exprs]
+        memos = {}  # start of a tail -> (its points, value memo, magnitude memo)
+        for k, col in enumerate(cols):
+            start = len(col)
+            if start < n:
+                points, values, mags = memos.setdefault(start, (self.points[start:n], {}, {}))
+                e = exprs[k % len(exprs)]
+                col += (evaluate_column(e, points, values) if k < len(exprs)
+                        else magnitude_column(e, points, mags, values))
+                _CACHED_VALUES += n - start
+        return cols
 
-    def scan(self, e: Expr, idx):
-        """The cached ``evaluate(e, point i)`` for i in idx, lazily."""
-        col = self.column(e)
-        for i in idx:
-            yield _at(self, evaluate, e, col, i)
-
-
-def _at(ps: PointSet, fn, e: Expr, col: list, i):
-    """The cached col[i], computed by fn(e, point i) when missing."""
-    v = col[i] if i < len(col) else None
-    return ps.fill(fn, e, col, i) if v is None else v
+    def scan(self, exprs, idx):
+        """The values of exprs at each point index of idx (ascending), a tuple
+        per index, read from columns filled in one pass; reading an index
+        past the end of the stream raises SamplerExhausted."""
+        if not idx:
+            return
+        cols = self.columns(exprs, idx[-1] + 1)
+        drawn = [i for i in idx if i < len(self.points)]
+        yield from zip(*([col[i] for i in drawn] for col in cols)) if cols else [()] * len(drawn)
+        if len(drawn) < len(idx):
+            self.point(idx[len(drawn)])  # past the end of the stream: raises
 
 
 # One point set per stream key: (seed, symbols, domains) for a plain sampler,
@@ -243,28 +284,35 @@ def _admissible(v) -> bool:
 
 def _vanish(exprs, sp: Sampler, syms) -> bool:
     """Joint relative zero test at the first ``sp.samples`` points where
-    every expression is admissible (points are tried in stream order)."""
+    every expression is admissible (points are tried in stream order).
+
+    The first block of columns is one point, so a nonzero expression costs
+    one point; each later block is as long as the points still wanted."""
     ps = point_set(sp, syms)
-    cols = [(e, ps.column(e), ps.column(e, ps.magnitudes)) for e in exprs]
     budget = sp.max_resamples + sp.samples
-    count = 0
-    for i in itertools.count():
-        if budget <= 0:
+    count = i = 0
+    end = 1
+    while True:
+        cols = ps.columns(exprs, end, magnitudes=True)
+        pairs = list(zip(cols[:len(exprs)], cols[len(exprs):]))
+        for k in range(i, min(end, len(ps.points))):
+            for vals, mags in pairs:
+                v = vals[k]
+                if not _admissible(v):
+                    break
+                m = mags[k]
+                if isinstance(m, EvalError):
+                    break
+                if abs(v) > sp.tol * (1.0 + m):
+                    return False
+            else:
+                count += 1
+                if count == sp.samples:
+                    return True
+        ps.point(end - 1)  # raises where the stream ended within the block
+        if end == budget:
             raise SamplerExhausted("expressions undefined on the sampling domain")
-        budget -= 1
-        for e, vals, mags in cols:
-            v = _at(ps, evaluate, e, vals, i)
-            if not _admissible(v):
-                break
-            m = _at(ps, magnitude, e, mags, i)
-            if isinstance(m, EvalError):
-                break
-            if abs(v) > sp.tol * (1.0 + m):
-                return False
-        else:
-            count += 1
-            if count == sp.samples:
-                return True
+        i, end = end, min(end + sp.samples - count, budget)
 
 
 def is_zero_generic(e: Expr, sp: Sampler) -> bool:
@@ -377,34 +425,37 @@ class MatrixSampler:
 
     def admissible(self):
         """The point set and the indices of its first ``samples`` points at
-        which every entry is admissible, within the resampling budget."""
+        which every entry is admissible, within the resampling budget.
+
+        Columns are filled a block at a time, each as long as the points
+        still wanted."""
         want = self.sp.samples
         ps = point_set(self.sp, self.syms)
-        cols = [(e, ps.column(e)) for e in self.entries]
+        if not self.entries:
+            return ps, list(range(want))
         out = []
         budget = self.sp.max_resamples + want
-        for i in itertools.count():
-            if budget <= 0:
+        i = 0
+        while True:
+            end = min(i + want - len(out), budget)
+            cols = ps.columns(self.entries, end)
+            bad = {k for col in cols for k, v in enumerate(col[i:end], i)  # _admissible, inlined
+                   if type(v) is not float or not -_HUGE <= v <= _HUGE}
+            out += [k for k in range(i, min(end, len(ps.points))) if k not in bad]
+            if len(out) == want:
+                return ps, out
+            ps.point(end - 1)  # raises where the stream ended within the block
+            if end == budget:
                 raise SamplerExhausted(
                     f"no {want} admissible points within {self.sp.max_resamples} resamples"
                 )
-            budget -= 1
-            for e, col in cols:  # _at and _admissible, inlined: the hot loop
-                v = col[i] if i < len(col) else None
-                if v is None:
-                    v = ps.fill(evaluate, e, col, i)
-                if not (type(v) is float and -_HUGE <= v <= _HUGE):
-                    break
-            else:
-                out.append(i)
-                if len(out) == want:
-                    return ps, out
+            i = end
 
     def stack(self):
         """(points, values): the admissible points and the (K, r, c) stack
         of the matrix evaluated at them."""
         ps, idx = self.admissible()
-        by_entry = np.array([[col[i] for i in idx] for col in map(ps.column, self.entries)],
+        by_entry = np.array([[col[i] for i in idx] for col in ps.columns(self.entries, idx[-1] + 1)],
                             dtype=float)
         values = by_entry[self.where].T.reshape(len(idx), *self.shape)
         return [ps.point(i) for i in idx], values

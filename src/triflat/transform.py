@@ -371,7 +371,7 @@ def _check_step_inverse(stage: Stage, defs, inverse, sp: Sampler, note=""):
     exprs = [*(substitute(inverse[x], dict(defs)) for x in frame), *(f for _new, f in defs)]
     ps = point_set(_image(stage, sp), ())
     seen = 0
-    for k, vals in enumerate(zip(*(ps.scan(e, range(20)) for e in exprs))):
+    for k, vals in enumerate(ps.scan(exprs, range(20))):
         if any(isinstance(v, EvalError) for v in vals):
             continue
         pt = ps.point(k)
@@ -423,26 +423,28 @@ def verify_transformation(
     img = _mapped(sp, {*frame, *original.input_syms, *original.params}, maps)
     ps = point_set(replace(img, base_points=sp.max_resamples + 20), ())
     rows = zip(result.drift.components, result.b1.components, result.b2.components)
-    scans = [ps.scan(e, itertools.count()) for row in rows for e in row]
-    checked = 0
+    exprs = [e for row in rows for e in row]
+    checked = k = 0
     try:
-        for k, vals in enumerate(zip(*scans)):
-            pt = ps.point(k)
-            u1, u2 = (pt[key] for key in ukeys)
-            xdot = [pt[a] + pt[b] * u1 + pt[c] * u2 for a, b, c in fkeys]
-            v1, v2 = (pt[v] for v in result.input_syms)
-            for i, row in enumerate(jkeys):
-                dr, b1, b2 = vals[3 * i:3 * i + 3]
-                if any(isinstance(v, EvalError) for v in (dr, b1, b2)):
-                    break
-                lhs = sum(pt[key] * xdot[j] for j, key in enumerate(row))
-                rhs = dr + b1 * v1 + b2 * v2
-                if not abs(lhs - rhs) <= tol * (1.0 + abs(lhs) + abs(rhs)):
-                    return False
-            else:
-                checked += 1
-                if checked == 20:
-                    return True
+        while True:  # blocks of as many points as are still wanted
+            for vals in ps.scan(exprs, range(k, k + 20 - checked)):
+                pt = ps.point(k)
+                k += 1
+                u1, u2 = (pt[key] for key in ukeys)
+                xdot = [pt[a] + pt[b] * u1 + pt[c] * u2 for a, b, c in fkeys]
+                v1, v2 = (pt[v] for v in result.input_syms)
+                for i, row in enumerate(jkeys):
+                    dr, b1, b2 = vals[3 * i:3 * i + 3]
+                    if EvalError in map(type, (dr, b1, b2)):
+                        break
+                    lhs = sum(pt[key] * xdot[j] for j, key in enumerate(row))
+                    rhs = dr + b1 * v1 + b2 * v2
+                    if not abs(lhs - rhs) <= tol * (1.0 + abs(lhs) + abs(rhs)):
+                        return False
+                else:
+                    checked += 1
+                    if checked == 20:
+                        return True
     except SamplerExhausted:
         pass
     raise PipelineError("verification could not sample admissible points")
@@ -462,7 +464,8 @@ class _Image(Sampler):
     printed map reads an image too.  Point i is the image of the i-th base
     point at which every map evaluates.  The stream ends after ``base_points``
     base points if set, or once more than ``max_resamples`` have failed; a
-    read past its end raises SamplerExhausted.
+    read past its end raises SamplerExhausted.  The maps are evaluated a
+    block of base points at a time, as many as a map check reads.
     """
 
     base: Sampler = None
@@ -477,14 +480,18 @@ class _Image(Sampler):
     def point_stream(self, syms):
         ps = point_set(self.base, self.base_syms)
         names, exprs = zip(*self.maps)
-        failed = 0  # one scan per map looks its column up once, not at every point
-        scans = zip(*(ps.scan(e, itertools.count()) for e in exprs))
-        for vals in itertools.islice(scans, self.base_points):
-            if not any(isinstance(v, EvalError) for v in vals):
-                yield dict(zip(names, vals))
-                continue
-            failed += 1
-            if failed > self.max_resamples:
+        block, stop = max(self.samples, 20), self.base_points
+        failed = 0
+        for start in itertools.count(0, block):
+            end = start + block if stop is None else min(start + block, stop)
+            for vals in ps.scan(exprs, range(start, end)):
+                if EvalError not in map(type, vals):
+                    yield dict(zip(names, vals))
+                    continue
+                failed += 1
+                if failed > self.max_resamples:
+                    return
+            if end == stop:
                 return
 
 
@@ -770,7 +777,7 @@ def _introduce(stage: Stage, sp: Sampler, new: str, rhs: Expr, candidates, note:
     if scored:
         ps = point_set(img, ())
         target = max(kept, key=lambda x: _score(
-            ps, differentiate(rhs, x), range(img.samples)))
+            vals[0] for vals in ps.scan([differentiate(rhs, x)], range(img.samples))))
     blocks = {**stage.blocks, **updates,
               "q": [new if s == target else s for s in stage.blocks["q"]],
               "rear": [x for x in stage.blocks["rear"] if x != target]}

@@ -5,7 +5,8 @@ pair, the equal-chain template, disguised generated instances), the
 feedback and span helpers, the symbolic h-method pairing, the symbolic
 annihilated distribution and closure test serve as known inputs and
 oracles, :func:`instance_digest` fingerprints an instance's outputs, and
-:func:`counting` counts calls into the package; the
+:func:`counting` counts calls into the package and :func:`magnitude` is
+the per-point scale reference of the zero tests; the
 bundled systems themselves are loaded from ``src/triflat/corpus/*.sys``
 (see ``conftest.py``).
 """
@@ -35,10 +36,10 @@ from triflat.diffgeo import (
     pruned,
 )
 from triflat.direction_search import _normalized_candidate, compute_bracket_chain, h_distribution
-from triflat.errors import TriflatError
+from triflat.errors import EvalError, TriflatError
 from triflat.expr import (
-    ONE, ZERO, Add, Call, Mul, Pow, Rat, Sym, add, free_symbols, mul, neg, sub, substitute,
-    to_str,
+    ONE, ZERO, Add, Call, Mul, Pow, Rat, Sym, add, evaluate, free_symbols, mul, neg, sub,
+    substitute, to_str,
 )
 from triflat.elimination import clear_denominators, nullspace
 from triflat.fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
@@ -406,6 +407,31 @@ def counting(module, name):
     finally:
         for m in bound:
             setattr(m, name, original)
+
+
+def magnitude(e, point) -> float:
+    """Evaluation with all cancellations disabled, point by point: the
+    oracle of the zero tests' scale reference (``sampling.magnitude_column``)."""
+    if isinstance(e, (Rat, Sym)):
+        return abs(evaluate(e, point))
+    if isinstance(e, Add):
+        return sum(magnitude(t, point) for t in e.terms)
+    if isinstance(e, Mul):
+        out = 1.0
+        for f in e.factors:
+            out *= magnitude(f, point)
+        return out
+    if isinstance(e, Pow):
+        b = magnitude(e.base, point)
+        if b == 0.0 and e.exponent < 0:
+            raise EvalError("division", "division by zero")
+        try:
+            return b ** float(e.exponent)
+        except OverflowError:
+            raise EvalError("domain", "overflow") from None
+    if isinstance(e, Call):
+        return abs(evaluate(e, point)) + 1.0
+    raise TypeError(type(e))
 
 
 def scale(field: VectorField, factor) -> VectorField:

@@ -148,8 +148,9 @@ def test_scan_finds_a_reference():
 
 def test_only_the_sampling_layer_evaluates():
     # every numeric value is read through a PointSet, whose columns evaluate
-    evaluators = {p.name: references(p.read_text(), "evaluate") for p in MODULES}
-    assert {name for name, lines in evaluators.items() if lines} == {"expr.py", "sampling.py"}
+    for evaluator in ("evaluate", "evaluate_column"):
+        evaluators = {p.name: references(p.read_text(), evaluator) for p in MODULES}
+        assert {name for name, lines in evaluators.items() if lines} == {"expr.py", "sampling.py"}
 
 
 ZERO_TESTS = ("is_zero_generic", "all_zero_generic")

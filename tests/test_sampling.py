@@ -3,25 +3,33 @@
 import json
 import math
 import os
+import struct
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from triflat import sampling
+from triflat import expr, sampling
 from triflat.cli import main
 from triflat.errors import EvalError, SamplerExhausted
-from triflat.expr import Rat, Sym, add, evaluate, free_symbols, mul
+from triflat.expr import (
+    FUNCTIONS, Add, Call, Mul, Pow, Rat, Sym, add, evaluate, evaluate_column, free_symbols, mul,
+)
 from triflat.parser import parse_expr
 from triflat.sampling import (
     MatrixSampler,
     Sampler,
     all_zero_generic,
     is_zero_generic,
-    magnitude,
     nullspaces,
     numeric_rank,
     ranks,
 )
+
+from reference import counting, magnitude
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
 
@@ -262,3 +270,128 @@ def test_undefined_constant_exhausts_both_zero_tests(text):
 def test_sampler_domains_are_finite_intervals(kwargs):
     with pytest.raises(ValueError):
         Sampler(**kwargs)
+
+
+# --- column evaluation against the per-point oracles ----------------------------
+
+def per_point(fn, e, points):
+    """fn(e, p) at each point, the EvalError it raises standing as the value."""
+    out = []
+    for p in points:
+        try:
+            out.append(fn(e, p))
+        except EvalError as err:
+            out.append(err)
+    return out
+
+
+def assert_same_values(got, ref):
+    """Floats equal bit for bit, EvalErrors of the same kind and message."""
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        if isinstance(r, EvalError):
+            assert isinstance(g, EvalError) and (g.kind, str(g)) == (r.kind, str(r))
+        else:
+            assert type(g) is float and struct.pack("<d", g) == struct.pack("<d", r)
+
+
+# x, y and z are bound at every point, q never; 1e308 overflows powers, sums
+# and products (inf, then 0 * inf = nan), 0.0 divides and negative values
+# leave the domains of roots, log and arcsin
+POINTS = [dict(zip("xyz", values)) for values in [
+    (0.0, 1.5, -2.0), (-1.5, 0.5, 1e308), (1e308, 1e308, 0.0), (0.25, -0.5, 3.0),
+    (-1e308, 2.0, 0.75), (1.0, 0.0, -0.0),
+]]
+TREE_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+tree_leaves = st.one_of(
+    st.sampled_from([Sym(n) for n in "xyzq"]),
+    st.sampled_from([0, 1, -1, 2, Fraction(-3, 4), Fraction(1, 3), 10**400]).map(Rat),
+)
+
+
+def _tree_nodes(children):
+    pair = st.lists(children, min_size=2, max_size=3)
+    exponents = st.sampled_from([-2, -1, 2, 3, 1000, Fraction(1, 2), Fraction(-1, 2),
+                                 Fraction(2, 3), Fraction(-5, 3)])
+    return st.one_of(
+        pair.map(Add), pair.map(Mul),
+        st.builds(Pow, children, exponents),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), children),
+    )
+
+
+trees = st.recursive(tree_leaves, _tree_nodes, max_leaves=10)
+
+
+@TREE_SETTINGS
+@given(st.lists(trees, min_size=1, max_size=3))
+def test_columns_equal_per_point_evaluation(exprs):
+    # one memo across the expressions, as a point set shares it
+    values, mags = {}, {}
+    for e in exprs:
+        assert_same_values(evaluate_column(e, POINTS, values), per_point(evaluate, e, POINTS))
+        assert_same_values(sampling.magnitude_column(e, POINTS, mags, values),
+                           per_point(magnitude, e, POINTS))
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("1/x", "division"), ("sqrt(x - 1)", "domain"), ("log(y - 1)", "domain"),
+    ("arcsin(z)", "domain"), ("z^1000", "domain"), ("x + y", "domain"),
+    ("10^400*x", "domain"), ("x + q", "domain"),
+])
+def test_each_failure_is_a_column_value(text, kind):
+    e = parse_expr(text)
+    got, ref = evaluate_column(e, POINTS, {}), per_point(evaluate, e, POINTS)
+    assert_same_values(got, ref)
+    assert any(isinstance(v, EvalError) and v.kind == kind for v in got)
+
+
+def test_zero_times_infinity_is_nan_in_a_column():
+    e = Mul((Sym("x"), Sym("y"), Sym("z")))  # 1e308 * 1e308 * 0.0 at point 2
+    got = evaluate_column(e, POINTS, {})
+    assert_same_values(got, per_point(evaluate, e, POINTS))
+    assert math.isnan(got[2])
+
+
+@pytest.mark.parametrize("name", ["sqrt.sys", "academic10.sys"])
+def test_corpus_columns_equal_per_point_evaluation(capsys, monkeypatch, tmp_path, name):
+    # every column check and transform compute, kept by a limit they never reach
+    sampling.clear_caches()
+    monkeypatch.setattr(sampling, "_VALUE_LIMIT", math.inf)
+    path = os.path.join(CORPUS, name)
+    assert main(["check", path]) == 0
+    assert main(["transform", path, "--save", str(tmp_path / "map.json")]) == 0
+    capsys.readouterr()
+    compared = 0
+    for ps in sampling._POINT_SETS.values():
+        for table, fn in ((ps.values, evaluate), (ps.magnitudes, magnitude)):
+            for e, col in table.items():
+                assert_same_values(col, per_point(fn, e, ps.points[:len(col)]))
+                compared += len(col)
+    assert compared > 1000
+
+
+def test_check_and_verify_read_values_by_column_alone(capsys, monkeypatch, tmp_path):
+    # per-point evaluate is left to the constant expressions of all_zero_generic
+    callers = []
+    original = sampling.evaluate
+
+    def traced(e, point):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "<genexpr>":
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return original(e, point)
+
+    path, saved = os.path.join(CORPUS, "vtol.sys"), str(tmp_path / "map.json")
+    assert main(["transform", path, "--save", saved]) == 0
+    sampling.clear_caches()
+    monkeypatch.setattr(sampling, "evaluate", traced)
+    with counting(expr, "evaluate_column") as columns:
+        assert main(["check", path]) == 0
+        sampling.clear_caches()
+        assert main(["verify", path, "--transform", saved]) == 0
+    capsys.readouterr()
+    assert set(callers) <= {"all_zero_generic"}
+    assert columns

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from triflat import triform
+from triflat import cli, transform, triform
 from triflat.cli import main
 from triflat.sysfile import SysFileError, load_sysfile, parse_sysfile
 
@@ -457,3 +457,35 @@ def test_cli_flat_output_stops_at_the_first_passing_candidate(capsys, command, c
     if command == "check":
         assert [r["verdict"] for r in json.loads(capsys.readouterr().out)["reports"]] \
             == [True, False]
+
+
+@pytest.mark.parametrize("command", ["check", "flat-output", "transform", "verify"])
+def test_cli_one_command_parser_reads_as_the_full_parser(capsys, monkeypatch, command):
+    argvs = [[command, "--help"], [command], [command, "f.sys", "--bogus"],
+             [command, "f.sys", "--seed", "x"], [command, "f.sys", "--evidence"]]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    own = [run(argv) for argv in argvs]
+    (subparsers,) = cli.build_parser(command)._subparsers._group_actions
+    assert list(subparsers.choices) == [command]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert [run(argv) for argv in argvs] == own
+
+
+@pytest.mark.parametrize("target", ["<dir>", "<dir>/missing/map.json"],
+                         ids=["directory", "missing-parent"])
+def test_cli_save_path_fails_before_the_transform(capsys, tmp_path, target):
+    path = target.replace("<dir>", str(tmp_path))
+    with pytest.raises(OSError) as failed:
+        open(path, "w")
+    with counting(transform, "transform_to_triangular") as calls:
+        code = main(["transform", corpus("sqrt.sys"), "--save", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err) == {"error": str(failed.value)}
+    assert calls == []
