@@ -102,7 +102,8 @@ def _in_span(rows, extras, frame, sp: Sampler) -> list:
         base = MatrixSampler(rows, frame, sp)
         ps, idx = base.admissible()
         inside = [e for row in extras for e in row if _free_symbols(e) <= base.syms]
-        ok = {e: all(map(_admissible, vals)) for e, vals in zip(inside, zip(*ps.scan(inside, idx)))}
+        ok = {e: all(map(_admissible, vals))
+              for e, vals in zip(inside, zip(*ps.scan(inside, idx)))}
         moved = [not all(ok.get(e, False) for e in row) for row in extras]
         if any(moved):
             rest = iter(_in_span(rows, [e for e, m in zip(extras, moved) if not m], frame, sp))

@@ -478,8 +478,8 @@ def evaluate_column(e, points, memo):
         except OverflowError:
             col = [EvalError("domain", "constant beyond float range")] * len(points)
     elif isinstance(e, Sym):
-        col = [float(p[e.name]) if e.name in p else EvalError("domain", f"unbound symbol {e.name!r}")
-               for p in points]
+        col = [float(p[e.name]) if e.name in p
+               else EvalError("domain", f"unbound symbol {e.name!r}") for p in points]
     elif isinstance(e, Add):
         col = _combine(_fsum, [evaluate_column(t, points, memo) for t in e.terms])
     elif isinstance(e, Mul):  # math.prod multiplies 1 by each factor in turn, as evaluate does

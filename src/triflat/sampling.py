@@ -455,8 +455,8 @@ class MatrixSampler:
         """(points, values): the admissible points and the (K, r, c) stack
         of the matrix evaluated at them."""
         ps, idx = self.admissible()
-        by_entry = np.array([[col[i] for i in idx] for col in ps.columns(self.entries, idx[-1] + 1)],
-                            dtype=float)
+        cols = ps.columns(self.entries, idx[-1] + 1)
+        by_entry = np.array([[col[i] for i in idx] for col in cols], dtype=float)
         values = by_entry[self.where].T.reshape(len(idx), *self.shape)
         return [ps.point(i) for i in idx], values
 
