@@ -1,19 +1,26 @@
 """Lie brackets, flags, Cauchy characteristics, annihilators.
 
 Rank and membership questions are decided numerically at generic sample
-points (:func:`kernel_within` among them), and so are the questions about
-Cauchy characteristics: whether they span a given distribution, whether the
-drift keeps them inside theirs, and which forms annihilate them
-(:func:`characteristics_span`, :func:`drift_compatible`,
-:func:`annihilates_characteristics`) come from sampled values of a basis and
-its brackets, with no symbolic elimination.  Symbolic elimination
-(:func:`annihilator`, :func:`cauchy_characteristics`) runs only where the
-symbolic forms and fields are an output, and each symbolic result is
-re-checked numerically.  Sample points where a matrix drops below its
-modal rank are treated as non-generic and discarded.
+points (:func:`kernel_within` among them).  A bracket that only feeds such a
+question is never built symbolically: :func:`bracket_values` samples the
+fields and their first partials in one stack and takes the value of
+[v, w] = Dw v - Dv w at each point.  Involutivity and the questions about
+Cauchy characteristics are decided that way: whether they span a given
+distribution, whether the drift keeps them inside theirs, and which forms
+annihilate them (:func:`is_involutive`, :func:`characteristics_span`,
+:func:`drift_compatible`, :func:`annihilates_characteristics`) come from
+sampled values of a basis and its brackets, with no symbolic elimination.
+:func:`lie_bracket` builds a bracket only where it becomes a flag member
+or is eliminated symbolically.  Symbolic elimination (:func:`annihilator`,
+:func:`cauchy_characteristics`) runs only where the symbolic forms and
+fields are an output, and each symbolic result is re-checked numerically.
+Sample points where a matrix drops below its modal rank are treated as
+non-generic and discarded.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -25,11 +32,26 @@ from .sampling import MatrixSampler, Sampler, all_zero_generic, nullspaces, rank
 from .sampling import _admissible, _free_symbols, _svd_ranks
 from .simplify import simplify
 
-_BRACKET_MEMO: dict = {}
+_BRACKET_MEMO: dict = {}  # (frame, v, w) -> [v, w], for the brackets lie_bracket builds
+_PARTIALS_MEMO: dict = {}  # (frame, components) -> rows of raw first partials
+_MEMO_LIMIT = 50_000
+
+
+def _remember(memo, key, value):
+    """memo[key] = value; both memos are dropped together once they hold
+    more than _MEMO_LIMIT entries."""
+    if len(_BRACKET_MEMO) + len(_PARTIALS_MEMO) > _MEMO_LIMIT:
+        _BRACKET_MEMO.clear()
+        _PARTIALS_MEMO.clear()
+    memo[key] = value
+    return value
 
 
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
-    """[v, w]^i = v^j d_j w^i - w^j d_j v^i, simplified componentwise."""
+    """[v, w]^i = v^j d_j w^i - w^j d_j v^i, simplified componentwise.
+
+    d_j c is taken only where x_j is a symbol of c; the others vanish, so
+    the terms, and the normal form, are those of the full sum."""
     if v.frame != w.frame:
         raise FrameMismatch("bracket of fields on different frames")
     memo_key = (v.frame, v.components, w.components)
@@ -37,24 +59,69 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     if hit is not None:
         return hit
     frame = v.frame
+    v_on = [c != ZERO for c in v.components]
+    w_on = [c != ZERO for c in w.components]
     comps = []
-    for i in range(len(frame)):
+    for vi, wi in zip(v.components, w.components):
+        v_syms, w_syms = _free_symbols(vi), _free_symbols(wi)
         terms = []
         for j, xj in enumerate(frame):
-            if v.components[j] != ZERO:
-                dw = derivative(w.components[i], xj)
+            if v_on[j] and xj in w_syms:
+                dw = derivative(wi, xj)
                 if dw != ZERO:
                     terms.append(mul(v.components[j], dw))
-            if w.components[j] != ZERO:
-                dv = derivative(v.components[i], xj)
+            if w_on[j] and xj in v_syms:
+                dv = derivative(vi, xj)
                 if dv != ZERO:
                     terms.append(mul(neg(w.components[j]), dv))
         comps.append(simplify(add(*terms)) if terms else ZERO)
-    out = VectorField(frame, tuple(comps))
-    if len(_BRACKET_MEMO) > 50_000:
-        _BRACKET_MEMO.clear()
-    _BRACKET_MEMO[memo_key] = out
-    return out
+    return _remember(_BRACKET_MEMO, memo_key, VectorField(frame, tuple(comps)))
+
+
+def _partials(f: VectorField) -> list:
+    """The rows [d_1 f^i, ..., d_n f^i] of raw partials (no normalization),
+    ZERO where f^i does not hold the symbol."""
+    key = (f.frame, f.components)
+    hit = _PARTIALS_MEMO.get(key)
+    if hit is None:
+        hit = _remember(_PARTIALS_MEMO, key, [
+            [derivative(c, x) if x in _free_symbols(c) else ZERO for x in f.frame]
+            for c in f.components
+        ])
+    return hit
+
+
+def bracket_values(frame, fields, pairs, sp: Sampler, extra_rows=()):
+    """Values at generic points of the fields, of [fields[i], fields[j]] for
+    each (i, j) of pairs, and of extra_rows (rows of expressions).
+
+    One stack of the fields, their first partials and extra_rows is sampled;
+    one einsum gives every product D f_a(p) f_b(p), and [v, w] = Dw v - Dv w.
+    Returns (F, brackets, X): the (K, m, n) values of the m fields, the
+    (K, len(pairs), n) bracket values and the (K, e, n) values of extra_rows
+    at the K admissible points.
+    """
+    m, n = len(fields), len(frame)
+    rows = [list(f.components) for f in fields]
+    for f in fields:
+        rows += _partials(f)
+    _points, stack = MatrixSampler(rows + list(extra_rows), frame, sp).stack()
+    F = stack[:, :m]
+    J = stack[:, m : m + m * n].reshape(len(stack), m, n, n)  # J[k, a, i, j] = d_j f_a^i (p_k)
+    JF = np.einsum("kaij,kbj->kabi", J, F)
+    v = [i for i, _j in pairs]
+    w = [j for _i, j in pairs]
+    return F, JF[:, w, v] - JF[:, v, w], stack[:, m + m * n :]
+
+
+def _spanned(base, extra, tol) -> bool:
+    """Whether the rows of the (K, e, n) stack extra lie in the span of the
+    (K, r, n) stack base: over the points where [base; extra] attains its
+    modal rank, the base must reach that rank (:func:`_in_span`'s rule, for
+    all extra rows at once)."""
+    full = ranks(np.concatenate([base, extra], axis=1), tol)
+    top = full.max()
+    return bool(ranks(base[full == top], tol).max() == top)
 
 
 def ad_iter(a: VectorField, k: int, w: VectorField) -> VectorField:
@@ -219,9 +286,20 @@ def flag(D: Distribution, step, sp: Sampler):
 
 
 def is_involutive(D: Distribution, sp: Sampler) -> bool:
+    """Whether the brackets of D's generic basis lie in its span, from one
+    rank test per point of [basis; brackets] against the basis."""
     b = basis(D, sp)
-    brackets = [lie_bracket(b[i], b[j]) for i in range(len(b)) for j in range(i + 1, len(b))]
-    return all(span_contains(Distribution(D.frame, b), brackets, sp))
+    if len(b) < 2:
+        return True
+    B, brackets, _ = bracket_values(D.frame, b, list(combinations(range(len(b)), 2)), sp)
+    return _spanned(B, brackets, sp.tol)
+
+
+def drift_extension_rank(D: Distribution, fields, a: VectorField, sp: Sampler) -> int:
+    """Generic rank of D + [a, fields], from sampled bracket values."""
+    pairs = [(len(fields), j) for j in range(len(fields))]
+    _F, brackets, rows = bracket_values(D.frame, list(fields) + [a], pairs, sp, D.matrix_rows())
+    return int(ranks(np.concatenate([rows, brackets], axis=1), sp.tol).max())
 
 
 # --- annihilators and characteristics ----------------------------------------
@@ -294,39 +372,47 @@ def cauchy_characteristics(D: Distribution, sp: Sampler) -> Distribution:
             )
         fields.append(VectorField(frame, tuple(comps)))
     C = pruned(Distribution(frame, fields), sp)
-    for c in C.fields:
-        if not contains_generic(D, c, sp):
+    if C.fields:
+        k, r = len(C.fields), len(b)
+        pairs = [(i, k + j) for i in range(k) for j in range(r)]
+        F, brackets, _ = bracket_values(frame, list(C.fields) + b, pairs, sp)
+        if not _spanned(F[:, k:], F[:, :k], sp.tol):
             raise EliminationError("characteristic field escapes the distribution")
-        for v in b:
-            if not contains_generic(D, lie_bracket(c, v), sp):
-                raise EliminationError("characteristic condition fails numerically")
+        if not _spanned(F[:, k:], brackets, sp.tol):
+            raise EliminationError("characteristic condition fails numerically")
     return C
 
 
-def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=()):
+def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=(), drift=None):
     """Cauchy characteristics of D at generic points, with no elimination.
 
     Take a generic basis b_1..b_r of D and the annihilator W_p of
     B_p = (b_j(p)).  The field c = sum_j lam_j b_j is characteristic exactly
     when lam lies in the null space of M_p[(i, w), j] = w . [b_j, b_i](p):
-    the terms b_i(lam_j) b_j of [c, b_i] drop out because w(b_j) = 0.  One
-    stack of [basis; pairwise brackets; extra_rows] is sampled, and points
-    where B_p or M_p falls below its modal rank are dropped.
+    the terms b_i(lam_j) b_j of [c, b_i] drop out because w(b_j) = 0.  The
+    basis, its pairwise brackets and extra_rows come from one
+    :func:`bracket_values` stack, and points where B_p or M_p falls below
+    its modal rank are dropped.
 
     Returns (B, lam, X) at the kept points: the (K, r, n) basis values, the
     (K, k, r) orthonormal rows spanning the null space of each M_p, and the
-    (K, m, n) values of extra_rows.
+    (K, m, n) values of extra_rows, or with a drift a, of [a, b_j] from the
+    same stack.
     """
     b = basis(D, sp)
     r, n = len(b), len(D.frame)
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    rows = [f.components for f in b] + [lie_bracket(b[i], b[j]).components for i, j in pairs]
-    _points, stack = MatrixSampler(rows + list(extra_rows), D.frame, sp).stack()
-    rank_b, ann = nullspaces(stack[:, :r], sp.tol)
+    pairs = list(combinations(range(r), 2))
+    if drift is None:
+        B, brackets, X = bracket_values(D.frame, b, pairs, sp, extra_rows)
+    else:  # X holds [a, b_j]
+        both = pairs + [(r, j) for j in range(r)]
+        F, brackets, _ = bracket_values(D.frame, b + [drift], both, sp)
+        B, brackets, X = F[:, :r], brackets[:, : len(pairs)], brackets[:, len(pairs) :]
+    rank_b, ann = nullspaces(B, sp.tol)
     kept = np.flatnonzero(rank_b == r)
-    stack = stack[kept]
+    B, brackets, X = B[kept], brackets[kept], X[kept]
     W = np.stack([ann[i] for i in kept])  # (K, n - r, n)
-    paired = W @ stack[:, r : r + len(pairs)].transpose(0, 2, 1)  # w . [b_i, b_j]
+    paired = W @ brackets.transpose(0, 2, 1)  # w . [b_i, b_j]
     M = np.zeros((len(kept), r, n - r, r))
     for q, (i, j) in enumerate(pairs):
         M[:, i, :, j] = -paired[:, :, q]
@@ -334,7 +420,7 @@ def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=()):
     rank_m, lam = nullspaces(M.reshape(len(kept), r * (n - r), r), sp.tol)
     kept = np.flatnonzero(rank_m == rank_m.max())
     lam = np.stack([lam[i] for i in kept])
-    return stack[kept, :r], lam, stack[kept, r + len(pairs) :]
+    return B[kept], lam, X[kept]
 
 
 def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
@@ -391,7 +477,6 @@ def drift_compatible(D: Distribution, a: VectorField, sp: Sampler) -> bool:
     [a, sum_j lam_j b_j] = sum_j lam_j [a, b_j] modulo D, so the test is
     pointwise too.
     """
-    b = basis(D, sp)
-    B, lam, X = _characteristics_at(D, sp, [lie_bracket(a, f).components for f in b])
+    B, lam, X = _characteristics_at(D, sp, drift=a)
     grown = np.concatenate([B, lam @ X], axis=1)
-    return bool((ranks(grown, sp.tol) == len(b)).all())
+    return bool((ranks(grown, sp.tol) == B.shape[1]).all())

@@ -19,6 +19,7 @@ from .diffgeo import (
     characteristics_span,
     derived_step,
     drift_compatible,
+    drift_extension_rank,
     drift_step,
     extend,
     flag,
@@ -159,9 +160,8 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
         report.g_chain = [report.closure]
     else:
         coupling_src = flags[n2 - 3] if n2 >= 3 else delta1
-        extension = [lie_bracket(a, f) for f in basis(coupling_src, sp)]
-        grown = pruned(extend(report.closure, extension), sp)
-        coupling = generic_rank(grown, sp) == ranks[-1] + 1
+        extended = drift_extension_rank(report.closure, basis(coupling_src, sp), a, sp)
+        coupling = extended == ranks[-1] + 1
         if not coupling:
             _fail(report, "(c) coupling rank condition fails")
         report.items["c"] = compat and coupling

@@ -3,10 +3,10 @@
 The parametric systems (chained forms at any size, the double integrator
 pair, the equal-chain template, disguised generated instances), the
 feedback and span helpers, the symbolic h-method pairing, the symbolic
-annihilated distribution and closure test serve as known inputs and
-oracles, :func:`instance_digest` fingerprints an instance's outputs, and
-:func:`counting` counts calls into the package and :func:`magnitude` is
-the per-point scale reference of the zero tests; the
+annihilated distribution, closure and involutivity tests serve as known
+inputs and oracles, :func:`instance_digest` fingerprints an instance's
+outputs, and :func:`counting` counts calls into the package and
+:func:`magnitude` is the per-point scale reference of the zero tests; the
 bundled systems themselves are loaded from ``src/triflat/corpus/*.sys``
 (see ``conftest.py``).
 """
@@ -33,7 +33,9 @@ from triflat.diffgeo import (
     derived_step,
     differential,
     generic_rank,
+    lie_bracket,
     pruned,
+    span_contains,
 )
 from triflat.direction_search import _normalized_candidate, compute_bracket_chain, h_distribution
 from triflat.errors import EvalError, TriflatError
@@ -299,6 +301,15 @@ def is_closed(w: OneForm, sp: Sampler) -> bool:
         for (xi, ci), (xj, cj) in itertools.combinations(zip(w.frame, w.coefficients), 2)
     ]
     return all_zero_generic(residuals, sp, extra_syms=w.frame)
+
+
+def is_involutive_symbolic(D: Distribution, sp: Sampler) -> bool:
+    """Involutivity from symbolic brackets: each pairwise lie_bracket of D's
+    generic basis must lie in its span (the rule before brackets were
+    sampled)."""
+    b = basis(D, sp)
+    brackets = [lie_bracket(v, w) for v, w in itertools.combinations(b, 2)]
+    return all(span_contains(Distribution(D.frame, b), brackets, sp))
 
 
 def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler) -> bool:

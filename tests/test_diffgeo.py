@@ -10,6 +10,7 @@ from triflat.diffgeo import (
     ad_iter,
     annihilator,
     basis,
+    bracket_values,
     cauchy_characteristics,
     characteristics_span,
     contains_generic,
@@ -99,11 +100,17 @@ def test_bracket_chained_fields_matches_hand_expansion():
 
 
 def test_bracket_matches_finite_differences_random():
+    """The symbolic bracket against finite differences at a random point, and
+    the sampled bracket values against the symbolic bracket at the sample
+    points, sampled in the same stack."""
     rng = random.Random(9)
     frame = ("x", "y", "z")
-    for _ in range(5):
-        v = _random_poly_field(rng, frame)
-        w = _random_poly_field(rng, frame)
+    pairs = [(_random_poly_field(rng, frame), _random_poly_field(rng, frame)) for _ in range(5)]
+    root = VectorField.from_dict(frame, {"x": parse_expr("sqrt(x*y + 1)"), "y": Sym("z")})
+    trig = VectorField.from_dict(
+        frame, {"x": parse_expr("sin(y)"), "y": parse_expr("x*cos(z)"), "z": Rat(1)})
+    pairs += [(root, trig), (trig, pairs[0][0]), (pairs[1][1], root)]
+    for v, w in pairs:
         br = lie_bracket(v, w)
         pt = {x: rng.uniform(0.4, 1.2) for x in frame}
         assert np.allclose(
@@ -111,6 +118,10 @@ def test_bracket_matches_finite_differences_random():
             [evaluate(e, pt) for e in br.components],
             atol=1e-4,
         )
+        _F, sampled, symbolic = bracket_values(frame, [v, w], [(0, 1)], SP, [br.components])
+        assert sampled.shape == symbolic.shape == (SP.samples, 1, 3)
+        scale = np.abs(symbolic).max()
+        np.testing.assert_allclose(sampled, symbolic, rtol=1e-9, atol=1e-9 * scale)
 
 
 def test_jacobi_identity_random_fields():

@@ -1,14 +1,21 @@
-"""The batched span test against the one-row-at-a-time reference.
+"""The batched span test and the sampled involutivity test against their
+references.
 
 ``diffgeo._in_span`` answers "does row e lie in the span of these rows" for
 many rows e from one sampled stack and one batched SVD.  Every batch that
 ``check`` asks for, over the corpus and the criterion-5 instances, must
 give the per-row answers of ``reference.in_span_per_row``; a row that would
-move the admissible points of the base is answered alone.  ``check`` now
-samples each matrix once: academic10 needs at most 35 sampled stacks and
-220 SVD calls (104 and 409 when every bracket test sampled its own stack).
+move the admissible points of the base is answered alone.  Every
+involutivity question ``check`` asks, decided from sampled bracket values,
+must get the answer of the symbolic brackets and, on rational systems, of
+the exact rank over GF(p).  ``check`` samples each matrix once and builds
+only the brackets that become flag members or are eliminated: academic10
+needs at most 35 sampled stacks, 220 SVD calls and 110 ``lie_bracket``
+calls (104 and 409 when every bracket test sampled its own stack, 255
+brackets when involutivity and the characteristics read symbolic ones).
 """
 
+import itertools
 import os
 
 import numpy as np
@@ -20,7 +27,13 @@ from triflat.generator import triangular_template
 from triflat.parser import parse_expr
 from triflat.sampling import MatrixSampler, Sampler
 
-from reference import criterion5_combos, in_span_per_row
+from reference import (
+    counting,
+    criterion5_combos,
+    exact_rank,
+    in_span_per_row,
+    is_involutive_symbolic,
+)
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
 SYSTEMS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".sys"))
@@ -47,10 +60,40 @@ def test_batched_answers_equal_per_row_answers(monkeypatch, capsys):
     capsys.readouterr()
     for index, combo in enumerate(criterion5_combos()):
         _analyze(triangular_template(*combo, seed=index).system, Sampler())
+    # what still batches: candidate_via_h's [w1, w2] against H
     batches = [call for call in calls if len(call[1]) > 1]
-    assert sum(len(extras) for _rows, extras, *_rest in batches) >= 200
+    assert sum(len(extras) for _rows, extras, *_rest in batches) >= 20
     for rows, extras, frame, sp, out in batches:
         assert out == [in_span_per_row(rows, e, frame, sp) for e in extras]
+
+
+RATIONAL = {"chained4.sys", "extchained5.sys", "product.sys", "template.sys"}
+
+
+def test_sampled_involutivity_equals_symbolic_and_exact_answers(capsys):
+    questions = []  # (D, sp, rational)
+    with counting(diffgeo, "is_involutive") as calls:
+        for name in SYSTEMS:
+            main(["check", os.path.join(CORPUS, name)])
+            questions += [(*args, name in RATIONAL) for args in calls[len(questions):]]
+        capsys.readouterr()
+        for index, combo in enumerate(criterion5_combos()):
+            _analyze(triangular_template(*combo, seed=index).system, Sampler())
+            questions += [(*args, True) for args in calls[len(questions):]]
+    brackets = exact = 0
+    for D, sp, rational in questions:
+        answer = diffgeo.is_involutive(D, sp)
+        assert answer == is_involutive_symbolic(D, sp)
+        b = diffgeo.basis(D, sp)
+        rows = [list(f.components) for f in b]
+        pairs = itertools.combinations(b, 2)
+        extra = [list(diffgeo.lie_bracket(v, w).components) for v, w in pairs]
+        brackets += len(extra)
+        if rational:
+            assert exact_rank(rows) == len(b)
+            assert answer == (exact_rank(rows + extra) == len(b))
+            exact += 1
+    assert brackets >= 200 and exact >= 20, (brackets, exact)
 
 
 def test_a_row_that_moves_the_base_points_is_answered_alone(monkeypatch):
@@ -76,6 +119,7 @@ def test_a_row_that_moves_the_base_points_is_answered_alone(monkeypatch):
 
 def test_check_samples_each_matrix_once(monkeypatch, capsys):
     sampling.clear_caches()
+    diffgeo._BRACKET_MEMO.clear()
     counts = {"stack": 0, "svd": 0}
     stack, svd = MatrixSampler.stack, np.linalg.svd
 
@@ -89,9 +133,11 @@ def test_check_samples_each_matrix_once(monkeypatch, capsys):
 
     monkeypatch.setattr(MatrixSampler, "stack", counted_stack)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    assert main(["check", os.path.join(CORPUS, "academic10.sys")]) == 0
+    with counting(diffgeo, "lie_bracket") as brackets:
+        assert main(["check", os.path.join(CORPUS, "academic10.sys")]) == 0
     capsys.readouterr()
-    assert counts["stack"] <= 35 and counts["svd"] <= 220, counts
+    counts["lie_bracket"] = len(brackets)
+    assert counts["stack"] <= 35 and counts["svd"] <= 220 and len(brackets) <= 110, counts
 
 
 @pytest.mark.parametrize("max_resamples", [0, 200])
