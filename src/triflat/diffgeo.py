@@ -3,7 +3,7 @@
 Rank and membership questions are decided numerically at generic sample
 points (:func:`kernel_within` among them).  A bracket that only feeds such a
 question is never built symbolically: :func:`bracket_values` samples the
-fields and their first partials in one stack and takes the value of
+fields and their nonzero first partials in one stack and takes the value of
 [v, w] = Dw v - Dv w at each point.  Involutivity and the questions about
 Cauchy characteristics are decided that way: whether they span a given
 distribution, whether the drift keeps them inside theirs, and which forms
@@ -14,8 +14,9 @@ sampled values of a basis and its brackets, with no symbolic elimination.
 or is eliminated symbolically.  Symbolic elimination (:func:`annihilator`,
 :func:`cauchy_characteristics`) runs only where the symbolic forms and
 fields are an output, and each symbolic result is re-checked numerically.
-Sample points where a matrix drops below its modal rank are treated as
-non-generic and discarded.
+The generic rank of a matrix is the largest rank it reaches at the sample
+points (off a thin set a rank only falls below its generic value); points
+where it drops below that rank are treated as non-generic and discarded.
 """
 
 from __future__ import annotations
@@ -79,14 +80,14 @@ def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
 
 
 def _partials(f: VectorField) -> list:
-    """The rows [d_1 f^i, ..., d_n f^i] of raw partials (no normalization),
-    ZERO where f^i does not hold the symbol."""
+    """The nonzero raw partials (no normalization) of f, as (i, j, d_j f^i);
+    f^i is differentiated only by the symbols it holds."""
     key = (f.frame, f.components)
     hit = _PARTIALS_MEMO.get(key)
     if hit is None:
         hit = _remember(_PARTIALS_MEMO, key, [
-            [derivative(c, x) if x in _free_symbols(c) else ZERO for x in f.frame]
-            for c in f.components
+            (i, j, d) for i, c in enumerate(f.components) for j, x in enumerate(f.frame)
+            if x in _free_symbols(c) and (d := derivative(c, x)) != ZERO
         ])
     return hit
 
@@ -95,29 +96,35 @@ def bracket_values(frame, fields, pairs, sp: Sampler, extra_rows=()):
     """Values at generic points of the fields, of [fields[i], fields[j]] for
     each (i, j) of pairs, and of extra_rows (rows of expressions).
 
-    One stack of the fields, their first partials and extra_rows is sampled;
-    one einsum gives every product D f_a(p) f_b(p), and [v, w] = Dw v - Dv w.
-    Returns (F, brackets, X): the (K, m, n) values of the m fields, the
-    (K, len(pairs), n) bracket values and the (K, e, n) values of extra_rows
-    at the K admissible points.
+    One stack of the fields, their nonzero first partials (packed n to a
+    row) and extra_rows is sampled; the partials are scattered into the
+    Jacobians, and one einsum gives every product D f_a(p) f_b(p), with
+    [v, w] = Dw v - Dv w.  Returns (F, brackets, X): the (K, m, n) values of
+    the m fields, the (K, len(pairs), n) bracket values and the (K, e, n)
+    values of extra_rows at the K admissible points.
     """
     m, n = len(fields), len(frame)
-    rows = [list(f.components) for f in fields]
-    for f in fields:
-        rows += _partials(f)
-    _points, stack = MatrixSampler(rows + list(extra_rows), frame, sp).stack()
+    parts = [(a, i, j, d) for a, f in enumerate(fields) for i, j, d in _partials(f)]
+    flat = [d for *_aij, d in parts] + [ZERO] * (-len(parts) % n)
+    packed = [flat[q : q + n] for q in range(0, len(flat), n)]
+    rows = [list(f.components) for f in fields] + packed + list(extra_rows)
+    _points, stack = MatrixSampler(rows, frame, sp).stack()
+    p = m + len(packed)
+    J = np.zeros((len(stack), m, n, n))  # J[k, a, i, j] = d_j f_a^i (p_k)
+    if parts:
+        a, i, j, _d = zip(*parts)
+        J[:, a, i, j] = stack[:, m:p].reshape(len(stack), -1)[:, : len(parts)]
     F = stack[:, :m]
-    J = stack[:, m : m + m * n].reshape(len(stack), m, n, n)  # J[k, a, i, j] = d_j f_a^i (p_k)
     JF = np.einsum("kaij,kbj->kabi", J, F)
     v = [i for i, _j in pairs]
     w = [j for _i, j in pairs]
-    return F, JF[:, w, v] - JF[:, v, w], stack[:, m + m * n :]
+    return F, JF[:, w, v] - JF[:, v, w], stack[:, p:]
 
 
 def _spanned(base, extra, tol) -> bool:
     """Whether the rows of the (K, e, n) stack extra lie in the span of the
     (K, r, n) stack base: over the points where [base; extra] attains its
-    modal rank, the base must reach that rank (:func:`_in_span`'s rule, for
+    largest rank, the base must reach that rank (:func:`_in_span`'s rule, for
     all extra rows at once)."""
     full = ranks(np.concatenate([base, extra], axis=1), tol)
     top = full.max()
@@ -157,7 +164,7 @@ def _in_span(rows, extras, frame, sp: Sampler) -> list:
     generic points.
 
     rows + extras are sampled once.  Over the points where [rows; e] attains
-    its modal rank, the largest rank of the base rows must reach that rank:
+    its largest rank, the largest rank of the base rows must reach that rank:
     points where the base drops below it are skipped.  The base is ranked
     once and every [rows; e] in one batched SVD.  An extra row that would
     move the admissible points of the base (it adds a symbol, or fails to
@@ -186,9 +193,13 @@ def _in_span(rows, extras, frame, sp: Sampler) -> list:
 
 
 def generic_rank(D: Distribution, sp: Sampler) -> int:
-    """Maximal numeric rank of the component matrix over sample points."""
+    """Maximal numeric rank of the component matrix over sample points: the
+    size of D's generic basis once that is known for the sampler (a pruned
+    member starts with it), else the top of the generic stack."""
     if not D.fields:
         return 0
+    if D._basis and _sampler_key(sp) in D._basis:
+        return len(D._basis[_sampler_key(sp)])
     return MatrixSampler(D.matrix_rows(), D.frame, sp).generic()[1]
 
 
@@ -197,10 +208,45 @@ def _sampler_key(sp: Sampler):
             sp.default_domain)
 
 
+def basis_rows(stack, top, tol) -> list:
+    """Indices, ascending, of a generic basis among the rows of a scaled
+    (K, m, n) stack whose matrices all have rank top: greedily, the row that
+    with the kept ones reaches full rank at the most points, the earliest on
+    a tie, while that is more than half of them.
+
+    Singular values interlace under row deletion (Thompson 1972), so rows
+    of full rank at a point keep it on every shorter leading run, and the
+    greedy keeps the longest leading run that has full rank at every point:
+    all rows when top == m.  That run is found by bisection, and the greedy
+    goes on after it.
+    """
+    K, m = len(stack), stack.shape[1]
+    if top == m:
+        return list(range(m))
+
+    def full_at(idx):
+        return np.count_nonzero(_svd_ranks(stack[:, idx, :], tol) == len(idx))
+
+    run, beyond, probe = 0, top + 1, top  # full rank everywhere on rows :run, not :beyond
+    while beyond - run > 1:
+        if full_at(list(range(probe))) == K:
+            run = probe
+        else:
+            beyond = probe
+        probe = (run + beyond) // 2
+    kept = list(range(run))
+    for need in range(K, K // 2, -1):  # a row's count only falls
+        for i in range(run + 1 if need == K else 0, m):
+            if len(kept) == top:
+                break
+            if i not in kept and need <= full_at(kept + [i]):
+                kept.append(i)
+    return sorted(kept)
+
+
 def basis(D: Distribution, sp: Sampler):
-    """Generic basis, in D's order: greedily, the field that with the kept ones
-    reaches full rank at the most points of the generic stack, the earliest
-    on a tie, while that is more than half of them."""
+    """Generic basis, in D's order: the fields of :func:`basis_rows` on the
+    generic stack, so every field when the stack has full rank."""
     if not D.fields:
         return []
     key = _sampler_key(sp)
@@ -208,18 +254,10 @@ def basis(D: Distribution, sp: Sampler):
     if key in D._basis:
         return D._basis[key]
     stack, top = MatrixSampler(D.matrix_rows(), D.frame, sp).generic()
-    kept_idx = []
-    for need in range(len(stack), len(stack) // 2, -1):  # a field's count only falls
-        for i in range(len(D.fields)):
-            if len(kept_idx) == top:
-                break
-            idx = kept_idx + [i]
-            if i not in kept_idx and need <= np.count_nonzero(
-                    _svd_ranks(stack[:, idx, :], sp.tol) == len(idx)):
-                kept_idx.append(i)
-    if len(kept_idx) != top:
+    kept = basis_rows(stack, top, sp.tol)
+    if len(kept) != top:
         raise EliminationError("could not extract a generic basis")
-    kept = [D.fields[i] for i in sorted(kept_idx)]
+    kept = [D.fields[i] for i in kept]
     D._basis[key] = kept
     return kept
 
@@ -392,7 +430,7 @@ def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=(), drift=None)
     the terms b_i(lam_j) b_j of [c, b_i] drop out because w(b_j) = 0.  The
     basis, its pairwise brackets and extra_rows come from one
     :func:`bracket_values` stack, and points where B_p or M_p falls below
-    its modal rank are dropped.
+    its largest rank over the points are dropped.
 
     Returns (B, lam, X) at the kept points: the (K, r, n) basis values, the
     (K, k, r) orthonormal rows spanning the null space of each M_p, and the
@@ -426,7 +464,7 @@ def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=(), drift=None)
 def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
     """Whether the Cauchy characteristics of D span the same as E, generically.
 
-    Points where E drops below its modal rank are skipped.
+    Points where E drops below its largest rank over the points are skipped.
     """
     B, lam, X = _characteristics_at(D, sp, E.matrix_rows())
     k = lam.shape[1]
@@ -442,8 +480,8 @@ def annihilates_characteristics(D: Distribution, rows, sp: Sampler):
 
     The characteristic directions at a point are lam @ B; a form annihilates
     them exactly when appending it to their annihilator leaves its rank
-    unchanged.  Points where the directions drop below their modal rank are
-    skipped.
+    unchanged.  Points where the directions drop below their largest rank
+    over the points are skipped.
     """
     B, lam, X = _characteristics_at(D, sp, rows)
     rank_c, ann = nullspaces(lam @ B, sp.tol)
@@ -459,7 +497,7 @@ def kernel_within(W: Codistribution, D: Distribution, sp: Sampler) -> bool:
     """Whether the fields annihilated by W lie in D, generically.
 
     At each point rank [D(p); ker W(p)] must equal rank D(p); points where
-    D or W is below its modal rank are skipped.
+    D or W is below its largest rank over the points are skipped.
     """
     rows = D.matrix_rows()
     _points, stack = MatrixSampler(rows + W.matrix_rows(), D.frame, sp).stack()

@@ -461,7 +461,8 @@ class MatrixSampler:
         return [ps.point(i) for i in idx], values
 
     def generic(self):
-        """(stack, top): the sampled matrices, :func:`_scaled`, of modal rank top.
+        """(stack, top): the sampled matrices, :func:`_scaled`, that reach the
+        largest rank over the sample points, top.
 
         Kept on the point set, which fixes the seed and the domains, under
         the rows and the other sampler fields the result depends on.  The

@@ -24,6 +24,8 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from triflat.cli import _analyze
 from triflat.diffgeo import (
     ad_iter,
@@ -40,8 +42,8 @@ from triflat.diffgeo import (
 from triflat.direction_search import _normalized_candidate, compute_bracket_chain, h_distribution
 from triflat.errors import EvalError, TriflatError
 from triflat.expr import (
-    ONE, ZERO, Add, Call, Mul, Pow, Rat, Sym, add, evaluate, free_symbols, mul, neg, sub,
-    substitute, to_str,
+    ONE, ZERO, Add, Call, Mul, Pow, Rat, Sym, add, derivative, evaluate, free_symbols, mul, neg,
+    sub, substitute, to_str,
 )
 from triflat.elimination import clear_denominators, nullspace
 from triflat.fields import Codistribution, Distribution, OneForm, VectorField, coordinate_field
@@ -49,6 +51,7 @@ from triflat.flatout import flat_output_for_report
 from triflat.generator import TemplateInstance, _random_poly
 from triflat.parser import parse_expr as pe
 from triflat.sampling import MatrixSampler, Sampler, all_zero_generic, is_zero_generic, ranks
+from triflat.sampling import _svd_ranks
 from triflat.simplify import differentiate, simplify
 from triflat.systems import AffineSystem, vector_field
 from triflat.transform import transform_to_triangular
@@ -324,15 +327,52 @@ def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler)
 
 def in_span_per_row(rows, row, frame, sp: Sampler) -> bool:
     """Whether row lies in the row span of rows, one row at a time: the
-    sampled [rows; row] is cut to the points of its modal rank, and there
+    sampled [rows; row] is cut to the points of its maximal rank, and there
     the base rows must reach that rank wherever they attain their own
-    modal rank."""
+    maximal rank."""
     _points, stack = MatrixSampler(rows + [row], frame, sp).stack()
     full = ranks(stack, sp.tol)
     stack = stack[full == full.max()]
     base = ranks(stack[:, : len(rows)], sp.tol)
-    modal = base.max()
-    return bool((ranks(stack[base == modal], sp.tol) == modal).all())
+    top = base.max()
+    return bool((ranks(stack[base == top], sp.tol) == top).all())
+
+
+def greedy_basis_rows(stack, top, tol) -> list:
+    """Indices, ascending, of the generic basis rows of a scaled (K, m, n)
+    stack of rank top at every point, one SVD per candidate row: at each
+    level need = K, K - 1, ... down to just over K / 2, every row in order
+    that with the kept ones has full rank at need or more points is kept
+    (the selection before ``diffgeo.basis_rows`` kept full-rank runs at
+    once)."""
+    kept = []
+    for need in range(len(stack), len(stack) // 2, -1):
+        for i in range(stack.shape[1]):
+            if len(kept) == top:
+                break
+            idx = kept + [i]
+            if i not in kept and need <= np.count_nonzero(
+                    _svd_ranks(stack[:, idx, :], tol) == len(idx)):
+                kept.append(i)
+    return sorted(kept)
+
+
+def dense_bracket_values(frame, fields, pairs, sp: Sampler, extra_rows=()):
+    """``diffgeo.bracket_values`` from every first partial, zero or not, each
+    sampled as an entry of the field's n x n Jacobian rows (the formula
+    before only nonzero partials were sampled)."""
+    m, n = len(fields), len(frame)
+    rows = [list(f.components) for f in fields]
+    for f in fields:
+        rows += [[derivative(c, x) if x in free_symbols(c) else ZERO for x in frame]
+                 for c in f.components]
+    _points, stack = MatrixSampler(rows + list(extra_rows), frame, sp).stack()
+    F = stack[:, :m]
+    J = stack[:, m : m + m * n].reshape(len(stack), m, n, n)
+    JF = np.einsum("kaij,kbj->kabi", J, F)
+    v = [i for i, _j in pairs]
+    w = [j for _i, j in pairs]
+    return F, JF[:, w, v] - JF[:, v, w], stack[:, m + m * n :]
 
 
 def span_equal(D1: Distribution, D2: Distribution, sp: Sampler) -> bool:

@@ -1,15 +1,19 @@
 """Vector field calculus: brackets, flags, characteristics, annihilators."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from triflat import sampling
 from triflat.diffgeo import (
     ad_iter,
     annihilator,
     basis,
+    basis_rows,
     bracket_values,
     cauchy_characteristics,
     characteristics_span,
@@ -34,10 +38,12 @@ from triflat.simplify import simplify
 
 from reference import (
     chained_form,
+    dense_bracket_values,
     double_integrator_pair,
     extended_chained,
     feedback_transform,
     field_sum,
+    greedy_basis_rows,
     involutive_closure,
     one_form,
     scale,
@@ -118,10 +124,13 @@ def test_bracket_matches_finite_differences_random():
             [evaluate(e, pt) for e in br.components],
             atol=1e-4,
         )
-        _F, sampled, symbolic = bracket_values(frame, [v, w], [(0, 1)], SP, [br.components])
+        got = bracket_values(frame, [v, w], [(0, 1)], SP, [br.components])
+        _F, sampled, symbolic = got
         assert sampled.shape == symbolic.shape == (SP.samples, 1, 3)
         scale = np.abs(symbolic).max()
         np.testing.assert_allclose(sampled, symbolic, rtol=1e-9, atol=1e-9 * scale)
+        dense = dense_bracket_values(frame, [v, w], [(0, 1)], SP, [br.components])
+        assert all(np.array_equal(a, b) for a, b in zip(got, dense))
 
 
 def test_jacobi_identity_random_fields():
@@ -237,6 +246,84 @@ def test_a_field_of_full_rank_everywhere_beats_an_earlier_one_that_drops_rank():
     fields = [coordinate_field(frame, "x"), VectorField(frame, (ZERO, sub(Sym("x"), c))),
               coordinate_field(frame, "y")]
     assert basis(Distribution(frame, fields), SP) == [fields[0], fields[2]]
+
+
+ROW_KINDS = ("new", "dependent", "zero", "copy", "drops", "rises")
+
+
+def _generic_stack(samples, n, kinds, seed):
+    """A random (samples, len(kinds), n) stack, scaled and cut to the points
+    of its maximal rank as MatrixSampler.generic does, with the rank.  Row
+    kinds: new (random), dependent (a combination of the new rows before at
+    each point), zero, copy (a multiple of an earlier row: a tie), drops
+    (random but dependent at a few points) and rises (dependent but random
+    at a few points)."""
+    rng = np.random.default_rng(seed)
+    rows, new = [], []
+    for kind in kinds:
+        row = rng.standard_normal((samples, n))
+        if kind == "zero":
+            row = np.zeros((samples, n))
+        elif kind != "new" and new:
+            earlier = np.stack(new, axis=1)
+            combo = np.einsum("kr,krn->kn", rng.standard_normal((samples, len(new))), earlier)
+            few = rng.choice(samples, size=rng.integers(1, samples // 3 + 1), replace=False)
+            if kind == "dependent":
+                row = combo
+            elif kind == "copy":
+                row = rng.choice([-2.0, 0.5, 1.0]) * rows[rng.integers(len(rows))]
+            elif kind == "drops":
+                row[few] = combo[few]
+            else:
+                combo[few] = row[few]
+                row = combo
+        rows.append(row)
+        if kind == "new" or not new:
+            new.append(row)
+    stack = sampling._scaled(np.stack(rows, axis=1), SP.tol)
+    r = sampling._svd_ranks(stack, SP.tol)
+    return stack[r == r.max()], int(r.max())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(8, 16), st.integers(1, 6),
+       st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+@example(16, 4, ["new"] * 4, 0)  # full rank
+@example(16, 5, ["new"] * 3 + ["dependent"] * 3 + ["new"], 1)  # a run, a tail, a late row
+@example(16, 2, ["new", "drops", "drops"], 0)  # the row after the run, kept at a lower level
+@example(16, 3, ["new", "drops", "new", "drops"], 1)
+@example(12, 4, ["zero", "new", "zero", "new"], 3)
+@example(16, 4, ["new", "copy", "drops", "drops", "copy"], 4)  # ties
+def test_basis_rows_equal_the_level_by_level_greedy(samples, n, kinds, seed):
+    stack, top = _generic_stack(samples, n, kinds, seed)
+    assert basis_rows(stack, top, SP.tol) == greedy_basis_rows(stack, top, SP.tol)
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_a_full_rank_stack_is_its_own_basis_without_an_svd(monkeypatch):
+    stack, top = _generic_stack(16, 5, ["new"] * 4, 0)
+    calls = _count_svds(monkeypatch)
+    assert top == 4 and basis_rows(stack, top, SP.tol) == [0, 1, 2, 3] and not calls
+
+
+@pytest.mark.parametrize("run, tail", [(1, 1), (2, 3), (4, 1), (6, 4)])
+def test_a_leading_full_rank_run_costs_a_bisection(monkeypatch, run, tail):
+    # run independent rows, tail rows dependent on them, one more independent
+    stack, top = _generic_stack(16, run + 2, ["new"] * run + ["dependent"] * tail + ["new"], run)
+    calls = _count_svds(monkeypatch)
+    assert basis_rows(stack, top, SP.tol) == list(range(run)) + [run + tail]
+    assert len(calls) <= math.ceil(math.log2(top)) + 1 + tail, calls
 
 
 def test_generic_rank_vtol_and_ten_state(vtol_analysis, academic10_analysis):

@@ -7,7 +7,9 @@ invariant under both, so the template's verdict, case and block dimensions
 are still the answer.  Outside NoX1, flat-output and transform must succeed
 and the map must verify; for NoX1 the template's phi1 = y1, pulled back to
 the new coordinates, is passed in.  Cases that fail today are strict xfails
-naming their cause, so a fix has to flip them.
+naming their cause, so a fix has to flip them.  So are the smallest known
+failures of larger disguises (ROADMAP item 18's ladder): two wrong
+verdicts and a transform whose ladder change finds no inverse.
 The sha256 of each passing instance's outputs (``reference.instance_digest``)
 must equal its entry in ``data/instance_digests.json``, as must each
 generated instance's in ``test_transform.py``.  Re-record both with
@@ -19,6 +21,7 @@ import json
 import pytest
 
 from triflat import checks
+from triflat.cli import _analyze
 from triflat.diffgeo import extend, lie_bracket
 from triflat.errors import IntegrationError, PipelineError
 from triflat.expr import Sym
@@ -68,14 +71,50 @@ def _cases():
 def test_disguised_instance_keeps_its_answer(index, combo, k):
     inst = triangular_template(*combo, seed=index)
     system, inverse = disguise(inst.system, k, seed=index)
-    l1, l2, n2, n3 = combo
     rep, flat, res = instance_outputs(system, inverse["y1"], SP)
-    assert (rep.verdict, rep.case, rep.n2, rep.depth, rep.chain_lengths) == (
-        True, inst.case, n2, n3, (max(l1, l2), min(l1, l2)))
+    assert (rep.verdict, rep.case, rep.n2, rep.depth, rep.chain_lengths) == _template_answer(
+        inst, combo)
     assert res.verified and res.final.structure_ok, res.final.structure_failures
     assert verify_transformation(system, res.change, res.final.system, SP)
     key = instance_key(combo, index, k)
     assert instance_digest(rep, flat, res) == recorded_instance_digests().get(key), key
+
+
+def _template_answer(inst, combo):
+    l1, l2, n2, n3 = combo
+    return True, inst.case, n2, n3, (max(l1, l2), min(l1, l2))
+
+
+def _ladder(combo, seed, k, reason, raises=AssertionError):
+    return pytest.param(combo, seed, k, id=f"{'-'.join(map(str, combo))}-seed{seed}-k{k}",
+                        marks=pytest.mark.xfail(raises=raises, reason=reason, strict=True))
+
+
+@pytest.mark.parametrize("combo, seed, k", [
+    _ladder((0, 1, 4, 2), 0, 4, "check: False at (a), the characteristic distribution "
+            "differs from the lower rung at the default sampler seed (ROADMAP item 12)"),
+    _ladder((2, 2, 7, 4), 1, 5, "check: False at (d), extension step 1 is not involutive; "
+            "the verdict follows the sampler seed (ROADMAP item 12)"),
+])
+def test_larger_disguise_keeps_its_verdict(combo, seed, k):
+    inst = triangular_template(*combo, seed=seed)
+    system, _inverse = disguise(inst.system, k, seed=seed)
+    rep = _analyze(system, SP)[3][0]
+    assert (rep.verdict, rep.case, rep.n2, rep.depth, rep.chain_lengths) == _template_answer(
+        inst, combo), rep.failures
+
+
+@pytest.mark.parametrize("combo, seed, k", [
+    _ladder((0, 1, 4, 2), 2, 4, "transform: the ladder change is not invertible over the "
+            "pattern set (ROADMAP item 3)", raises=PipelineError),
+])
+def test_larger_disguise_transforms(combo, seed, k):
+    inst = triangular_template(*combo, seed=seed)
+    system, inverse = disguise(inst.system, k, seed=seed)
+    rep, _flat, res = instance_outputs(system, inverse["y1"], SP)
+    assert (rep.verdict, rep.case, rep.n2, rep.depth, rep.chain_lengths) == _template_answer(
+        inst, combo)
+    assert res.verified and res.final.structure_ok, res.final.structure_failures
 
 
 def assert_prolonged_linearizable(monkeypatch, system, phi1=None):
