@@ -179,7 +179,7 @@ def _analyze(sysm, sp):
     chain, h_status, candidates = _candidates(sysm, sp)
     reports = [triangular_form_check(sysm, c, sp, chain) for c in candidates]
     if not candidates:
-        reports = [TriangularReport(sysm, chain, None, sampler=sp)]
+        reports = [TriangularReport(sysm, chain, None)]
         reports[0].failures.append("the input span itself is non-involutive")
     reports.sort(key=lambda r: (not r.verdict))
     return chain, h_status, candidates, reports

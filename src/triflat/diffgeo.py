@@ -9,11 +9,14 @@ Cauchy characteristics are decided that way: whether they span a given
 distribution, whether the drift keeps them inside theirs, and which forms
 annihilate them (:func:`is_involutive`, :func:`characteristics_span`,
 :func:`drift_compatible`, :func:`annihilates_characteristics`) come from
-sampled values of a basis and its brackets, with no symbolic elimination.
-:func:`lie_bracket` builds a bracket only where it becomes a flag member
-or is eliminated symbolically.  Symbolic elimination (:func:`annihilator`,
-:func:`cauchy_characteristics`) runs only where the symbolic forms and
-fields are an output, and each symbolic result is re-checked numerically.
+sampled values of a basis and its brackets, with no symbolic elimination,
+and so are the rank and memberships of the transform's Cauchy ladder
+levels (:func:`characteristic_annihilator`) unless the points leave one
+open.  :func:`lie_bracket` builds a bracket only where it becomes a flag
+member or is eliminated symbolically.  Symbolic elimination
+(:func:`annihilator`, :func:`cauchy_characteristics`) runs only where the
+symbolic forms and fields are read, and each symbolic result is re-checked
+numerically.
 The generic rank of a matrix is the largest rank it reaches at the sample
 points (off a thin set a rank only falls below its generic value); points
 where it drops below that rank are treated as non-generic and discarded.
@@ -30,7 +33,7 @@ from .errors import EliminationError, FrameMismatch
 from .expr import Expr, ONE, ZERO, add, derivative, mul, neg
 from .fields import Codistribution, Distribution, OneForm, VectorField
 from .sampling import MatrixSampler, Sampler, all_zero_generic, nullspaces, ranks
-from .sampling import _admissible, _free_symbols, _svd_ranks
+from .sampling import _admissible, _free_symbols, _ranks_of, _scaled, _svd_ranks
 from .simplify import simplify
 
 _BRACKET_MEMO: dict = {}  # (frame, v, w) -> [v, w], for the brackets lie_bracket builds
@@ -103,12 +106,20 @@ def bracket_values(frame, fields, pairs, sp: Sampler, extra_rows=()):
     the m fields, the (K, len(pairs), n) bracket values and the (K, e, n)
     values of extra_rows at the K admissible points.
     """
+    return _sampled_brackets(frame, fields, pairs, sp, extra_rows)[1:]
+
+
+def _sampled_brackets(frame, fields, pairs, sp: Sampler, extra_rows=()):
+    """(at, F, brackets, X): :func:`bracket_values`, with at = (the point
+    set, the indices of the K admissible points in it)."""
     m, n = len(fields), len(frame)
     parts = [(a, i, j, d) for a, f in enumerate(fields) for i, j, d in _partials(f)]
     flat = [d for *_aij, d in parts] + [ZERO] * (-len(parts) % n)
     packed = [flat[q : q + n] for q in range(0, len(flat), n)]
     rows = [list(f.components) for f in fields] + packed + list(extra_rows)
-    _points, stack = MatrixSampler(rows, frame, sp).stack()
+    ms = MatrixSampler(rows, frame, sp)
+    ps, idx = ms.admissible()
+    stack = ms.values_at(ps, idx)
     p = m + len(packed)
     J = np.zeros((len(stack), m, n, n))  # J[k, a, i, j] = d_j f_a^i (p_k)
     if parts:
@@ -118,7 +129,7 @@ def bracket_values(frame, fields, pairs, sp: Sampler, extra_rows=()):
     JF = np.einsum("kaij,kbj->kabi", J, F)
     v = [i for i, _j in pairs]
     w = [j for _i, j in pairs]
-    return F, JF[:, w, v] - JF[:, v, w], stack[:, p:]
+    return (ps, idx), F, JF[:, w, v] - JF[:, v, w], stack[:, p:]
 
 
 def _spanned(base, extra, tol) -> bool:
@@ -369,6 +380,8 @@ def _coordinate_form(frame, i):
 
 
 def codistribution_rank(W: Codistribution, sp: Sampler) -> int:
+    if W.sampled is not None:
+        return W.sampled[2].shape[1]
     if W.kernel is not None:
         return len(W.frame) - generic_rank(W.kernel, sp)
     if not W.forms:
@@ -377,12 +390,55 @@ def codistribution_rank(W: Codistribution, sp: Sampler) -> int:
 
 
 def form_in_span(w: OneForm, W: Codistribution, sp: Sampler) -> bool:
-    """Membership of w in W at generic points; with W's kernel known, w must
+    """Membership of w in W at generic points: from W's sampled values when
+    they decide it (:func:`_in_sampled`), else with W's kernel known, w must
     annihilate its basis fields."""
+    if W.sampled is not None:
+        inside = _in_sampled(w, *W.sampled, sp.tol)
+        if inside is not None:
+            return inside
     if W.kernel is not None:
         pairings = [w.pair(v) for v in basis(W.kernel, sp)]
         return all_zero_generic(pairings, sp, extra_syms=W.frame)
     return _in_span(W.matrix_rows(), [list(w.coefficients)], W.frame, sp)[0]
+
+
+_MARGIN = 10.0  # a point decides a membership only this far from the cutoff
+
+
+def _in_sampled(w: OneForm, ps, idx, forms, tol):
+    """Whether w lies in the span of the (K, m, n) stack of orthonormal forms
+    sampled at the point indices idx of ps, read off the singular value that
+    w's values there add to them (scaled as in :func:`ranks`): at most the
+    cutoff at every point, True; above _MARGIN times it at every point,
+    False; else, or where w cannot be evaluated at a point, None."""
+    rows = list(ps.scan(list(w.coefficients), idx))
+    if not all(_admissible(v) for row in rows for v in row):
+        return None
+    grown = np.concatenate([forms, np.array(rows)[:, None, :]], axis=1)
+    sv = np.linalg.svd(_scaled(grown, tol), compute_uv=False)
+    m = forms.shape[1]
+    if (_ranks_of(sv, grown.shape, tol) == m).all():
+        return True
+    if (_ranks_of(sv, grown.shape, tol * _MARGIN) == m + 1).all():
+        return False
+    return None
+
+
+def characteristic_annihilator(D: Distribution, sp: Sampler) -> Codistribution:
+    """The forms annihilating the Cauchy characteristics of D, sampled as the
+    annihilator of the directions lam @ B at the points of
+    :func:`_characteristics_at` (where they reach their largest rank).  The
+    symbolic characteristics, its kernel, are solved on first read, once:
+    for the forms (those of their :func:`annihilator`) or for a membership
+    the sampled values leave open."""
+    B, lam, _X, (ps, idx) = _characteristics_at(D, sp)
+    W = Codistribution(D.frame, lambda: annihilator(W.kernel, sp).forms,
+                       lambda: cauchy_characteristics(D, sp))
+    rank_c, ann = nullspaces(lam @ B, sp.tol)
+    kept = np.flatnonzero(rank_c == rank_c.max())
+    W.sampled = ps, [idx[i] for i in kept], np.stack([ann[i] for i in kept])
+    return W
 
 
 def cauchy_characteristics(D: Distribution, sp: Sampler) -> Distribution:
@@ -432,23 +488,23 @@ def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=(), drift=None)
     :func:`bracket_values` stack, and points where B_p or M_p falls below
     its largest rank over the points are dropped.
 
-    Returns (B, lam, X) at the kept points: the (K, r, n) basis values, the
-    (K, k, r) orthonormal rows spanning the null space of each M_p, and the
+    Returns (B, lam, X, at) at the kept points: the (K, r, n) basis values,
+    the (K, k, r) orthonormal rows spanning the null space of each M_p, the
     (K, m, n) values of extra_rows, or with a drift a, of [a, b_j] from the
-    same stack.
+    same stack, and at = (the stack's point set, the kept points' indices).
     """
     b = basis(D, sp)
     r, n = len(b), len(D.frame)
     pairs = list(combinations(range(r), 2))
     if drift is None:
-        B, brackets, X = bracket_values(D.frame, b, pairs, sp, extra_rows)
+        (ps, idx), B, brackets, X = _sampled_brackets(D.frame, b, pairs, sp, extra_rows)
     else:  # X holds [a, b_j]
         both = pairs + [(r, j) for j in range(r)]
-        F, brackets, _ = bracket_values(D.frame, b + [drift], both, sp)
+        (ps, idx), F, brackets, _ = _sampled_brackets(D.frame, b + [drift], both, sp)
         B, brackets, X = F[:, :r], brackets[:, : len(pairs)], brackets[:, len(pairs) :]
     rank_b, ann = nullspaces(B, sp.tol)
     kept = np.flatnonzero(rank_b == r)
-    B, brackets, X = B[kept], brackets[kept], X[kept]
+    B, brackets, X, idx = B[kept], brackets[kept], X[kept], [idx[i] for i in kept]
     W = np.stack([ann[i] for i in kept])  # (K, n - r, n)
     paired = W @ brackets.transpose(0, 2, 1)  # w . [b_i, b_j]
     M = np.zeros((len(kept), r, n - r, r))
@@ -458,7 +514,7 @@ def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=(), drift=None)
     rank_m, lam = nullspaces(M.reshape(len(kept), r * (n - r), r), sp.tol)
     kept = np.flatnonzero(rank_m == rank_m.max())
     lam = np.stack([lam[i] for i in kept])
-    return B[kept], lam, X[kept]
+    return B[kept], lam, X[kept], (ps, [idx[i] for i in kept])
 
 
 def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
@@ -466,7 +522,7 @@ def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
 
     Points where E drops below its largest rank over the points are skipped.
     """
-    B, lam, X = _characteristics_at(D, sp, E.matrix_rows())
+    B, lam, X, _at = _characteristics_at(D, sp, E.matrix_rows())
     k = lam.shape[1]
     rank_e = ranks(X, sp.tol)
     generic = rank_e == rank_e.max()
@@ -483,7 +539,7 @@ def annihilates_characteristics(D: Distribution, rows, sp: Sampler):
     unchanged.  Points where the directions drop below their largest rank
     over the points are skipped.
     """
-    B, lam, X = _characteristics_at(D, sp, rows)
+    B, lam, X, _at = _characteristics_at(D, sp, rows)
     rank_c, ann = nullspaces(lam @ B, sp.tol)
     kept = np.flatnonzero(rank_c == rank_c.max())
     W = np.stack([ann[i] for i in kept])
@@ -515,6 +571,6 @@ def drift_compatible(D: Distribution, a: VectorField, sp: Sampler) -> bool:
     [a, sum_j lam_j b_j] = sum_j lam_j [a, b_j] modulo D, so the test is
     pointwise too.
     """
-    B, lam, X = _characteristics_at(D, sp, drift=a)
+    B, lam, X, _at = _characteristics_at(D, sp, drift=a)
     grown = np.concatenate([B, lam @ X], axis=1)
     return bool((ranks(grown, sp.tol) == B.shape[1]).all())

@@ -89,11 +89,15 @@ class Codistribution:
     ``forms`` may be a callable returning the spanning forms, called on the
     first read of ``forms``; ``kernel`` is then the distribution the forms
     annihilate, from which rank and membership are decided without them.
+    ``kernel`` may be a callable too, called on its first read.  ``sampled``,
+    when set, is (point set, point indices, the forms' (K, rank, n) values at
+    those points), from which rank and membership are decided first.
     """
 
-    def __init__(self, frame, forms, kernel: Distribution = None):
+    def __init__(self, frame, forms, kernel=None):
         self.frame = tuple(frame)
-        self.kernel = kernel
+        self._kernel = kernel
+        self.sampled = None
         self._forms = forms if callable(forms) else self._nonzero(forms)
 
     def _nonzero(self, forms) -> Tuple[OneForm, ...]:
@@ -102,6 +106,12 @@ class Codistribution:
             if w.frame != self.frame:
                 raise FrameMismatch("spanning form on a different frame")
         return forms
+
+    @property
+    def kernel(self) -> Distribution:
+        if callable(self._kernel):
+            self._kernel = self._kernel()
+        return self._kernel
 
     @property
     def forms(self) -> Tuple[OneForm, ...]:

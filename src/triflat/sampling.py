@@ -455,10 +455,14 @@ class MatrixSampler:
         """(points, values): the admissible points and the (K, r, c) stack
         of the matrix evaluated at them."""
         ps, idx = self.admissible()
+        return [ps.point(i) for i in idx], self.values_at(ps, idx)
+
+    def values_at(self, ps: PointSet, idx) -> np.ndarray:
+        """The (K, r, c) stack of the matrix at the admissible point indices
+        idx of ps."""
         cols = ps.columns(self.entries, idx[-1] + 1)
         by_entry = np.array([[col[i] for i in idx] for col in cols], dtype=float)
-        values = by_entry[self.where].T.reshape(len(idx), *self.shape)
-        return [ps.point(i) for i in idx], values
+        return by_entry[self.where].T.reshape(len(idx), *self.shape)
 
     def generic(self):
         """(stack, top): the sampled matrices, :func:`_scaled`, that reach the

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .checks import check_static_feedback_linearizable
-from .diffgeo import annihilator, differential, lie_derivative
+from .diffgeo import annihilator, characteristic_annihilator, differential, lie_derivative
 from .elimination import _score
 from .errors import EvalError, IntegrationError, PipelineError, SamplerExhausted
 from .expr import (
@@ -515,18 +515,17 @@ def _depends_at(e: Expr, x: str, img: Sampler) -> bool:
 # --- step 1-3: ladder coordinates ------------------------------------------------
 
 
-def _ladder_levels(report: TriangularReport):
-    """Nested involutive distributions, outermost (largest) first, below the
-    drift-extension members; terminal-chain levels are covered by the drift
-    derivatives of the flat output and are not integrated."""
-    levels = [("closure", report.closure)]
-    cauchy_flags = report.cauchy_flags
-    for i in range(len(cauchy_flags) - 1, -1, -1):
-        levels.append((f"cauchy{i + 1}", cauchy_flags[i]))
-    levels.append(("delta0", report.delta0))
+def _ladder_levels(report: TriangularReport, sp: Sampler):
+    """Annihilators of the nested involutive distributions below the drift-
+    extension members, outermost (largest) first, each built when reached;
+    terminal-chain levels are covered by the drift derivatives of the flat
+    output and are not integrated."""
+    yield "closure", annihilator(report.closure, sp)
+    for i in range(report.n2 - 3, 0, -1):
+        yield f"cauchy{i}", characteristic_annihilator(report.delta1_flags[i], sp)
+    yield "delta0", annihilator(report.delta0, sp)
     for k in range(report.chain.depth - 1, 0, -1):
-        levels.append((f"d{k}", report.chain.d(k)))
-    return levels
+        yield f"d{k}", annihilator(report.chain.d(k), sp)
 
 
 def _completion_coordinates(found_funcs, frame, sp, count):
@@ -595,8 +594,7 @@ def build_ladder_change(
     next_r = 0
 
     preferred = _call_argument_coordinates(sysm)
-    for label, dist in _ladder_levels(report):
-        ann = annihilator(dist, sp)
+    for label, ann in _ladder_levels(report, sp):
         try:
             integrals = integrate_codistribution(
                 ann, sp, hints=hints, knowns=knowns,

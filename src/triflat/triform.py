@@ -8,14 +8,12 @@ and records all witnesses in a report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import List, Optional
 
 from .checks import CheckOutcome
 from .diffgeo import (
     ad_iter,
     basis,
-    cauchy_characteristics,
     characteristics_span,
     derived_step,
     drift_compatible,
@@ -44,7 +42,6 @@ class TriangularReport:
     system: AffineSystem
     chain: BracketChain
     candidate: Optional[DirectionCandidate]
-    sampler: Optional[Sampler] = None
     delta0: Optional[Distribution] = None
     delta1: Optional[Distribution] = None
     delta1_flags: List[Distribution] = field(default_factory=list)
@@ -58,18 +55,6 @@ class TriangularReport:
     chain_lengths: Optional[tuple] = None
     dims_consistent: bool = False
     verdict: bool = False
-
-    @cached_property
-    def cauchy_flags(self) -> List[Distribution]:
-        """Cauchy characteristics of the flag levels 1 .. n2-3, the interior
-        rungs of the ladder, as symbolic fields; solved on first use with the
-        report's sampler, once per report.  Empty when (b) failed."""
-        if self.n2 is None:
-            return []
-        return [
-            cauchy_characteristics(self.delta1_flags[i], self.sampler)
-            for i in range(1, self.n2 - 2)
-        ]
 
     @property
     def depth(self):
@@ -98,7 +83,7 @@ def triangular_form_check(
 ) -> TriangularReport:
     """Evaluate the full set of structural conditions for one candidate."""
     chain = chain or compute_bracket_chain(sys, sp)
-    report = TriangularReport(sys, chain, candidate, sampler=sp)
+    report = TriangularReport(sys, chain, candidate)
     if not chain.rank_ok:
         return _fail(report, f"chain ranks {chain.ranks} differ from 2, 4, ...")
     if not chain.cauchy_ok:
@@ -215,7 +200,7 @@ def equal_length_variant_check(sys: AffineSystem, sp: Sampler) -> CheckOutcome:
         chain = compute_bracket_chain(sys, sp)
     except NotApplicable as e:
         return CheckOutcome(False, str(e))
-    report = TriangularReport(sys, chain, None, sampler=sp)
+    report = TriangularReport(sys, chain, None)
     if not chain.rank_ok:
         return CheckOutcome(False, "chain ranks differ from 2, 4, ...")
     n3 = chain.depth

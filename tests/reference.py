@@ -379,6 +379,14 @@ def span_equal(D1: Distribution, D2: Distribution, sp: Sampler) -> bool:
     return contains_distribution(D1, D2, sp) and contains_distribution(D2, D1, sp)
 
 
+def cauchy_flags(report, sp: Sampler):
+    """The Cauchy characteristics of the flag levels 1 .. n2-3, the interior
+    rungs of the transform's ladder, solved symbolically: the fields whose
+    annihilators the ladder integrated before its levels were decided from
+    sampled values."""
+    return [cauchy_characteristics(report.delta1_flags[i], sp) for i in range(1, report.n2 - 2)]
+
+
 def annihilates_characteristics_symbolic(report, sp: Sampler, functions):
     """For each function, whether its differential pairs to zero with every
     field of the symbolically solved Cauchy characteristics of the report's

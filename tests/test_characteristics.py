@@ -19,13 +19,16 @@ from triflat.cli import _analyze, main
 from triflat.diffgeo import (
     _characteristics_at,
     annihilates_characteristics,
+    annihilator,
     basis,
     cauchy_characteristics,
     characteristics_span,
+    codistribution_rank,
     contains_generic,
     derived_step,
     differential,
     drift_compatible,
+    form_in_span,
     generic_rank,
     lie_bracket,
     pruned,
@@ -37,24 +40,29 @@ from triflat.direction_search import (
     compute_bracket_chain,
 )
 from triflat.errors import NotApplicable
-from triflat.expr import ONE, ZERO, Sym, mul, neg
+from triflat.expr import ONE, ZERO, Sym, mul, neg, to_str
 from triflat.fields import Distribution, coordinate_field
 from triflat.flatout import admissible_phi1, flat_output_for_report
 from triflat.generator import triangular_template
 from triflat.sampling import Sampler
 from triflat.sysfile import load_sysfile
 from triflat.systems import vector_field
-from triflat.transform import transform_to_triangular
+from triflat.transform import _ladder_levels, transform_to_triangular
 from triflat.triform import CASE_NO_X1, triangular_form_check
 
 from reference import (
     annihilates_characteristics_symbolic,
+    cauchy_flags,
     counting,
     criterion5_combos,
+    disguise,
     equal_chain_template,
     extended_chained,
+    generated_instances,
+    instance_outputs,
     span_equal,
 )
+from test_disguised import KNOWN_FAILURES
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus")
 SYSTEMS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".sys"))
@@ -220,24 +228,30 @@ def test_check_solves_no_symbolic_cauchy_system():
     assert calls == []
 
 
-def test_cauchy_flags_lazy_and_memoized(academic10_analysis):
+def test_cauchy_levels_solve_on_first_read_once(academic10_analysis):
     rep, sp = academic10_analysis.report, academic10_analysis.sp
-    levels = range(1, rep.n2 - 2)
-    assert len(levels) >= 1
+    n = rep.system.n
     with counting(diffgeo, "cauchy_characteristics") as calls:
-        flags = rep.cauchy_flags
-        again = rep.cauchy_flags
-    assert len(calls) <= len(levels)
-    assert all(f is g for f, g in zip(flags, again))
-    # the fields the eager loop used to store, level by level
-    eager = [cauchy_characteristics(rep.delta1_flags[i], sp) for i in levels]
-    assert len(flags) == len(eager)
-    assert all(span_equal(f, e, sp) for f, e in zip(flags, eager))
+        levels = [W for label, W in _ladder_levels(rep, sp) if label.startswith("cauchy")]
+        ranks = [codistribution_rank(W, sp) for W in levels]
+        assert calls == []
+        forms = [W.forms for W in levels]
+        again = [W.forms for W in levels]
+        kernels = [W.kernel for W in levels]
+    assert len(levels) == rep.n2 - 3 >= 1
+    assert len(calls) == len(levels)
+    assert all(f is g for f, g in zip(forms, again))
+    # outermost level first: the flag levels n2-3 .. 1
+    for W, rank, f, C, K in zip(levels, ranks, forms, reversed(cauchy_flags(rep, sp)), kernels):
+        assert span_equal(K, C, sp)
+        assert f == annihilator(C, sp).forms
+        assert rank == n - generic_rank(C, sp)
 
 
 def test_flat_output_and_transform_share_one_solve():
     # no terminal chains and n2 = 4: the flat output decides its phi1 check
-    # pointwise, and the transform solves flag level 1 (its one cauchy level)
+    # pointwise, and the transform integrates flag level 1 (its one cauchy
+    # level) from sampled characteristics, never reading its forms
     sysm = triangular_template(0, 0, 4, 2, seed=7).system
     sp = Sampler()
     rep = triangular_form_check(
@@ -248,4 +262,95 @@ def test_flat_output_and_transform_share_one_solve():
         flat = flat_output_for_report(rep, sp, phi1=Sym("y1"))
         assert calls == []
         transform_to_triangular(sysm, rep, flat, sp)
-    assert calls == [(rep.delta1_flags[1], sp)]
+    assert calls == []
+
+
+@contextlib.contextmanager
+def cauchy_questions(monkeypatch):
+    """Record each rank and membership question that the transform's ladder
+    asks of a Cauchy level, as (flag member, sampler, form or None for the
+    rank, answer, whether the sampled values left it open)."""
+    import triflat.integrate as integrate
+    import triflat.transform as transform
+
+    members, questions = {}, []
+    build, in_span, rank = (transform.characteristic_annihilator, integrate.form_in_span,
+                            integrate.codistribution_rank)
+
+    def built(D, sp):
+        W = build(D, sp)
+        members[id(W)] = W, D
+        return W
+
+    def asked_in_span(w, W, sp):
+        got = in_span(w, W, sp)
+        if id(W) in members:
+            open_ = diffgeo._in_sampled(w, *W.sampled, sp.tol) is None
+            questions.append((members[id(W)][1], sp, w, got, open_))
+        return got
+
+    def asked_rank(W, sp):
+        got = rank(W, sp)
+        if id(W) in members:
+            questions.append((members[id(W)][1], sp, None, got, False))
+        return got
+
+    monkeypatch.setattr(transform, "characteristic_annihilator", built)
+    monkeypatch.setattr(integrate, "form_in_span", asked_in_span)
+    monkeypatch.setattr(integrate, "codistribution_rank", asked_rank)
+    yield questions
+
+
+def assert_exact_answers(questions):
+    """Each question got the answer of the symbolic characteristics C:
+    membership in annihilator(C), and rank n - generic_rank(C)."""
+    solved = {}
+    for D, sp, w, got, _open in questions:
+        if id(D) not in solved:
+            solved[id(D)] = D, annihilator(cauchy_characteristics(D, sp), sp)
+        exact = solved[id(D)][1]
+        if w is None:
+            assert got == len(D.frame) - generic_rank(exact.kernel, sp)
+        else:
+            assert got == form_in_span(w, exact, sp), (to_str(w.coefficients), got)
+
+
+def _disguised():
+    for index, combo in enumerate(criterion5_combos()):
+        for k in (1, 3):
+            if (index, k) not in KNOWN_FAILURES:
+                yield index, combo, k
+
+
+def test_cauchy_levels_agree_with_symbolic_on_the_corpus(monkeypatch):
+    with cauchy_questions(monkeypatch) as questions:
+        for name in ("academic10", "product", "sin", "sqrt", "template", "vtol"):
+            for seed in [*range(8), 42]:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    main(["transform", os.path.join(CORPUS, name + ".sys"), "--seed", str(seed)])
+    assert len(questions) >= 140
+    assert_exact_answers(questions)
+
+
+def test_cauchy_levels_agree_with_symbolic_on_generated_instances(monkeypatch):
+    with cauchy_questions(monkeypatch) as questions:
+        for combo, seed in generated_instances():
+            instance_outputs(triangular_template(*combo, seed=seed).system, Sym("y1"), Sampler())
+    assert len(questions) >= 110
+    assert_exact_answers(questions)
+
+
+def test_cauchy_levels_agree_with_symbolic_on_disguised_instances(monkeypatch):
+    opened = {}
+    with cauchy_questions(monkeypatch) as questions:
+        for index, combo, k in _disguised():
+            system, inverse = disguise(triangular_template(*combo, seed=index).system, k,
+                                       seed=index)
+            before = len(questions)
+            instance_outputs(system, inverse["y1"], Sampler())
+            opened[combo, index, k] = sum(q[-1] for q in questions[before:])
+    assert len(opened) == 17 and len(questions) >= 100
+    # cancellation in lam @ B on a disguised basis leaves memberships open there
+    assert opened[(0, 0, 5, 1), 3, 3] >= 1
+    assert_exact_answers(questions)

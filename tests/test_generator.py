@@ -10,7 +10,7 @@ from triflat.generator import triangular_template
 from triflat.sampling import Sampler
 from triflat.triform import triangular_form_check
 
-from reference import equal_chain_template, field_sum, scale, span_equal
+from reference import cauchy_flags, equal_chain_template, field_sum, scale, span_equal
 
 SP = Sampler()
 
@@ -67,7 +67,7 @@ def test_characteristic_ladder_display():
     assert rep.verdict
     rear = ["z1_1"]
     core = ["y1", "y2", "y3", "y4", "y5"]
-    for i, C in enumerate(rep.cauchy_flags, start=1):
+    for i, C in enumerate(cauchy_flags(rep, SP), start=1):
         expected = Distribution(
             s.frame,
             [coordinate_field(s.frame, x) for x in rear + core[len(core) - i:]],

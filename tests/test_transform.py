@@ -16,6 +16,7 @@ from triflat.direction_search import (
 )
 from triflat.errors import EvalError, PipelineError, SamplerExhausted
 from triflat.expr import ONE, Rat, Sym, ZERO, add, evaluate, mul, neg
+from triflat.fields import VectorField
 from triflat.flatout import flat_output_for_report
 from triflat.generator import triangular_template
 from triflat.parser import parse_expr
@@ -490,3 +491,62 @@ def test_wrong_forward_map_fails_the_stage_check(vtol_analysis, monkeypatch):
     a = vtol_analysis
     with pytest.raises(PipelineError, match="straightening stage fails numeric verification"):
         transform_to_triangular(a.system, a.report, a.flat, a.sp)
+
+
+# --- the structure checks name the row they find broken ------------------------
+
+
+@pytest.fixture(scope="module")
+def finished_stages():
+    """(report, straightening stage, last stage) of generated (2,2,4,3) seed
+    5: two terminal chains of length 2, four core rows and rear chains of
+    lengths 3 and 2, with w = z2_1 a state."""
+    system = triangular_template(2, 2, 4, 3, seed=5).system
+    rep, _flat, res = instance_outputs(system, Sym("y1"), SP)
+    return rep, res.stages[0][1], res.stages[-1][1]
+
+
+def _perturbed(stage, sym, part, delta):
+    """The stage with delta added to sym's row of the drift, b1 or b2."""
+    sysm = stage.sys
+    comps = list(getattr(sysm, part).components)
+    i = sysm.frame.index(sym)
+    comps[i] = simplify(add(comps[i], parse_expr(delta)))
+    return replace(stage, sys=replace(sysm, **{part: VectorField(sysm.frame, tuple(comps))}))
+
+
+@pytest.mark.parametrize("sym, part, delta, failure", [
+    ("p1_1", "drift", "1", "terminal chain row p1_1"),
+    ("p1_2", "b1", "1", "terminal chain row p1_2 input 1"),
+    ("p2_2", "b2", "q1", "terminal chain row p2_2 input 2"),
+    ("q1", "drift", "1", "first core equation"),
+    ("q2", "drift", "z2_1^2", "core equation q2 shape"),
+    ("q2", "drift", "q4", "drift coupling q2 vs q4"),
+    ("q3", "drift", "z1_2", "drift coupling q3 vs rear z1_2"),
+    ("q4", "drift", "z2_1^2", "last core equation shape"),
+    ("r1", "drift", "1", "rear chain row r1"),
+    ("z1_3", "drift", "1", "rear chain bottom z1_3"),
+    ("z2_2", "b1", "1", "rear chain bottom z2_2"),
+])
+def test_assembly_names_the_broken_row(finished_stages, sym, part, delta, failure):
+    rep, _straight, last = finished_stages
+    assert transform._assemble_decomposition(last, rep, SP).structure_ok
+    out = transform._assemble_decomposition(_perturbed(last, sym, part, delta), rep, SP)
+    assert not out.structure_ok and out.structure_failures == [failure]
+
+
+@pytest.mark.parametrize("sym, part, delta, message", [
+    ("p1_1", "b1", "1", "block structure violated: terminal row p1_1 touches the inputs"),
+    ("p1_1", "drift", "r1", "block structure violated: terminal row p1_1 depends on r1"),
+    ("q2", "b2", "1", "block structure violated: core row q2 touches the inputs"),
+    ("q2", "drift", "r4", "block structure violated: core row q2 depends on deep rear state r4"),
+    ("p1_1", "drift", "q3", "terminal block has more than two effective inputs"),
+    ("q1", "drift", "r2", "core block does not have exactly two effective inputs"),
+    ("q4", "drift", "r2", "core block short-direction rank is not one"),
+])
+def test_block_structure_check_names_the_broken_row(finished_stages, sym, part, delta, message):
+    rep, straight, _last = finished_stages
+    transform._verify_block_structure(straight, rep, SP)
+    with pytest.raises(PipelineError) as err:
+        transform._verify_block_structure(_perturbed(straight, sym, part, delta), rep, SP)
+    assert str(err.value) == message

@@ -13,7 +13,7 @@ from triflat.triform import (
     triangular_form_check,
 )
 
-from reference import equal_chain_template
+from reference import cauchy_flags, equal_chain_template
 
 SP = Sampler()
 
@@ -62,7 +62,7 @@ def test_ladder_dimension_record(academic10_analysis):
     rep = academic10_analysis.report
     sp = academic10_analysis.sp
     base = generic_rank(rep.delta0, sp)
-    for i, C in enumerate(rep.cauchy_flags, start=1):
+    for i, C in enumerate(cauchy_flags(rep, sp), start=1):
         assert generic_rank(C, sp) == base + i
     assert generic_rank(rep.closure, sp) == base + rep.n2
 
