@@ -428,16 +428,18 @@ def _in_sampled(w: OneForm, ps, idx, forms, tol):
 def characteristic_annihilator(D: Distribution, sp: Sampler) -> Codistribution:
     """The forms annihilating the Cauchy characteristics of D, sampled as the
     annihilator of the directions lam @ B at the points of
-    :func:`_characteristics_at` (where they reach their largest rank).  The
-    symbolic characteristics, its kernel, are solved on first read, once:
-    for the forms (those of their :func:`annihilator`) or for a membership
-    the sampled values leave open."""
+    :func:`_characteristics_at` when every sample point agrees on the ranks
+    of B, M and lam @ B (else one point off the others, by noise, could set
+    the level).  The symbolic characteristics, its kernel, are solved on
+    first read, once: for the forms (those of their :func:`annihilator`), for
+    a membership the sampled values leave open, or for every question when
+    the points disagree."""
     B, lam, _X, (ps, idx) = _characteristics_at(D, sp)
     W = Codistribution(D.frame, lambda: annihilator(W.kernel, sp).forms,
                        lambda: cauchy_characteristics(D, sp))
     rank_c, ann = nullspaces(lam @ B, sp.tol)
-    kept = np.flatnonzero(rank_c == rank_c.max())
-    W.sampled = ps, [idx[i] for i in kept], np.stack([ann[i] for i in kept])
+    if len(idx) == sp.samples and (rank_c == lam.shape[1]).all():
+        W.sampled = ps, idx, np.stack(ann)
     return W
 
 

@@ -40,7 +40,7 @@ from triflat.direction_search import (
     compute_bracket_chain,
 )
 from triflat.errors import NotApplicable
-from triflat.expr import ONE, ZERO, Sym, mul, neg, to_str
+from triflat.expr import ONE, ZERO, Sym, mul, neg
 from triflat.fields import Distribution, coordinate_field
 from triflat.flatout import admissible_phi1, flat_output_for_report
 from triflat.generator import triangular_template
@@ -285,14 +285,14 @@ def cauchy_questions(monkeypatch):
     def asked_in_span(w, W, sp):
         got = in_span(w, W, sp)
         if id(W) in members:
-            open_ = diffgeo._in_sampled(w, *W.sampled, sp.tol) is None
+            open_ = W.sampled is None or diffgeo._in_sampled(w, *W.sampled, sp.tol) is None
             questions.append((members[id(W)][1], sp, w, got, open_))
         return got
 
     def asked_rank(W, sp):
         got = rank(W, sp)
         if id(W) in members:
-            questions.append((members[id(W)][1], sp, None, got, False))
+            questions.append((members[id(W)][1], sp, None, got, W.sampled is None))
         return got
 
     monkeypatch.setattr(transform, "characteristic_annihilator", built)
@@ -312,7 +312,7 @@ def assert_exact_answers(questions):
         if w is None:
             assert got == len(D.frame) - generic_rank(exact.kernel, sp)
         else:
-            assert got == form_in_span(w, exact, sp), (to_str(w.coefficients), got)
+            assert got == form_in_span(w, exact, sp), (str(w), got)
 
 
 def _disguised():
@@ -354,3 +354,26 @@ def test_cauchy_levels_agree_with_symbolic_on_disguised_instances(monkeypatch):
     # cancellation in lam @ B on a disguised basis leaves memberships open there
     assert opened[(0, 0, 5, 1), 3, 3] >= 1
     assert_exact_answers(questions)
+
+
+def test_a_level_whose_points_disagree_is_solved_symbolically(academic10_analysis, monkeypatch):
+    rep, sp = academic10_analysis.report, academic10_analysis.sp
+    D = rep.delta1_flags[1]
+    real = diffgeo._characteristics_at
+
+    def one_point_dropped(*args, **kwargs):
+        B, lam, X, (ps, idx) = real(*args, **kwargs)
+        return B[1:], lam[1:], X[1:], (ps, idx[1:])
+
+    monkeypatch.setattr(diffgeo, "_characteristics_at", one_point_dropped)
+    coordinates = [differential(Sym(x), D.frame) for x in D.frame]
+    with counting(diffgeo, "cauchy_characteristics") as calls:
+        W = diffgeo.characteristic_annihilator(D, sp)
+        assert W.sampled is None and calls == []
+        rank = codistribution_rank(W, sp)
+        inside = [form_in_span(w, W, sp) for w in coordinates]
+    assert len(calls) == 1
+    exact = annihilator(cauchy_characteristics(D, sp), sp)
+    assert rank == codistribution_rank(exact, sp) and 0 < rank < len(D.frame)
+    assert inside == [form_in_span(w, exact, sp) for w in coordinates]
+    assert True in inside and False in inside
