@@ -74,7 +74,8 @@ def transform_digest(name, seed):
                  Path(saved).read_text(encoding="utf-8") if os.path.exists(saved) else None]
         texts = [t and t.replace(CORPUS, "<corpus>").replace(tmp, "<tmp>") for t in texts]
     record = json.dumps({"exit": code, "stdout": texts[0], "stderr": texts[1], "saved": texts[2]})
-    return f"{name} transform seed={seed}", code, texts[1], hashlib.sha256(record.encode()).hexdigest()
+    digest = hashlib.sha256(record.encode()).hexdigest()
+    return f"{name} transform seed={seed}", code, texts[1], digest
 
 
 def check_decision(report):
