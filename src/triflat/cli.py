@@ -34,7 +34,7 @@ from .errors import (
     SamplerExhausted,
     TriflatError,
 )
-from .expr import ZERO, to_str
+from .expr import ZERO, free_symbols, to_str
 from .flatout import admissible_phi1, flat_output_for_report
 from .parser import parse_expr
 from .sysfile import SysFileError, check_names, load_sysfile
@@ -364,6 +364,14 @@ def cmd_verify(args):
             keys = (set(change.state_map), set(change.input_map))
             if keys != (set(result_sys.frame), set(result_sys.input_syms)):
                 raise ValueError("state_map and input_map must map the result states and inputs")
+            names = {*sysm.frame, *sysm.input_syms, *sysm.params}
+            for part, entries in (("state_map", change.state_map),
+                                  ("input_map", change.input_map)):
+                for key, e in entries.items():
+                    stray = free_symbols(e) - names
+                    if stray:
+                        raise ValueError(f"{part} entry {key!r} names {min(stray)!r}, which "
+                                         "is no state, input or parameter of the system")
         except (ValueError, KeyError, TypeError, AttributeError, TriflatError) as e:
             raise SysFileError(
                 f"malformed transformation file {args.transform!r}: {e!r}"

@@ -1,22 +1,22 @@
 """Lie brackets, flags, Cauchy characteristics, annihilators.
 
 Rank and membership questions are decided numerically at generic sample
-points (:func:`kernel_within` among them).  A bracket that only feeds such a
-question is never built symbolically: :func:`bracket_values` samples the
-fields and their nonzero first partials in one stack and takes the value of
-[v, w] = Dw v - Dv w at each point.  Involutivity and the questions about
-Cauchy characteristics are decided that way: whether they span a given
-distribution, whether the drift keeps them inside theirs, and which forms
-annihilate them (:func:`is_involutive`, :func:`characteristics_span`,
+points, and every membership question (is a bracket, a characteristic
+direction, a drift image or a kernel field inside a span?) by one rule,
+:func:`_spanned`.  A bracket that only feeds such a question is never built
+symbolically: :func:`bracket_values` samples the fields and their nonzero
+first partials in one stack and takes the value of [v, w] = Dw v - Dv w at
+each point.  Involutivity and whether the Cauchy characteristics span a
+given distribution, stay in theirs under the drift or are annihilated by
+given forms (:func:`is_involutive`, :func:`characteristics_span`,
 :func:`drift_compatible`, :func:`annihilates_characteristics`) come from
 sampled values of a basis and its brackets, with no symbolic elimination,
-and so are the rank and memberships of the transform's Cauchy ladder
-levels (:func:`characteristic_annihilator`) unless the points leave one
-open.  :func:`lie_bracket` builds a bracket only where it becomes a flag
-member or is eliminated symbolically.  Symbolic elimination
-(:func:`annihilator`, :func:`cauchy_characteristics`) runs only where the
-symbolic forms and fields are read, and each symbolic result is re-checked
-numerically.
+and so do the rank and memberships of the transform's Cauchy ladder levels
+(:func:`characteristic_annihilator`) unless the points leave one open.
+:func:`lie_bracket` builds a bracket only where it becomes a flag member or
+is eliminated symbolically.  Symbolic elimination (:func:`annihilator`,
+:func:`cauchy_characteristics`) runs only where the symbolic forms and
+fields are read, and each symbolic result is re-checked numerically.
 The generic rank of a matrix is the largest rank it reaches at the sample
 points (off a thin set a rank only falls below its generic value); points
 where it drops below that rank are treated as non-generic and discarded.
@@ -102,16 +102,11 @@ def bracket_values(frame, fields, pairs, sp: Sampler, extra_rows=()):
     One stack of the fields, their nonzero first partials (packed n to a
     row) and extra_rows is sampled; the partials are scattered into the
     Jacobians, and one einsum gives every product D f_a(p) f_b(p), with
-    [v, w] = Dw v - Dv w.  Returns (F, brackets, X): the (K, m, n) values of
-    the m fields, the (K, len(pairs), n) bracket values and the (K, e, n)
-    values of extra_rows at the K admissible points.
+    [v, w] = Dw v - Dv w.  Returns (F, brackets, X, at): the (K, m, n) values
+    of the m fields, the (K, len(pairs), n) bracket values, the (K, e, n)
+    values of extra_rows at the K admissible points, and at = (the point
+    set, the indices of those points in it).
     """
-    return _sampled_brackets(frame, fields, pairs, sp, extra_rows)[1:]
-
-
-def _sampled_brackets(frame, fields, pairs, sp: Sampler, extra_rows=()):
-    """(at, F, brackets, X): :func:`bracket_values`, with at = (the point
-    set, the indices of the K admissible points in it)."""
     m, n = len(fields), len(frame)
     parts = [(a, i, j, d) for a, f in enumerate(fields) for i, j, d in _partials(f)]
     flat = [d for *_aij, d in parts] + [ZERO] * (-len(parts) % n)
@@ -129,14 +124,14 @@ def _sampled_brackets(frame, fields, pairs, sp: Sampler, extra_rows=()):
     JF = np.einsum("kaij,kbj->kabi", J, F)
     v = [i for i, _j in pairs]
     w = [j for _i, j in pairs]
-    return (ps, idx), F, JF[:, w, v] - JF[:, v, w], stack[:, p:]
+    return F, JF[:, w, v] - JF[:, v, w], stack[:, p:], (ps, idx)
 
 
 def _spanned(base, extra, tol) -> bool:
-    """Whether the rows of the (K, e, n) stack extra lie in the span of the
-    (K, r, n) stack base: over the points where [base; extra] attains its
-    largest rank, the base must reach that rank (:func:`_in_span`'s rule, for
-    all extra rows at once)."""
+    """The membership rule: whether the rows of the (K, e, n) stack extra lie
+    in the span of the (K, r, n) stack base at generic points.  Over the
+    points where [base; extra] attains its largest rank, the base must reach
+    that rank; points where [base; extra] falls below it are skipped."""
     full = ranks(np.concatenate([base, extra], axis=1), tol)
     top = full.max()
     return bool(ranks(base[full == top], tol).max() == top)
@@ -172,35 +167,12 @@ def differential(f: Expr, frame) -> OneForm:
 
 def _in_span(rows, extras, frame, sp: Sampler) -> list:
     """For each extra row e, whether it lies in the row span of rows at the
-    generic points.
-
-    rows + extras are sampled once.  Over the points where [rows; e] attains
-    its largest rank, the largest rank of the base rows must reach that rank:
-    points where the base drops below it are skipped.  The base is ranked
-    once and every [rows; e] in one batched SVD.  An extra row that would
-    move the admissible points of the base (it adds a symbol, or fails to
-    evaluate at one of them) is answered alone, at the points of [rows; e].
-    """
-    if not extras:
-        return []
-    if len(extras) > 1:
-        base = MatrixSampler(rows, frame, sp)
-        ps, idx = base.admissible()
-        inside = [e for row in extras for e in row if _free_symbols(e) <= base.syms]
-        ok = {e: all(map(_admissible, vals))
-              for e, vals in zip(inside, zip(*ps.scan(inside, idx)))}
-        moved = [not all(ok.get(e, False) for e in row) for row in extras]
-        if any(moved):
-            rest = iter(_in_span(rows, [e for e, m in zip(extras, moved) if not m], frame, sp))
-            return [_in_span(rows, [e], frame, sp)[0] if m else next(rest)
-                    for e, m in zip(extras, moved)]
-    _points, stack = MatrixSampler(rows + extras, frame, sp).stack()
-    (k, width, n), r, m = stack.shape, len(rows), len(extras)
-    base_rank = ranks(stack[:, :r], sp.tol)
-    grown = stack[:, [list(range(r)) + [q] for q in range(r, width)]]  # (k, m, r + 1, n)
-    full = ranks(grown.reshape(k * m, r + 1, n), sp.tol).reshape(k, m)
-    top = full.max(axis=0)
-    return [bool(base_rank[full[:, q] == top[q]].max() == top[q]) for q in range(m)]
+    generic points: [rows; e] is sampled at its own admissible points (values
+    are kept per point set, so the base is evaluated once) and asked
+    :func:`_spanned`."""
+    r = len(rows)
+    stacks = (MatrixSampler(rows + [e], frame, sp).stack()[1] for e in extras)
+    return [_spanned(stack[:, :r], stack[:, r:], sp.tol) for stack in stacks]
 
 
 def generic_rank(D: Distribution, sp: Sampler) -> int:
@@ -340,14 +312,15 @@ def is_involutive(D: Distribution, sp: Sampler) -> bool:
     b = basis(D, sp)
     if len(b) < 2:
         return True
-    B, brackets, _ = bracket_values(D.frame, b, list(combinations(range(len(b)), 2)), sp)
+    B, brackets, *_ = bracket_values(D.frame, b, list(combinations(range(len(b)), 2)), sp)
     return _spanned(B, brackets, sp.tol)
 
 
 def drift_extension_rank(D: Distribution, fields, a: VectorField, sp: Sampler) -> int:
     """Generic rank of D + [a, fields], from sampled bracket values."""
     pairs = [(len(fields), j) for j in range(len(fields))]
-    _F, brackets, rows = bracket_values(D.frame, list(fields) + [a], pairs, sp, D.matrix_rows())
+    _F, brackets, rows, _at = bracket_values(D.frame, list(fields) + [a], pairs, sp,
+                                             D.matrix_rows())
     return int(ranks(np.concatenate([rows, brackets], axis=1), sp.tol).max())
 
 
@@ -471,7 +444,7 @@ def cauchy_characteristics(D: Distribution, sp: Sampler) -> Distribution:
     if C.fields:
         k, r = len(C.fields), len(b)
         pairs = [(i, k + j) for i in range(k) for j in range(r)]
-        F, brackets, _ = bracket_values(frame, list(C.fields) + b, pairs, sp)
+        F, brackets, *_ = bracket_values(frame, list(C.fields) + b, pairs, sp)
         if not _spanned(F[:, k:], F[:, :k], sp.tol):
             raise EliminationError("characteristic field escapes the distribution")
         if not _spanned(F[:, k:], brackets, sp.tol):
@@ -499,10 +472,10 @@ def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=(), drift=None)
     r, n = len(b), len(D.frame)
     pairs = list(combinations(range(r), 2))
     if drift is None:
-        (ps, idx), B, brackets, X = _sampled_brackets(D.frame, b, pairs, sp, extra_rows)
+        B, brackets, X, (ps, idx) = bracket_values(D.frame, b, pairs, sp, extra_rows)
     else:  # X holds [a, b_j]
         both = pairs + [(r, j) for j in range(r)]
-        (ps, idx), F, brackets, _ = _sampled_brackets(D.frame, b + [drift], both, sp)
+        F, brackets, _X, (ps, idx) = bracket_values(D.frame, b + [drift], both, sp)
         B, brackets, X = F[:, :r], brackets[:, : len(pairs)], brackets[:, len(pairs) :]
     rank_b, ann = nullspaces(B, sp.tol)
     kept = np.flatnonzero(rank_b == r)
@@ -520,16 +493,15 @@ def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=(), drift=None)
 
 
 def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
-    """Whether the Cauchy characteristics of D span the same as E, generically.
-
-    Points where E drops below its largest rank over the points are skipped.
-    """
+    """Whether the Cauchy characteristics of D span the same as E, generically:
+    E has their rank and lies in their span (:func:`_spanned`), skipping the
+    points where E drops below its largest rank over the points."""
     B, lam, X, _at = _characteristics_at(D, sp, E.matrix_rows())
-    k = lam.shape[1]
     rank_e = ranks(X, sp.tol)
     generic = rank_e == rank_e.max()
-    both = ranks(np.concatenate([lam @ B, X], axis=1)[generic], sp.tol)
-    return bool(rank_e.max() == k and (both == k).all())
+    if rank_e.max() != lam.shape[1]:
+        return False
+    return _spanned((lam @ B)[generic], X[generic], sp.tol)
 
 
 def annihilates_characteristics(D: Distribution, rows, sp: Sampler):
@@ -537,24 +509,21 @@ def annihilates_characteristics(D: Distribution, rows, sp: Sampler):
     Cauchy characteristics of D at every generic point.
 
     The characteristic directions at a point are lam @ B; a form annihilates
-    them exactly when appending it to their annihilator leaves its rank
-    unchanged.  Points where the directions drop below their largest rank
-    over the points are skipped.
+    them exactly when it lies in the span of their annihilator
+    (:func:`_spanned`).  Points where the directions drop below their
+    largest rank over the points are skipped.
     """
     B, lam, X, _at = _characteristics_at(D, sp, rows)
     rank_c, ann = nullspaces(lam @ B, sp.tol)
     kept = np.flatnonzero(rank_c == rank_c.max())
     W = np.stack([ann[i] for i in kept])
-    return [
-        bool((ranks(np.concatenate([W, X[kept, q : q + 1]], axis=1), sp.tol) == W.shape[1]).all())
-        for q in range(len(rows))
-    ]
+    return [_spanned(W, X[kept, q : q + 1], sp.tol) for q in range(len(rows))]
 
 
 def kernel_within(W: Codistribution, D: Distribution, sp: Sampler) -> bool:
     """Whether the fields annihilated by W lie in D, generically.
 
-    At each point rank [D(p); ker W(p)] must equal rank D(p); points where
+    ker W(p) must lie in the span of D(p) (:func:`_spanned`); points where
     D or W is below its largest rank over the points are skipped.
     """
     rows = D.matrix_rows()
@@ -563,8 +532,7 @@ def kernel_within(W: Codistribution, D: Distribution, sp: Sampler) -> bool:
     rank_d = ranks(F, sp.tol)
     rank_w, kernels = nullspaces(stack[:, len(rows) :], sp.tol)
     kept = np.flatnonzero((rank_d == rank_d.max()) & (rank_w == rank_w.max()))
-    grown = np.concatenate([F[kept], np.stack([kernels[i] for i in kept])], axis=1)
-    return bool((ranks(grown, sp.tol) == rank_d.max()).all())
+    return _spanned(F[kept], np.stack([kernels[i] for i in kept]), sp.tol)
 
 
 def drift_compatible(D: Distribution, a: VectorField, sp: Sampler) -> bool:
@@ -574,5 +542,4 @@ def drift_compatible(D: Distribution, a: VectorField, sp: Sampler) -> bool:
     pointwise too.
     """
     B, lam, X, _at = _characteristics_at(D, sp, drift=a)
-    grown = np.concatenate([B, lam @ X], axis=1)
-    return bool((ranks(grown, sp.tol) == B.shape[1]).all())
+    return _spanned(B, lam @ X, sp.tol)

@@ -8,7 +8,7 @@ symbolic result is cross-checked numerically before it is returned.
 from __future__ import annotations
 
 from .errors import EliminationError, EvalError
-from .expr import ZERO, Add, Call, Mul, Pow, Rat, Sym, add, div, mul, neg, sub
+from .expr import ZERO, Call, Pow, Rat, add, div, mul, neg, sub, subterms
 from .sampling import MatrixSampler, Sampler, all_zero_generic, point_set
 from .simplify import as_fraction, lcm_expr, simplify
 
@@ -40,17 +40,7 @@ def _score(values):
 
 def _complexity(e):
     """Rough size of an expression; cheap pivots keep elimination sparse."""
-    if isinstance(e, (Rat, Sym)):
-        return 1
-    if isinstance(e, Add):
-        return 1 + sum(_complexity(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return 1 + sum(_complexity(f) for f in e.factors)
-    if isinstance(e, Pow):
-        return 2 + _complexity(e.base)
-    if isinstance(e, Call):
-        return 2 + _complexity(e.arg)
-    return 10
+    return sum(2 if isinstance(s, (Pow, Call)) else 1 for s in subterms(e))
 
 
 class RowReduction:

@@ -330,6 +330,22 @@ def free_symbols(e):
     return out
 
 
+def subterms(e):
+    """e, then the subterms of each of its children, left to right."""
+    stack = [e]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        if isinstance(cur, Add):
+            stack.extend(reversed(cur.terms))
+        elif isinstance(cur, Mul):
+            stack.extend(reversed(cur.factors))
+        elif isinstance(cur, Pow):
+            stack.append(cur.base)
+        elif isinstance(cur, Call):
+            stack.append(cur.arg)
+
+
 def substitute(e, mapping):
     """Replace symbols by expressions; mapping is name -> Expr."""
     if isinstance(e, Rat):

@@ -40,6 +40,7 @@ from .expr import (
     pow_,
     sub,
     substitute,
+    subterms,
 )
 from .fields import VectorField
 from .flatout import FlatOutput
@@ -175,24 +176,10 @@ def _replace_subtree(e: Expr, target: Expr, repl: Expr) -> Expr:
 def _isolate_through_kernel(f: Expr, x: str, v: Expr) -> Optional[Expr]:
     """When every occurrence of x sits inside one repeated kernel, solve the
     rational outer problem first and then invert the kernel."""
-    kernels = []
-
-    def collect(e):
-        if (isinstance(e, Call) or (isinstance(e, Pow) and e.exponent.denominator > 1)) \
-                and x in free_symbols(e) and e not in kernels:
-            kernels.append(e)
-        if isinstance(e, Add):
-            for t in e.terms:
-                collect(t)
-        elif isinstance(e, Mul):
-            for g in e.factors:
-                collect(g)
-        elif isinstance(e, Pow):
-            collect(e.base)
-        elif isinstance(e, Call):
-            collect(e.arg)
-
-    collect(f)
+    kernels = dict.fromkeys(
+        e for e in subterms(f)
+        if (isinstance(e, Call) or (isinstance(e, Pow) and e.exponent.denominator > 1))
+        and x in free_symbols(e))
     placeholder = Sym("_ker")
     for K in kernels:
         outer = simplify(_replace_subtree(f, K, placeholder))
@@ -644,28 +631,9 @@ def _call_argument_coordinates(sysm: AffineSystem):
     Keeping these as coordinates makes the introduced states compositions of
     invertible elementary patterns instead of algebraic root expressions.
     """
-    out = []
-
-    def walk(e):
-        if isinstance(e, Call):
-            arg_syms = free_symbols(e.arg) & set(sysm.frame)
-            for x in sysm.frame:
-                if x in arg_syms and x not in out:
-                    out.append(x)
-            walk(e.arg)
-        elif isinstance(e, Add):
-            for t in e.terms:
-                walk(t)
-        elif isinstance(e, Mul):
-            for f in e.factors:
-                walk(f)
-        elif isinstance(e, Pow):
-            walk(e.base)
-
-    for f in (sysm.drift, sysm.b1, sysm.b2):
-        for c in f.components:
-            walk(c)
-    return out
+    calls = [e for f in (sysm.drift, sysm.b1, sysm.b2) for c in f.components
+             for e in subterms(c) if isinstance(e, Call)]
+    return list(dict.fromkeys(x for e in calls for x in sysm.frame if x in free_symbols(e.arg)))
 
 
 def decompose(sys_original: AffineSystem, report: TriangularReport,

@@ -125,7 +125,7 @@ def test_bracket_matches_finite_differences_random():
             atol=1e-4,
         )
         got = bracket_values(frame, [v, w], [(0, 1)], SP, [br.components])
-        _F, sampled, symbolic = got
+        _F, sampled, symbolic, _at = got
         assert sampled.shape == symbolic.shape == (SP.samples, 1, 3)
         scale = np.abs(symbolic).max()
         np.testing.assert_allclose(sampled, symbolic, rtol=1e-9, atol=1e-9 * scale)

@@ -1,15 +1,21 @@
-"""The batched span test and the sampled involutivity test against their
+"""The span tests and the sampled involutivity test against their
 references.
 
-``diffgeo._in_span`` answers "does row e lie in the span of these rows" for
-many rows e from one sampled stack and one batched SVD.  Every batch that
-``check`` asks for, over the corpus and the criterion-5 instances, must
-give the per-row answers of ``reference.in_span_per_row``; a row that would
-move the admissible points of the base is answered alone.  Every
-involutivity question ``check`` asks, decided from sampled bracket values,
-must get the answer of the symbolic brackets and, on rational systems, of
-the exact rank over GF(p); the bracket values sampled from the nonzero
-partials alone must equal, bit for bit, those of the dense Jacobians.
+``diffgeo._spanned`` is the one membership rule: whether the rows of one
+sampled stack lie in the span of another, over the points where both
+together reach their largest rank.  ``diffgeo._in_span`` answers "does row e
+lie in the span of these rows" by sampling [rows; e] at its own admissible
+points and asking ``_spanned``.  Every call with several rows that
+``check`` makes, over the corpus and the criterion-5 instances, must give
+the per-row answers of ``reference.in_span_per_row``, and so must rows that
+move the admissible points of the base.  No question that ``check`` and
+``flat-output`` ask there has a [base; extra] that ranks below its base at
+a point, the one case where ``_spanned`` and a test of the base's rank at
+every point could differ.  Every involutivity question ``check`` asks,
+decided from sampled bracket values, must get the answer of the symbolic
+brackets and, on rational systems, of the exact rank over GF(p); the
+bracket values sampled from the nonzero partials alone must equal, bit for
+bit, those of the dense Jacobians.
 ``check`` samples each matrix once, builds only the brackets that become
 flag members or are eliminated, and runs no SVD whose answer it already
 has: academic10 needs at most 25 sampled stacks, 105 SVD calls and 110
@@ -66,7 +72,7 @@ def test_batched_answers_equal_per_row_answers(monkeypatch, capsys):
     capsys.readouterr()
     for index, combo in enumerate(criterion5_combos()):
         _analyze(triangular_template(*combo, seed=index).system, Sampler())
-    # what still batches: candidate_via_h's [w1, w2] against H
+    # the calls about several rows: candidate_via_h's [w1, w2] against H
     batches = [call for call in calls if len(call[1]) > 1]
     assert sum(len(extras) for _rows, extras, *_rest in batches) >= 20
     for rows, extras, frame, sp, out in batches:
@@ -116,7 +122,7 @@ def test_sparse_partials_give_the_dense_bracket_values(capsys):
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
-def test_a_row_that_moves_the_base_points_is_answered_alone(monkeypatch):
+def test_a_row_that_moves_the_base_points_is_answered_alone():
     frame = ("x1", "x2", "x3")
     rows = [[parse_expr(e) for e in r] for r in (["1", "0", "0"], ["0", "x2", "0"])]
     extras = [
@@ -129,12 +135,33 @@ def test_a_row_that_moves_the_base_points_is_answered_alone(monkeypatch):
         )
     ]
     sp = Sampler()
-    calls = record_span_calls(monkeypatch)
     got = diffgeo._in_span(rows, extras, frame, sp)
     assert got == [False, True, True, False]
     assert got == [in_span_per_row(rows, e, frame, sp) for e in extras]
-    asked = [extras_ for _rows, extras_, *_rest in calls[:-1]]
-    assert asked == [extras[:2], extras[2:3], extras[3:]]
+
+
+def test_no_membership_question_ranks_below_its_base(monkeypatch, capsys):
+    """``_spanned`` asks whether the base reaches the largest rank of
+    [base; extra] over the points; a test of the base's rank at every point
+    would ask that [base; extra] have it everywhere.  The two differ only
+    where [base; extra] ranks below base at some point, which no question
+    of the corpus or the criterion-5 instances meets."""
+    questions = []
+    real = diffgeo._spanned
+
+    def spy(base, extra, tol):
+        grown = sampling.ranks(np.concatenate([base, extra], axis=1), tol)
+        questions.append(bool((grown >= sampling.ranks(base, tol)).all()))
+        return real(base, extra, tol)
+
+    monkeypatch.setattr(diffgeo, "_spanned", spy)
+    for name in SYSTEMS:
+        for command in ("check", "flat-output"):
+            main([command, os.path.join(CORPUS, name)])
+    capsys.readouterr()
+    for index, combo in enumerate(criterion5_combos()):
+        _analyze(triangular_template(*combo, seed=index).system, Sampler())
+    assert len(questions) >= 180 and all(questions), (len(questions), questions.count(False))
 
 
 def test_check_samples_each_matrix_once(monkeypatch, capsys):

@@ -217,6 +217,25 @@ def test_cli_transform_verify_round_trip(capsys, tmp_path):
     assert code == 0 and out["verified"] is True
 
 
+@pytest.mark.parametrize("part, value, symbol", [
+    ("state_map", "zz + 1", "zz"),
+    ("input_map", "qq", "qq"),
+])
+def test_cli_verify_rejects_a_map_naming_a_stray_symbol(capsys, tmp_path, part, value, symbol):
+    save = tmp_path / "map.json"
+    code, _out = run_cli(capsys, "transform", corpus("vtol.sys"), "--save", str(save))
+    assert code == 0
+    payload = json.loads(save.read_text())
+    key = sorted(payload[part])[0]
+    payload[part][key] = value
+    save.write_text(json.dumps(payload))
+    code = main(["verify", corpus("vtol.sys"), "--transform", str(save)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert f"{part} entry {key!r} names {symbol!r}" in error, error
+
+
 def vtol_identity_map(x_name="q1", u1_name="v1", extra_state=None):
     """vtol.sys mapped to itself with its state x and input u1 renamed; no
     right-hand side reads x or u1, so those names are never evaluated."""

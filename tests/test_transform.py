@@ -498,12 +498,12 @@ def test_wrong_forward_map_fails_the_stage_check(vtol_analysis, monkeypatch):
 
 @pytest.fixture(scope="module")
 def finished_stages():
-    """(report, straightening stage, last stage) of generated (2,2,4,3) seed
-    5: two terminal chains of length 2, four core rows and rear chains of
-    lengths 3 and 2, with w = z2_1 a state."""
+    """(report, stages by name) of generated (2,2,4,3) seed 5: two terminal
+    chains of length 2, four core rows and rear chains of lengths 3 and 2,
+    with w = z2_1 a state."""
     system = triangular_template(2, 2, 4, 3, seed=5).system
     rep, _flat, res = instance_outputs(system, Sym("y1"), SP)
-    return rep, res.stages[0][1], res.stages[-1][1]
+    return rep, dict(res.stages)
 
 
 def _perturbed(stage, sym, part, delta):
@@ -529,7 +529,8 @@ def _perturbed(stage, sym, part, delta):
     ("z2_2", "b1", "1", "rear chain bottom z2_2"),
 ])
 def test_assembly_names_the_broken_row(finished_stages, sym, part, delta, failure):
-    rep, _straight, last = finished_stages
+    rep, stages = finished_stages
+    last = stages["rear-chains"]
     assert transform._assemble_decomposition(last, rep, SP).structure_ok
     out = transform._assemble_decomposition(_perturbed(last, sym, part, delta), rep, SP)
     assert not out.structure_ok and out.structure_failures == [failure]
@@ -545,8 +546,57 @@ def test_assembly_names_the_broken_row(finished_stages, sym, part, delta, failur
     ("q4", "drift", "r2", "core block short-direction rank is not one"),
 ])
 def test_block_structure_check_names_the_broken_row(finished_stages, sym, part, delta, message):
-    rep, straight, _last = finished_stages
+    rep, stages = finished_stages
+    straight = stages["straighten"]
     transform._verify_block_structure(straight, rep, SP)
     with pytest.raises(PipelineError) as err:
         transform._verify_block_structure(_perturbed(straight, sym, part, delta), rep, SP)
+    assert str(err.value) == message
+
+
+# the stage each ladder step receives
+STEP_INPUT = {
+    "normalize_first_core_equation": "straighten",
+    "introduce_core_couplings": "normalize-first",
+    "rear_chains_to_integrators": "core-couplings",
+}
+
+
+# Not reached by perturbing one row: "rear coordinates left over", "no rear
+# coordinate available for the long-chain top" and "long-chain top
+# missing", which need other blocks, and the branches of an input w
+# ("depends on the long-chain input"), which this instance does not have.
+@pytest.mark.parametrize("step, sym, part, delta, message", [
+    ("normalize_first_core_equation", "q1", "b1", "1",
+     "first core equation touches the inputs directly"),
+    ("normalize_first_core_equation", "q1", "drift", "r1 - r3",  # _introduce's missing
+     "first core equation does not depend on the rear pair; upstream checks must be "
+     "inconsistent"),
+    ("introduce_core_couplings", "q2", "drift", "z2_1^2",
+     "core equation q2 is not affine in the chain input"),
+    ("introduce_core_couplings", "q2", "drift", "(q4 - q3)*z2_1",  # _introduce's missing
+     "coupling coefficient of q2 does not depend on q3; upstream checks must be "
+     "inconsistent"),
+    ("introduce_core_couplings", "q4", "b2", "1",
+     "last core equation touches the inputs directly"),
+    ("introduce_core_couplings", "q4", "drift", "z2_1^2",
+     "last core equation is not affine in the chain input"),
+    ("introduce_core_couplings", "q4", "drift", "r1*z2_1",
+     "coupling factor of the last core equation reaches the rear top"),
+    ("introduce_core_couplings", "q4", "drift", "r2 - r1",
+     "state part of the last core equation does not depend on the rear top; upstream "
+     "checks must be inconsistent"),
+    ("rear_chains_to_integrators", "r1", "b1", "1",
+     "rear chain state r1 reaches the inputs too early; the input span is no longer "
+     "straightened"),
+    ("rear_chains_to_integrators", "r1", "drift", "q1 - r2",  # _introduce's missing
+     "derivative of r1 does not reach a free rear coordinate"),
+])
+def test_ladder_step_names_the_broken_row(finished_stages, step, sym, part, delta, message):
+    rep, stages = finished_stages
+    stage = stages[STEP_INPUT[step]]
+    run = getattr(transform, step)
+    run(stage, rep, SP)
+    with pytest.raises(PipelineError) as err:
+        run(_perturbed(stage, sym, part, delta), rep, SP)
     assert str(err.value) == message
