@@ -372,6 +372,11 @@ def cmd_verify(args):
                     if stray:
                         raise ValueError(f"{part} entry {key!r} names {min(stray)!r}, which "
                                          "is no state, input or parameter of the system")
+                    inputs = free_symbols(e) & set(sysm.input_syms)
+                    if part == "state_map" and inputs:
+                        raise ValueError(f"{part} entry {key!r} names {min(inputs)!r}, which "
+                                         "is an input of the system; a state map reads states "
+                                         "and parameters only")
         except (ValueError, KeyError, TypeError, AttributeError, TriflatError) as e:
             raise SysFileError(
                 f"malformed transformation file {args.transform!r}: {e!r}"

@@ -9,7 +9,11 @@ candidates xi + c*xj*g, with g among the potentials found, the coefficient
 ratios of the spanning forms and the caller's extras.  Which factor closes
 a form and which constant c fits are decided on sampled values; a candidate
 integral is accepted only by the exact span and independence tests, and
-rank W independent differentials in W certify that W is integrable.
+rank W independent differentials in W certify that W is integrable.  A
+candidate whose differential was already found is dependent without a
+test; independence reads the kept generic stack of the rows
+(:meth:`~triflat.sampling.MatrixSampler.generic`), so a row set re-tested
+by a later call is ranked once.
 Failures surface with a diagnostic; nothing is ever approximated.
 """
 
@@ -45,7 +49,7 @@ from .expr import (
     sub,
 )
 from .fields import Codistribution, OneForm
-from .sampling import MatrixSampler, Sampler, _admissible, all_zero_generic, nullspaces, ranks
+from .sampling import MatrixSampler, Sampler, _admissible, all_zero_generic, nullspaces
 from .simplify import differentiate, simplify
 
 
@@ -187,12 +191,13 @@ def integrate_codistribution(
     def independent(candidate_form):
         rows = [list(f.coefficients) for f in diffs] + [list(candidate_form.coefficients)]
         try:
-            _points, stack = MatrixSampler(rows, frame, sp).stack()
+            return MatrixSampler(rows, frame, sp).generic()[1] == len(rows)
         except TriflatError:
             return False
-        return bool(ranks(stack, sp.tol).max() == len(rows))
 
     def consider(phi, source):
+        """Accept phi if dphi is in W and independent of the found ones; an
+        exact, factor or hint candidate joins the pool either way."""
         if len(found) == rank:
             return False
         phi = simplify(phi)
@@ -202,7 +207,8 @@ def integrate_codistribution(
         if all(c == ZERO for c in dphi.coefficients):
             return False
         try:
-            ok = form_in_span(dphi, W, sp) and independent(dphi)
+            # a repeated differential is dependent: [diffs; dphi] repeats a row
+            ok = dphi not in diffs and form_in_span(dphi, W, sp) and independent(dphi)
         except TriflatError:
             return False
         if source in ("exact", "factor", "hint") and phi not in pool:

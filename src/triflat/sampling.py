@@ -461,7 +461,10 @@ class MatrixSampler:
         """The (K, r, c) stack of the matrix at the admissible point indices
         idx of ps."""
         cols = ps.columns(self.entries, idx[-1] + 1)
-        by_entry = np.array([[col[i] for i in idx] for col in cols], dtype=float)
+        if idx[-1] - idx[0] == len(idx) - 1:  # ascending, so one contiguous run
+            by_entry = np.array([col[idx[0]:idx[-1] + 1] for col in cols], dtype=float)
+        else:
+            by_entry = np.array([[col[i] for i in idx] for col in cols], dtype=float)
         return by_entry[self.where].T.reshape(len(idx), *self.shape)
 
     def generic(self):

@@ -386,12 +386,16 @@ def verify_transformation(
     sp: Sampler,
     tol: float = 1e-7,
 ) -> bool:
-    """Pushforward consistency at sampled states and inputs.
+    """Pushforward consistency at sampled states and inputs, and a state map
+    of full rank.
 
     The time derivative of the forward map along the original dynamics must
     match the transformed dynamics at the mapped point, at 20 of the first
     max_resamples + 20 base points, read as one image stream that carries the
-    original side under names no expression can hold; nan is a mismatch.
+    original side under names no expression can hold; nan is a mismatch.  The
+    state map's n x n Jacobian must have rank n at each of the first samples
+    base points where it is admissible: its generic stack
+    (:meth:`MatrixSampler.generic`), which the point set keeps, holds them all.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"the verification tolerance must be finite and positive, got {tol}")
@@ -404,10 +408,11 @@ def verify_transformation(
     maps += [(new, change.state_map[new]) for new in result.frame]
     maps += [(p, Sym(p)) for p in original.params]
     maps += [pair for keys, cs in zip(fkeys, comps) for pair in zip(keys, cs)]
-    maps += [(key, differentiate(change.state_map[new], x))
-             for new, keys in zip(result.frame, jkeys) for key, x in zip(keys, frame)]
+    jacobian = [[differentiate(change.state_map[new], x) for x in frame] for new in result.frame]
+    maps += [pair for keys, row in zip(jkeys, jacobian) for pair in zip(keys, row)]
     maps += zip(ukeys, map(Sym, original.input_syms))
-    img = _mapped(sp, {*frame, *original.input_syms, *original.params}, maps)
+    base = {*frame, *original.input_syms, *original.params}
+    img = _mapped(sp, base, maps)
     ps = point_set(replace(img, base_points=sp.max_resamples + 20), ())
     rows = zip(result.drift.components, result.b1.components, result.b2.components)
     exprs = [e for row in rows for e in row]
@@ -431,7 +436,8 @@ def verify_transformation(
                 else:
                     checked += 1
                     if checked == 20:
-                        return True
+                        stack, top = MatrixSampler(jacobian, base, sp).generic()
+                        return top == len(frame) == len(jacobian) and len(stack) == sp.samples
     except SamplerExhausted:
         pass
     raise PipelineError("verification could not sample admissible points")

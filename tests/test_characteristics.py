@@ -301,6 +301,11 @@ def cauchy_questions(monkeypatch):
     yield questions
 
 
+def distinct(questions):
+    """The (level, form) pairs asked, each once; None stands for the rank."""
+    return {(id(D), w) for D, _sp, w, _got, _open in questions}
+
+
 def assert_exact_answers(questions):
     """Each question got the answer of the symbolic characteristics C:
     membership in annihilator(C), and rank n - generic_rank(C)."""
@@ -337,7 +342,9 @@ def test_cauchy_levels_agree_with_symbolic_on_generated_instances(monkeypatch):
     with cauchy_questions(monkeypatch) as questions:
         for combo, seed in generated_instances():
             instance_outputs(triangular_template(*combo, seed=seed).system, Sym("y1"), Sampler())
-    assert len(questions) >= 110
+    # integration asks a repeated question once (116 questions, 70 distinct,
+    # when each level re-asked its predecessor's integrals)
+    assert len(distinct(questions)) >= 65
     assert_exact_answers(questions)
 
 
@@ -350,7 +357,8 @@ def test_cauchy_levels_agree_with_symbolic_on_disguised_instances(monkeypatch):
             before = len(questions)
             instance_outputs(system, inverse["y1"], Sampler())
             opened[combo, index, k] = sum(q[-1] for q in questions[before:])
-    assert len(opened) == 17 and len(questions) >= 100
+    # 107 questions, 76 distinct, when repeats were asked again
+    assert len(opened) == 17 and len(distinct(questions)) >= 70
     # cancellation in lam @ B on a disguised basis leaves memberships open there
     assert opened[(0, 0, 5, 1), 3, 3] >= 1
     assert_exact_answers(questions)

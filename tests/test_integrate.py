@@ -6,17 +6,19 @@ import sys
 
 import pytest
 
-from triflat import diffgeo, elimination, integrate
-from triflat.cli import main
+from triflat import diffgeo, elimination, integrate, sampling
+from triflat.cli import _analyze, main
 from triflat.diffgeo import annihilator, differential, form_in_span
 from triflat.errors import IntegrationError
 from triflat.expr import ONE, Rat, Sym, ZERO, free_symbols, pow_
 from triflat.flatout import flat_output_for_report
 from triflat.fields import Codistribution, OneForm, coordinate_field
+from triflat.generator import triangular_template
 from triflat.integrate import closing_factors, integrate_codistribution, integrate_sym, potential
 from triflat.parser import parse_expr
-from triflat.sampling import Sampler, is_zero_generic
+from triflat.sampling import MatrixSampler, Sampler, is_zero_generic
 from triflat.simplify import differentiate, simplify
+from triflat.transform import transform_to_triangular
 
 from reference import is_closed, one_form
 
@@ -219,6 +221,32 @@ def test_integration_solves_and_differentiates_only_what_it_reads(
     assert main([command, os.path.join(CORPUS, system + ".sys")]) == 0
     capsys.readouterr()
     assert 0 < len(calls) <= most
+
+
+def test_transform_asks_each_integration_question_once(monkeypatch):
+    # a repeated differential is dependent without a test, and a later
+    # level's re-test of the integrals found reads the kept generic stack
+    # (73 stacks and 70 membership questions when each was asked again)
+    sampling.clear_caches()
+    diffgeo._BRACKET_MEMO.clear()
+    system = triangular_template(2, 2, 4, 3, seed=5).system
+    rep = _analyze(system, SP)[3][0]
+    flat = flat_output_for_report(rep, SP, phi1=Sym("y1") if rep.case == "NoX1" else None)
+    stack, in_span = MatrixSampler.stack, integrate.form_in_span
+    counts = {"stack": 0, "in_span": 0}
+
+    def counted_stack(self):
+        counts["stack"] += 1
+        return stack(self)
+
+    def counted_in_span(*args):
+        counts["in_span"] += 1
+        return in_span(*args)
+
+    monkeypatch.setattr(MatrixSampler, "stack", counted_stack)
+    monkeypatch.setattr(integrate, "form_in_span", counted_in_span)
+    assert transform_to_triangular(system, rep, flat, SP).verified
+    assert counts["stack"] <= 20 and counts["in_span"] <= 45, counts
 
 
 def test_combination_fit_recovers_every_candidate_in_the_span(

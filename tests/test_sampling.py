@@ -158,6 +158,38 @@ def test_stacked_ranks_equal_per_matrix_rank(shape):
             assert np.allclose(m @ basis.T, 0.0, atol=1e-6 * max(1.0, np.abs(m).max(initial=0.0)))
 
 
+# signed magnitudes from 1e-6 to 1e6
+ENTRIES = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-6, 6), st.sampled_from([1, -1]))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_repeated_row_never_ranks_full(data):
+    # integration counts a differential it already holds as dependent
+    # without ranking [diffs; dphi], on this fact
+    k, r, c = (data.draw(st.integers(1, top)) for top in (4, 5, 6))
+    stack = np.array(data.draw(st.lists(ENTRIES, min_size=k * r * c, max_size=k * r * c)))
+    stack = stack.reshape(k, r, c)
+    j = data.draw(st.integers(0, r - 1))
+    tol = 10.0 ** data.draw(st.floats(-11, -7))
+    repeated = np.concatenate([stack, stack[:, j:j + 1]], axis=1)
+    assert (ranks(repeated, tol) < r + 1).all()
+
+
+@pytest.mark.parametrize("idx", [[0, 1, 2, 3, 4, 5, 6, 7], [3, 4, 5, 6, 7, 8, 9, 10], [5],
+                                 [0, 2, 3, 4, 5, 6, 7, 9], [1, 4, 5, 11]])
+def test_values_at_equals_the_per_index_gather(idx):
+    # a contiguous run of indices is read as a slice of each column
+    sampling.clear_caches()
+    sp = Sampler(seed=3)
+    ms = MatrixSampler(matrix([["x", "x*y", "1"], ["y^2 - x", "0", "x"]]), [], sp)
+    ps, _idx = ms.admissible()
+    got = ms.values_at(ps, idx)
+    cols = dict(zip(ms.entries, ps.columns(ms.entries, idx[-1] + 1)))
+    want = np.array([[[cols[e][i] for e in row] for row in ms.rows] for i in idx], dtype=float)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def reference_all_zero(exprs, sp):
     """The per-point zero test, with no cache."""
     syms = set()

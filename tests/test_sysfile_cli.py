@@ -220,6 +220,8 @@ def test_cli_transform_verify_round_trip(capsys, tmp_path):
 @pytest.mark.parametrize("part, value, symbol", [
     ("state_map", "zz + 1", "zz"),
     ("input_map", "qq", "qq"),
+    # a state map reads no input; the input map may
+    ("state_map", "{} + u1", "u1"),
 ])
 def test_cli_verify_rejects_a_map_naming_a_stray_symbol(capsys, tmp_path, part, value, symbol):
     save = tmp_path / "map.json"
@@ -227,13 +229,28 @@ def test_cli_verify_rejects_a_map_naming_a_stray_symbol(capsys, tmp_path, part, 
     assert code == 0
     payload = json.loads(save.read_text())
     key = sorted(payload[part])[0]
-    payload[part][key] = value
+    payload[part][key] = value.format(payload[part][key])
     save.write_text(json.dumps(payload))
     code = main(["verify", corpus("vtol.sys"), "--transform", str(save)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     error = json.loads(captured.err)["error"]
     assert f"{part} entry {key!r} names {symbol!r}" in error, error
+
+
+def test_cli_verify_rejects_a_state_map_of_low_rank(capsys, tmp_path):
+    # every state sent to 0 and a result with no dynamics: consistent, but
+    # the state map is no change of coordinates
+    save = tmp_path / "map.json"
+    code, _out = run_cli(capsys, "transform", corpus("vtol.sys"), "--save", str(save))
+    assert code == 0
+    payload = json.loads(save.read_text())
+    payload["state_map"] = dict.fromkeys(payload["state_map"], "0")
+    for part in ("drift", "b1", "b2"):
+        payload["result"][part] = {}
+    save.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "verify", corpus("vtol.sys"), "--transform", str(save))
+    assert code == 1 and out["verified"] is False
 
 
 def vtol_identity_map(x_name="q1", u1_name="v1", extra_state=None):
