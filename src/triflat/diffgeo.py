@@ -13,10 +13,14 @@ given forms (:func:`is_involutive`, :func:`characteristics_span`,
 sampled values of a basis and its brackets, with no symbolic elimination,
 and so do the rank and memberships of the transform's Cauchy ladder levels
 (:func:`characteristic_annihilator`) unless the points leave one open.
-:func:`lie_bracket` builds a bracket only where it becomes a flag member or
-is eliminated symbolically.  Symbolic elimination (:func:`annihilator`,
-:func:`cauchy_characteristics`) runs only where the symbolic forms and
-fields are read, and each symbolic result is re-checked numerically.
+:func:`lie_bracket` builds a bracket only as a flag step's candidate or to be
+eliminated symbolically, and never one its input is known to span: a member
+from :func:`grow` records the member it grew from and the fields it
+inherited, whose brackets the last step of its kind built, and which
+:func:`is_involutive` skips when the member they came from is involutive.
+Symbolic elimination (:func:`annihilator`, :func:`cauchy_characteristics`)
+runs only where the symbolic forms and fields are read, and each symbolic
+result is re-checked numerically.
 The generic rank of a matrix is the largest rank it reaches at the sample
 points (off a thin set a rank only falls below its generic value); points
 where it drops below that rank are treated as non-generic and discarded.
@@ -28,6 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import trace
 from .elimination import clear_denominators, nullspace
 from .errors import EliminationError, FrameMismatch
 from .expr import Expr, ONE, ZERO, add, derivative, mul, neg
@@ -186,9 +191,9 @@ def generic_rank(D: Distribution, sp: Sampler) -> int:
     return MatrixSampler(D.matrix_rows(), D.frame, sp).generic()[1]
 
 
-def _sampler_key(sp: Sampler):
+def _sampler_key(sp: Sampler):  # stream_key: an image's base stream, maps and base_points
     return (sp.seed, sp.samples, sp.tol, sp.max_resamples, tuple(sorted(sp.domains.items())),
-            sp.default_domain)
+            sp.default_domain, sp.stream_key(()))
 
 
 def basis_rows(stack, top, tol) -> list:
@@ -273,18 +278,42 @@ def pruned(D: Distribution, sp: Sampler) -> Distribution:
 # --- flags and involutivity ----------------------------------------------------
 
 
+def grow(D: Distribution, base, new, sp: Sampler, step, name) -> Distribution:
+    """base (D's fields or basis) and the brackets new, pruned: a member grown
+    from D by step that inherited the fields it keeps of base, which lead.
+    Counts the brackets built and kept under name."""
+    out = pruned(Distribution(D.frame, list(base) + new), sp)
+    old = {id(f) for f in base}
+    inherited = sum(id(f) in old for f in out.fields)
+    out._grown = (D, _sampler_key(sp), step, inherited)
+    trace.count(name + ".built", len(new))
+    trace.count(name + ".kept", len(out.fields) - inherited)
+    return out
+
+
+def _inherited(D: Distribution, sp: Sampler, step=None) -> int:
+    """D's inherited count if it grew under sp (by step, if given), else 0."""
+    g = D._grown
+    if g is None or g[1] != _sampler_key(sp) or (step is not None and g[2] != step):
+        return 0
+    return g[3]
+
+
 def derived_step(D: Distribution, sp: Sampler) -> Distribution:
+    """D + [D, D], pruned; after a derived step, the inherited fields' pairs
+    were that step's candidates, so only pairs with a later field are built."""
     b = basis(D, sp)
-    new = list(b)
-    for i in range(len(b)):
-        for j in range(i + 1, len(b)):
-            new.append(lie_bracket(b[i], b[j]))
-    return pruned(Distribution(D.frame, new), sp)
+    k = _inherited(D, sp, "derived")
+    new = [lie_bracket(b[i], b[j]) for i, j in combinations(range(len(b)), 2) if j >= k]
+    return grow(D, b, new, sp, "derived", "diffgeo.derived_step")
 
 
 def drift_step(D: Distribution, a: VectorField, sp: Sampler) -> Distribution:
-    """D + [a, D], pruned to a generic basis."""
-    return pruned(extend(D, [lie_bracket(a, f) for f in basis(D, sp)]), sp)
+    """D + [a, D], pruned; after a drift step by a, [a, f] for an inherited f
+    was that step's candidate, so only the added fields are bracketed."""
+    b = basis(D, sp)
+    new = [lie_bracket(a, f) for f in b[_inherited(D, sp, a):]]
+    return grow(D, b, new, sp, a, "diffgeo.drift_step")
 
 
 def flag(D: Distribution, step, sp: Sampler):
@@ -308,12 +337,21 @@ def flag(D: Distribution, step, sp: Sampler):
 
 def is_involutive(D: Distribution, sp: Sampler) -> bool:
     """Whether the brackets of D's generic basis lie in its span, from one
-    rank test per point of [basis; brackets] against the basis."""
-    b = basis(D, sp)
-    if len(b) < 2:
-        return True
-    B, brackets, *_ = bracket_values(D.frame, b, list(combinations(range(len(b)), 2)), sp)
-    return _spanned(B, brackets, sp.tol)
+    rank test per point of [basis; brackets] against the basis.  When D grew
+    from an involutive member, the brackets of its inherited fields lie in
+    that member, so only the pairs with a later field are asked.  The
+    answer is kept on D per sampler."""
+    key = _sampler_key(sp)
+    D._involutive = D._involutive or {}
+    if key not in D._involutive:
+        b = basis(D, sp)
+        parent = D._grown and D._grown[0]._involutive
+        k = _inherited(D, sp) if parent and parent.get(key) else 0
+        pairs = [(i, j) for i, j in combinations(range(len(b)), 2) if j >= k]
+        trace.count("diffgeo.is_involutive.pairs", len(pairs))
+        D._involutive[key] = not pairs or _spanned(*bracket_values(D.frame, b, pairs, sp)[:2],
+                                                   sp.tol)
+    return D._involutive[key]
 
 
 def drift_extension_rank(D: Distribution, fields, a: VectorField, sp: Sampler) -> int:

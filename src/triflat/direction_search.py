@@ -21,9 +21,9 @@ from .diffgeo import (
     basis,
     characteristics_span,
     contains_generic,
+    grow,
     is_involutive,
     lie_bracket,
-    pruned,
     span_contains,
 )
 from .elimination import clear_denominators
@@ -80,14 +80,14 @@ def compute_bracket_chain(sys: AffineSystem, sp: Sampler) -> BracketChain:
 
 
 def h_distribution(chain: BracketChain, sp: Sampler) -> Distribution:
-    """H = D_{depth+1} + [D_depth, D_{depth+1}], pruned to a generic basis."""
+    """H = D_{depth+1} + [D_depth, D_{depth+1}], pruned to a generic basis.
+    D_depth is involutive, so its brackets with the fields of its own basis
+    lie in it and are not built."""
     dn = chain.d(chain.depth)
     dn1 = chain.top
-    fields = list(dn1.fields)
-    for v in basis(dn, sp):
-        for w in basis(dn1, sp):
-            fields.append(lie_bracket(v, w))
-    return pruned(Distribution(dn1.frame, fields), sp)
+    low = basis(dn, sp)
+    new = [lie_bracket(v, w) for v in low for w in basis(dn1, sp) if w not in low]
+    return grow(dn1, dn1.fields, new, sp, "h", "direction_search.h_distribution")
 
 
 @dataclass

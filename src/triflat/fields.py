@@ -62,7 +62,8 @@ class OneForm:
 class Distribution:
     """Span of vector fields; the spanning set may be redundant.
 
-    A generic basis is computed on demand and kept per sampler configuration.
+    A generic basis and involutivity are kept per sampler configuration; a
+    grown flag member's ``_grown`` is set by ``diffgeo.grow``.
     """
 
     def __init__(self, frame, fields: Sequence[VectorField]):
@@ -71,7 +72,7 @@ class Distribution:
         for f in self.fields:
             if f.frame != self.frame:
                 raise FrameMismatch("spanning field on a different frame")
-        self._basis = None
+        self._basis = self._involutive = self._grown = None
 
     def matrix_rows(self):
         return [list(f.components) for f in self.fields]

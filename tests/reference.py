@@ -3,9 +3,10 @@
 The parametric systems (chained forms at any size, the double integrator
 pair, the equal-chain template, disguised generated instances), the
 feedback and span helpers, the symbolic h-method pairing, the symbolic
-annihilated distribution, closure and involutivity tests serve as known
-inputs and oracles, :func:`instance_digest` fingerprints an instance's
-outputs, and :func:`counting` counts calls into the package and
+annihilated distribution, closure and involutivity tests and the flag
+steps on every pair of a basis serve as known inputs and oracles,
+:func:`instance_digest` fingerprints an instance's outputs, and
+:func:`counting` counts calls into the package and
 :func:`magnitude` is the per-point scale reference of the zero tests; the
 bundled systems themselves are loaded from ``src/triflat/corpus/*.sys``
 (see ``conftest.py``).
@@ -28,9 +29,11 @@ import numpy as np
 
 from triflat.cli import _analyze
 from triflat.diffgeo import (
+    _spanned,
     ad_iter,
     annihilator,
     basis,
+    bracket_values,
     cauchy_characteristics,
     derived_step,
     differential,
@@ -313,6 +316,35 @@ def is_involutive_symbolic(D: Distribution, sp: Sampler) -> bool:
     b = basis(D, sp)
     brackets = [lie_bracket(v, w) for v, w in itertools.combinations(b, 2)]
     return all(span_contains(Distribution(D.frame, b), brackets, sp))
+
+
+def derived_step_all_pairs(D: Distribution, sp: Sampler) -> Distribution:
+    """D + [D, D] from every pair of D's generic basis, pruned: the member
+    ``derived_step`` must build with the pairs it skips."""
+    b = basis(D, sp)
+    brackets = [lie_bracket(v, w) for v, w in itertools.combinations(b, 2)]
+    return pruned(Distribution(D.frame, b + brackets), sp)
+
+
+def drift_step_all_fields(D: Distribution, a: VectorField, sp: Sampler) -> Distribution:
+    """D + [a, D] from every field of D's generic basis, pruned."""
+    b = basis(D, sp)
+    return pruned(Distribution(D.frame, b + [lie_bracket(a, f) for f in b]), sp)
+
+
+def h_distribution_all_pairs(chain, sp: Sampler) -> Distribution:
+    """H = D_{depth+1} + [D_depth, D_{depth+1}] from every pair of the two
+    generic bases, pruned."""
+    low, top = chain.d(chain.depth), chain.top
+    brackets = [lie_bracket(v, w) for v in basis(low, sp) for w in basis(top, sp)]
+    return pruned(Distribution(top.frame, list(top.fields) + brackets), sp)
+
+
+def is_involutive_all_pairs(D: Distribution, sp: Sampler) -> bool:
+    """The sampled involutivity test on every pair of D's generic basis."""
+    b = basis(D, sp)
+    pairs = list(itertools.combinations(range(len(b)), 2))
+    return not pairs or _spanned(*bracket_values(D.frame, b, pairs, sp)[:2], sp.tol)
 
 
 def contains_distribution(inner: Distribution, outer: Distribution, sp: Sampler) -> bool:
