@@ -21,9 +21,7 @@ inherited, whose brackets the last step of its kind built, and which
 Symbolic elimination (:func:`annihilator`, :func:`cauchy_characteristics`)
 runs only where the symbolic forms and fields are read, and each symbolic
 result is re-checked numerically.
-The generic rank of a matrix is the largest rank it reaches at the sample
-points (off a thin set a rank only falls below its generic value); points
-where it drops below that rank are treated as non-generic and discarded.
+Its float rank rules, :func:`_spanned` too, are :mod:`~triflat.sampling`'s.
 """
 
 from __future__ import annotations
@@ -37,8 +35,8 @@ from .elimination import clear_denominators, nullspace
 from .errors import EliminationError, FrameMismatch
 from .expr import Expr, ONE, ZERO, add, derivative, mul, neg
 from .fields import Codistribution, Distribution, OneForm, VectorField
-from .sampling import MatrixSampler, Sampler, all_zero_generic, nullspaces, ranks
-from .sampling import _admissible, _free_symbols, _ranks_of, _scaled, _svd_ranks
+from .sampling import MatrixSampler, Sampler, all_zero_generic, basis_rows, generic, ranks
+from .sampling import _free_symbols, _in_sampled, _spanned, generic_nullspaces
 from .simplify import simplify
 
 _BRACKET_MEMO: dict = {}  # (frame, v, w) -> [v, w], for the brackets lie_bracket builds
@@ -132,16 +130,6 @@ def bracket_values(frame, fields, pairs, sp: Sampler, extra_rows=()):
     return F, JF[:, w, v] - JF[:, v, w], stack[:, p:], (ps, idx)
 
 
-def _spanned(base, extra, tol) -> bool:
-    """The membership rule: whether the rows of the (K, e, n) stack extra lie
-    in the span of the (K, r, n) stack base at generic points.  Over the
-    points where [base; extra] attains its largest rank, the base must reach
-    that rank; points where [base; extra] falls below it are skipped."""
-    full = ranks(np.concatenate([base, extra], axis=1), tol)
-    top = full.max()
-    return bool(ranks(base[full == top], tol).max() == top)
-
-
 def ad_iter(a: VectorField, k: int, w: VectorField) -> VectorField:
     """k-fold iterated bracket [a, [a, ... [a, w]]]; k = 0 gives w."""
     if k < 0:
@@ -194,42 +182,6 @@ def generic_rank(D: Distribution, sp: Sampler) -> int:
 def _sampler_key(sp: Sampler):  # stream_key: an image's base stream, maps and base_points
     return (sp.seed, sp.samples, sp.tol, sp.max_resamples, tuple(sorted(sp.domains.items())),
             sp.default_domain, sp.stream_key(()))
-
-
-def basis_rows(stack, top, tol) -> list:
-    """Indices, ascending, of a generic basis among the rows of a scaled
-    (K, m, n) stack whose matrices all have rank top: greedily, the row that
-    with the kept ones reaches full rank at the most points, the earliest on
-    a tie, while that is more than half of them.
-
-    Singular values interlace under row deletion (Thompson 1972), so rows
-    of full rank at a point keep it on every shorter leading run, and the
-    greedy keeps the longest leading run that has full rank at every point:
-    all rows when top == m.  That run is found by bisection, and the greedy
-    goes on after it.
-    """
-    K, m = len(stack), stack.shape[1]
-    if top == m:
-        return list(range(m))
-
-    def full_at(idx):
-        return np.count_nonzero(_svd_ranks(stack[:, idx, :], tol) == len(idx))
-
-    run, beyond, probe = 0, top + 1, top  # full rank everywhere on rows :run, not :beyond
-    while beyond - run > 1:
-        if full_at(list(range(probe))) == K:
-            run = probe
-        else:
-            beyond = probe
-        probe = (run + beyond) // 2
-    kept = list(range(run))
-    for need in range(K, K // 2, -1):  # a row's count only falls
-        for i in range(run + 1 if need == K else 0, m):
-            if len(kept) == top:
-                break
-            if i not in kept and need <= full_at(kept + [i]):
-                kept.append(i)
-    return sorted(kept)
 
 
 def basis(D: Distribution, sp: Sampler):
@@ -301,11 +253,15 @@ def _inherited(D: Distribution, sp: Sampler, step=None) -> int:
 
 def derived_step(D: Distribution, sp: Sampler) -> Distribution:
     """D + [D, D], pruned; after a derived step, the inherited fields' pairs
-    were that step's candidates, so only pairs with a later field are built."""
+    were that step's candidates, so only pairs with a later field are built.
+    A step that adds no rank records that D is involutive."""
     b = basis(D, sp)
     k = _inherited(D, sp, "derived")
     new = [lie_bracket(b[i], b[j]) for i, j in combinations(range(len(b)), 2) if j >= k]
-    return grow(D, b, new, sp, "derived", "diffgeo.derived_step")
+    out = grow(D, b, new, sp, "derived", "diffgeo.derived_step")
+    if len(out.fields) == len(b):
+        D._involutive = {**(D._involutive or {}), _sampler_key(sp): True}
+    return out
 
 
 def drift_step(D: Distribution, a: VectorField, sp: Sampler) -> Distribution:
@@ -359,7 +315,7 @@ def drift_extension_rank(D: Distribution, fields, a: VectorField, sp: Sampler) -
     pairs = [(len(fields), j) for j in range(len(fields))]
     _F, brackets, rows, _at = bracket_values(D.frame, list(fields) + [a], pairs, sp,
                                              D.matrix_rows())
-    return int(ranks(np.concatenate([rows, brackets], axis=1), sp.tol).max())
+    return generic(ranks(np.concatenate([rows, brackets], axis=1), sp.tol))[0]
 
 
 # --- annihilators and characteristics ----------------------------------------
@@ -414,28 +370,6 @@ def form_in_span(w: OneForm, W: Codistribution, sp: Sampler) -> bool:
     return _in_span(W.matrix_rows(), [list(w.coefficients)], W.frame, sp)[0]
 
 
-_MARGIN = 10.0  # a point decides a membership only this far from the cutoff
-
-
-def _in_sampled(w: OneForm, ps, idx, forms, tol):
-    """Whether w lies in the span of the (K, m, n) stack of orthonormal forms
-    sampled at the point indices idx of ps, read off the singular value that
-    w's values there add to them (scaled as in :func:`ranks`): at most the
-    cutoff at every point, True; above _MARGIN times it at every point,
-    False; else, or where w cannot be evaluated at a point, None."""
-    rows = list(ps.scan(list(w.coefficients), idx))
-    if not all(_admissible(v) for row in rows for v in row):
-        return None
-    grown = np.concatenate([forms, np.array(rows)[:, None, :]], axis=1)
-    sv = np.linalg.svd(_scaled(grown, tol), compute_uv=False)
-    m = forms.shape[1]
-    if (_ranks_of(sv, grown.shape, tol) == m).all():
-        return True
-    if (_ranks_of(sv, grown.shape, tol * _MARGIN) == m + 1).all():
-        return False
-    return None
-
-
 def characteristic_annihilator(D: Distribution, sp: Sampler) -> Codistribution:
     """The forms annihilating the Cauchy characteristics of D, sampled as the
     annihilator of the directions lam @ B at the points of
@@ -448,9 +382,9 @@ def characteristic_annihilator(D: Distribution, sp: Sampler) -> Codistribution:
     B, lam, _X, (ps, idx) = _characteristics_at(D, sp)
     W = Codistribution(D.frame, lambda: annihilator(W.kernel, sp).forms,
                        lambda: cauchy_characteristics(D, sp))
-    rank_c, ann = nullspaces(lam @ B, sp.tol)
-    if len(idx) == sp.samples and (rank_c == lam.shape[1]).all():
-        W.sampled = ps, idx, np.stack(ann)
+    top, kept, ann = generic_nullspaces(lam @ B, sp.tol)
+    if len(kept) == sp.samples and top == lam.shape[1]:
+        W.sampled = ps, idx, ann
     return W
 
 
@@ -515,18 +449,16 @@ def _characteristics_at(D: Distribution, sp: Sampler, extra_rows=(), drift=None)
         both = pairs + [(r, j) for j in range(r)]
         F, brackets, _X, (ps, idx) = bracket_values(D.frame, b + [drift], both, sp)
         B, brackets, X = F[:, :r], brackets[:, : len(pairs)], brackets[:, len(pairs) :]
-    rank_b, ann = nullspaces(B, sp.tol)
-    kept = np.flatnonzero(rank_b == r)
+    top, kept, W = generic_nullspaces(B, sp.tol)  # W: (K, n - r, n)
+    if top != r:
+        raise EliminationError("the generic basis is dependent at every sample point")
     B, brackets, X, idx = B[kept], brackets[kept], X[kept], [idx[i] for i in kept]
-    W = np.stack([ann[i] for i in kept])  # (K, n - r, n)
     paired = W @ brackets.transpose(0, 2, 1)  # w . [b_i, b_j]
     M = np.zeros((len(kept), r, n - r, r))
     for q, (i, j) in enumerate(pairs):
         M[:, i, :, j] = -paired[:, :, q]
         M[:, j, :, i] = paired[:, :, q]
-    rank_m, lam = nullspaces(M.reshape(len(kept), r * (n - r), r), sp.tol)
-    kept = np.flatnonzero(rank_m == rank_m.max())
-    lam = np.stack([lam[i] for i in kept])
+    _top, kept, lam = generic_nullspaces(M.reshape(len(kept), r * (n - r), r), sp.tol)
     return B[kept], lam, X[kept], (ps, [idx[i] for i in kept])
 
 
@@ -535,11 +467,8 @@ def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
     E has their rank and lies in their span (:func:`_spanned`), skipping the
     points where E drops below its largest rank over the points."""
     B, lam, X, _at = _characteristics_at(D, sp, E.matrix_rows())
-    rank_e = ranks(X, sp.tol)
-    generic = rank_e == rank_e.max()
-    if rank_e.max() != lam.shape[1]:
-        return False
-    return _spanned((lam @ B)[generic], X[generic], sp.tol)
+    top, kept = generic(ranks(X, sp.tol))
+    return top == lam.shape[1] and _spanned((lam @ B)[kept], X[kept], sp.tol)
 
 
 def annihilates_characteristics(D: Distribution, rows, sp: Sampler):
@@ -552,25 +481,21 @@ def annihilates_characteristics(D: Distribution, rows, sp: Sampler):
     largest rank over the points are skipped.
     """
     B, lam, X, _at = _characteristics_at(D, sp, rows)
-    rank_c, ann = nullspaces(lam @ B, sp.tol)
-    kept = np.flatnonzero(rank_c == rank_c.max())
-    W = np.stack([ann[i] for i in kept])
+    _top, kept, W = generic_nullspaces(lam @ B, sp.tol)
     return [_spanned(W, X[kept, q : q + 1], sp.tol) for q in range(len(rows))]
 
 
 def kernel_within(W: Codistribution, D: Distribution, sp: Sampler) -> bool:
     """Whether the fields annihilated by W lie in D, generically.
 
-    ker W(p) must lie in the span of D(p) (:func:`_spanned`); points where
-    D or W is below its largest rank over the points are skipped.
+    ker W(p) must lie in the span of D(p) (:func:`_spanned`) at the generic
+    points of D, and among them at those of W.
     """
     rows = D.matrix_rows()
     _points, stack = MatrixSampler(rows + W.matrix_rows(), D.frame, sp).stack()
-    F = stack[:, : len(rows)]
-    rank_d = ranks(F, sp.tol)
-    rank_w, kernels = nullspaces(stack[:, len(rows) :], sp.tol)
-    kept = np.flatnonzero((rank_d == rank_d.max()) & (rank_w == rank_w.max()))
-    return _spanned(F[kept], np.stack([kernels[i] for i in kept]), sp.tol)
+    _top, on_d = generic(ranks(stack[:, : len(rows)], sp.tol))
+    _top, on_w, kernels = generic_nullspaces(stack[on_d, len(rows) :], sp.tol)
+    return _spanned(stack[on_d[on_w], : len(rows)], kernels, sp.tol)
 
 
 def drift_compatible(D: Distribution, a: VectorField, sp: Sampler) -> bool:

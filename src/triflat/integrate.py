@@ -49,7 +49,7 @@ from .expr import (
     sub,
 )
 from .fields import Codistribution, OneForm
-from .sampling import MatrixSampler, Sampler, _admissible, all_zero_generic, nullspaces
+from .sampling import MatrixSampler, Sampler, _admissible, all_zero_generic, generic_nullspaces
 from .simplify import differentiate, simplify
 
 
@@ -301,10 +301,9 @@ def _fitted_combinations(W: Codistribution, sp: Sampler, pool, consider, done):
     frame, n = W.frame, len(W.frame)
     ms = MatrixSampler(W.matrix_rows(), set(frame).union(*map(free_symbols, pool)), sp)
     ps, idx = ms.admissible()
-    rk, dirs = nullspaces(ms.stack()[1], sp.tol)
-    kept = np.flatnonzero(rk == rk.max())
+    _top, kept, dirs = generic_nullspaces(ms.values_at(ps, idx), sp.tol)
     idx = [idx[k] for k in kept]
-    kernel = np.stack([dirs[k] for k in kept]).transpose(0, 2, 1)  # (P, n, m)
+    kernel = dirs.transpose(0, 2, 1)  # (P, n, m)
     coords = np.array([[ps.point(i)[x] for x in frame] for i in idx])
     for g in pool:
         exprs = [g] + [differentiate(g, x) for x in frame]

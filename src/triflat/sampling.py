@@ -16,7 +16,10 @@ column of its values at them, computed a block of points at a time by
 columns, and the ranks of a stack of sampled matrices come from one
 batched SVD (:func:`ranks`).
 The generic stack of a matrix (:meth:`MatrixSampler.generic`) is kept on
-the point set too, so each row set is sampled and ranked once.
+the point set too, so each row set is sampled and ranked once.  Every float
+rank rule is this module's: the scaling and cutoff of :func:`ranks`, the
+generic points (:func:`generic`), the majority rule :func:`basis_rows`, the
+membership rule :func:`_spanned` and the margin rule :func:`_in_sampled`.
 """
 
 from __future__ import annotations
@@ -345,10 +348,8 @@ def all_zero_generic(exprs, sp: Sampler, extra_syms=()) -> bool:
 
 
 def _ranks_of(sv: np.ndarray, shape, tol: float) -> np.ndarray:
-    """Ranks from the (K, min(r, c)) singular values of a (K, r, c) stack.
-
-    The threshold is relative to each matrix's largest singular value.
-    """
+    """Ranks from the (K, min(r, c)) singular values of a (K, r, c) stack, at
+    a cutoff relative to each matrix's largest singular value."""
     cutoff = tol * np.fmax(1.0, sv[:, 0]) * max(shape[1:])
     return np.sum(sv > cutoff[:, None], axis=1)
 
@@ -365,16 +366,24 @@ def _svd_ranks(stack: np.ndarray, tol: float) -> np.ndarray:
     return _ranks_of(np.linalg.svd(stack, compute_uv=False), stack.shape, tol)
 
 
-def nullspaces(stack: np.ndarray, tol: float):
-    """Ranks and right null spaces of each matrix of a (K, r, c) stack, from
-    one batched SVD at unit rows (which keep null spaces) with the cutoff of
-    :func:`ranks`; bases[k]'s orthonormal rows span matrix k's null space."""
+def generic(rk: np.ndarray):
+    """The generic-point rule: (top, kept), the largest of the pointwise ranks
+    rk and the indices, ascending, of the points that reach it; off a thin set
+    a rank only falls below its generic value."""
+    top = int(rk.max())
+    return top, np.flatnonzero(rk == top)
+
+
+def generic_nullspaces(stack: np.ndarray, tol: float):
+    """(top, kept, bases): :func:`generic` of the ranks of a (K, r, c) stack at
+    unit rows (which keep null spaces), from one batched SVD, and orthonormal
+    rows spanning each kept matrix's null space, (len(kept), c - top, c)."""
     k, r, c = stack.shape
     if r == 0 or c == 0:
-        return np.zeros(k, dtype=int), [np.eye(c) for _ in range(k)]
+        return 0, np.arange(k), np.tile(np.eye(c), (k, 1, 1))
     _u, sv, vt = np.linalg.svd(_scaled(stack, tol, (2,)), full_matrices=True)
-    rk = _ranks_of(sv, stack.shape, tol)
-    return rk, [vt[i, rk[i]:] for i in range(k)]
+    top, kept = generic(_ranks_of(sv, stack.shape, tol))
+    return top, kept, vt[kept, top:]
 
 
 def _scaled(stack: np.ndarray, tol: float, axes=(2, 1)) -> np.ndarray:
@@ -393,6 +402,74 @@ def numeric_rank(matrix: np.ndarray, tol: float) -> int:
     if matrix.size == 0:
         return 0
     return int(ranks(matrix[np.newaxis], tol)[0])
+
+
+def _spanned(base, extra, tol) -> bool:
+    """The membership rule: whether the rows of the (K, e, n) stack extra lie
+    in the span of the (K, r, n) stack base at generic points.  Over the
+    points where [base; extra] attains its largest rank, the base must reach
+    that rank; points where [base; extra] falls below it are skipped."""
+    top, kept = generic(ranks(np.concatenate([base, extra], axis=1), tol))
+    return generic(ranks(base[kept], tol))[0] == top
+
+
+def basis_rows(stack, top, tol) -> list:
+    """The majority rule: indices, ascending, of a generic basis among the
+    rows of a scaled (K, m, n) stack whose matrices all have rank top:
+    greedily, the row that with the kept ones reaches full rank at the most
+    points, the earliest on a tie, while that is more than half of them.
+
+    Singular values interlace under row deletion (Thompson 1972), so rows
+    of full rank at a point keep it on every shorter leading run, and the
+    greedy keeps the longest leading run that has full rank at every point:
+    all rows when top == m.  That run is found by bisection, and the greedy
+    goes on after it.
+    """
+    K, m = len(stack), stack.shape[1]
+    if top == m:
+        return list(range(m))
+
+    def full_at(idx):
+        return np.count_nonzero(_svd_ranks(stack[:, idx, :], tol) == len(idx))
+
+    run, beyond, probe = 0, top + 1, top  # full rank everywhere on rows :run, not :beyond
+    while beyond - run > 1:
+        if full_at(list(range(probe))) == K:
+            run = probe
+        else:
+            beyond = probe
+        probe = (run + beyond) // 2
+    kept = list(range(run))
+    for need in range(K, K // 2, -1):  # a row's count only falls
+        for i in range(run + 1 if need == K else 0, m):
+            if len(kept) == top:
+                break
+            if i not in kept and need <= full_at(kept + [i]):
+                kept.append(i)
+    return sorted(kept)
+
+
+_MARGIN = 10.0  # a point decides a membership only this far from the cutoff
+
+
+def _in_sampled(w, ps, idx, forms, tol):
+    """The margin rule: whether the one-form w lies in the span of the
+    (K, m, n) stack of orthonormal forms sampled at the point indices idx of
+    ps, read off the singular value that w's values there add to them
+    (scaled as in :func:`ranks`): at most the cutoff at every point, True;
+    above _MARGIN times it at every point, False; else, or where w cannot be
+    evaluated at a point, None."""
+    rows = list(ps.scan(list(w.coefficients), idx))
+    if not all(_admissible(v) for row in rows for v in row):
+        return None
+    grown = np.concatenate([forms, np.array(rows)[:, None, :]], axis=1)
+    sv = np.linalg.svd(_scaled(grown, tol), compute_uv=False)
+    m = forms.shape[1]
+    if (_ranks_of(sv, grown.shape, tol) == m).all():
+        return True
+    if (_ranks_of(sv, grown.shape, tol * _MARGIN) == m + 1).all():
+        return False
+    return None
 
 
 class MatrixSampler:
@@ -481,11 +558,10 @@ class MatrixSampler:
         key = (tuple(map(tuple, self.rows)), sp.samples, sp.max_resamples, sp.tol)
         hit = ps.stacks.get(key)
         if hit is None:
-            _points, stack = self.stack()
-            stack = _scaled(stack, sp.tol)
-            r = _svd_ranks(stack, sp.tol)
-            stack = stack[r == r.max()]
+            stack = _scaled(self.stack()[1], sp.tol)
+            top, kept = generic(_svd_ranks(stack, sp.tol))
+            stack = stack[kept]
             stack.flags.writeable = False
-            hit = ps.stacks[key] = stack, int(r.max())
+            hit = ps.stacks[key] = stack, top
             _CACHED_VALUES += stack.size
         return hit

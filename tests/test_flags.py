@@ -7,15 +7,17 @@ derived step skips the pairs of inherited fields (their brackets were the
 last step's candidates); a drift step by a skips [a, f] for an inherited f
 (the last drift step's candidates); ``h_distribution`` skips [v, w] with w
 in the basis of the involutive D_depth; ``is_involutive`` skips the pairs of
-inherited fields when the member grew from an involutive one.  Each skipped
-bracket already lies in the member, so over ``check --variant`` on the
-corpus at seeds 0-7 and over the generated workload's instances every grown
-member must equal the all-pairs reference member field for field and in
-order, and every shortened involutivity question must answer as the full
+inherited fields when the member grew from an involutive one, and a derived
+step that adds no rank records its input, the closure, as involutive.  Each
+skipped bracket already lies in the member, so over ``check --variant`` on
+the corpus at seeds 0-7 and over the generated workload's instances every
+grown member must equal the all-pairs reference member field for field and
+in order, and every shortened involutivity question must answer as the full
 one.  The trace counters pin the brackets built and kept and the pairs
 asked; the all-pairs steps built 103/52/64 derived/drift/h brackets over the
 8 corpus checks and 588/215/312 over the 13 generated ones, and asked 956
-involutivity pairs there in 870 SVDs.
+involutivity pairs there in 870 SVDs; skipping inherited pairs asked 587,
+and recording the closure 364, both in 612 SVDs.
 """
 
 import contextlib
@@ -90,6 +92,22 @@ def test_shortened_involutivity_questions_answer_as_the_full_ones(steps):
         assert diffgeo.is_involutive(D, sp) == is_involutive_all_pairs(D, sp)
 
 
+def test_a_closure_recorded_involutive_is_involutive(steps):
+    # a derived step that adds no rank records its input involutive, so the
+    # first drift extension of that closure asks only its added fields' pairs
+    calls, _counts = steps
+    closures = {id(D) for D, sp in calls["derived_step"]
+                if len(diffgeo.derived_step(D, sp).fields) == len(diffgeo.basis(D, sp))}
+    for D, sp in calls["derived_step"]:
+        if id(D) in closures:
+            assert D._involutive[diffgeo._sampler_key(sp)] and is_involutive_all_pairs(D, sp)
+    shortened = [(D, sp) for D, sp in calls["is_involutive"]
+                 if D._grown and id(D._grown[0]) in closures and diffgeo._inherited(D, sp)]
+    assert len(closures) >= 60 and len(shortened) >= 50, (len(closures), len(shortened))
+    for D, sp in shortened:
+        assert diffgeo.is_involutive(D, sp) == is_involutive_all_pairs(D, sp)
+
+
 def _counted(run, monkeypatch):
     """The trace counts and SVD calls of run() over cold caches per call."""
     svd, svds = np.linalg.svd, []
@@ -137,7 +155,7 @@ def test_generated_checks_build_only_the_added_brackets(monkeypatch):
     built = [counts[f"{step}.built"] for step in (
         "diffgeo.derived_step", "diffgeo.drift_step", "direction_search.h_distribution")]
     assert built[0] <= 290 and built[1] <= 138 and built[2] <= 100, built
-    assert counts["diffgeo.is_involutive.pairs"] <= 615 and svds <= 620, (counts, svds)
+    assert counts["diffgeo.is_involutive.pairs"] <= 364 and svds <= 612, (counts, svds)
 
 
 def test_images_under_different_maps_have_different_sampler_keys():

@@ -1,7 +1,7 @@
 """Every name a module imports is used in it, no function imports, every
 local a function assigns is read (no linter is installed), only the
-sampling layer evaluates expressions, and no zero test reads a normal form
-built for it.
+sampling layer evaluates expressions or applies a float rank rule, and no
+zero test reads a normal form built for it.
 
 ``__init__.py`` is exempt from the import and evaluation scans: its imports
 are the package's re-exports.  Locals whose names start with ``_`` are
@@ -151,6 +151,36 @@ def test_only_the_sampling_layer_evaluates():
     for evaluator in ("evaluate", "evaluate_column"):
         evaluators = {p.name: references(p.read_text(), evaluator) for p in MODULES}
         assert {name for name, lines in evaluators.items() if lines} == {"expr.py", "sampling.py"}
+
+
+RANK_INTERNALS = ("_ranks_of", "_svd_ranks", "_scaled")
+
+
+def rank_rules(source):
+    """Lines at which a module reads a rank helper of the sampling layer or
+    calls a ``.max()`` method, the hand-written form of its generic-point
+    rule (``sampling.generic``)."""
+    out = [line for name in RANK_INTERNALS for line in references(source, name)]
+    out += [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "max"]
+    return sorted(out)
+
+
+def test_scan_finds_a_rank_rule():
+    source = (
+        "from .sampling import _ranks_of, ranks\n"
+        "r = sampling._svd_ranks(s, tol)\n"
+        "s = _scaled(s, tol)\n"
+        "top = ranks(s, tol).max()\n"
+        "kept = np.max(r), max(r), r.argmax()\n"
+    )
+    assert rank_rules(source) == [1, 2, 3, 4, 5]
+
+
+def test_only_the_sampling_layer_applies_a_rank_rule():
+    rules = {p.name: rank_rules(p.read_text()) for p in MODULES}
+    assert {name for name, lines in rules.items() if lines} == {"sampling.py"}
 
 
 ZERO_TESTS = ("is_zero_generic", "all_zero_generic")

@@ -23,8 +23,9 @@ from triflat.sampling import (
     MatrixSampler,
     Sampler,
     all_zero_generic,
+    generic,
+    generic_nullspaces,
     is_zero_generic,
-    nullspaces,
     numeric_rank,
     ranks,
 )
@@ -150,12 +151,29 @@ def test_stacked_ranks_equal_per_matrix_rank(shape):
         got = ranks(stack, tol)
         assert [int(v) for v in got] == [reference_rank(m, tol) for m in mats]
         assert [int(v) for v in got] == [numeric_rank(m, tol) for m in mats]
-        null_ranks, null = nullspaces(stack, tol)
-        assert list(null_ranks) == list(got)
-        for m, rank, basis in zip(mats, null_ranks, null):
-            assert basis.shape == (c - rank, c)
-            assert np.allclose(basis @ basis.T, np.eye(c - rank))
+        top, kept, null = generic_nullspaces(stack, tol)
+        assert top == max(got) and list(kept) == [k for k, v in enumerate(got) if v == top]
+        assert null.shape == (len(kept), c - top, c)
+        for k, basis in zip(kept, null):
+            m = mats[k]
+            assert np.allclose(basis @ basis.T, np.eye(c - top))
             assert np.allclose(m @ basis.T, 0.0, atol=1e-6 * max(1.0, np.abs(m).max(initial=0.0)))
+
+
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=20))
+def test_generic_keeps_every_point_of_the_largest_rank(rk):
+    top, kept = generic(np.array(rk))
+    assert top == max(rk) and type(top) is int
+    assert list(kept) == [k for k, v in enumerate(rk) if v == max(rk)]
+
+
+@pytest.mark.parametrize("shape", [(4, 0, 3), (4, 2, 0), (4, 0, 0)])
+def test_generic_nullspaces_of_empty_matrices(shape):
+    # no rows or no columns: rank 0 at every point, each null space the whole space
+    top, kept, null = generic_nullspaces(np.zeros(shape), 1e-9)
+    c = shape[2]
+    assert top == 0 and list(kept) == [0, 1, 2, 3]
+    assert null.shape == (4, c, c) and (null == np.eye(c)).all()
 
 
 # signed magnitudes from 1e-6 to 1e6
