@@ -18,11 +18,12 @@ import math
 import os
 import sys
 
-from .checks import check_static_feedback_linearizable
 from .diffgeo import generic_rank
 from .direction_search import (
+    StaticFeedbackLinearizable,
     candidate_via_h,
     candidates_via_quadratic,
+    check_static_feedback_linearizable,
     compute_bracket_chain,
 )
 from .errors import (
@@ -190,13 +191,12 @@ def cmd_check(args):
     out = _header("check", args, sp, prolonged, sysm)
     try:
         chain, h_status, candidates, reports = _analyze(sysm, sp)
+    except StaticFeedbackLinearizable as e:
+        out["verdict"] = "static-feedback-linearizable"
+        out["detail"] = str(e)
+        out["linearizable"] = e.outcome.verdict
+        return _emit(out, e.outcome.verdict)
     except NotApplicable as e:
-        if "linearizable" in str(e):
-            out["verdict"] = "static-feedback-linearizable"
-            out["detail"] = str(e)
-            lin = check_static_feedback_linearizable(sysm, sp)
-            out["linearizable"] = lin.verdict
-            return _emit(out, lin.verdict)
         out["verdict"] = False
         out["detail"] = str(e)
         return _emit(out, False)
@@ -214,7 +214,7 @@ def cmd_check(args):
     out["reports"] = [_report_dict(r, sp) for r in reports]
     out["verdict"] = any(r.verdict for r in reports)
     if args.variant:
-        variant = equal_length_variant_check(sysm, sp)
+        variant = equal_length_variant_check(sysm, chain, sp)
         out["equal_length_variant"] = {
             "verdict": variant.verdict,
             "failing": variant.failing,

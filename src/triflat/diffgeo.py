@@ -7,12 +7,14 @@ direction, a drift image or a kernel field inside a span?) by one rule,
 symbolically: :func:`bracket_values` samples the fields and their nonzero
 first partials in one stack and takes the value of [v, w] = Dw v - Dv w at
 each point.  Involutivity and whether the Cauchy characteristics span a
-given distribution, stay in theirs under the drift or are annihilated by
-given forms (:func:`is_involutive`, :func:`characteristics_span`,
-:func:`drift_compatible`, :func:`annihilates_characteristics`) come from
-sampled values of a basis and its brackets, with no symbolic elimination,
-and so do the rank and memberships of the transform's Cauchy ladder levels
-(:func:`characteristic_annihilator`) unless the points leave one open.
+given distribution or stay in theirs under the drift
+(:func:`is_involutive`, :func:`characteristics_span`,
+:func:`drift_compatible`) come from sampled values of a basis and its
+brackets, with no symbolic elimination, and so do the rank and memberships
+of the forms annihilating the characteristics
+(:func:`characteristic_annihilator`, asked through :func:`form_in_span` by
+the transform's Cauchy ladder and the flat output's choice of phi1) unless
+the points leave one open.
 :func:`lie_bracket` builds a bracket only as a flag step's candidate or to be
 eliminated symbolically, and never one its input is known to span: a member
 from :func:`grow` records the member it grew from and the fields it
@@ -202,18 +204,11 @@ def basis(D: Distribution, sp: Sampler):
     return kept
 
 
-def span_contains(D: Distribution, fields, sp: Sampler) -> list:
-    """For each field, membership in the span of D at generic points."""
-    if not D.fields:
-        return [v.is_zero() for v in fields]
-    rows = [list(v.components) for v in fields if not v.is_zero()]
-    found = iter(_in_span(D.matrix_rows(), rows, D.frame, sp))
-    return [v.is_zero() or next(found) for v in fields]
-
-
 def contains_generic(D: Distribution, v: VectorField, sp: Sampler) -> bool:
     """Membership of v in the span of D at generic points."""
-    return span_contains(D, [v], sp)[0]
+    if v.is_zero() or not D.fields:
+        return v.is_zero()
+    return _in_span(D.matrix_rows(), [list(v.components)], D.frame, sp)[0]
 
 
 def extend(D: Distribution, fields) -> Distribution:
@@ -469,20 +464,6 @@ def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
     B, lam, X, _at = _characteristics_at(D, sp, E.matrix_rows())
     top, kept = generic(ranks(X, sp.tol))
     return top == lam.shape[1] and _spanned((lam @ B)[kept], X[kept], sp.tol)
-
-
-def annihilates_characteristics(D: Distribution, rows, sp: Sampler):
-    """For each form (a row of coefficients), whether it annihilates the
-    Cauchy characteristics of D at every generic point.
-
-    The characteristic directions at a point are lam @ B; a form annihilates
-    them exactly when it lies in the span of their annihilator
-    (:func:`_spanned`).  Points where the directions drop below their
-    largest rank over the points are skipped.
-    """
-    B, lam, X, _at = _characteristics_at(D, sp, rows)
-    _top, kept, W = generic_nullspaces(lam @ B, sp.tol)
-    return [_spanned(W, X[kept, q : q + 1], sp.tol) for q in range(len(rows))]
 
 
 def kernel_within(W: Codistribution, D: Distribution, sp: Sampler) -> bool:

@@ -1,6 +1,9 @@
-"""Search for the input direction attached to the longer terminal chain.
+"""The drift flag, static feedback linearizability, and the search for the
+input direction attached to the longer terminal chain.
 
-The direction alpha1*b1 + alpha2*b2 is determined either by a linear
+One walk of the drift flag up to its first non-involutive member decides
+linearizability and, when some member is not involutive, is the bracket
+chain.  The direction alpha1*b1 + alpha2*b2 is determined either by a linear
 containment condition involving the bracket-extended distribution H (unique
 when applicable) or as a projective root of a homogeneous quadratic; the
 quadratic admits at most two non-collinear solutions, and for a system that
@@ -12,27 +15,72 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
-from .checks import drift_flag
 from .diffgeo import (
     ad_iter,
     annihilator,
     basis,
     characteristics_span,
     contains_generic,
+    drift_step,
+    flag,
     grow,
     is_involutive,
     lie_bracket,
-    span_contains,
+    pruned,
 )
 from .elimination import clear_denominators
 from .errors import NotApplicable, SamplerExhausted, TriflatError
 from .expr import Expr, ONE, Rat, ZERO, add, div, mul, neg, pow_, sub
 from .fields import Distribution, VectorField
-from .sampling import MatrixSampler, Sampler, is_zero_generic
+from .sampling import MatrixSampler, Sampler, _spanned, generic, is_zero_generic, ranks
 from .simplify import as_fraction, simplify, sqrt_of_square
 from .systems import AffineSystem
+
+
+@dataclass
+class CheckOutcome:
+    """A verdict plus the first failing condition, so callers can report it."""
+
+    verdict: bool
+    failing: Optional[str] = None
+
+
+def drift_flag(sys: AffineSystem, sp: Sampler):
+    """D_1 = span{b1, b2}, D_{i+1} = D_i + [a, D_i], as a lazy :func:`flag`."""
+    return flag(pruned(sys.input_distribution(), sp), lambda D: drift_step(D, sys.drift, sp), sp)
+
+
+def _walk(sys: AffineSystem, sp: Sampler):
+    """(members, ranks, outcome): the drift flag up to and including its first
+    non-involutive member, and whether the system is static feedback
+    linearizable: all D_i involutive and D_{n-1} the full tangent space."""
+    steps, ranks = [], []
+    for i, (D, r) in enumerate(drift_flag(sys, sp), start=1):
+        steps.append(D)
+        ranks.append(r)
+        if not is_involutive(D, sp):
+            return steps, ranks, CheckOutcome(False, f"D{i} is not involutive")
+    if ranks[-1] != sys.n:
+        return steps, ranks, CheckOutcome(False, "chain stalls below the full tangent space")
+    if len(steps) > max(1, sys.n - 1):
+        return steps, ranks, CheckOutcome(False, "chain reaches full rank too late")
+    return steps, ranks, CheckOutcome(True)
+
+
+def check_static_feedback_linearizable(sys: AffineSystem, sp: Sampler) -> CheckOutcome:
+    return _walk(sys, sp)[2]
+
+
+class StaticFeedbackLinearizable(NotApplicable):
+    """The drift flag is involutive up to the full space; ``outcome`` is
+    the linearizability check of its walk."""
+
+    def __init__(self, outcome: CheckOutcome):
+        super().__init__("chain of involutive distributions reaches the full tangent space; "
+                         "the system is static feedback linearizable")
+        self.outcome = outcome
 
 
 @dataclass
@@ -59,19 +107,11 @@ class BracketChain:
 
 
 def compute_bracket_chain(sys: AffineSystem, sp: Sampler) -> BracketChain:
-    """Build the chain; errors out if it fills the state space while involutive."""
-    steps, ranks = [], []
-    for D, r in drift_flag(sys, sp):
-        steps.append(D)
-        ranks.append(r)
-        if not is_involutive(D, sp):
-            break
-    else:
+    """Build the chain; errors out if the flag is involutive throughout."""
+    steps, ranks, outcome = _walk(sys, sp)
+    if is_involutive(steps[-1], sp):  # kept from the walk
         if ranks[-1] == sys.n:
-            raise NotApplicable(
-                "chain of involutive distributions reaches the full tangent space; "
-                "the system is static feedback linearizable"
-            )
+            raise StaticFeedbackLinearizable(outcome)
         raise NotApplicable("chain of involutive distributions stalls below the full space")
     depth = len(steps) - 1
     rank_ok = ranks == [2 * (i + 1) for i in range(len(steps))] and depth >= 1
@@ -141,7 +181,13 @@ def candidate_via_h(sys: AffineSystem, chain: BracketChain, sp: Sampler) -> Dire
     k = chain.depth + 1
     w1 = ad_iter(sys.drift, k, sys.b1)
     w2 = ad_iter(sys.drift, k, sys.b2)
-    in1, in2 = span_contains(H, [w1, w2], sp)
+    # one stack [H; w1; w2] answers both memberships and the joint rank; a
+    # zero w_p is a member and is not sampled
+    r = len(H.fields)
+    rows = [list(w.components) for w in (w1, w2) if not w.is_zero()]
+    stack = MatrixSampler(H.matrix_rows() + rows, H.frame, sp).stack()[1] if rows else None
+    inside = (_spanned(stack[:, :r], stack[:, q : q + 1], sp.tol) for q in range(r, r + len(rows)))
+    in1, in2 = (w.is_zero() or next(inside) for w in (w1, w2))
     if in1 and in2:
         raise NotApplicable(
             "both iterated brackets lie in H; the containment condition does not "
@@ -152,8 +198,7 @@ def candidate_via_h(sys: AffineSystem, chain: BracketChain, sp: Sampler) -> Dire
     if in2:
         return _normalized_candidate(sys, ZERO, ONE, "h-method")
     # w1 and w2 add one rank to H's pruned basis exactly when a direction lands in H
-    rows = H.matrix_rows() + [list(w1.components), list(w2.components)]
-    if MatrixSampler(rows, H.frame, sp).generic()[1] != len(H.fields) + 1:
+    if generic(ranks(stack, sp.tol))[0] != r + 1:
         raise NotApplicable("no direction satisfies the containment condition")
     # dx_j annihilates H where every field of H leaves column j empty; the
     # annihilator's forms are solved only when no such column fixes the direction
@@ -185,15 +230,8 @@ def _quadratic_coefficients(sys, chain, sp):
     w11 = lie_bracket(v1, lie_bracket(a, v1))
     w12 = lie_bracket(v1, lie_bracket(a, v2))
     w22 = lie_bracket(v2, lie_bracket(a, v2))
-    triples = []
-    for form in annihilator(chain.top, sp).forms:
-        A = simplify(form.pair(w11))
-        B = simplify(form.pair(w12))
-        C = simplify(form.pair(w22))
-        if A == ZERO and B == ZERO and C == ZERO:
-            continue
-        triples.append((A, B, C))
-    return triples
+    return [tuple(simplify(form.pair(w)) for w in (w11, w12, w22))
+            for form in annihilator(chain.top, sp).forms]
 
 
 def candidates_via_quadratic(

@@ -77,9 +77,6 @@ class Distribution:
     def matrix_rows(self):
         return [list(f.components) for f in self.fields]
 
-    def __len__(self):
-        return len(self.fields)
-
     def __str__(self):
         return "span{" + ", ".join(str(f) for f in self.fields) + "}"
 
@@ -122,9 +119,6 @@ class Codistribution:
 
     def matrix_rows(self):
         return [list(w.coefficients) for w in self.forms]
-
-    def __len__(self):
-        return len(self.forms)
 
     def __str__(self):
         return "span{" + ", ".join(str(w) for w in self.forms) + "}"

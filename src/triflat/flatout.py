@@ -4,9 +4,11 @@ The two output functions are read off the involutive distribution ladder.
 The terminal-chain case decides only where phi1 comes from (an integral of
 the annihilator of the top drift extension, or the caller's choice when
 there is no terminal chain) and which codistribution phi2 is integrated
-from.  The yes/no questions along the way (does phi1 annihilate the Cauchy
-characteristics of the last flag member, does the kernel of the annihilator
-sum lie in that member) are decided from sampled values alone.
+from.  Whether phi1 annihilates the Cauchy characteristics of the last flag
+member is the transform's membership question of that member's ladder level
+(:func:`~triflat.diffgeo.characteristic_annihilator`, asked through
+:func:`~triflat.diffgeo.form_in_span`); whether the kernel of the
+annihilator sum lies in that member is decided from sampled values alone.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .diffgeo import (
-    annihilates_characteristics,
     annihilator,
+    characteristic_annihilator,
     codistribution_rank,
     differential,
+    form_in_span,
     generic_rank,
     kernel_within,
     lie_derivative,
@@ -110,10 +113,10 @@ def _chosen_phi1(report, sp, phi1) -> Expr:
             f"choices: {', '.join(admissible_phi1(report, sp)) or 'none found'}"
         )
     phi1 = simplify(phi1)
-    dphi1 = differential(phi1, report.system.frame).coefficients
-    if all(c == ZERO for c in dphi1):
+    dphi1 = differential(phi1, report.system.frame)
+    if all(c == ZERO for c in dphi1.coefficients):
         raise NotApplicable("the chosen first output has zero differential")
-    if not annihilates_characteristics(_last_flag(report), [dphi1], sp)[0]:
+    if not form_in_span(dphi1, characteristic_annihilator(_last_flag(report), sp), sp):
         raise NotApplicable(
             "the chosen first output does not annihilate the characteristic "
             "directions of the last flag member"
@@ -132,9 +135,8 @@ def _extended_annihilator(report, sp, *functions) -> Codistribution:
 def admissible_phi1(report, sp) -> List[str]:
     """State coordinates annihilating the last flag member's characteristics."""
     frame = report.system.frame
-    units = [differential(Sym(x), frame).coefficients for x in frame]
-    kept = annihilates_characteristics(_last_flag(report), units, sp)
-    return [x for x, ok in zip(frame, kept) if ok]
+    W = characteristic_annihilator(_last_flag(report), sp)
+    return [x for x in frame if form_in_span(differential(Sym(x), frame), W, sp)]
 
 
 def _validate(report, out: FlatOutput, sp: Sampler):

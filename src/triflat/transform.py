@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .checks import check_static_feedback_linearizable
 from .diffgeo import annihilator, characteristic_annihilator, differential, lie_derivative
+from .direction_search import check_static_feedback_linearizable
 from .elimination import _score
 from .errors import EvalError, IntegrationError, PipelineError, SamplerExhausted
 from .expr import (

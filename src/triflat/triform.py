@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .checks import CheckOutcome
 from .diffgeo import (
     ad_iter,
     basis,
@@ -26,8 +25,7 @@ from .diffgeo import (
     lie_bracket,
     pruned,
 )
-from .direction_search import BracketChain, DirectionCandidate, compute_bracket_chain
-from .errors import NotApplicable
+from .direction_search import BracketChain, CheckOutcome, DirectionCandidate, compute_bracket_chain
 from .fields import Distribution
 from .sampling import Sampler
 from .systems import AffineSystem
@@ -53,7 +51,6 @@ class TriangularReport:
     s: Optional[int] = None
     case: Optional[str] = None
     chain_lengths: Optional[tuple] = None
-    dims_consistent: bool = False
     verdict: bool = False
 
     @property
@@ -122,9 +119,7 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
     non_involutive = len(flags) > 1
     report.items["b"] = increments_ok and non_involutive
     if not report.items["b"]:
-        _fail(report, "(b) derived flag of the ladder top does not grow by single steps")
-        report.verdict = False
-        return report
+        return _fail(report, "(b) derived flag of the ladder top does not grow by single steps")
     report.n2 = ranks[-1] - ranks[0] + 2
     n2 = report.n2
 
@@ -181,29 +176,20 @@ def _run_items(report: TriangularReport, delta0, delta1, sp: Sampler) -> Triangu
                 _fail(report, "terminal chain increments are not 1 or 2")
 
     ok = all(v for v in report.items.values() if v is not None)
-    if ok and report.chain_lengths is not None:
-        expected_n = ranks[-1] + sum(report.chain_lengths)
-        report.dims_consistent = expected_n == n
-        if not report.dims_consistent:
-            _fail(report, "block dimensions do not add up to the state count")
-    report.verdict = bool(ok and report.dims_consistent and not report.failures)
+    if ok and report.chain_lengths is not None and ranks[-1] + sum(report.chain_lengths) != n:
+        _fail(report, "block dimensions do not add up to the state count")
+    report.verdict = not report.failures
     return report
 
 
-def equal_length_variant_check(sys: AffineSystem, sp: Sampler) -> CheckOutcome:
-    """Conditions (a)-(e) run on the chain members themselves.
+def equal_length_variant_check(sys: AffineSystem, chain: BracketChain,
+                               sp: Sampler) -> CheckOutcome:
+    """Conditions (a)-(e) run on the members of sys's bracket chain themselves.
 
     This recognizes the stricter normal form whose terminal chains have
     equal lengths (with no cross-coupling in the last core equation).
     """
-    try:
-        chain = compute_bracket_chain(sys, sp)
-    except NotApplicable as e:
-        return CheckOutcome(False, str(e))
-    report = TriangularReport(sys, chain, None)
     if not chain.rank_ok:
         return CheckOutcome(False, "chain ranks differ from 2, 4, ...")
-    n3 = chain.depth
-    report = _run_items(report, chain.d(n3), chain.top, sp)
-    failing = report.failures[0] if report.failures else None
-    return CheckOutcome(report.verdict, failing)
+    report = _run_items(TriangularReport(sys, chain, None), chain.d(chain.depth), chain.top, sp)
+    return CheckOutcome(report.verdict, report.failures[0] if report.failures else None)

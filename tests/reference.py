@@ -35,12 +35,12 @@ from triflat.diffgeo import (
     basis,
     bracket_values,
     cauchy_characteristics,
+    contains_generic,
     derived_step,
     differential,
     generic_rank,
     lie_bracket,
     pruned,
-    span_contains,
 )
 from triflat.direction_search import _normalized_candidate, compute_bracket_chain, h_distribution
 from triflat.errors import EvalError, TriflatError
@@ -315,7 +315,7 @@ def is_involutive_symbolic(D: Distribution, sp: Sampler) -> bool:
     sampled)."""
     b = basis(D, sp)
     brackets = [lie_bracket(v, w) for v, w in itertools.combinations(b, 2)]
-    return all(span_contains(Distribution(D.frame, b), brackets, sp))
+    return all(contains_generic(Distribution(D.frame, b), br, sp) for br in brackets)
 
 
 def derived_step_all_pairs(D: Distribution, sp: Sampler) -> Distribution:

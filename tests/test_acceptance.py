@@ -7,7 +7,6 @@ verification at 1e-7, all sampling through seeded samplers.
 import random
 from dataclasses import replace
 
-from triflat.checks import check_static_feedback_linearizable
 from triflat.diffgeo import (
     ad_iter,
     cauchy_characteristics,
@@ -24,6 +23,7 @@ from triflat.diffgeo import (
 )
 from triflat.direction_search import (
     _normalized_candidate,
+    check_static_feedback_linearizable,
     compute_bracket_chain,
     h_distribution,
 )
@@ -361,7 +361,7 @@ def test_criterion_6_prolongation_linearizability(
 
 def test_criterion_7_negative_controls(vtol_analysis):
     a = vtol_analysis
-    variant = equal_length_variant_check(a.system, a.sp)
+    variant = equal_length_variant_check(a.system, a.chain, a.sp)
     ok = not variant.verdict
 
     # drift compatibility along the derived flag of the extended chained form:

@@ -18,10 +18,10 @@ import triflat.diffgeo as diffgeo
 from triflat.cli import _analyze, main
 from triflat.diffgeo import (
     _characteristics_at,
-    annihilates_characteristics,
     annihilator,
     basis,
     cauchy_characteristics,
+    characteristic_annihilator,
     characteristics_span,
     codistribution_rank,
     contains_generic,
@@ -171,14 +171,33 @@ def test_phi1_choice_matches_symbolic(sysm, sampler, phi1, seed, samples):
     assert rep.verdict and rep.case == CASE_NO_X1
     choices = [Sym(x) for x in sysm.frame] + [phi1, Sym("x3")]
     symbolic = annihilates_characteristics_symbolic(rep, sp, choices)
-    rows = [differential(f, sysm.frame).coefficients for f in choices]
-    assert annihilates_characteristics(rep.delta1_flags[rep.n2 - 3], rows, sp) == symbolic
+    W = characteristic_annihilator(rep.delta1_flags[rep.n2 - 3], sp)
+    assert [form_in_span(differential(f, sysm.frame), W, sp) for f in choices] == symbolic
     assert admissible_phi1(rep, sp) == [x for x, ok in zip(sysm.frame, symbolic) if ok]
     assert symbolic[-2], "the system's own phi1 is admissible"
     for f, ok in zip(choices, symbolic):
         if not ok:
             with pytest.raises(NotApplicable):
                 flat_output_for_report(rep, sp, phi1=f)
+
+
+def test_no_phi1_question_solves_the_characteristics():
+    # the chosen phi1 and every admissible coordinate are decided from the
+    # sampled characteristic annihilator of the last flag member, with no
+    # symbolic solve: on sqrt, the corpus's one NoX1 system, at sampler seeds
+    # 42 and 0-7, and on the generated NoX1 instances
+    sqrt = load_sysfile(os.path.join(CORPUS, "sqrt.sys"))
+    cases = [(sqrt.system(), sqrt.sampler(seed=seed), sqrt.phi1) for seed in (42, *range(8))]
+    cases += [(triangular_template(*combo, seed=seed).system, Sampler(), Sym("y1"))
+              for combo, seed in generated_instances() if combo[:2] == (0, 0)]
+    assert len(cases) == 12
+    for sysm, sp, phi1 in cases:
+        rep = _analyze(sysm, sp)[3][0]
+        assert rep.case == CASE_NO_X1
+        with counting(diffgeo, "cauchy_characteristics") as solved:
+            flat_output_for_report(rep, sp, phi1=phi1)
+            admissible_phi1(rep, sp)
+        assert solved == [], sysm.name
 
 
 FRAME = ("x1", "x2", "x3", "x4")

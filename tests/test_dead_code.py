@@ -19,7 +19,6 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # Unreferenced in src/ on purpose, one reason each.
 ALLOWED = {
     "generator.triangular_template": "builds the benchmark's generated instances",
-    "trace.span": "timing spans for pipeline stages, kept for the --trace report",
     "trace.collect": "the collector that the --trace report activates (ROADMAP item 6)",
     "sampling.MatrixSampler.at": "perfbench/tracer.py wraps it by name",
     "sampling.Sampler.admissible_points": "perfbench/tracer.py wraps it by name",

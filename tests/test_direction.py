@@ -4,7 +4,9 @@ import contextlib
 import io
 import os
 import signal
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from triflat import diffgeo, direction_search, elimination
@@ -19,10 +21,11 @@ from triflat.direction_search import (
     h_distribution,
 )
 from triflat.errors import NotApplicable
-from triflat.expr import ONE, Rat, Sym, ZERO, mul, sub, to_str
+from triflat.expr import ONE, Rat, Sym, ZERO, add, mul, sub, to_str
 from triflat.generator import triangular_template
 from triflat.parser import parse_expr
-from triflat.sampling import Sampler, is_zero_generic
+from triflat.fields import VectorField
+from triflat.sampling import MatrixSampler, Sampler, is_zero_generic, ranks
 from triflat.simplify import simplify
 from triflat.sysfile import load_sysfile
 from triflat.systems import AffineSystem, vector_field
@@ -408,3 +411,57 @@ def test_quadratic_root_filter_normalizes_no_residual(monkeypatch):
     monkeypatch.setattr(direction_search, "simplify", counted)
     assert candidates_via_quadratic(system, chain, SP)
     assert calls == []
+
+
+# --- the h-method's failure branches, reached by perturbing one row -----------
+
+
+def _perturbed(system, sym, part, delta):
+    """system with delta added to sym's row of the drift, b1 or b2."""
+    comps = list(getattr(system, part).components)
+    i = system.frame.index(sym)
+    comps[i] = simplify(add(comps[i], parse_expr(delta)))
+    return replace(system, **{part: VectorField(system.frame, tuple(comps))})
+
+
+def _corpus_system(name):
+    definition = load_sysfile(os.path.join(CORPUS, name + ".sys"))
+    return definition.system(), definition.sampler()
+
+
+def test_h_method_finds_no_direction_when_both_brackets_add_rank():
+    # x1' = x2 + x1*x10 on academic10: neither w1 nor w2 lies in H, and
+    # together they add two ranks to it.  The second "no direction" branch,
+    # after the fixing pairs, is not reached by any input: when w1 is not in
+    # H, some form of ann(H) pairs to a nonzero with it.
+    system, sp = _corpus_system("academic10")
+    system = _perturbed(system, "x1", "drift", "x1*x10")
+    chain = compute_bracket_chain(system, sp)
+    H = h_distribution(chain, sp)
+    w1, w2 = (ad_iter(system.drift, chain.depth + 1, b) for b in (system.b1, system.b2))
+    assert generic_rank(extend(H, [w1, w2]), sp) == len(H.fields) + 2
+    assert _h_outcome(system, sp, chain) == "no direction satisfies the containment condition"
+    assert h_direction_from_forms(system, sp) == _h_outcome(system, sp, chain)
+
+
+def test_h_method_inconsistency_comes_from_one_sample_point(monkeypatch):
+    # vx' gains x*u1 on vtol.  H has corank 1, so the combination the one
+    # form of ann(H) fixes lies in H, as the symbolic reference finds; the
+    # sampled [H; combination] has rank r + 1 at one point only, where the
+    # combination nearly vanishes, and the generic-point rule takes that
+    # point's rank (a near-cutoff decision, ROADMAP item 12)
+    system, sp = _corpus_system("vtol")
+    system = _perturbed(system, "vx", "b1", "x")
+    asked, real = [], direction_search.contains_generic
+
+    def spy(D, v, sp_):
+        asked.append((D, v))
+        return real(D, v, sp_)
+
+    monkeypatch.setattr(direction_search, "contains_generic", spy)
+    assert _h_outcome(system, sp) == "containment condition is inconsistent across directions"
+    assert isinstance(h_direction_from_forms(system, sp), tuple)
+    ((H, combo),) = asked
+    assert len(H.fields) == len(H.frame) - 1
+    stack = MatrixSampler(H.matrix_rows() + [list(combo.components)], H.frame, sp).stack()[1]
+    assert np.count_nonzero(ranks(stack, sp.tol) > len(H.fields)) == 1

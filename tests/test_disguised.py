@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from triflat import checks
+from triflat import direction_search
 from triflat.cli import _analyze
 from triflat.diffgeo import extend, lie_bracket
 from triflat.errors import IntegrationError, PipelineError
@@ -125,7 +125,7 @@ def assert_prolonged_linearizable(monkeypatch, system, phi1=None):
     passed on in the NoX1 case only."""
     _rep, _flat, res = instance_outputs(system, phi1, SP)
     prolonged, seen = [], []
-    real = checks.drift_flag
+    real = direction_search.drift_flag
 
     def spy(sys, sp):
         prolonged.append(sys)
@@ -133,7 +133,7 @@ def assert_prolonged_linearizable(monkeypatch, system, phi1=None):
             seen.append(member)
             yield member
 
-    monkeypatch.setattr(checks, "drift_flag", spy)
+    monkeypatch.setattr(direction_search, "drift_flag", spy)
     assert prolonged_linearizability(res, SP).verdict
     (prolonged,) = prolonged
     spanning = prolonged.input_distribution()

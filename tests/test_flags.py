@@ -10,10 +10,11 @@ in the basis of the involutive D_depth; ``is_involutive`` skips the pairs of
 inherited fields when the member grew from an involutive one, and a derived
 step that adds no rank records its input, the closure, as involutive.  Each
 skipped bracket already lies in the member, so over ``check --variant`` on
-the corpus at seeds 0-7 and over the generated workload's instances every
-grown member must equal the all-pairs reference member field for field and
-in order, and every shortened involutivity question must answer as the full
-one.  The trace counters pin the brackets built and kept and the pairs
+the corpus at seeds 0-7 and over the generated workload's instances at
+sampler seeds 42 and 0-2 every grown member must equal the all-pairs
+reference member field for field and in order, and every shortened
+involutivity question must answer as the full one.  ``check --variant``
+walks the drift flag once, so each question comes from a distinct walk.  The trace counters pin the brackets built and kept and the pairs
 asked; the all-pairs steps built 103/52/64 derived/drift/h brackets over the
 8 corpus checks and 588/215/312 over the 13 generated ones, and asked 956
 involutivity pairs there in 870 SVDs; skipping inherited pairs asked 587,
@@ -62,8 +63,9 @@ def steps():
             for seed in range(8):
                 for name in SYSTEMS:
                     main(["check", os.path.join(CORPUS, name), "--seed", str(seed), "--variant"])
-        for combo, seed in generated_instances():
-            _analyze(triangular_template(*combo, seed=seed).system, Sampler())
+        for sampler_seed in (42, 0, 1, 2):
+            for combo, seed in generated_instances():
+                _analyze(triangular_template(*combo, seed=seed).system, Sampler(seed=sampler_seed))
     return calls, c.counts
 
 

@@ -111,6 +111,18 @@ def test_validate_rejects_kernel_outside_flag(request, name):
         _validate(rep, replace(a.flat, l_perp=bad), sp)
 
 
+@pytest.mark.parametrize("name", ["sqrt", "sin", "academic10", "vtol"])
+def test_validate_rejects_an_annihilator_sum_of_another_rank(request, name):
+    # one coordinate differential outside L_perp, added to it, raises its rank
+    a = request.getfixturevalue(f"{name}_analysis")
+    rep, sp, frame = a.report, a.sp, a.system.frame
+    extra = next(w for w in (differential(Sym(x), frame) for x in frame)
+                 if not form_in_span(w, a.flat.l_perp, sp))
+    bad = Codistribution(frame, [*a.flat.l_perp.forms, extra])
+    with pytest.raises(TriflatError, match="annihilator sum has an unexpected rank"):
+        _validate(rep, replace(a.flat, l_perp=bad), sp)
+
+
 def test_template_top_pair_via_case3():
     # with no terminal chains the core top variables form a flat pair
     from triflat.direction_search import _normalized_candidate, compute_bracket_chain

@@ -1,7 +1,8 @@
 """Every name a module imports is used in it, no function imports, every
 local a function assigns is read (no linter is installed), only the
-sampling layer evaluates expressions or applies a float rank rule, and no
-zero test reads a normal form built for it.
+sampling layer evaluates expressions or applies a float rank rule, no
+zero test reads a normal form built for it, and README's "Library layout"
+table names every module.
 
 ``__init__.py`` is exempt from the import and evaluation scans: its imports
 are the package's re-exports.  Locals whose names start with ``_`` are
@@ -9,6 +10,7 @@ exempt from the local scan.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -229,3 +231,25 @@ def test_scan_finds_a_normalized_zero_test():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_zero_test_reads_a_normal_form(path):
     assert normalized_zero_tests(path.read_text()) == []
+
+
+README = SRC.parent.parent / "README.md"
+
+
+def layout_modules(text):
+    """The module names in the first cell of each row of README's "Library
+    layout" table, in order."""
+    section = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    return [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+
+
+def test_scan_reads_the_layout_table():
+    text = ("## Library layout\n\n| module | contents |\n| --- | --- |\n"
+            "| `a`, `b` | `x` and `y` |\n| `c` | z |\n\n`d` is prose.\n\n## Next\n| `e` | f |\n")
+    assert layout_modules(text) == ["a", "b", "c"]
+
+
+def test_readme_layout_names_every_module_once():
+    names = layout_modules(README.read_text())
+    assert sorted(names) == [p.stem for p in MODULES]

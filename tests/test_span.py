@@ -1,14 +1,15 @@
 """The span tests and the sampled involutivity test against their
 references.
 
-``diffgeo._spanned`` is the one membership rule: whether the rows of one
+``sampling._spanned`` is the one membership rule: whether the rows of one
 sampled stack lie in the span of another, over the points where both
 together reach their largest rank.  ``diffgeo._in_span`` answers "does row e
 lie in the span of these rows" by sampling [rows; e] at its own admissible
-points and asking ``_spanned``.  Every call with several rows that
-``check`` makes, over the corpus and the criterion-5 instances, must give
-the per-row answers of ``reference.in_span_per_row``, and so must rows that
-move the admissible points of the base.  No question that ``check`` and
+points and asking ``_spanned``; rows that move the admissible points of the
+base must get the per-row answers of ``reference.in_span_per_row``.  The
+h-method samples one stack [H; w1; w2] for both memberships and the joint
+rank; over the corpus and the criterion-5 instances, its answers must be
+the per-row ones too.  No question that ``check`` and
 ``flat-output`` ask there has a [base; extra] that ranks below its base at
 a point, the one case where ``_spanned`` and a test of the base's rank at
 every point could differ; a strict xfail pins the smallest such question, a
@@ -28,14 +29,18 @@ took one SVD per candidate field and a pruned member was sampled again
 for its rank).
 """
 
+import contextlib
+import io
 import itertools
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from triflat import diffgeo, sampling
+from triflat import cli, diffgeo, direction_search, sampling
 from triflat.cli import _analyze, main
+from triflat.diffgeo import ad_iter
 from triflat.generator import triangular_template
 from triflat.parser import parse_expr
 from triflat.sampling import MatrixSampler, Sampler
@@ -53,32 +58,75 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus
 SYSTEMS = sorted(f for f in os.listdir(CORPUS) if f.endswith(".sys"))
 
 
-def record_span_calls(monkeypatch):
-    """Every (rows, extras, frame, sp, answers) that reaches _in_span."""
-    calls = []
-    real = diffgeo._in_span
+@pytest.fixture(scope="module")
+def h_questions():
+    """Each h-method membership question of ``check`` over the corpus and
+    the criterion-5 instances: (H's rows, the rows of the nonzero iterated
+    brackets w1, w2, frame, sampler, the answers of ``_spanned`` inside
+    ``candidate_via_h``, and each (kind, rows) sampled there that holds a w
+    row, kind "stack" or "generic")."""
+    real_h, real_spanned = direction_search.candidate_via_h, direction_search._spanned
+    real_stack, real_generic = MatrixSampler.stack, MatrixSampler.generic
+    questions, current = [], None
 
-    def spy(rows, extras, frame, sp):
-        out = real(rows, extras, frame, sp)
-        calls.append((rows, extras, frame, sp, out))
-        return out
+    def spanned(base, extra, tol):
+        got = real_spanned(base, extra, tol)
+        current["answers"].append(got)
+        return got
 
-    monkeypatch.setattr(diffgeo, "_in_span", spy)
-    return calls
+    def sampled(kind, real):
+        def spy(self):
+            if current is not None:
+                current["sampled"].append((kind, self.rows))
+            return real(self)
+        return spy
+
+    def via_h(sys, chain, sp):
+        nonlocal current
+        current = {"answers": [], "sampled": []}
+        try:
+            return real_h(sys, chain, sp)
+        finally:
+            found, current = current, None
+            if chain.depth >= 1:
+                H = direction_search.h_distribution(chain, sp).matrix_rows()
+                ws = [w for w in (ad_iter(sys.drift, chain.depth + 1, b) for b in (sys.b1, sys.b2))
+                      if not w.is_zero()]
+                ws = [list(w.components) for w in ws]
+                sampled_ws = [(k, rows) for k, rows in found["sampled"]
+                              if any(w in rows for w in ws)]
+                questions.append((H, ws, sys.frame, sp, found["answers"], sampled_ws))
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(direction_search, "_spanned", spanned)
+        mp.setattr(MatrixSampler, "stack", sampled("stack", real_stack))
+        mp.setattr(MatrixSampler, "generic", sampled("generic", real_generic))
+        for module in (direction_search, cli):
+            mp.setattr(module, "candidate_via_h", via_h)
+        for name in SYSTEMS:
+            main(["check", os.path.join(CORPUS, name)])
+        for index, combo in enumerate(criterion5_combos()):
+            _analyze(triangular_template(*combo, seed=index).system, Sampler())
+    return questions
 
 
-def test_batched_answers_equal_per_row_answers(monkeypatch, capsys):
-    calls = record_span_calls(monkeypatch)
-    for name in SYSTEMS:
-        main(["check", os.path.join(CORPUS, name)])
-    capsys.readouterr()
-    for index, combo in enumerate(criterion5_combos()):
-        _analyze(triangular_template(*combo, seed=index).system, Sampler())
-    # the calls about several rows: candidate_via_h's [w1, w2] against H
-    batches = [call for call in calls if len(call[1]) > 1]
-    assert sum(len(extras) for _rows, extras, *_rest in batches) >= 20
-    for rows, extras, frame, sp, out in batches:
-        assert out == [in_span_per_row(rows, e, frame, sp) for e in extras]
+def test_batched_answers_equal_per_row_answers(h_questions):
+    # the h-method asks whether w1 and w2 lie in H from one stack [H; w1; w2]
+    rows = 0
+    for H, ws, frame, sp, answers, _sampled in h_questions:
+        assert answers == [in_span_per_row(H, w, frame, sp) for w in ws]
+        rows += len(ws)
+    assert rows >= 20, rows
+
+
+def test_h_method_samples_one_stack_for_memberships_and_rank(h_questions):
+    # the memberships of w1 and w2 and, when neither lies in H, the joint
+    # rank all read the one sampled stack [H; w1; w2]
+    ranked = 0
+    for H, ws, _frame, _sp, answers, sampled in h_questions:
+        assert sampled == ([("stack", H + ws)] if ws else []), (len(ws), answers, sampled)
+        ranked += len(ws) == 2 and not any(answers)
+    assert len(h_questions) >= 10 and ranked >= 1, (len(h_questions), ranked)
 
 
 RATIONAL = {"chained4.sys", "extchained5.sys", "product.sys", "template.sys"}
@@ -149,14 +197,16 @@ def test_no_membership_question_ranks_below_its_base(monkeypatch, capsys):
     where [base; extra] ranks below base at some point, which no question
     of the corpus or the criterion-5 instances meets."""
     questions = []
-    real = diffgeo._spanned
+    real = sampling._spanned
 
     def spy(base, extra, tol):
         grown = sampling.ranks(np.concatenate([base, extra], axis=1), tol)
         questions.append(bool((grown >= sampling.ranks(base, tol)).all()))
         return real(base, extra, tol)
 
-    monkeypatch.setattr(diffgeo, "_spanned", spy)
+    for name, module in list(sys.modules.items()):  # every binding of the rule
+        if name.startswith("triflat") and getattr(module, "_spanned", None) is real:
+            monkeypatch.setattr(module, "_spanned", spy)
     for name in SYSTEMS:
         for command in ("check", "flat-output"):
             main([command, os.path.join(CORPUS, name)])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -248,6 +249,24 @@ def test_cli_verify_rejects_a_state_map_of_low_rank(capsys, tmp_path):
     payload["state_map"] = dict.fromkeys(payload["state_map"], "0")
     for part in ("drift", "b1", "b2"):
         payload["result"][part] = {}
+    save.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "verify", corpus("vtol.sys"), "--transform", str(save))
+    assert code == 1 and out["verified"] is False
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda inputs: {**inputs, "v1f": inputs["v2f"]},
+    lambda inputs: {k: re.sub(r"\bu([12])\b", r"(0*u\1)", v) for k, v in inputs.items()},
+], ids=["v1f-as-v2f", "inputs-scaled-by-0"])
+def test_cli_verify_rejects_a_singular_input_map(capsys, tmp_path, mutate):
+    # b1 and b2 are independent, so a state map of rank n consistent with the
+    # result forces J B = B~ M for the input map's Jacobian M, which is then
+    # nonsingular: an input map singular in the inputs fails consistency
+    save = tmp_path / "map.json"
+    code, _out = run_cli(capsys, "transform", corpus("vtol.sys"), "--save", str(save))
+    assert code == 0
+    payload = json.loads(save.read_text())
+    payload["input_map"] = mutate(payload["input_map"])
     save.write_text(json.dumps(payload))
     code, out = run_cli(capsys, "verify", corpus("vtol.sys"), "--transform", str(save))
     assert code == 1 and out["verified"] is False

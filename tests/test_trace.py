@@ -21,25 +21,23 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "triflat", "corpus
 
 
 def test_count_and_span_are_no_ops_without_a_collector():
+    # the name predates the removal of spans; only counters remain
     trace.count("anything")
-    with trace.span("anything"):
-        pass
     with trace.collect() as c:
         pass
-    assert c.counts == {} and c.spans == {}
+    assert c.counts == {}
 
 
 def test_collector_gathers_counts_and_spans():
+    # the name predates the removal of spans; only counters remain
     with trace.collect() as c:
         trace.count("a")
         trace.count("a", 2)
-        for _ in range(3):
-            with trace.span("s"):
-                pass
+        with trace.collect() as inner:
+            trace.count("b")
+        trace.count("c", 0)
     trace.count("a")  # after the block: not collected
-    assert c.counts == {"a": 3}
-    calls, seconds = c.spans["s"]
-    assert calls == 3 and seconds >= 0.0
+    assert c.counts == {"a": 3, "c": 0} and inner.counts == {"b": 1}
 
 
 def test_wide_coefficient_gcd_bail_out_counts_under_bits():

@@ -68,13 +68,14 @@ def test_ladder_dimension_record(academic10_analysis):
 
 
 def test_vtol_fails_equal_length_variant(vtol_analysis):
-    out = equal_length_variant_check(vtol_analysis.system, vtol_analysis.sp)
+    a = vtol_analysis
+    out = equal_length_variant_check(a.system, a.chain, a.sp)
     assert not out.verdict
 
 
 def test_equal_template_passes_variant():
     inst = equal_chain_template(4, 2, seed=9)
-    out = equal_length_variant_check(inst.system, SP)
+    out = equal_length_variant_check(inst.system, compute_bracket_chain(inst.system, SP), SP)
     assert out.verdict
 
 
