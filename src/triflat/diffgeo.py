@@ -2,8 +2,8 @@
 
 Rank and membership questions are decided numerically at generic sample
 points, and every membership question (is a bracket, a characteristic
-direction, a drift image or a kernel field inside a span?) by one rule,
-:func:`_spanned`.  A bracket that only feeds such a question is never built
+direction or a drift image inside a span?) by one rule, :func:`_spanned`.
+A bracket that only feeds such a question is never built
 symbolically: :func:`bracket_values` samples the fields and their nonzero
 first partials in one stack and takes the value of [v, w] = Dw v - Dv w at
 each point.  Involutivity and whether the Cauchy characteristics span a
@@ -464,19 +464,6 @@ def characteristics_span(D: Distribution, E: Distribution, sp: Sampler) -> bool:
     B, lam, X, _at = _characteristics_at(D, sp, E.matrix_rows())
     top, kept = generic(ranks(X, sp.tol))
     return top == lam.shape[1] and _spanned((lam @ B)[kept], X[kept], sp.tol)
-
-
-def kernel_within(W: Codistribution, D: Distribution, sp: Sampler) -> bool:
-    """Whether the fields annihilated by W lie in D, generically.
-
-    ker W(p) must lie in the span of D(p) (:func:`_spanned`) at the generic
-    points of D, and among them at those of W.
-    """
-    rows = D.matrix_rows()
-    _points, stack = MatrixSampler(rows + W.matrix_rows(), D.frame, sp).stack()
-    _top, on_d = generic(ranks(stack[:, : len(rows)], sp.tol))
-    _top, on_w, kernels = generic_nullspaces(stack[on_d, len(rows) :], sp.tol)
-    return _spanned(stack[on_d[on_w], : len(rows)], kernels, sp.tol)
 
 
 def drift_compatible(D: Distribution, a: VectorField, sp: Sampler) -> bool:

@@ -5,7 +5,10 @@ terminal chains introduced directly through drift derivatives of the flat
 output), normalizes the first core equation, introduces the core coupling
 functions as states from top to bottom, splits the last core equation, and
 finally brings the rear chains into integrator form with a closing static
-feedback.  Every step is verified numerically against the original dynamics.
+feedback.  Each step's inverse is checked at the stage's image points, and the
+composed map is verified numerically against the original dynamics once: every
+stage is the exact pushforward of the one before, so it is consistent with the
+original dynamics whenever the last one is.
 """
 
 from __future__ import annotations
@@ -656,8 +659,6 @@ def decompose(sys_original: AffineSystem, report: TriangularReport,
     stage0 = initial_stage(sys_original, blocks)
     stage = apply_state_change(stage0, defs, sp, note="straighten ladder")
     _verify_block_structure(stage, report, sp)
-    if not _stage_verified(stage, sp):
-        raise PipelineError("straightening stage fails numeric verification")
     return stage
 
 
@@ -696,7 +697,7 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
         if not all_zero_generic((b1c, b2c), img):
             failures.append(f"terminal row {s} touches the inputs")
         for x in q_syms[3:] + r_syms:
-            if not is_zero_generic(differentiate(dr, x), img):
+            if _depends_at(dr, x, img):
                 failures.append(f"terminal row {s} depends on {x}")
     deep = r_syms[3:] if n3 >= 2 else []
     for s in q_syms:
@@ -704,7 +705,7 @@ def _verify_block_structure(stage: Stage, report, sp: Sampler):
         if n3 >= 2 and not all_zero_generic((b1c, b2c), img):
             failures.append(f"core row {s} touches the inputs")
         for x in deep:
-            if not is_zero_generic(differentiate(dr, x), img):
+            if _depends_at(dr, x, img):
                 failures.append(f"core row {s} depends on deep rear state {x}")
     if failures:
         raise PipelineError("block structure violated: " + "; ".join(failures))
@@ -804,7 +805,7 @@ def introduce_core_couplings(stage: Stage, report, sp: Sampler) -> Stage:
         dr, b1c, b2c = _rhs_of(stage, qi)
         if w_kind == "state":
             coeff = differentiate(dr, stage.blocks["w"])
-            if not is_zero_generic(differentiate(coeff, stage.blocks["w"]), img):
+            if _depends_at(coeff, stage.blocks["w"], img):
                 raise PipelineError(f"core equation {qi} is not affine in the chain input")
         else:
             coeff = b2c if stage.blocks["w"] == stage.sys.input_syms[1] else b1c
@@ -823,7 +824,7 @@ def introduce_core_couplings(stage: Stage, report, sp: Sampler) -> Stage:
         g2 = differentiate(dr, stage.blocks["w"])
         if not all_zero_generic((b1c, b2c), img):
             raise PipelineError("last core equation touches the inputs directly")
-        if not is_zero_generic(differentiate(g2, stage.blocks["w"]), img):
+        if _depends_at(g2, stage.blocks["w"], img):
             raise PipelineError("last core equation is not affine in the chain input")
         g1 = simplify(sub(dr, mul(g2, w_sym)))
     else:
@@ -834,8 +835,6 @@ def introduce_core_couplings(stage: Stage, report, sp: Sampler) -> Stage:
             raise PipelineError("last core equation depends on the long-chain input")
         g1 = dr
     rear = stage.blocks["rear"]
-    if not rear:
-        raise PipelineError("no rear coordinate available for the long-chain top")
     r1 = rear[0]
     missing = ("state part of the last core equation does not depend on the rear "
                "top; upstream checks must be inconsistent")
@@ -873,16 +872,12 @@ def rear_chains_to_integrators(stage: Stage, report, sp: Sampler) -> Stage:
             )
         return stage
 
-    if "z1" not in stage.blocks:
-        raise PipelineError("long-chain top missing; run the previous step first")
     if n3 >= 2:
         stage = replace(stage, blocks={"z2": [stage.blocks["w"]], **stage.blocks})
         stage = grow_chain(stage, "z1", n3)
         stage = grow_chain(stage, "z2", n3 - 1)
     else:
         stage = replace(stage, blocks={**stage.blocks, "z2": []})
-    if stage.blocks["rear"]:
-        raise PipelineError("rear coordinates left over after chain construction")
 
     # closing static feedback
     sysm = stage.sys
@@ -915,7 +910,11 @@ def transform_to_triangular(
     sp: Sampler,
     hints=(),
 ) -> TransformResult:
-    """Run the whole pipeline and verify every step against the original."""
+    """Run the whole pipeline and verify the composed map against the original.
+
+    Only when that check fails are the recorded stages checked in order, to
+    name the first one that fails.
+    """
     stages: List[Tuple[str, Stage]] = []
     stage = decompose(sys, report, flat, sp, hints)
     stages.append(("straighten", stage))
@@ -925,9 +924,9 @@ def transform_to_triangular(
     stages.append(("core-couplings", stage))
     stage = rear_chains_to_integrators(stage, report, sp)
     stages.append(("rear-chains", stage))
-    for name, st in stages[1:]:  # decompose has verified the straightening stage
-        if not _stage_verified(st, sp):
-            raise PipelineError(f"stage {name} fails numeric verification")
+    if not _stage_verified(stage, sp):
+        name = next((n for n, st in stages[:-1] if not _stage_verified(st, sp)), stages[-1][0])
+        raise PipelineError(f"stage {name} fails numeric verification")
     final = _assemble_decomposition(stage, report, sp)
     return TransformResult(stages, final, stage.change(), verified=True)
 

@@ -36,6 +36,8 @@ from triflat.transform import (
 from triflat.triform import triangular_form_check
 
 from reference import (
+    counting,
+    criterion5_combos,
     generated_instances,
     instance_digest,
     instance_key,
@@ -489,8 +491,81 @@ def test_wrong_forward_map_fails_the_stage_check(vtol_analysis, monkeypatch):
 
     monkeypatch.setattr(transform, "apply_state_change", wrong_forward)
     a = vtol_analysis
-    with pytest.raises(PipelineError, match="straightening stage fails numeric verification"):
+    with pytest.raises(PipelineError, match="stage straighten fails numeric verification"):
         transform_to_triangular(a.system, a.report, a.flat, a.sp)
+
+
+def test_a_wrong_later_forward_map_names_its_stage(vtol_analysis, monkeypatch):
+    # only the core-coupling step's state change records a wrong forward map;
+    # the stages before it pass, and every stage after it inherits the error
+    def wrong_forward(*args, note="", **kwargs):
+        out = apply_state_change(*args, note=note, **kwargs)
+        if note == "introduce coupling state level 2":
+            x = sorted(out.forward)[0]
+            out.forward[x] = mul(Rat(Fraction(1001, 1000)), out.forward[x])
+        return out
+
+    monkeypatch.setattr(transform, "apply_state_change", wrong_forward)
+    a = vtol_analysis
+    with pytest.raises(PipelineError, match="stage core-couplings fails numeric verification"):
+        transform_to_triangular(a.system, a.report, a.flat, a.sp)
+
+
+# --- one check of the composed map ----------------------------------------------
+
+CORPUS_POSITIVES = ["academic10", "product", "sin", "sqrt", "template", "vtol"]
+PIPELINE_INPUTS = [
+    *(pytest.param(name, None, id=name) for name in CORPUS_POSITIVES),
+    *(pytest.param(combo, seed, id=f"{'-'.join(map(str, combo))}-seed{seed}")
+      for seed, combo in enumerate(criterion5_combos())),
+]
+
+
+def _pipeline_inputs(request, name, seed):
+    """(system, report, flat output, sampler) of a corpus positive, or of a
+    criterion-5 instance when seed is given."""
+    if seed is None:
+        a = request.getfixturevalue(f"{name}_analysis")
+        return a.system, a.report, a.flat, a.sp
+    s = triangular_template(*name, seed=seed).system
+    rep = _analyze(s, SP)[3][0]
+    phi1 = Sym("y1") if rep.case == "NoX1" else None
+    return s, rep, flat_output_for_report(rep, SP, phi1=phi1), SP
+
+
+@pytest.mark.parametrize("name, seed", PIPELINE_INPUTS)
+def test_a_transform_verifies_the_composed_map_once(request, name, seed):
+    # each stage is the exact pushforward of the one before, so the composed
+    # map is checked once, with the arguments of `verify --transform`
+    s, rep, flat, sp = _pipeline_inputs(request, name, seed)
+    with counting(transform, "verify_transformation") as calls:
+        res = transform_to_triangular(s, rep, flat, sp)
+    assert len(calls) == 1
+    original, change, result, sampler = calls[0]
+    assert original is s and result is res.final.system and sampler is sp
+    assert change == res.change
+
+
+@pytest.mark.parametrize("name, seed", PIPELINE_INPUTS)
+def test_each_rear_coordinate_is_used_once(request, name, seed, monkeypatch):
+    # straightening makes 2*n3 - 1 rear coordinates, each step that takes one
+    # removes exactly one, and the rear chains use the last of them
+    s, rep, flat, sp = _pipeline_inputs(request, name, seed)
+    steps = []  # (takes a rear coordinate, rear count before, rear count after)
+    original = transform._introduce
+
+    def introduce(stage, sp, new, rhs, candidates, *args, **kwargs):
+        out = original(stage, sp, new, rhs, candidates, *args, **kwargs)
+        steps.append((set(candidates) <= set(stage.blocks["rear"]),
+                      len(stage.blocks["rear"]), len(out.blocks["rear"])))
+        return out
+
+    monkeypatch.setattr(transform, "_introduce", introduce)
+    stages = dict(transform_to_triangular(s, rep, flat, sp).stages)
+    assert len(stages["straighten"].blocks["rear"]) == 2 * rep.depth - 1
+    assert all(after == before - from_rear for from_rear, before, after in steps)
+    last = stages["rear-chains"].blocks
+    assert last["rear"] == [] and last["z1"]
 
 
 # --- the structure checks name the row they find broken ------------------------
@@ -562,10 +637,10 @@ STEP_INPUT = {
 }
 
 
-# Not reached by perturbing one row: "rear coordinates left over", "no rear
-# coordinate available for the long-chain top" and "long-chain top
-# missing", which need other blocks, and the branches of an input w
-# ("depends on the long-chain input"), which this instance does not have.
+# Not reached by perturbing one row: the branches of an input w ("depends on
+# the long-chain input"), which this instance does not have.  The rear block
+# cannot run short or have coordinates left over, since straightening makes
+# exactly 2*n3 - 1 of them (test_each_rear_coordinate_is_used_once).
 @pytest.mark.parametrize("step, sym, part, delta, message", [
     ("normalize_first_core_equation", "q1", "b1", "1",
      "first core equation touches the inputs directly"),
