@@ -36,7 +36,7 @@ from .errors import (
     TriflatError,
 )
 from .expr import ZERO, free_symbols, to_str
-from .flatout import admissible_phi1, flat_output_for_report
+from .flatout import admissible_phi1, admits_phi1, flat_output_for_report
 from .parser import parse_expr
 from .sysfile import SysFileError, check_names, load_sysfile
 from .systems import AffineSystem, prolong, vector_field
@@ -229,20 +229,23 @@ def _flat_options(args, definition):
     return phi1, hints
 
 
-def _passing_report(sysm, sp):
-    """The first candidate's report that passes; later candidates go unchecked."""
+def _passing_report(sysm, sp, phi1=None):
+    """The first passing report that takes phi1, else the first passing one."""
     chain, _h, candidates = _candidates(sysm, sp)
     reports = (triangular_form_check(sysm, c, sp, chain) for c in candidates)
-    rep = next((r for r in reports if r.verdict), None)
-    if rep is None:
+    passing = (r for r in reports if r.verdict)
+    first = next(passing, None)
+    if first is None:
         raise NotApplicable("no direction candidate passes the decision procedure")
-    return rep
+    if phi1 is None or admits_phi1(first, sp, phi1):
+        return first
+    return next((r for r in passing if admits_phi1(r, sp, phi1)), first)
 
 
 def _transformed(args, definition, sysm, sp):
     """Flat options, passing report, flat output and transform, in that order."""
     phi1, hints = _flat_options(args, definition)
-    rep = _passing_report(sysm, sp)
+    rep = _passing_report(sysm, sp, phi1)
     flat = flat_output_for_report(rep, sp, phi1=phi1, hints=hints)
     return rep, flat, transform_to_triangular(sysm, rep, flat, sp, hints=hints)
 
@@ -251,7 +254,7 @@ def cmd_flat_output(args):
     definition, sysm, sp, prolonged = _load(args)
     out = _header("flat-output", args, sp, prolonged, sysm)
     phi1, hints = _flat_options(args, definition)
-    rep = _passing_report(sysm, sp)
+    rep = _passing_report(sysm, sp, phi1)
     out["case"] = rep.case
     out["dims"] = rep.dims
     try:

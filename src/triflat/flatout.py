@@ -124,6 +124,18 @@ def _chosen_phi1(report, sp, phi1) -> Expr:
     return phi1
 
 
+def admits_phi1(report, sp, phi1) -> bool:
+    """Whether the report's flat output takes phi1: it is read only with no
+    terminal chain, and then must pass ``_chosen_phi1``'s test."""
+    if report.case != CASE_NO_X1:
+        return True
+    try:
+        _chosen_phi1(report, sp, phi1)
+    except NotApplicable:
+        return False
+    return True
+
+
 def _extended_annihilator(report, sp, *functions) -> Codistribution:
     """Annihilator of the last flag member extended by the differentials."""
     frame = report.system.frame

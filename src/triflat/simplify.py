@@ -24,10 +24,9 @@ generic-point semantics of the package.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from fractions import Fraction
 from functools import wraps
-from itertools import compress
 
 from . import trace
 from .errors import TriflatError
@@ -78,12 +77,10 @@ def _quotient(a, b):
 # Every kernel (symbol, function call, root power) gets a small int id when a
 # normalization first creates it.  Its rank is an int in the kernels' key()
 # order; ranks leave gaps, so interning a kernel keeps every other rank.  When
-# a gap runs out all ranks are renumbered and _VERSION moves on, so a caller
-# holding rank-derived sort keys knows to rebuild them.  Ids live until the
-# outermost normalization ends: the table is cleared only there (see
-# _normalization), once _CACHE has been cleared or the table and the atom
-# table, which shares printed factors among normal forms, have outgrown the
-# same bound.
+# a gap runs out all ranks are renumbered.  Ids live until the outermost
+# normalization ends: the table is cleared only there (see _normalization),
+# once _CACHE has been cleared or the table and the atom table, which shares
+# printed factors among normal forms, have outgrown the same bound.
 
 _KERNELS = []  # id -> kernel Expr
 _IDS = {}  # kernel Expr -> id
@@ -94,7 +91,6 @@ _BASE_NUM = {}  # root kernel id -> numerator Poly of its base
 _ATOMS = {}  # (kernel id, exponent) or coefficient -> its printed factor
 _RANK_GAP = 1 << 32
 _NO_FOLD = 1 << 62  # the _FOLD_AT of a kernel that is not a root
-_VERSION = 0
 _DEPTH = 0
 _TABLE_STALE = False
 
@@ -108,7 +104,6 @@ def _kid(k):
 
 
 def _intern(k):
-    global _VERSION
     key = k.key()
     pos = bisect_left(_BY_KEY, (key,))
     lo = _RANK[_BY_KEY[pos - 1][1]] if pos else None
@@ -131,16 +126,14 @@ def _intern(k):
     if rank == lo:
         for r, (_key, j) in enumerate(_BY_KEY):
             _RANK[j] = r * _RANK_GAP
-        _VERSION += 1
     return i
 
 
 def _clear_kernels():
-    global _TABLE_STALE, _VERSION
+    global _TABLE_STALE
     for table in (_KERNELS, _IDS, _RANK, _FOLD_AT, _BY_KEY, _BASE_NUM, _ATOMS):
         table.clear()
     _TABLE_STALE = False
-    _VERSION += 1
 
 
 def _normalization(fn):
@@ -235,11 +228,6 @@ def _poly_scale(p, c):
 
 
 def _poly_mul(p1, p2):
-    if len(p1) > 1 and len(p2) > 1 and len(p1) * len(p2) >= _VECTOR_PRODUCT:
-        powers = {ke for p in (p1, p2) for m in p for ke in m}
-        if max(e for _k, e in powers) < 128 and not any(_is_root_kernel(k) for k, _e in powers):
-            order = sorted({k for k, _e in powers}, key=_RANK.__getitem__)
-            return _poly_mul_vectors(p1, p2, order)
     out = {}
     rank, fold_at = _RANK, _FOLD_AT
     for m1, c1 in p1.items():
@@ -289,49 +277,6 @@ def _poly_mul(p1, p2):
     return out
 
 
-# term pairs from which a root-free product of two sums uses exponent vectors;
-# with one single-term factor, converting costs more than merging
-_VECTOR_PRODUCT = 16
-
-
-def _poly_mul_vectors(p1, p2, order):
-    """``_poly_mul`` of root-free polys over exponent vectors in ``order``.
-
-    A vector is packed into an int, one byte per kernel, so multiplying two
-    monomials is one int addition done in C, where merging them is a Python
-    loop; the caller keeps every exponent below 128, so no byte carries
-    into the next.  The products meet the same monomials in the same order,
-    so the result is the same dict.
-    """
-    pos = {k: i for i, k in enumerate(order)}
-    n = len(order)
-
-    def packed(p):
-        out = []
-        for m, c in p.items():
-            v = bytearray(n)
-            for k, e in m:
-                v[pos[k]] = e
-            out.append((int.from_bytes(v, "little"), c))
-        return out
-
-    out = {}
-    terms2 = packed(p2)
-    for v1, c1 in packed(p1):
-        for v2, c2 in terms2:
-            v = v1 + v2
-            nc = out.get(v, 0) + c1 * c2
-            if nc:
-                out[v] = nc if type(nc) is int else exact(nc)
-            else:
-                out.pop(v, None)
-    result = {}
-    for v, c in out.items():
-        exps = v.to_bytes(n, "little")
-        result[tuple(compress(zip(order, exps), exps))] = c
-    return result
-
-
 def _poly_pow(p, n):
     out = _POLY_ONE
     base = p
@@ -371,84 +316,32 @@ def _mono_quotient(m, d):
     return tuple(out) if found == len(d) else None
 
 
-def _mono_div(m2, m1):
-    """m2 / m1 for a monomial m1 dividing m2; m2's kernel order is kept."""
-    d1 = dict(m1)
-    out = []
-    for k, e in m2:
-        e -= d1.get(k, 0)
-        if e:
-            out.append((k, e))
-    return tuple(out)
-
-
-def _sorted_terms(p):
-    """(sort key, monomial) pairs of p, ascending: the leading one is last."""
-    return sorted([(_mono_key(m), m) for m in p])
-
-
 def _poly_div_exact(a, b):
-    """a / b when the division is exact over the rationals, else None.
-
-    The remainder's monomials are kept sorted, so each step takes the
-    leading one from the end.  Its quotient term times b's leading term is
-    that monomial itself, which is dropped outright; only the rest of b is
-    multiplied out.  Where the leading monomial holds a power that folds,
-    the whole of b is: a fold may add or cancel any monomial, and each is
-    inserted or removed where it sorts.
-    """
+    """a / b when the division is exact over the rationals, else None: each
+    step subtracts b times the remainder's leading term over b's."""
     if not b:
         return None
-    fold_at = _FOLD_AT
-    if b == _POLY_ONE and not any(e >= fold_at[k] for m in a for k, e in m):
-        # a / 1 as the loop gives it: a's terms, leading one first
-        return {m: a[m] for _k, m in reversed(_sorted_terms(a))}
     lb, cb = _leading(b)
-    if a and _mono_quotient(_leading(a)[0], dict(lb)) is None:
-        return None  # the loop's first step, taken before a is copied and sorted
+    lb = dict(lb)
     q = {}
     rem = dict(a)
-    order = _sorted_terms(rem)
-    version = _VERSION
-    b_rest = dict(b)
-    del b_rest[lb]
-    lb = dict(lb)
     guard = 0
     while rem:
         guard += 1
         if guard > 20000:
             return None
-        la = order[-1][1]
+        la, ca = _leading(rem)
         mq = _mono_quotient(la, lb)
         if mq is None:
             return None
-        cq = _quotient(rem[la], cb)
+        cq = _quotient(ca, cb)
         q[mq] = exact(q.get(mq, 0) + cq)
-        for k, e in la:
-            if e >= fold_at[k]:
-                prod = _poly_mul({mq: cq}, b)
-                break
-        else:
-            del rem[la]
-            order.pop()
-            if not b_rest:
-                continue
-            prod = _poly_mul({mq: cq}, b_rest)
-        if version != _VERSION:  # a fold interned a kernel; ranks moved
-            version = _VERSION
-            order = _sorted_terms(rem)
-        for m, c in prod.items():
-            old = rem.get(m)
-            if old is None:
-                rem[m] = -c
-                insort(order, (_mono_key(m), m))
-                continue
-            nc = old - c
+        for m, c in _poly_mul({mq: cq}, b).items():
+            nc = rem.get(m, 0) - c
             if nc:
                 rem[m] = nc if type(nc) is int else exact(nc)
             else:
-                del rem[m]
-                del order[bisect_left(order, (_mono_key(m), m))]
+                rem.pop(m, None)
     return q
 
 
@@ -638,7 +531,7 @@ def _rationalize(num, den):
                 a_part, b_part = {}, {}
                 for m, c in den.items():
                     if any(kk == k for kk, _e in m):
-                        a_part[_mono_div(m, ((k, 1),))] = c
+                        a_part[_mono_quotient(m, {k: 1})] = c
                     else:
                         b_part[m] = c
                 if a_part and b_part:
@@ -802,10 +695,8 @@ def _cancel(num, den):
             else:
                 shared = {k: min(e, d.get(k, 0)) for k, e in shared.items() if d.get(k, 0) > 0}
     if shared:
-        content = tuple((k, e) for k, e in shared.items() if e > 0)
-        if content:
-            num = {_mono_div(m, content): c for m, c in num.items()}
-            den = {_mono_div(m, content): c for m, c in den.items()}
+        num = {_mono_quotient(m, shared): c for m, c in num.items()}
+        den = {_mono_quotient(m, shared): c for m, c in den.items()}
     if den != _POLY_ONE:
         q = _poly_div_exact(num, den)
         if q is not None:

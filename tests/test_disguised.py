@@ -17,14 +17,16 @@ generated instance's in ``test_transform.py``.  Re-record both with
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from triflat import direction_search
-from triflat.cli import _analyze
+from triflat.cli import _analyze, main
 from triflat.diffgeo import extend, lie_bracket
 from triflat.errors import IntegrationError, PipelineError
-from triflat.expr import Sym
+from triflat.expr import ZERO, Sym, to_str
+from triflat.flatout import admits_phi1
 from triflat.generator import triangular_template
 from triflat.sampling import Sampler
 from triflat.transform import (
@@ -115,6 +117,40 @@ def test_larger_disguise_transforms(combo, seed, k):
     assert (rep.verdict, rep.case, rep.n2, rep.depth, rep.chain_lengths) == _template_answer(
         inst, combo)
     assert res.verified and res.final.structure_ok, res.final.structure_failures
+
+
+def _sysfile(system, phi1):
+    """The text of a system-definition file for system, with phi1 as its hint."""
+    lines = ["[states]", " ".join(system.frame), "[inputs]", "u1 u2"]
+    for section, field in (("drift", system.drift), ("b1", system.b1), ("b2", system.b2)):
+        lines.append(f"[{section}]")
+        lines += [f"{x} = {to_str(c)}" for x, c in zip(system.frame, field.components)
+                  if c != ZERO]
+    return "\n".join(lines + ["[hints]", f"phi1 = {to_str(phi1)}"]) + "\n"
+
+
+def test_phi1_goes_to_the_passing_root_that_admits_it(capsys, tmp_path):
+    """With the inputs swapped, two quadratic roots pass and only the second
+    admits the pulled-back y1; flat-output and transform use that root and
+    give the unswapped order's flat output."""
+    index = 8
+    system, inverse = disguise(
+        triangular_template(*criterion5_combos()[index], seed=index).system, 3, seed=index)
+    phi1 = inverse["y1"]
+    swapped = replace(system, b1=system.b2, b2=system.b1)
+    passing = [r for r in _analyze(swapped, SP)[3] if r.verdict]
+    assert [admits_phi1(r, SP, phi1) for r in passing] == [False, True]
+    flats = []
+    for name, sysm in (("plain", system), ("swapped", swapped)):
+        path, saved = tmp_path / f"{name}.sys", tmp_path / f"{name}.json"
+        path.write_text(_sysfile(sysm, phi1))
+        assert main(["flat-output", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        flats.append((out["phi1"], out["phi2"]))
+        assert main(["transform", str(path), "--save", str(saved)]) == 0
+        assert main(["verify", str(path), "--transform", str(saved)]) == 0
+        capsys.readouterr()
+    assert flats == [("y1", "y2/4 + y3/4 + y4/2 + z1_1 + z1_2^2/2 - z2_1/2")] * 2
 
 
 def assert_prolonged_linearizable(monkeypatch, system, phi1=None):

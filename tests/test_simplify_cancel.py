@@ -58,9 +58,9 @@ def without_shared_content(num, den):
     """num and den divided by the largest monomial dividing all their terms."""
     monos = [dict(m) for p in (num, den) for m in p]
     shared = {k: min(d.get(k, 0) for d in monos) for k in monos[0]}
-    content = tuple((k, e) for k, e in shared.items() if e)
-    return ({S._mono_div(m, content): c for m, c in num.items()},
-            {S._mono_div(m, content): c for m, c in den.items()})
+    content = {k: e for k, e in shared.items() if e}
+    return ({S._mono_quotient(m, content): c for m, c in num.items()},
+            {S._mono_quotient(m, content): c for m, c in den.items()})
 
 
 def monic(num, den):

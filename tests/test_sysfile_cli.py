@@ -178,6 +178,19 @@ def test_cli_parse_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_cli_fields_undefined_on_the_whole_box_are_a_heuristic_failure(capsys, tmp_path):
+    f = tmp_path / "undefined.sys"
+    f.write_text("[states]\nx1 x2 x3\n[inputs]\nu1 u2\n[drift]\nx2 = sqrt(x3 - 5)\n"
+                 "[b1]\nx1 = 1\n[b2]\nx3 = 1\n")
+    code = main(["check", str(f)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["kind"] == "heuristic"
+    assert "no 16 admissible points within 200 resamples" in error["error"]
+
+
 def test_cli_flat_output_template(capsys):
     code, out = run_cli(capsys, "flat-output", corpus("template.sys"))
     assert code == 0
@@ -316,6 +329,7 @@ BAD_MAPS = {
         ["check", "--domain", "eps=2:3"],  # with eps fixed in the file
         ["check", "--prolong", "u1=x"],
         ["check", "--prolong", "u1=-1"],
+        ["check", "--prolong", "w=1"],  # vtol has no input w
         ["verify", "--transform", "bad-json"],
         ["verify", "--transform", "no-states"],
         ["verify", "--transform", "unnamable-state"],
